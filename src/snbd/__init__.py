@@ -38,10 +38,7 @@ from .oracle import (
     symmetrize_vector,
 )
 from .propagator import (
-    NoiseIncrement,
     TrajectoryState,
-    em_step,
-    positivity_report,
     propagate_trajectory,
     sample_increments,
     trajectory_rng,
@@ -74,7 +71,6 @@ __all__ = [
     "EnsembleOptions",
     "FullState",
     "InteractionTerm",
-    "NoiseIncrement",
     "ObservableSpec",
     "ParticleSpec",
     "RecoveryRecord",
@@ -86,7 +82,6 @@ __all__ = [
     "compute_phase",
     "decompose_pair_interaction",
     "default_reference_vectors",
-    "em_step",
     "estimate_density",
     "estimate_product_observable",
     "exact_observable",
@@ -99,7 +94,6 @@ __all__ = [
     "matrix_exp",
     "merge_accumulators",
     "partial_trace",
-    "positivity_report",
     "propagate_exact",
     "propagate_trajectory",
     "recover",

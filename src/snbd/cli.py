@@ -52,6 +52,7 @@ from .errors import (
 from .linalg import trace_distance
 from .oracle import exact_observable, propagate_exact
 from .output import RunWriter
+from .propagator import _validate_grid
 from .recovery import (
     autocorrelation_spectrum,
     default_reference_vectors,
@@ -188,7 +189,8 @@ def cmd_run(cfg, writer, reporter):
 
 
 def _oracle_states(cfg, pure=False):
-    n_steps = round(cfg.time.t_final / cfg.time.dt)
+    n_steps = _validate_grid(cfg.time.t_final, cfg.time.dt,
+                             cfg.time.record_stride)
     n_times = n_steps // cfg.time.record_stride + 1
     times = np.arange(n_times) * (cfg.time.record_stride * cfg.time.dt)
     return times, propagate_exact(cfg.system, times, pure=pure)

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .linalg import frozen_cmatrix, require_hermitian
 from .propagator import (
-    NOISE_CHUNK_STEPS,
     _validate_grid,
     positivity_tolerance,
     propagate_block,
@@ -95,7 +94,6 @@ class EnsembleOptions:
     recovery_refs: tuple = None     # per-particle reference vectors, or None
     blowup_policy: str = "abort"    # "abort" | "skip"
     positivity_tol: float = None    # default: positivity_tolerance(dt, spec)
-    noise_chunk_steps: int = NOISE_CHUNK_STEPS
     memory_limit_bytes: int = DEFAULT_MEMORY_LIMIT
 
 
@@ -114,8 +112,8 @@ def run_fingerprint(spec: SystemSpec, m, t_final, dt, record_stride,
                     recovery_refs, blowup_policy) -> str:
     """Digest of everything that determines a run's results.
 
-    Execution-layout knobs (worker count, noise chunking, memory limits)
-    are deliberately excluded: they do not change any output byte.
+    Execution-layout knobs (worker count, memory limits) are
+    deliberately excluded: they do not change any output byte.
     """
     def mat(a):
         return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
@@ -239,7 +237,7 @@ def _batched_refvec(rhos_by_particle, refs) -> np.ndarray:
 
 def _block_task(spec, master_seed, block, start, count, t_final, dt,
                 record_stride, n_times, obs_stacks, refs, full_density,
-                policy, positivity_tol, noise_chunk_steps):
+                policy, positivity_tol):
     """Propagate one block and return its partial sums (worker-safe)."""
     n = spec.n_particles
     dims = spec.dims
@@ -277,8 +275,7 @@ def _block_task(spec, master_seed, block, start, count, t_final, dt,
 
     stats = propagate_block(
         spec, master_seed, start, count, t_final, dt, record_stride,
-        on_record, positivity_tol=positivity_tol, policy=policy,
-        noise_chunk_steps=noise_chunk_steps)
+        on_record, positivity_tol=positivity_tol, policy=policy)
     return block, counts, obs_sum, obs_sq, rho_sum, vec_sum, min_eig, stats
 
 
@@ -361,8 +358,7 @@ def run_ensemble(spec: SystemSpec, m: int, t_final: float, dt: float,
     tasks = [
         (spec, master_seed, b, int(edges[b]), int(edges[b + 1] - edges[b]),
          t_final, dt, record_stride, n_times, obs_stacks, refs,
-         options.full_density, options.blowup_policy, positivity_tol,
-         options.noise_chunk_steps)
+         options.full_density, options.blowup_policy, positivity_tol)
         for b in range(n_blocks)
     ]
     if options.worker_count > 1:

@@ -75,10 +75,6 @@ def herm_deviation(m) -> float:
     return hs_norm(m - m.conj().T) / norm
 
 
-def is_hermitian(m, rtol=HERM_RTOL) -> bool:
-    return herm_deviation(m) <= rtol
-
-
 def require_hermitian(m, name="matrix", rtol=HERM_RTOL) -> np.ndarray:
     a = as_cmatrix(m, name)
     dev = herm_deviation(a)
@@ -103,17 +99,6 @@ def kron(a, b) -> np.ndarray:
             f"kron result dimension {dim} exceeds the configured maximum {limit}"
         )
     return np.kron(a, b)
-
-
-def kron_all(mats) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence of matrices."""
-    mats = list(mats)
-    if not mats:
-        raise ShapeError("kron_all: empty sequence")
-    out = as_cmatrix(mats[0], "factor 0")
-    for i, m in enumerate(mats[1:], start=1):
-        out = kron(out, as_cmatrix(m, f"factor {i}"))
-    return out
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:

@@ -18,7 +18,12 @@ E[|dalpha|^2] = dt (each quadrature carries variance dt/2).
 The whole update is assembled as rho + (P + P^dag) with P = Q rho, which
 makes every step map Hermitian matrices to Hermitian matrices exactly (in
 floating point, not just analytically) and conserves the trace to
-roundoff: the explicit (rho + rho^dag)/2 scrub is a bitwise no-op.
+roundoff, so the densities are symmetrized as (rho + rho^dag)/2 once, at
+t = 0, and never again.
+
+``propagate_block`` is the only code that advances densities: it steps a
+batch of trajectories in lockstep, with the particles of each dimension
+stacked into one array, and a single trajectory is a batch of one.
 
 Per-trajectory randomness comes from counter-based Philox streams keyed
 by (master seed, trajectory index), so any trajectory can be reproduced
@@ -114,6 +119,17 @@ def pair_projectors(n_particles: int):
     return plus, minus
 
 
+def _particle_sums(dal, plus, minus) -> np.ndarray:
+    """W[b, k, s] from one step's stored increments ``dal[b, s, q]``.
+
+    The one place where the pairing is applied: a stored (k, l) increment
+    enters its first particle as it is and its second particle complex
+    conjugated, through the ``plus``/``minus`` projectors.
+    """
+    return (np.einsum("bpq,qk->bkp", dal, plus)
+            + np.einsum("bpq,qk->bkp", dal.conj(), minus))
+
+
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     """Counter-based per-trajectory stream keyed by (master seed, index)."""
     if master_seed < 0 or index < 0:
@@ -121,76 +137,23 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(master_seed) << 64) + int(index)))
 
 
-@dataclass
-class NoiseIncrement:
-    """One step's complex Wiener increments, stored once per unordered pair.
-
-    ``values[s, q]`` holds dalpha for term s and pair q = {k, l} with
-    k < l; the (l, k) increment is derived as the conjugate on read.
-    """
-
-    values: np.ndarray
-    dt: float
-    n_particles: int
-
-    @property
-    def n_terms(self) -> int:
-        return self.values.shape[0]
-
-    def get(self, s: int, k: int, l: int) -> complex:
-        if k == l:
-            raise ShapeError("no increment couples a particle to itself")
-        if k < l:
-            return complex(self.values[s, pair_index(k, l, self.n_particles)])
-        return complex(np.conj(self.values[s, pair_index(l, k, self.n_particles)]))
-
-    def particle_sums(self) -> np.ndarray:
-        """W[k, s] = sum over l != k of the (k, l) increment."""
-        plus, minus = pair_projectors(self.n_particles)
-        return (
-            np.einsum("sq,qk->ks", self.values, plus)
-            + np.einsum("sq,qk->ks", self.values.conj(), minus)
-        )
-
-
 def _raw_to_increments(raw: np.ndarray, dt: float) -> np.ndarray:
     """Map standard-normal draws (..., 2) to (mu + i nu) sqrt(dt/2)."""
     return (raw[..., 0] + 1j * raw[..., 1]) * np.sqrt(dt / 2.0)
 
 
-def sample_increments(rng, p: int, n_particles: int, dt: float) -> NoiseIncrement:
+def sample_increments(rng, p: int, n_particles: int, dt: float) -> np.ndarray:
     """Draw one step's increments: p * N(N-1)/2 independent complex Gaussians.
 
-    Each stored value is (mu + i nu) sqrt(dt/2) with mu, nu standard
+    Returns ``values[s, q]``, the increment of term s on pair q = {k, l}
+    with k < l; each is (mu + i nu) sqrt(dt/2) with mu, nu standard
     normal, giving E[dalpha* dalpha] = dt and E[dalpha dalpha] = 0; the
     generator advances deterministically.
     """
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
     raw = rng.standard_normal(size=(p, pair_count(n_particles), 2))
-    return NoiseIncrement(values=_raw_to_increments(raw, dt), dt=dt,
-                          n_particles=n_particles)
-
-
-# ---------------------------------------------------------------------------
-# single-trajectory reference path
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TrajectoryState:
-    """One stochastic realization: time, N one-body densities, its stream."""
-
-    t: float
-    rhos: list
-    rng: np.random.Generator = None
-
-
-@dataclass
-class StepCoefficients:
-    """Per-term noise prefactors and per-particle mean fields at one time."""
-
-    sqrt_factors: np.ndarray   # (p,) principal sqrt(-i omega_s)
-    mean_fields: np.ndarray    # (N, p) real, Obar_k^s = Tr{O_k^s rho_k}
+    return _raw_to_increments(raw, dt)
 
 
 def sqrt_noise_factors(terms) -> np.ndarray:
@@ -200,61 +163,8 @@ def sqrt_noise_factors(terms) -> np.ndarray:
     return np.sqrt(-1j * omegas.astype(complex))
 
 
-def compute_step_coefficients(spec: SystemSpec, rhos) -> StepCoefficients:
-    p = len(spec.terms)
-    n = spec.n_particles
-    mf = np.empty((n, p), dtype=float)
-    for k in range(n):
-        for s, term in enumerate(spec.terms):
-            mf[k, s] = np.einsum("ij,ji->", term.ops[k], rhos[k]).real
-    return StepCoefficients(sqrt_factors=sqrt_noise_factors(spec.terms),
-                            mean_fields=mf)
-
-
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
-
-
-def em_step(state: TrajectoryState, spec: SystemSpec, dt: float,
-            noise: NoiseIncrement = None) -> TrajectoryState:
-    """One Euler-Maruyama step of every particle's density.
-
-    All mean fields are evaluated at the incoming state (Ito convention)
-    and a single shared increment set drives all particles: the (k, l)
-    increment enters particle k directly and particle l conjugated.  The
-    update is exactly traceless and maps Hermitian to Hermitian; the
-    final (rho + rho^dag)/2 only scrubs roundoff.
-
-    When ``noise`` is omitted one increment set is drawn from the state's
-    own generator (which advances).
-    """
-    n = spec.n_particles
-    p = len(spec.terms)
-    if noise is None:
-        noise = sample_increments(state.rng, p, n, dt)
-    coeffs = compute_step_coefficients(spec, state.rhos)
-    mf = coeffs.mean_fields
-    z = coeffs.sqrt_factors
-    omegas = np.array([t.omega for t in spec.terms], dtype=float)
-    w_sums = noise.particle_sums() if p else np.zeros((n, 0))
-    mf_tot = mf.sum(axis=0)
-
-    new_rhos = []
-    for k, part in enumerate(spec.particles):
-        rho = state.rhos[k]
-        q = (-1j * dt) * part.h.astype(complex)
-        for s, term in enumerate(spec.terms):
-            drift_c = (-1j * dt) * omegas[s] * (mf_tot[s] - mf[k, s])
-            noise_c = z[s] * w_sums[k, s]
-            q = q + (drift_c + noise_c) * term.ops[k]
-            q = q - noise_c * mf[k, s] * np.eye(part.dim)
-        with np.errstate(over="ignore", invalid="ignore"):
-            pm = q @ rho
-            new = rho + (pm + pm.conj().T)
-        if not np.isfinite(new).all():
-            raise TrajectoryBlowupError(t=state.t)
-        new_rhos.append(_symmetrize(new))
-    return TrajectoryState(t=state.t + dt, rhos=new_rhos, rng=state.rng)
 
 
 def positivity_tolerance(dt: float, spec: SystemSpec, t_final: float = 0.0) -> float:
@@ -296,96 +206,47 @@ def _validate_grid(t_final: float, dt: float, record_stride: int):
     return n_steps
 
 
+# ---------------------------------------------------------------------------
+# single trajectories
+# ---------------------------------------------------------------------------
+
+@dataclass
+class TrajectoryState:
+    """One recorded time of one trajectory: time and N one-body densities."""
+
+    t: float
+    rhos: list
+
+
 def propagate_trajectory(spec: SystemSpec, t_final: float, dt: float,
-                         record_stride: int = 1, rng_seed=None, rng=None,
+                         record_stride: int = 1, rng_seed=None,
                          positivity_tol: float = None,
                          enforce_positivity: bool = True) -> list:
     """Integrate one trajectory, returning snapshots every ``record_stride``
     steps (including t = 0).  Deterministic given the seed.
 
     ``rng_seed`` is interpreted as (master_seed, trajectory_index) when a
-    tuple, otherwise as a master seed for trajectory 0; alternatively pass
-    a prepared ``rng``.  Snapshot densities are defensive copies.
+    tuple, otherwise as a master seed for trajectory 0.  The trajectory is
+    a block of one, so it is bitwise the trajectory of that index in any
+    ensemble run; ``enforce_positivity=False`` sets an infinite tolerance.
     """
-    n_steps = _validate_grid(t_final, dt, record_stride)
-    if rng is None:
-        if rng_seed is None:
-            raise ConfigError("propagate_trajectory needs rng_seed or rng")
-        if isinstance(rng_seed, tuple):
-            rng = trajectory_rng(*rng_seed)
-        else:
-            rng = trajectory_rng(rng_seed, 0)
-    if positivity_tol is None:
-        positivity_tol = positivity_tolerance(dt, spec, t_final)
+    if rng_seed is None:
+        raise ConfigError("propagate_trajectory needs rng_seed")
+    master_seed, index = rng_seed if isinstance(rng_seed, tuple) else (rng_seed, 0)
+    if not enforce_positivity:
+        positivity_tol = np.inf
+    snapshots = []
 
-    state = TrajectoryState(
-        t=0.0,
-        rhos=[_symmetrize(r.astype(complex)) for r in spec.initial],
-        rng=rng,
-    )
-    snapshots = [TrajectoryState(t=0.0, rhos=[r.copy() for r in state.rhos],
-                                 rng=rng)]
-    _check_snapshot(state, positivity_tol, enforce_positivity)
-    for i in range(1, n_steps + 1):
-        state = em_step(state, spec, dt)
-        if i % record_stride == 0:
-            state.t = i * dt  # exact grid time, no accumulation drift
-            _check_snapshot(state, positivity_tol, enforce_positivity)
-            snapshots.append(TrajectoryState(
-                t=state.t, rhos=[r.copy() for r in state.rhos], rng=rng))
+    def on_record(r_index, t, rhos, active, min_eigs):
+        snapshots.append(TrajectoryState(t=t, rhos=[r[0].copy() for r in rhos]))
+
+    propagate_block(spec, master_seed, index, 1, t_final, dt, record_stride,
+                    on_record, positivity_tol=positivity_tol)
     return snapshots
 
 
-def _check_snapshot(state, positivity_tol, enforce_positivity):
-    for k, rho in enumerate(state.rhos):
-        tr_dev = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-        if tr_dev > TRACE_TRIPWIRE:
-            raise TrajectoryBlowupError(
-                t=state.t, detail=f"particle {k} trace drift {tr_dev:.3e}")
-        if enforce_positivity:
-            lo = float(np.linalg.eigvalsh(rho).min())
-            if lo < -positivity_tol:
-                raise PositivityViolationError(
-                    t=state.t, particle=k, min_eig=lo, tol=positivity_tol)
-
-
-@dataclass
-class PositivityReport:
-    """Minimum density eigenvalue per snapshot and particle."""
-
-    times: np.ndarray      # (T,)
-    min_eigs: np.ndarray   # (T, N)
-    worst_value: float
-    worst_time: float
-    worst_particle: int
-
-    @property
-    def worst_violation(self) -> float:
-        """Magnitude of the worst negative excursion (0 when none)."""
-        return max(0.0, -self.worst_value)
-
-
-def positivity_report(snapshots) -> PositivityReport:
-    """Scan snapshots for the smallest density eigenvalues."""
-    times = np.array([s.t for s in snapshots])
-    n = len(snapshots[0].rhos)
-    mins = np.empty((len(snapshots), n))
-    for i, snap in enumerate(snapshots):
-        for k, rho in enumerate(snap.rhos):
-            mins[i, k] = np.linalg.eigvalsh(rho).min()
-    flat = int(np.argmin(mins))
-    ti, pk = divmod(flat, n)
-    return PositivityReport(
-        times=times,
-        min_eigs=mins,
-        worst_value=float(mins[ti, pk]),
-        worst_time=float(times[ti]),
-        worst_particle=pk,
-    )
-
-
 # ---------------------------------------------------------------------------
-# batched block driver (used by the ensemble engine)
+# batched block driver
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -398,16 +259,40 @@ class BlockStats:
     positivity_skips: tuple = ()
 
 
-def _operator_stacks(spec: SystemSpec):
-    """Per-particle (p, d, d) stacks of interaction factors."""
-    p = len(spec.terms)
-    stacks = []
-    for k, part in enumerate(spec.particles):
-        stack = np.zeros((p, part.dim, part.dim), dtype=complex)
-        for s, term in enumerate(spec.terms):
-            stack[s] = term.ops[k]
-        stacks.append(stack)
-    return stacks
+@dataclass
+class _DimGroup:
+    """The particles of one dimension d, stepped as one (B, K, d, d) stack."""
+
+    members: list        # particle indices, ascending
+    cols: slice          # their columns in the group-ordered (B, N, p) arrays
+    ops: np.ndarray      # (K, p, d, d) interaction factors O_k^s
+    mihdt: np.ndarray    # (K, d, d) -i dt H_k
+    diag: np.ndarray     # arange(d), indexes the diagonal of every stack
+    rho: np.ndarray      # (B, K, d, d) current densities
+    obar: np.ndarray     # (B, K, p) complex view into the shared mean fields
+
+
+def _dim_groups(spec: SystemSpec, count: int, dt: float, obar_c: np.ndarray):
+    """Group the particles by dimension, groups in order of first appearance."""
+    dims = spec.dims
+    groups, lo = [], 0
+    for d in dict.fromkeys(dims):
+        members = [k for k in range(spec.n_particles) if dims[k] == d]
+        cols = slice(lo, lo + len(members))
+        lo = cols.stop
+        ops = np.zeros((len(members), len(spec.terms), d, d), dtype=complex)
+        for j, k in enumerate(members):
+            for s, term in enumerate(spec.terms):
+                ops[j, s] = term.ops[k]
+        rho = np.stack([
+            np.broadcast_to(_symmetrize(spec.initial[k].astype(complex)),
+                            (count, d, d))
+            for k in members], axis=1)
+        mihdt = np.stack([(-1j * dt) * spec.particles[k].h for k in members])
+        groups.append(_DimGroup(members=members, cols=cols, ops=ops,
+                                mihdt=mihdt, diag=np.arange(d), rho=rho,
+                                obar=obar_c[:, cols]))
+    return groups
 
 
 def _draw_noise_chunk(rngs, n_steps, p, npairs, dt):
@@ -422,8 +307,7 @@ def _draw_noise_chunk(rngs, n_steps, p, npairs, dt):
 def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                     t_final: float, dt: float, record_stride: int,
                     on_record, *, positivity_tol: float = None,
-                    policy: str = "abort",
-                    noise_chunk_steps: int = NOISE_CHUNK_STEPS) -> BlockStats:
+                    policy: str = "abort") -> BlockStats:
     """Propagate trajectories [start, start + count) in lockstep.
 
     ``on_record(record_index, t, rhos_by_particle, active, min_eigs)`` is
@@ -437,6 +321,10 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     violation, at the recording time where it is detected) or "skip"
     (deactivate the offending trajectories and keep going; skipped
     indices are reported in the returned stats).
+
+    The particles of each dimension form one group; every (B, N, p) array
+    of a step (mean fields, particle sums, coefficients) holds the groups
+    side by side, and the groups couple only through them.
     """
     if policy not in ("abort", "skip"):
         raise ConfigError(f"unknown blowup policy {policy!r}")
@@ -446,27 +334,18 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     n = spec.n_particles
     p = len(spec.terms)
     npairs = pair_count(n)
-    dims = spec.dims
-    uniform = spec.uniform_dim
 
     omegas = np.array([t.omega for t in spec.terms], dtype=float)
     momdt = (-1j * dt) * omegas
     z = sqrt_noise_factors(spec.terms)
-    plus, minus = pair_projectors(n)
-    stacks = _operator_stacks(spec)
-    mihdt = [(-1j * dt) * part.h for part in spec.particles]
-
-    rhos = [
-        np.broadcast_to(_symmetrize(spec.initial[k].astype(complex)),
-                        (count, dims[k], dims[k])).copy()
-        for k in range(n)
-    ]
-    if uniform:
-        d = dims[0]
-        rho_u = np.stack(rhos, axis=1)                      # (B, N, d, d)
-        ostack_u = np.stack(stacks, axis=0)                 # (N, p, d, d)
-        mihdt_u = np.stack(mihdt, axis=0)                   # (N, d, d)
-        diag = np.arange(d)
+    obar_c = np.empty((count, n, p), dtype=complex)
+    obar = obar_c.real
+    groups = _dim_groups(spec, count, dt, obar_c)
+    order = [k for g in groups for k in g.members]
+    # the mean-field total sums the particles in their own order, so
+    # interleaved dimensions round exactly as if ungrouped
+    unsort = slice(None) if order == sorted(order) else np.argsort(order)
+    plus, minus = (np.ascontiguousarray(a[:, order]) for a in pair_projectors(n))
 
     rngs = [trajectory_rng(master_seed, start + b) for b in range(count)]
     active = np.ones(count, dtype=bool)
@@ -475,9 +354,11 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     blowups, pos_skips = [], []
 
     def current_rhos():
-        if uniform:
-            return [rho_u[:, k] for k in range(n)]
-        return rhos
+        cur = [None] * n
+        for g in groups:
+            for j, k in enumerate(g.members):
+                cur[k] = g.rho[:, j]
+        return cur
 
     def flag_blowups(t, cur):
         """Deactivate (or abort on) diverged trajectories: NaN/Inf entries or
@@ -526,52 +407,24 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     # intermediate overflow arithmetic is expected under the skip policy
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
-            chunk = min(noise_chunk_steps, n_steps - step)
+            chunk = min(NOISE_CHUNK_STEPS, n_steps - step)
             dal = _draw_noise_chunk(rngs, chunk, p, npairs, dt)
             for i in range(chunk):
-                if p:
-                    w = (np.einsum("bpq,qk->bkp", dal[:, i], plus)
-                         + np.einsum("bpq,qk->bkp", dal[:, i].conj(), minus))
-                if uniform:
-                    if p:
-                        obar = np.einsum("kpij,bkji->bkp", ostack_u, rho_u).real
-                        tot = obar.sum(axis=1, keepdims=True)
-                        zw = z * w
-                        coeff = momdt * (tot - obar) + zw
-                        q = np.einsum("bkp,kpij->bkij", coeff, ostack_u)
-                        q += mihdt_u
-                        g0 = (zw * obar).sum(axis=-1)
-                        q[:, :, diag, diag] -= g0[..., None]
-                    else:
-                        q = np.broadcast_to(mihdt_u, rho_u.shape)
-                    pm = q @ rho_u
-                    rho_u = rho_u + (pm + pm.conj().swapaxes(-1, -2))
-                    tr = np.einsum("bkii->bk", rho_u)
+                zw = z * _particle_sums(dal[:, i], plus, minus)
+                for g in groups:
+                    np.einsum("kpij,bkji->bkp", g.ops, g.rho, out=g.obar)
+                tot = obar[:, unsort].sum(axis=1, keepdims=True)
+                coeff = momdt * (tot - obar) + zw
+                g0 = (zw * obar).sum(axis=-1)
+                for g in groups:
+                    q = np.einsum("bkp,kpij->bkij", coeff[:, g.cols], g.ops)
+                    q += g.mihdt
+                    q[:, :, g.diag, g.diag] -= g0[:, g.cols, None]
+                    pm = q @ g.rho
+                    g.rho = g.rho + (pm + pm.conj().swapaxes(-1, -2))
+                    tr = np.einsum("bkii->bk", g.rho)
                     dev = (np.abs(tr.real - 1.0) + np.abs(tr.imag)).max(axis=1)
-                else:
-                    if p:
-                        obar = np.stack(
-                            [np.einsum("pij,bji->bp", stacks[k], rhos[k]).real
-                             for k in range(n)], axis=1)
-                        tot = obar.sum(axis=1, keepdims=True)
-                        zw = z * w
-                        coeff = momdt * (tot - obar) + zw
-                        g0 = (zw * obar).sum(axis=-1)
-                    dev = np.zeros(count)
-                    for k in range(n):
-                        if p:
-                            qk = np.einsum("bp,pij->bij", coeff[:, k], stacks[k])
-                            qk += mihdt[k]
-                            dk = np.arange(dims[k])
-                            qk[:, dk, dk] -= g0[:, k, None]
-                        else:
-                            qk = np.broadcast_to(mihdt[k], rhos[k].shape)
-                        pm = qk @ rhos[k]
-                        rhos[k] = rhos[k] + (pm + pm.conj().swapaxes(-1, -2))
-                        tr = np.einsum("bii->b", rhos[k])
-                        dev = np.maximum(
-                            dev, np.abs(tr.real - 1.0) + np.abs(tr.imag))
-                np.fmax(trace_dev, np.where(active, dev, 0.0), out=trace_dev)
+                    np.fmax(trace_dev, np.where(active, dev, 0.0), out=trace_dev)
                 step += 1
                 if step % record_stride == 0:
                     r_index += 1

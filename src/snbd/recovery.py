@@ -109,13 +109,6 @@ def _series_derivative_fd(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _series_derivative_fft(values: np.ndarray, dt: float) -> np.ndarray:
-    """Spectral derivative (periodic extension; rings on non-periodic data)."""
-    n = len(values)
-    freqs = np.fft.fftfreq(n, d=dt)
-    return np.fft.ifft(2j * np.pi * freqs * np.fft.fft(values))
-
-
 def _check_uniform(t_grid: np.ndarray) -> float:
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2:
@@ -127,8 +120,7 @@ def _check_uniform(t_grid: np.ndarray) -> float:
     return float(dt)
 
 
-def phase_integrand(t_grid, phi, hamiltonian, psi0,
-                    derivative: str = "fd") -> np.ndarray:
+def phase_integrand(t_grid, phi, hamiltonian, psi0) -> np.ndarray:
     """Complex integrand of the phase formula (its exact value is real).
 
     ``hamiltonian`` must be Hermitian (it is the assembled full-space
@@ -137,18 +129,12 @@ def phase_integrand(t_grid, phi, hamiltonian, psi0,
     dt = _check_uniform(t_grid)
     overlap = phi @ np.conj(psi0)                    # <psi0|phi(t)>
     h_overlap = phi @ np.conj(hamiltonian @ psi0)    # <psi0|H|phi(t)>
-    if derivative == "fd":
-        d_overlap = _series_derivative_fd(overlap, dt)
-    elif derivative == "fft":
-        d_overlap = _series_derivative_fft(overlap, dt)
-    else:
-        raise GridError(f"unknown derivative mode {derivative!r}")
+    d_overlap = _series_derivative_fd(overlap, dt)
     return (h_overlap - 1j * d_overlap) / overlap
 
 
 def compute_phase(t_grid, phi, hamiltonian, psi0, *,
-                  eps_overlap: float = EPS_OVERLAP,
-                  derivative: str = "fd") -> np.ndarray:
+                  eps_overlap: float = EPS_OVERLAP) -> np.ndarray:
     """Phase series Theta(t) by cumulative trapezoid of the (real) integrand.
 
     Raises PhaseSingularityError at the first grid time where the overlap
@@ -160,8 +146,7 @@ def compute_phase(t_grid, phi, hamiltonian, psi0, *,
         i = int(np.argmax(small))
         raise PhaseSingularityError(t=float(np.asarray(t_grid)[i]),
                                     overlap=float(overlap[i]))
-    integrand = phase_integrand(t_grid, phi, hamiltonian, psi0,
-                                derivative=derivative).real
+    integrand = phase_integrand(t_grid, phi, hamiltonian, psi0).real
     dt = _check_uniform(t_grid)
     theta = np.zeros(len(integrand))
     theta[1:] = np.cumsum(0.5 * (integrand[1:] + integrand[:-1])) * dt
@@ -185,8 +170,8 @@ def recover_wavefunction(phi: np.ndarray, theta: np.ndarray,
 
 
 def recover(acc: EnsembleAccumulator, spec: SystemSpec, psi0=None, *,
-            eps_overlap: float = EPS_OVERLAP, eps_ref: float = EPS_REF,
-            derivative: str = "fd") -> RecoveryRecord:
+            eps_overlap: float = EPS_OVERLAP,
+            eps_ref: float = EPS_REF) -> RecoveryRecord:
     """Full recovery pipeline from a finished accumulator.
 
     ``psi0`` defaults to the (pure product) initial state of the spec.
@@ -196,8 +181,7 @@ def recover(acc: EnsembleAccumulator, spec: SystemSpec, psi0=None, *,
     phi_tilde = recover_raw_vector(acc, eps_ref=eps_ref)
     phi = normalize_series(phi_tilde)
     h = assemble_full_hamiltonian(spec)
-    theta = compute_phase(acc.times, phi, h, psi0,
-                          eps_overlap=eps_overlap, derivative=derivative)
+    theta = compute_phase(acc.times, phi, h, psi0, eps_overlap=eps_overlap)
     psi = recover_wavefunction(phi, theta, psi0)
     autocorr = psi @ np.conj(psi[0])
     return RecoveryRecord(t_grid=acc.times.copy(), phi_tilde=phi_tilde,
@@ -206,7 +190,7 @@ def recover(acc: EnsembleAccumulator, spec: SystemSpec, psi0=None, *,
 
 def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn,
                        psi0=None, *, eps_overlap: float = EPS_OVERLAP,
-                       eps_ref: float = EPS_REF, derivative: str = "fd"):
+                       eps_ref: float = EPS_REF):
     """Delete-one-block jackknife of a per-time functional of the recovery.
 
     ``fn(record) -> (T,) array`` is evaluated on the full recovery and on
@@ -228,7 +212,7 @@ def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn,
             raise DegenerateReferenceError("degenerate jackknife replicate")
         phi = phi_tilde / norms[:, None]
         theta = compute_phase(acc.times, phi, h, psi0,
-                              eps_overlap=eps_overlap, derivative=derivative)
+                              eps_overlap=eps_overlap)
         psi = recover_wavefunction(phi, theta, psi0)
         return RecoveryRecord(t_grid=acc.times, phi_tilde=phi_tilde, phi=phi,
                               theta=theta, psi=psi,

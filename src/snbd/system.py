@@ -188,10 +188,6 @@ class SystemSpec:
         return int(np.prod(self.dims))
 
     @property
-    def uniform_dim(self) -> bool:
-        return len(set(self.dims)) == 1
-
-    @property
     def max_abs_omega(self) -> float:
         return max((abs(t.omega) for t in self.terms), default=0.0)
 

@@ -64,7 +64,10 @@ from snbd.ensemble import (
 from snbd.linalg import herm_eig, hs_norm, trace_distance
 from snbd.oracle import exact_observable, initial_pure_vector, propagate_exact
 from snbd.propagator import (
+    _particle_sums,
     _raw_to_increments,
+    pair_list,
+    pair_projectors,
     positivity_tolerance,
     propagate_block,
     propagate_trajectory,
@@ -293,12 +296,21 @@ def test_criterion_07_noise_constraints():
     raw = rng.standard_normal(size=(n, p, npairs, 2))
     stored = _raw_to_increments(raw, dt)
 
-    # exact conjugate pairing on reads
+    # exact conjugate pairing where the propagator reads the increments:
+    # a stored (k, l) increment reaches particle k as is, particle l
+    # conjugated, and no other particle
     probe = sample_increments(trajectory_rng(7, 1), p, n_part, dt)
-    pairing = all(
-        probe.get(s, l, k) == np.conj(probe.get(s, k, l))
-        for s in range(p) for k in range(n_part) for l in range(n_part)
-        if k != l)
+    plus, minus = pair_projectors(n_part)
+    pairing = True
+    for s in range(p):
+        for q, (k, l) in enumerate(pair_list(n_part)):
+            single = np.zeros_like(probe)
+            single[s, q] = probe[s, q]
+            expected = np.zeros((n_part, p), dtype=complex)
+            expected[k, s] = probe[s, q]
+            expected[l, s] = np.conj(probe[s, q])
+            w = _particle_sums(single[None], plus, minus)[0]
+            pairing = pairing and bool(np.array_equal(w, expected))
 
     # every ordered channel (s, k, l), k != l; (l, k) reads are conjugates
     pairs = [(0, 1), (0, 2), (1, 2)]

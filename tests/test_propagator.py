@@ -1,6 +1,10 @@
+import cmath
+import dataclasses
+
 import numpy as np
 import pytest
 
+import snbd.propagator as propagator
 from snbd.errors import (
     ConfigError,
     PositivityViolationError,
@@ -9,14 +13,12 @@ from snbd.errors import (
 )
 from snbd.propagator import (
     BlockStats,
-    NoiseIncrement,
-    TrajectoryState,
+    _particle_sums,
     _raw_to_increments,
-    compute_step_coefficients,
-    em_step,
     pair_count,
     pair_index,
-    positivity_report,
+    pair_list,
+    pair_projectors,
     positivity_tolerance,
     propagate_block,
     propagate_trajectory,
@@ -32,7 +34,115 @@ from conftest import (
     UP,
     free_two_spin_system,
     random_density,
+    random_hermitian,
 )
+
+
+# ---------------------------------------------------------------------------
+# independent reference: the module-docstring equation, written out literally
+# ---------------------------------------------------------------------------
+
+def reference_step(spec, rhos, dal, dt):
+    """One Ito step of every particle, term by term and pair by pair.
+
+    ``dal[s, q]`` is the stored increment of term s on pair q = {k, l},
+    k < l; particle l reads it complex conjugated.
+    """
+    n = spec.n_particles
+    obar = [[np.trace(term.ops[k] @ rhos[k]).real for term in spec.terms]
+            for k in range(n)]
+    out = []
+    for k in range(n):
+        rho = rhos[k]
+        h = spec.particles[k].h
+        drho = -1j * dt * (h @ rho - rho @ h)
+        for s, term in enumerate(spec.terms):
+            o = term.ops[k]
+            field = sum(obar[l][s] for l in range(n) if l != k)
+            drho = drho - 1j * term.omega * field * (o @ rho - rho @ o) * dt
+            w = 0j
+            for l in range(n):
+                if l > k:
+                    w += dal[s, pair_index(k, l, n)]
+                elif l < k:
+                    w += np.conj(dal[s, pair_index(l, k, n)])
+            root = cmath.sqrt(-1j * term.omega)
+            shifted = o - obar[k][s] * np.eye(len(rho))
+            drho = (drho + root * (shifted @ rho) * w
+                    + np.conj(root) * (rho @ shifted) * np.conj(w))
+        out.append(rho + drho)
+    return out
+
+
+def reference_trajectory(spec, master_seed, index, n_steps, dt, stride):
+    """Densities of trajectory (master_seed, index) every ``stride`` steps,
+    driven by the same Philox draws as the batched driver, one step at a time."""
+    rng = trajectory_rng(master_seed, index)
+    p, npairs = len(spec.terms), pair_count(spec.n_particles)
+    rhos = [0.5 * (r + r.conj().T) for r in spec.initial]
+    frames = [rhos]
+    for i in range(1, n_steps + 1):
+        dal = _raw_to_increments(rng.standard_normal((p, npairs, 2)), dt)
+        rhos = reference_step(spec, rhos, dal, dt)
+        if i % stride == 0:
+            frames.append(rhos)
+    return frames
+
+
+def spin_qutrit_system():
+    """A spin-1/2 and a qutrit whose top level the interaction never reaches."""
+    h3 = np.diag([0.3, -0.1, 0.8]).astype(complex)
+    o3 = np.zeros((3, 3), complex)
+    o3[:2, :2] = SZ / np.sqrt(2)
+    term = InteractionTerm(omega=0.4, ops=(SZ / np.sqrt(2), o3))
+    return SystemSpec(
+        particles=(ParticleSpec(dim=2, h=0.5 * SZ),
+                   ParticleSpec(dim=3, h=h3)),
+        terms=(term,),
+        initial=(UP, np.diag([0.0, 1.0, 0.0]).astype(complex)))
+
+
+def interleaved_system():
+    """Dims (2, 3, 2): the d=2 group holds particles 0 and 2, not adjacent.
+
+    Two terms with random Hermitian factors, one weight negative."""
+    rng = np.random.default_rng(31)
+    dims = (2, 3, 2)
+    terms = tuple(
+        InteractionTerm(omega=omega,
+                        ops=tuple(random_hermitian(rng, d, 0.5) for d in dims))
+        for omega in (0.3, -0.2))
+    return SystemSpec(
+        particles=tuple(ParticleSpec(dim=d, h=random_hermitian(rng, d))
+                        for d in dims),
+        terms=terms,
+        initial=(random_density(rng, 2), random_density(rng, 3), UP))
+
+
+def with_initial(spec, rhos):
+    return dataclasses.replace(spec, initial=tuple(rhos))
+
+
+def collect(spec, seed, start, count, t_final, dt, stride, **kw):
+    """Every record of a block: (t, per-particle density copies, active, mins)."""
+    frames = []
+
+    def on_record(r, t, rhos, active, mins):
+        frames.append((t, [x.copy() for x in rhos], active.copy(), mins.copy()))
+
+    stats = propagate_block(spec, seed, start, count, t_final, dt, stride,
+                            on_record, **kw)
+    return frames, stats
+
+
+def zero_draw(rngs, n_steps, p, npairs, dt):
+    """Stand-in for the noise draw: exact zeros, the noise-free generator."""
+    return np.zeros((len(rngs), n_steps, p, npairs), dtype=complex)
+
+
+@pytest.fixture
+def zero_noise(monkeypatch):
+    monkeypatch.setattr(propagator, "_draw_noise_chunk", zero_draw)
 
 
 class TestNoise:
@@ -45,22 +155,35 @@ class TestNoise:
             pair_index(2, 1, 4)
 
     def test_conjugate_pairing_exact(self):
-        rng = trajectory_rng(3, 0)
-        inc = sample_increments(rng, p=2, n_particles=3, dt=0.01)
-        for s in range(2):
-            for k in range(3):
-                for l in range(3):
-                    if k == l:
-                        continue
-                    assert inc.get(s, l, k) == np.conj(inc.get(s, k, l))
+        # each stored increment reaches its first particle as is and its
+        # second particle exactly conjugated, and no other particle
+        n, p = 3, 2
+        values = sample_increments(trajectory_rng(3, 0), p, n, dt=0.01)
+        plus, minus = pair_projectors(n)
+        for s in range(p):
+            for q, (k, l) in enumerate(pair_list(n)):
+                single = np.zeros_like(values)
+                single[s, q] = values[s, q]
+                expected = np.zeros((n, p), dtype=complex)
+                expected[k, s] = values[s, q]
+                expected[l, s] = np.conj(values[s, q])
+                w = _particle_sums(single[None], plus, minus)[0]
+                assert np.array_equal(w, expected)
 
     def test_particle_sums_match_direct(self):
-        rng = trajectory_rng(4, 1)
-        inc = sample_increments(rng, p=2, n_particles=4, dt=0.02)
-        w = inc.particle_sums()
-        for k in range(4):
+        n = 4
+        values = sample_increments(trajectory_rng(4, 1), p=2, n_particles=n,
+                                   dt=0.02)
+        w = _particle_sums(values[None], *pair_projectors(n))[0]
+
+        def read(s, k, l):
+            if k < l:
+                return values[s, pair_index(k, l, n)]
+            return np.conj(values[s, pair_index(l, k, n)])
+
+        for k in range(n):
             for s in range(2):
-                direct = sum(inc.get(s, k, l) for l in range(4) if l != k)
+                direct = sum(read(s, k, l) for l in range(n) if l != k)
                 assert w[k, s] == pytest.approx(direct, abs=1e-15)
 
     def test_second_moments(self):
@@ -85,16 +208,16 @@ class TestNoise:
         a = trajectory_rng(9, 7)
         b = trajectory_rng(9, 7)
         per_step = np.stack([
-            sample_increments(a, p=3, n_particles=3, dt=0.1).values
+            sample_increments(a, p=3, n_particles=3, dt=0.1)
             for _ in range(20)])
         chunk = _raw_to_increments(b.standard_normal((20, 3, 3, 2)), 0.1)
         assert np.array_equal(per_step, chunk)
 
     def test_determinism(self):
-        x = sample_increments(trajectory_rng(1, 2), 2, 2, 0.1).values
-        y = sample_increments(trajectory_rng(1, 2), 2, 2, 0.1).values
+        x = sample_increments(trajectory_rng(1, 2), 2, 2, 0.1)
+        y = sample_increments(trajectory_rng(1, 2), 2, 2, 0.1)
         assert np.array_equal(x, y)
-        z = sample_increments(trajectory_rng(1, 3), 2, 2, 0.1).values
+        z = sample_increments(trajectory_rng(1, 3), 2, 2, 0.1)
         assert not np.array_equal(x, z)
 
     def test_rejects_bad_dt(self):
@@ -112,24 +235,31 @@ class TestStepCoefficients:
         z_neg = sqrt_noise_factors([InteractionTerm(omega=-0.5, ops=(SZ, SZ))])
         assert abs(z_neg[0] ** 2 - 0.5j) <= 1e-14
 
-    def test_mean_fields_match_traces(self, benchmark_system):
+    def test_mean_fields_match_traces(self, benchmark_system, zero_noise):
+        # with the noise off, one step of length 1 is rho - i [H_eff, rho]
+        # with H_eff = H + sum_s omega_s Tr{O_l^s rho_l} O_k^s (l != k)
         rng = np.random.default_rng(11)
         rhos = [random_density(rng, 2), random_density(rng, 2)]
-        coeffs = compute_step_coefficients(benchmark_system, rhos)
+        spec = with_initial(benchmark_system, rhos)
+        snaps = propagate_trajectory(spec, 1.0, 1.0, 1, rng_seed=0,
+                                     enforce_positivity=False)
         for k in range(2):
-            for s, term in enumerate(benchmark_system.terms):
-                expected = np.trace(term.ops[k] @ rhos[k]).real
-                assert coeffs.mean_fields[k, s] == pytest.approx(expected,
-                                                                 abs=1e-12)
+            rho = 0.5 * (rhos[k] + rhos[k].conj().T)
+            h_eff = spec.particles[k].h.astype(complex)
+            for term in spec.terms:
+                field = np.trace(term.ops[1 - k] @ rhos[1 - k]).real
+                h_eff = h_eff + term.omega * field * term.ops[k]
+            expected = rho - 1j * (h_eff @ rho - rho @ h_eff)
+            assert np.abs(snaps[1].rhos[k] - expected).max() <= 1e-12
 
 
 class TestEmStep:
+    """Properties of one Euler-Maruyama step, taken by propagate_block."""
+
     def test_noise_free_limit_is_pure_drift(self):
         spec = free_two_spin_system()
-        state = TrajectoryState(t=0.0, rhos=[UP.copy(), DOWN.copy()],
-                                rng=trajectory_rng(0, 0))
         dt = 1e-3
-        out = em_step(state, spec, dt)
+        out = propagate_trajectory(spec, dt, dt, 1, rng_seed=0)[1]
         for k, rho in enumerate((UP, DOWN)):
             h = spec.particles[k].h
             expected = rho - 1j * dt * (h @ rho - rho @ h)
@@ -137,50 +267,46 @@ class TestEmStep:
 
     def test_trace_preserved_per_step(self, benchmark_system):
         rng = np.random.default_rng(12)
-        state = TrajectoryState(
-            t=0.0, rhos=[random_density(rng, 2), random_density(rng, 2)],
-            rng=trajectory_rng(12, 0))
-        for _ in range(50):
-            state = em_step(state, benchmark_system, 1e-3)
-            for rho in state.rhos:
+        spec = with_initial(benchmark_system,
+                            [random_density(rng, 2), random_density(rng, 2)])
+        snaps = propagate_trajectory(spec, 0.05, 1e-3, 1, rng_seed=(12, 0),
+                                     enforce_positivity=False)
+        assert len(snaps) == 51
+        for snap in snaps[1:]:
+            for rho in snap.rhos:
                 assert abs(np.trace(rho) - 1.0) <= 1e-14
 
     def test_hermiticity_exact(self, benchmark_system):
-        state = TrajectoryState(t=0.0, rhos=[UP.copy(), DOWN.copy()],
-                                rng=trajectory_rng(13, 0))
-        for _ in range(200):
-            state = em_step(state, benchmark_system, 1e-3)
-        for rho in state.rhos:
+        snaps = propagate_trajectory(benchmark_system, 0.2, 1e-3, 200,
+                                     rng_seed=(13, 0), enforce_positivity=False)
+        for rho in snaps[-1].rhos:
             assert np.array_equal(rho, rho.conj().T)
 
-    def test_single_step_mean_is_drift(self, benchmark_system):
+    def test_single_step_mean_is_drift(self, benchmark_system, monkeypatch):
         # Monte Carlo mean of the stochastic step vs the deterministic part
         rng = np.random.default_rng(14)
-        rhos = [random_density(rng, 2), random_density(rng, 2)]
-        base = TrajectoryState(t=0.0, rhos=rhos, rng=None)
+        spec = with_initial(benchmark_system,
+                            [random_density(rng, 2), random_density(rng, 2)])
         dt = 1e-3
         n = 20_000
-        noise_rng = trajectory_rng(14, 0)
-        acc = [np.zeros((2, 2), complex), np.zeros((2, 2), complex)]
-        for _ in range(n):
-            noise = sample_increments(noise_rng, 3, 2, dt)
-            out = em_step(base, benchmark_system, dt, noise=noise)
-            for k in range(2):
-                acc[k] += out.rhos[k]
-        zero = NoiseIncrement(values=np.zeros((3, 1), complex), dt=dt,
-                              n_particles=2)
-        drift = em_step(base, benchmark_system, dt, noise=zero)
+        frames, _ = collect(spec, 14, 0, n, dt, dt, 1, positivity_tol=np.inf)
+        mean = [rhos.mean(axis=0) for rhos in frames[1][1]]
+        monkeypatch.setattr(propagator, "_draw_noise_chunk", zero_draw)
+        drift = propagate_trajectory(spec, dt, dt, 1, rng_seed=0,
+                                     enforce_positivity=False)[1]
         # per-entry noise scale ~ sqrt(|omega| dt); 3 standard errors
         se = 3 * np.sqrt(3 * 0.4 * dt / n)
         for k in range(2):
-            assert np.abs(acc[k] / n - drift.rhos[k]).max() <= 3 * se
+            assert np.abs(mean[k] - drift.rhos[k]).max() <= 3 * se
 
-    def test_blowup_detection(self, benchmark_system):
-        bad = np.array([[np.nan, 0], [0, 1.0]], dtype=complex)
-        state = TrajectoryState(t=1.5, rhos=[bad, DOWN.copy()],
-                                rng=trajectory_rng(0, 0))
+    def test_blowup_detection(self, benchmark_system, monkeypatch):
+        # a non-finite increment poisons the densities within one step
+        monkeypatch.setattr(
+            propagator, "_draw_noise_chunk",
+            lambda *args: np.full_like(zero_draw(*args), np.nan))
         with pytest.raises(TrajectoryBlowupError):
-            em_step(state, benchmark_system, 1e-3)
+            propagate_trajectory(benchmark_system, 1e-3, 1e-3, 1,
+                                 rng_seed=(0, 0), enforce_positivity=False)
 
 
 class TestPropagateTrajectory:
@@ -231,15 +357,28 @@ class TestPropagateTrajectory:
                                  positivity_tol=positivity_tolerance(
                                      1e-3, benchmark_system))
 
+    def test_is_a_column_of_any_block(self, benchmark_system):
+        # a single trajectory is bitwise trajectory j of a block holding it
+        frames, _ = collect(benchmark_system, 5, 3, 4, 0.2, 1e-3, 50,
+                            positivity_tol=np.inf)
+        snaps = propagate_trajectory(benchmark_system, 0.2, 1e-3, 50,
+                                     rng_seed=(5, 5), enforce_positivity=False)
+        for (t, rhos, _, _), snap in zip(frames, snaps):
+            assert t == snap.t
+            for k in range(2):
+                assert np.array_equal(rhos[k][2], snap.rhos[k])
+
 
 class TestPositivityReport:
+    """The per-record minimum eigenvalues propagate_block hands on_record."""
+
     def test_free_evolution_is_isospectral(self):
         spec = free_two_spin_system(initial=(UP, DOWN))
-        snaps = propagate_trajectory(spec, 1.0, 1e-3, 100, rng_seed=0)
-        report = positivity_report(snaps)
-        assert report.min_eigs.shape == (11, 2)
-        assert np.abs(report.min_eigs).max() <= 1e-12
-        assert report.worst_violation <= 1e-12
+        frames, _ = collect(spec, 0, 0, 1, 1.0, 1e-3, 100)
+        min_eigs = np.stack([mins[0] for _, _, _, mins in frames])
+        assert min_eigs.shape == (11, 2)
+        assert np.abs(min_eigs).max() <= 1e-12
+        assert max(0.0, -min_eigs.min()) <= 1e-12
 
     def test_pure_initial_spectrum(self, benchmark_system):
         snaps = propagate_trajectory(benchmark_system, 1e-3, 1e-3, 1,
@@ -254,70 +393,45 @@ class TestPositivityReport:
         sum_s |omega_s| (N-1) |<2|(O_s - Obar_s)|1>|^2 = 0.4 for this system;
         a fine-step run over a short window must track it."""
         dt = 5e-6
-        snaps = propagate_trajectory(benchmark_system, 0.02, dt, 4000,
-                                     rng_seed=(123, 0),
-                                     enforce_positivity=False)
-        report = positivity_report(snaps)
-        worst = report.min_eigs[-1].min()
+        frames, _ = collect(benchmark_system, 123, 0, 1, 0.02, dt, 4000,
+                            positivity_tol=np.inf)
+        worst = frames[-1][3][0].min()
         assert -0.4 * 0.02 * 1.6 <= worst <= -0.4 * 0.02 * 0.6
 
 
 class TestBatchedDriver:
-    def _collect(self, spec, seed, start, count, **kw):
-        frames = []
-
-        def on_record(r, t, rhos, active, mins):
-            frames.append((t, [x.copy() for x in rhos], active.copy()))
-
-        stats = propagate_block(spec, seed, start, count, kw.pop("t_final"),
-                                kw.pop("dt"), kw.pop("stride"), on_record, **kw)
-        return frames, stats
+    def _match_reference(self, spec, seed, start, count, t_final, dt, stride):
+        frames, stats = collect(spec, seed, start, count, t_final, dt, stride,
+                                positivity_tol=1e9)
+        n_steps = int(round(t_final / dt))
+        for j in range(count):
+            ref = reference_trajectory(spec, seed, start + j, n_steps, dt,
+                                       stride)
+            assert len(ref) == len(frames)
+            for (t, rhos, _, _), ref_rhos in zip(frames, ref):
+                for k in range(spec.n_particles):
+                    assert np.abs(rhos[k][j] - ref_rhos[k]).max() <= 1e-12
+        return stats
 
     def test_matches_reference_path(self, benchmark_system):
-        dt, tf, stride = 1e-3, 0.2, 50
-        frames, stats = self._collect(benchmark_system, 5, 3, 4, t_final=tf,
-                                      dt=dt, stride=stride,
-                                      positivity_tol=1e9)
+        stats = self._match_reference(benchmark_system, 5, 3, 4, 0.2, 1e-3, 50)
         assert isinstance(stats, BlockStats)
-        for j in range(4):
-            snaps = propagate_trajectory(benchmark_system, tf, dt, stride,
-                                         rng_seed=(5, 3 + j),
-                                         enforce_positivity=False)
-            for (t, rhos, _), snap in zip(frames, snaps):
-                assert t == snap.t
-                for k in range(2):
-                    assert np.abs(rhos[k][j] - snap.rhos[k]).max() <= 1e-12
 
     def test_general_path_matches_uniform(self):
-        # mixed dims force the ragged-dimension kernel; embed a uniform system
-        # as spin + qutrit-with-top-level-unused to compare against reference
-        rng = np.random.default_rng(21)
-        h3 = np.diag([0.3, -0.1, 0.8]).astype(complex)
-        o3 = np.zeros((3, 3), complex)
-        o3[:2, :2] = SZ / np.sqrt(2)
-        term = InteractionTerm(omega=0.4, ops=(SZ / np.sqrt(2), o3))
-        spec = SystemSpec(
-            particles=(ParticleSpec(dim=2, h=0.5 * SZ),
-                       ParticleSpec(dim=3, h=h3)),
-            terms=(term,),
-            initial=(UP, np.diag([0.0, 1.0, 0.0]).astype(complex)))
-        assert not spec.uniform_dim
-        dt, tf, stride = 1e-3, 0.1, 20
-        frames, _ = self._collect(spec, 8, 0, 3, t_final=tf, dt=dt,
-                                  stride=stride, positivity_tol=1e9)
-        for j in range(3):
-            snaps = propagate_trajectory(spec, tf, dt, stride,
-                                         rng_seed=(8, j),
-                                         enforce_positivity=False)
-            for (t, rhos, _), snap in zip(frames, snaps):
-                for k in range(2):
-                    assert np.abs(rhos[k][j] - snap.rhos[k]).max() <= 1e-12
+        # mixed dims: one group per dimension, coupled through the mean fields
+        spec = spin_qutrit_system()
+        assert spec.dims == (2, 3)
+        self._match_reference(spec, 8, 0, 3, 0.1, 1e-3, 20)
+
+    def test_interleaved_groups_match_reference(self):
+        spec = interleaved_system()
+        assert spec.dims == (2, 3, 2)
+        self._match_reference(spec, 9, 2, 3, 0.1, 1e-3, 25)
 
     def test_skip_policy_counts(self, benchmark_system):
         tol = positivity_tolerance(1e-3, benchmark_system)
-        frames, stats = self._collect(benchmark_system, 5, 0, 8, t_final=1.0,
-                                      dt=1e-3, stride=100,
-                                      positivity_tol=tol, policy="skip")
+        frames, stats = collect(benchmark_system, 5, 0, 8, 1.0, 1e-3, 100,
+                                positivity_tol=tol, policy="skip")
         # this system crosses the default tolerance quickly: all skipped
         assert len(stats.positivity_skips) == 8
         assert frames[-1][2].sum() == 0
@@ -325,16 +439,15 @@ class TestBatchedDriver:
     def test_abort_policy_raises(self, benchmark_system):
         tol = positivity_tolerance(1e-3, benchmark_system)
         with pytest.raises(PositivityViolationError):
-            self._collect(benchmark_system, 5, 0, 4, t_final=1.0, dt=1e-3,
-                          stride=100, positivity_tol=tol, policy="abort")
+            collect(benchmark_system, 5, 0, 4, 1.0, 1e-3, 100,
+                    positivity_tol=tol, policy="abort")
 
     def test_noise_free_block(self):
         spec = free_two_spin_system()
-        frames, stats = self._collect(spec, 0, 0, 2, t_final=0.5, dt=1e-3,
-                                      stride=500)
+        frames, stats = collect(spec, 0, 0, 2, 0.5, 1e-3, 500)
         assert stats.max_trace_dev <= 1e-13
         assert stats.max_herm_dev == 0.0
         # both trajectories identical (no noise channels)
-        t, rhos, active = frames[-1]
+        t, rhos, active, _ = frames[-1]
         assert np.array_equal(rhos[0][0], rhos[0][1])
         assert active.all()
