@@ -51,7 +51,7 @@ class EnsembleParams:
     n_blocks: int = DEFAULT_N_BLOCKS
     full_density: bool = False
     blowup_policy: str = "abort"
-    positivity_tol: float = None    # None = 100 dt max|omega| default
+    positivity_tol: float = None    # None: propagator.positivity_tolerance(dt, spec, t_final)
 
 
 @dataclass(frozen=True)

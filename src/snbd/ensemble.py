@@ -34,7 +34,7 @@ from .propagator import (
 )
 from .system import SystemSpec
 
-#: Default cap on the memory of the optional full-density accumulation.
+#: Cap on the memory of the optional full-density accumulation.
 DEFAULT_MEMORY_LIMIT = 512 * 1024 * 1024
 
 #: Default number of trajectory blocks (jackknife / work / batch units).
@@ -93,14 +93,15 @@ class EnsembleOptions:
     full_density: bool = False
     recovery_refs: tuple = None     # per-particle reference vectors, or None
     blowup_policy: str = "abort"    # "abort" | "skip"
-    positivity_tol: float = None    # default: positivity_tolerance(dt, spec)
-    memory_limit_bytes: int = DEFAULT_MEMORY_LIMIT
+    positivity_tol: float = None    # None: propagator.positivity_tolerance(dt, spec, t_final)
 
 
 def block_edges(m: int, n_blocks: int) -> np.ndarray:
     """Trajectory-index boundaries of the fixed blocks (n_blocks + 1 edges)."""
     if m < 1:
         raise ConfigError(f"M must be >= 1, got {m}")
+    if n_blocks < 1:
+        raise ConfigError(f"n_blocks must be >= 1, got {n_blocks}")
     n_blocks = min(n_blocks, m)
     base, extra = divmod(m, n_blocks)
     sizes = [base + (1 if b < extra else 0) for b in range(n_blocks)]
@@ -112,8 +113,8 @@ def run_fingerprint(spec: SystemSpec, m, t_final, dt, record_stride,
                     recovery_refs, blowup_policy) -> str:
     """Digest of everything that determines a run's results.
 
-    Execution-layout knobs (worker count, memory limits) are
-    deliberately excluded: they do not change any output byte.
+    Execution-layout knobs (the worker count) are deliberately
+    excluded: they do not change any output byte.
     """
     def mat(a):
         return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
@@ -202,9 +203,6 @@ class EnsembleAccumulator:
             raise MissingDataError(
                 "no reference vectors were registered before the run")
         return self.vec_sum.sum(axis=0)
-
-    def sum_obs(self, name) -> np.ndarray:
-        return self.obs_sum[self._obs_index(name)].sum(axis=0)
 
     def _obs_index(self, name) -> int:
         try:
@@ -300,10 +298,10 @@ def run_ensemble(spec: SystemSpec, m: int, t_final: float, dt: float,
         per_matrix = full_dim * full_dim * 16
         n_blocks = min(options.n_blocks, m)
         total = per_matrix * n_times * (n_blocks + 1)
-        if total > options.memory_limit_bytes:
+        if total > DEFAULT_MEMORY_LIMIT:
             raise DimensionLimitError(
                 f"full-density accumulation needs ~{total // (1 << 20)} MiB, "
-                f"over the {options.memory_limit_bytes // (1 << 20)} MiB limit")
+                f"over the {DEFAULT_MEMORY_LIMIT // (1 << 20)} MiB limit")
 
     refs = None
     if options.recovery_refs is not None:
@@ -450,6 +448,13 @@ def restrict_to_blocks(acc: EnsembleAccumulator, blocks) -> EnsembleAccumulator:
     out.min_eig[keep] = acc.min_eig[keep]
     out.max_trace_dev = acc.max_trace_dev
     out.max_herm_dev = acc.max_herm_dev
+
+    def in_kept_blocks(indices):
+        blocks = np.searchsorted(acc.edges, indices, side="right") - 1
+        return tuple(i for i, b in zip(indices, blocks) if keep[b])
+
+    out.blowups = in_kept_blocks(acc.blowups)
+    out.positivity_skips = in_kept_blocks(acc.positivity_skips)
     return out
 
 
@@ -470,9 +475,6 @@ class ObservableEstimate:
     mean: np.ndarray        # real part; the exact value is real
     stderr: np.ndarray
     mean_imag: np.ndarray   # statistical residue, |mean_imag| <~ 5 stderr
-
-    def __iter__(self):
-        return iter((self.mean, self.stderr))
 
 
 def estimate_product_observable(acc: EnsembleAccumulator,
@@ -500,6 +502,30 @@ def estimate_product_observable(acc: EnsembleAccumulator,
                               stderr=stderr, mean_imag=mean_c.imag)
 
 
+def jackknife_blocks(acc: EnsembleAccumulator, sums, statistic):
+    """Delete-one-block jackknife of a statistic of block sums.
+
+    ``sums`` holds per-block data, block axis first.  ``statistic(total,
+    m) -> (T,) array`` maps their sum over a set of blocks and the (T,)
+    active-trajectory counts of those blocks to one value per recorded
+    time; it is evaluated on all blocks and on every leave-one-block-out
+    set.  Returns (values, standard errors).
+    """
+    total = sums.sum(axis=0)
+    m = acc.counts.sum(axis=0).astype(float)
+    if (m == 0).any():
+        raise MissingDataError("no active trajectories at some recorded time")
+    values = np.asarray(statistic(total, m), dtype=float)
+    used = np.nonzero(acc.launched > 0)[0]
+    if len(used) < 2:
+        return values, np.zeros_like(values)
+    reps = np.array([statistic(total - sums[b], m - acc.counts[b])
+                     for b in used], dtype=float)
+    g = len(used)
+    se = np.sqrt((g - 1) / g * ((reps - reps.mean(axis=0)) ** 2).sum(axis=0))
+    return values, se
+
+
 def jackknife_density_scalar(acc: EnsembleAccumulator, fn):
     """Delete-one-block jackknife of a scalar functional of the mean density.
 
@@ -510,22 +536,5 @@ def jackknife_density_scalar(acc: EnsembleAccumulator, fn):
     """
     if acc.rho_sum is None:
         raise MissingDataError("full-density mode was not enabled")
-    total = acc.rho_sum.sum(axis=0)
-    m = acc.counts.sum(axis=0).astype(float)
-    if (m == 0).any():
-        raise MissingDataError("no active trajectories at some recorded time")
-    n_times = len(acc.times)
-    values = np.array([
-        fn(total[t] / m[t], t) for t in range(n_times)])
-    used = np.nonzero(acc.launched > 0)[0]
-    if len(used) < 2:
-        return values, np.zeros(n_times)
-    reps = np.empty((len(used), n_times))
-    for i, b in enumerate(used):
-        rest = total - acc.rho_sum[b]
-        m_rest = m - acc.counts[b]
-        for t in range(n_times):
-            reps[i, t] = fn(rest[t] / m_rest[t], t)
-    g = len(used)
-    se = np.sqrt((g - 1) / g * ((reps - reps.mean(axis=0)) ** 2).sum(axis=0))
-    return values, se
+    return jackknife_blocks(acc, acc.rho_sum, lambda total, m: [
+        fn(total[t] / m[t], t) for t in range(len(acc.times))])

@@ -17,10 +17,6 @@ class DimensionLimitError(SnbdError):
     """A full-space dimension exceeds the configured maximum (SNBD_MAX_DIM)."""
 
 
-class NormRangeError(SnbdError):
-    """Matrix norm outside the supported range of an algorithm."""
-
-
 class UnsupportedInteractionError(SnbdError):
     """Pair interaction outside the supported swap-symmetric Hermitian class."""
 

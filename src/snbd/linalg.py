@@ -2,21 +2,18 @@
 
 Everything in this package represents operators and densities as square
 ``complex128`` numpy arrays.  This module collects the handful of
-primitives the rest of the code is built on: Kronecker products, partial
-traces, Hermitian eigendecompositions, matrix exponentials and
-Hilbert-Schmidt inner products.  All functions are pure and never mutate
-their inputs.
+primitives the rest of the code is built on: Kronecker products,
+Hermitian eigendecompositions, Hilbert-Schmidt inner products and the
+trace distance.  All functions are pure and never mutate their inputs.
 """
 
 import os
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ContractViolationError,
     DimensionLimitError,
-    NormRangeError,
     ShapeError,
 )
 
@@ -25,9 +22,6 @@ HERM_RTOL = 1e-12
 
 #: Default cap on the full N-body dimension (overridable via SNBD_MAX_DIM).
 DEFAULT_MAX_DIM = 4096
-
-#: Frobenius-norm range for which matrix_exp guarantees 1e-10 relative error.
-MAX_EXP_NORM = 50.0
 
 
 def max_full_dim() -> int:
@@ -75,12 +69,12 @@ def herm_deviation(m) -> float:
     return hs_norm(m - m.conj().T) / norm
 
 
-def require_hermitian(m, name="matrix", rtol=HERM_RTOL) -> np.ndarray:
+def require_hermitian(m, name="matrix") -> np.ndarray:
     a = as_cmatrix(m, name)
     dev = herm_deviation(a)
-    if dev > rtol:
+    if dev > HERM_RTOL:
         raise ContractViolationError(
-            f"{name}: not Hermitian (relative deviation {dev:.3e} > {rtol:.1e})"
+            f"{name}: not Hermitian (relative deviation {dev:.3e} > {HERM_RTOL:.1e})"
         )
     return a
 
@@ -101,45 +95,10 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace(m, dims, keep) -> np.ndarray:
-    """Trace out every tensor factor except ``keep``.
-
-    Parameters
-    ----------
-    m : array
-        Square matrix on the tensor-product space ``prod(dims)``.
-    dims : sequence of int
-        One-body dimensions, in tensor order.
-    keep : int
-        Index of the factor to keep.
-
-    Returns
-    -------
-    The ``dims[keep]`` x ``dims[keep]`` reduced matrix; its trace equals
-    the trace of ``m``.
-    """
-    m = as_cmatrix(m, "m")
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"partial_trace: invalid dims {dims}")
-    n = len(dims)
-    total = int(np.prod(dims))
-    if total != m.shape[0]:
-        raise ShapeError(
-            f"partial_trace: prod(dims)={total} does not match matrix dim {m.shape[0]}"
-        )
-    if not 0 <= keep < n:
-        raise ShapeError(f"partial_trace: keep={keep} out of range for {n} factors")
-    resh = m.reshape(dims + dims)
-    rows = list(range(n))
-    cols = [k if k != keep else n for k in range(n)]
-    return np.einsum(resh, rows + cols, [keep, n])
-
-
-def herm_eig(m, rtol=HERM_RTOL):
+def herm_eig(m):
     """Eigendecomposition of a Hermitian matrix with a fixed phase convention.
 
-    The input is checked against ``rtol`` and symmetrized before the
+    The input is checked against ``HERM_RTOL`` and symmetrized before the
     decomposition so floating-point drift is absorbed without masking
     genuinely non-Hermitian inputs.  Eigenvalues come out ascending; each
     eigenvector is rotated so its largest-magnitude component is real and
@@ -150,7 +109,7 @@ def herm_eig(m, rtol=HERM_RTOL):
     (eigenvalues, eigenvectors) : (real ndarray, complex ndarray)
         ``m == eigenvectors @ diag(eigenvalues) @ eigenvectors.conj().T``.
     """
-    a = require_hermitian(m, "herm_eig input", rtol)
+    a = require_hermitian(m, "herm_eig input")
     a = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(a)
     v = v.copy()
@@ -162,23 +121,6 @@ def herm_eig(m, rtol=HERM_RTOL):
         if mag > 0.0:
             col *= pivot.conj() / mag
     return w, v
-
-
-def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential via scipy's scaling-and-squaring Pade scheme.
-
-    Guaranteed to 1e-10 relative accuracy only for Frobenius norms up to
-    ``MAX_EXP_NORM``; larger inputs are rejected.
-    """
-    a = as_cmatrix(m, "matrix_exp input")
-    norm = hs_norm(a)
-    if not np.isfinite(norm):
-        raise NormRangeError("matrix_exp: input has non-finite entries")
-    if norm > MAX_EXP_NORM:
-        raise NormRangeError(
-            f"matrix_exp: norm {norm:.3g} above supported range {MAX_EXP_NORM:g}"
-        )
-    return scipy.linalg.expm(a)
 
 
 def hs_inner(a, b) -> complex:

@@ -31,7 +31,7 @@ class FullState:
     psiN: np.ndarray = None
 
 
-def initial_pure_vector(spec: SystemSpec, tol=1e-10) -> np.ndarray:
+def initial_pure_vector(spec: SystemSpec) -> np.ndarray:
     """Tensor product of the pure vectors underlying the initial densities.
 
     Each one-body initial density must be (numerically) a rank-1
@@ -40,7 +40,7 @@ def initial_pure_vector(spec: SystemSpec, tol=1e-10) -> np.ndarray:
     vecs = []
     for k, rho in enumerate(spec.initial):
         w, v = herm_eig(rho)
-        if abs(w[-1] - 1.0) > tol or (len(w) > 1 and abs(w[-2]) > tol):
+        if abs(w[-1] - 1.0) > 1e-10 or (len(w) > 1 and abs(w[-2]) > 1e-10):
             raise ContractViolationError(
                 f"initial density {k} is not pure (occupations {w})")
         vecs.append(v[:, -1])
@@ -91,7 +91,7 @@ def _permutation_sign(perm) -> int:
     return sign
 
 
-def symmetrize_vector(v, spec: SystemSpec, norm_tol=1e-12) -> np.ndarray:
+def symmetrize_vector(v, spec: SystemSpec) -> np.ndarray:
     """Project onto the (anti)symmetric subspace of each identical group.
 
     Applies (1/|G|) sum_pi (+-1)^pi P_pi over the permutations of every
@@ -123,7 +123,7 @@ def symmetrize_vector(v, spec: SystemSpec, norm_tol=1e-12) -> np.ndarray:
         tensor = acc / math.factorial(len(indices))
     out = tensor.reshape(-1)
     norm = np.linalg.norm(out)
-    if norm < norm_tol * original_norm:
+    if norm < 1e-12 * original_norm:
         raise NullProjectionError(
             "projection annihilated the state (wrong exchange symmetry)")
     return out / norm

@@ -220,21 +220,18 @@ class TrajectoryState:
 
 def propagate_trajectory(spec: SystemSpec, t_final: float, dt: float,
                          record_stride: int = 1, rng_seed=None,
-                         positivity_tol: float = None,
-                         enforce_positivity: bool = True) -> list:
+                         positivity_tol: float = None) -> list:
     """Integrate one trajectory, returning snapshots every ``record_stride``
     steps (including t = 0).  Deterministic given the seed.
 
     ``rng_seed`` is interpreted as (master_seed, trajectory_index) when a
     tuple, otherwise as a master seed for trajectory 0.  The trajectory is
     a block of one, so it is bitwise the trajectory of that index in any
-    ensemble run; ``enforce_positivity=False`` sets an infinite tolerance.
+    ensemble run; ``positivity_tol=np.inf`` switches the positivity check off.
     """
     if rng_seed is None:
         raise ConfigError("propagate_trajectory needs rng_seed")
     master_seed, index = rng_seed if isinstance(rng_seed, tuple) else (rng_seed, 0)
-    if not enforce_positivity:
-        positivity_tol = np.inf
     snapshots = []
 
     def on_record(r_index, t, rhos, active, min_eigs):

@@ -31,7 +31,7 @@ from .errors import (
     PhaseSingularityError,
     ShapeError,
 )
-from .ensemble import EnsembleAccumulator
+from .ensemble import EnsembleAccumulator, jackknife_blocks
 from .linalg import herm_eig
 from .oracle import initial_pure_vector
 from .system import SystemSpec, assemble_full_hamiltonian
@@ -68,34 +68,31 @@ def default_reference_vectors(spec: SystemSpec) -> tuple:
     return tuple(refs)
 
 
-def recover_raw_vector(acc: EnsembleAccumulator,
-                       eps_ref: float = EPS_REF) -> np.ndarray:
+def recover_raw_vector(acc: EnsembleAccumulator) -> np.ndarray:
     """Ensemble mean of the reference-vector contractions: (T, D).
 
     Requires reference vectors to have been registered before the run.
-    A mean vector with norm below ``eps_ref`` means the reference is
-    nearly orthogonal to the evolved state and recovery is hopeless.
     """
-    if acc.vec_sum is None:
-        raise MissingDataError(
-            "no reference vectors were registered before the run")
+    total = acc.sum_vec
     m = acc.active_counts.astype(float)
     if (m == 0).any():
         raise MissingDataError("no active trajectories at some recorded time")
-    phi_tilde = acc.sum_vec / m[:, None]
+    return _mean_vector(acc.times, total, m)
+
+
+def _mean_vector(times, vec_total, m) -> np.ndarray:
+    """phi_tilde = vec_total / m over the trajectories of some blocks.
+
+    A mean vector with norm below ``EPS_REF`` means the reference is
+    nearly orthogonal to the evolved state and recovery is hopeless.
+    """
+    phi_tilde = vec_total / m[:, None]
     norms = np.linalg.norm(phi_tilde, axis=1)
-    if (norms < eps_ref).any():
-        t_bad = float(acc.times[int(np.argmax(norms < eps_ref))])
+    if (norms < EPS_REF).any():
+        t_bad = float(times[int(np.argmax(norms < EPS_REF))])
         raise DegenerateReferenceError(
-            f"recovered vector norm below {eps_ref:g} at t={t_bad:.6g}")
+            f"recovered vector norm below {EPS_REF:g} at t={t_bad:.6g}")
     return phi_tilde
-
-
-def normalize_series(phi_tilde: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(phi_tilde, axis=1)
-    if (norms == 0).any():
-        raise DegenerateReferenceError("zero recovered vector")
-    return phi_tilde / norms[:, None]
 
 
 def _series_derivative_fd(values: np.ndarray, dt: float) -> np.ndarray:
@@ -133,15 +130,14 @@ def phase_integrand(t_grid, phi, hamiltonian, psi0) -> np.ndarray:
     return (h_overlap - 1j * d_overlap) / overlap
 
 
-def compute_phase(t_grid, phi, hamiltonian, psi0, *,
-                  eps_overlap: float = EPS_OVERLAP) -> np.ndarray:
+def compute_phase(t_grid, phi, hamiltonian, psi0) -> np.ndarray:
     """Phase series Theta(t) by cumulative trapezoid of the (real) integrand.
 
     Raises PhaseSingularityError at the first grid time where the overlap
-    with psi0 drops below ``eps_overlap``.
+    with psi0 drops below ``EPS_OVERLAP``.
     """
     overlap = np.abs(phi @ np.conj(psi0))
-    small = overlap < eps_overlap
+    small = overlap < EPS_OVERLAP
     if small.any():
         i = int(np.argmax(small))
         raise PhaseSingularityError(t=float(np.asarray(t_grid)[i]),
@@ -169,28 +165,26 @@ def recover_wavefunction(phi: np.ndarray, theta: np.ndarray,
     return psi
 
 
-def recover(acc: EnsembleAccumulator, spec: SystemSpec, psi0=None, *,
-            eps_overlap: float = EPS_OVERLAP,
-            eps_ref: float = EPS_REF) -> RecoveryRecord:
+def _recover(times, phi_tilde, hamiltonian, psi0) -> RecoveryRecord:
+    """Normalize, phase-correct and autocorrelate a recovered-vector series."""
+    phi = phi_tilde / np.linalg.norm(phi_tilde, axis=1)[:, None]
+    theta = compute_phase(times, phi, hamiltonian, psi0)
+    psi = recover_wavefunction(phi, theta, psi0)
+    return RecoveryRecord(t_grid=times.copy(), phi_tilde=phi_tilde, phi=phi,
+                          theta=theta, psi=psi, autocorr=psi @ np.conj(psi[0]))
+
+
+def recover(acc: EnsembleAccumulator, spec: SystemSpec) -> RecoveryRecord:
     """Full recovery pipeline from a finished accumulator.
 
-    ``psi0`` defaults to the (pure product) initial state of the spec.
+    The phase reference psi0 is the (pure product) initial state of the spec.
     """
-    if psi0 is None:
-        psi0 = initial_pure_vector(spec)
-    phi_tilde = recover_raw_vector(acc, eps_ref=eps_ref)
-    phi = normalize_series(phi_tilde)
-    h = assemble_full_hamiltonian(spec)
-    theta = compute_phase(acc.times, phi, h, psi0, eps_overlap=eps_overlap)
-    psi = recover_wavefunction(phi, theta, psi0)
-    autocorr = psi @ np.conj(psi[0])
-    return RecoveryRecord(t_grid=acc.times.copy(), phi_tilde=phi_tilde,
-                          phi=phi, theta=theta, psi=psi, autocorr=autocorr)
+    psi0 = initial_pure_vector(spec)
+    phi_tilde = recover_raw_vector(acc)
+    return _recover(acc.times, phi_tilde, assemble_full_hamiltonian(spec), psi0)
 
 
-def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn,
-                       psi0=None, *, eps_overlap: float = EPS_OVERLAP,
-                       eps_ref: float = EPS_REF):
+def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn):
     """Delete-one-block jackknife of a per-time functional of the recovery.
 
     ``fn(record) -> (T,) array`` is evaluated on the full recovery and on
@@ -201,47 +195,20 @@ def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn,
     if acc.vec_sum is None:
         raise MissingDataError(
             "no reference vectors were registered before the run")
-    if psi0 is None:
-        psi0 = initial_pure_vector(spec)
+    psi0 = initial_pure_vector(spec)
     h = assemble_full_hamiltonian(spec)
-
-    def pipeline(vec_total, m):
-        phi_tilde = vec_total / m[:, None]
-        norms = np.linalg.norm(phi_tilde, axis=1)
-        if (norms < eps_ref).any():
-            raise DegenerateReferenceError("degenerate jackknife replicate")
-        phi = phi_tilde / norms[:, None]
-        theta = compute_phase(acc.times, phi, h, psi0,
-                              eps_overlap=eps_overlap)
-        psi = recover_wavefunction(phi, theta, psi0)
-        return RecoveryRecord(t_grid=acc.times, phi_tilde=phi_tilde, phi=phi,
-                              theta=theta, psi=psi,
-                              autocorr=psi @ np.conj(psi[0]))
-
-    total = acc.vec_sum.sum(axis=0)
-    m = acc.counts.sum(axis=0).astype(float)
-    values = np.asarray(fn(pipeline(total, m)), dtype=float)
-    used = np.nonzero(acc.launched > 0)[0]
-    if len(used) < 2:
-        return values, np.zeros_like(values)
-    reps = np.empty((len(used), len(values)))
-    for i, b in enumerate(used):
-        reps[i] = fn(pipeline(total - acc.vec_sum[b],
-                              m - acc.counts[b].astype(float)))
-    g = len(used)
-    se = np.sqrt((g - 1) / g * ((reps - reps.mean(axis=0)) ** 2).sum(axis=0))
-    return values, se
+    return jackknife_blocks(acc, acc.vec_sum, lambda total, m: fn(
+        _recover(acc.times, _mean_vector(acc.times, total, m), h, psi0)))
 
 
 def autocorrelation_spectrum(psi_series, t_grid, *, window: bool = False,
-                             e_grid=None, oversample: int = 8,
-                             e_max: float = None):
+                             oversample: int = 8, e_max: float = None):
     """Spectral intensity I(E) from the recovered-state autocorrelation.
 
     Trapezoidal quadrature of (1/pi) Re integral_0^T c(t) exp(iEt) dt with
     c(t) = <psi(0)|psi(t)> over the uniform grid.  The default energy grid
     spans the Nyquist range of the grid spacing with spacing
-    2 pi / (T * oversample); pass ``e_grid`` or ``e_max`` to narrow it.
+    2 pi / (T * oversample); pass ``e_max`` to narrow it.
     The optional Hann window suppresses truncation ringing; it preserves
     peak positions and broadens widths.
     """
@@ -255,13 +222,10 @@ def autocorrelation_spectrum(psi_series, t_grid, *, window: bool = False,
     if window:
         autocorr = autocorr * 0.5 * (1.0 + np.cos(np.pi * (t_grid - t_grid[0])
                                                   / t_span))
-    if e_grid is None:
-        if e_max is None:
-            e_max = np.pi / dt
-        step = 2.0 * np.pi / (t_span * oversample)
-        e_grid = np.arange(-e_max, e_max + 0.5 * step, step)
-    else:
-        e_grid = np.asarray(e_grid, dtype=float)
+    if e_max is None:
+        e_max = np.pi / dt
+    step = 2.0 * np.pi / (t_span * oversample)
+    e_grid = np.arange(-e_max, e_max + 0.5 * step, step)
 
     weights = np.full(len(t_grid), dt)
     weights[0] = weights[-1] = 0.5 * dt

@@ -249,14 +249,14 @@ def is_swap_symmetric(v, m: int, rtol=1e-10) -> bool:
     return hs_norm(s @ v @ s - v) <= rtol * norm
 
 
-def decompose_pair_interaction(v, m: int, drop_rtol=TERM_DROP_RTOL) -> list:
+def decompose_pair_interaction(v, m: int) -> list:
     """Decompose a swap-symmetric Hermitian pair matrix into product terms.
 
     Expands ``v`` over the product basis {B_a (x) B_b}, eigendecomposes the
     resulting real symmetric coefficient matrix, and returns the list of
     ``(omega, O)`` pairs with ``sum_s omega_s O^s (x) O^s`` reproducing
     ``v`` to 1e-10 relative Hilbert-Schmidt norm.  Weights keep their sign;
-    numerically-zero weights (below ``drop_rtol`` times the largest) are
+    numerically-zero weights (below ``TERM_DROP_RTOL`` times the largest) are
     dropped.  At most m*m terms are returned.
     """
     v = as_cmatrix(v, "pair matrix")
@@ -282,7 +282,7 @@ def decompose_pair_interaction(v, m: int, drop_rtol=TERM_DROP_RTOL) -> list:
 
     w, vecs = np.linalg.eigh(coeff)
     if w.size:
-        cutoff = drop_rtol * float(np.max(np.abs(w)))
+        cutoff = TERM_DROP_RTOL * float(np.max(np.abs(w)))
     else:
         cutoff = 0.0
     terms = []

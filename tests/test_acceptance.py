@@ -168,7 +168,7 @@ def _surviving_trajectories(spec, wanted=3, max_tries=12):
         try:
             out.append(propagate_trajectory(
                 spec, T_FINAL, DT, 1000, rng_seed=(FLAGSHIP_SEED, idx),
-                enforce_positivity=False))
+                positivity_tol=np.inf))
         except TrajectoryBlowupError:
             diverged += 1
         if len(out) == wanted:

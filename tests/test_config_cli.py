@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snbd.cli
 from snbd.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -169,6 +173,15 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         return path
+
+    def test_import_leaves_scipy_out(self):
+        # a fresh interpreter: the package runs on numpy alone
+        src = str(Path(snbd.cli.__file__).parents[1])
+        code = "import sys, snbd.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
     def test_validate_exit0_no_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"

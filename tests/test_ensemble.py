@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import snbd.ensemble
+
 from snbd.ensemble import (
     EnsembleOptions,
     ObservableSpec,
@@ -44,6 +46,13 @@ class TestBlockLayout:
     def test_invalid_m(self):
         with pytest.raises(ConfigError):
             block_edges(0, 4)
+
+    def test_invalid_n_blocks(self, benchmark_system):
+        with pytest.raises(ConfigError):
+            block_edges(10, 0)
+        with pytest.raises(ConfigError):
+            run_ensemble(benchmark_system, 4, 0.01, 1e-3, 10,
+                         options=loose(n_blocks=0))
 
 
 class TestRunEnsemble:
@@ -93,11 +102,11 @@ class TestRunEnsemble:
             run_ensemble(benchmark_system, 8, 2.0, 1e-3, 100,
                          master_seed=5, options=EnsembleOptions(n_blocks=2))
 
-    def test_full_density_memory_gate(self, benchmark_system):
+    def test_full_density_memory_gate(self, benchmark_system, monkeypatch):
+        monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 1000)
         with pytest.raises(DimensionLimitError):
             run_ensemble(benchmark_system, 8, 0.1, 1e-3, 1,
-                         options=loose(full_density=True,
-                                       memory_limit_bytes=1000))
+                         options=loose(full_density=True))
 
     def test_duplicate_observables_rejected(self, benchmark_system):
         obs = (ObservableSpec("a", (SZ, None)), ObservableSpec("a", (None, SZ)))
@@ -188,6 +197,21 @@ class TestMergeAndDeterminism:
         assert np.array_equal(merged.obs_sum, acc.obs_sum)
         assert np.array_equal(merged.vec_sum, acc.vec_sum)
         assert np.array_equal(merged.min_eig, acc.min_eig)
+
+    def test_split_merge_keeps_skips(self):
+        # the default tolerance skips trajectories of this run
+        acc = run_ensemble(two_spin_system(), 32, 1.0, 1e-3, 100,
+                           options=EnsembleOptions(n_blocks=8,
+                                                   blowup_policy="skip"))
+        assert acc.positivity_skips
+        halves = [restrict_to_blocks(acc, range(0, 3)),
+                  restrict_to_blocks(acc, range(3, 8))]
+        assert halves[0].positivity_skips == tuple(
+            i for i in acc.positivity_skips if i < acc.edges[3])
+        merged = merge_accumulators(*halves)
+        assert merged.blowups == acc.blowups
+        assert merged.positivity_skips == acc.positivity_skips
+        assert np.array_equal(merged.counts, acc.counts)
 
     def test_fingerprint_mismatch(self):
         a = self._run(32, seed=3)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from snbd.errors import (
     ContractViolationError,
     DimensionLimitError,
-    NormRangeError,
     ShapeError,
 )
 from snbd.linalg import (
@@ -14,8 +13,6 @@ from snbd.linalg import (
     hs_inner,
     hs_norm,
     kron,
-    matrix_exp,
-    partial_trace,
     trace_distance,
 )
 
@@ -80,41 +77,6 @@ class TestKron:
             1 + abs(np.trace(a) * np.trace(b)))
 
 
-class TestPartialTrace:
-    def test_product_state_factorizes(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        reduced = partial_trace(np.kron(a, b), [2, 2], keep=0)
-        assert np.allclose(reduced, a * np.trace(b), atol=1e-12)
-
-    def test_maximally_mixed(self):
-        assert np.allclose(partial_trace(np.eye(4) / 4, [2, 2], keep=1),
-                           np.eye(2) / 2, atol=1e-14)
-
-    def test_singlet_reduction(self):
-        # (|01> - |10>)/sqrt(2): each side reduces to I/2 (hand computation)
-        singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-        proj = np.outer(singlet, singlet.conj())
-        assert np.allclose(partial_trace(proj, [2, 2], keep=0), np.eye(2) / 2,
-                           atol=1e-14)
-
-    def test_trace_preserved_three_factors(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        for keep in range(3):
-            reduced = partial_trace(m, [2, 3, 2], keep=keep)
-            assert reduced.shape == ([2, 3, 2][keep],) * 2
-            assert abs(np.trace(reduced) - np.trace(m)) < 1e-12 * (
-                1 + abs(np.trace(m)))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            partial_trace(np.eye(4), [2, 3], keep=0)
-        with pytest.raises(ShapeError):
-            partial_trace(np.eye(4), [2, 2], keep=2)
-
-
 class TestHermEig:
     def test_pauli_z(self):
         w, v = herm_eig(SZ)
@@ -149,36 +111,6 @@ class TestHermEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractViolationError):
             herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-class TestMatrixExp:
-    def test_zero(self):
-        assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3), atol=0)
-
-    def test_pauli_rotation(self):
-        # exp(i pi sx / 2) = i sx
-        assert np.allclose(matrix_exp(1j * np.pi * SX / 2), 1j * SX, atol=1e-12)
-
-    def test_against_eigendecomposition(self):
-        rng = np.random.default_rng(5)
-        h = random_hermitian(rng, 4)
-        t = 0.7
-        w, v = herm_eig(h)
-        expected = (v * np.exp(-1j * w * t)) @ v.conj().T
-        got = matrix_exp(-1j * h * t)
-        assert hs_norm(got - expected) <= 1e-10 * hs_norm(expected)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_inverse_pairs(self, seed):
-        rng = np.random.default_rng(seed)
-        h = random_hermitian(rng, 3)
-        m = -1j * h  # anti-Hermitian
-        assert hs_norm(matrix_exp(m) @ matrix_exp(-m) - np.eye(3)) <= 1e-9
-
-    def test_norm_range(self):
-        with pytest.raises(NormRangeError):
-            matrix_exp(100.0 * np.eye(4))
 
 
 class TestHsInner:

@@ -30,6 +30,7 @@ from snbd.system import InteractionTerm, ParticleSpec, SystemSpec
 
 from conftest import (
     DOWN,
+    SX,
     SZ,
     UP,
     free_two_spin_system,
@@ -90,7 +91,11 @@ def reference_trajectory(spec, master_seed, index, n_steps, dt, stride):
 
 
 def spin_qutrit_system():
-    """A spin-1/2 and a qutrit whose top level the interaction never reaches."""
+    """A spin-1/2 and a qutrit whose top level the interaction never reaches.
+
+    The spin starts along x and the qutrit in an equal superposition of
+    levels 0 and 1, so neither density commutes with its H_k or O_k and
+    every commutator of the step is nonzero."""
     h3 = np.diag([0.3, -0.1, 0.8]).astype(complex)
     o3 = np.zeros((3, 3), complex)
     o3[:2, :2] = SZ / np.sqrt(2)
@@ -99,7 +104,7 @@ def spin_qutrit_system():
         particles=(ParticleSpec(dim=2, h=0.5 * SZ),
                    ParticleSpec(dim=3, h=h3)),
         terms=(term,),
-        initial=(UP, np.diag([0.0, 1.0, 0.0]).astype(complex)))
+        initial=((np.eye(2) + SX) / 2, np.outer([1, 1, 0], [1, 1, 0]) / 2))
 
 
 def interleaved_system():
@@ -242,7 +247,7 @@ class TestStepCoefficients:
         rhos = [random_density(rng, 2), random_density(rng, 2)]
         spec = with_initial(benchmark_system, rhos)
         snaps = propagate_trajectory(spec, 1.0, 1.0, 1, rng_seed=0,
-                                     enforce_positivity=False)
+                                     positivity_tol=np.inf)
         for k in range(2):
             rho = 0.5 * (rhos[k] + rhos[k].conj().T)
             h_eff = spec.particles[k].h.astype(complex)
@@ -270,7 +275,7 @@ class TestEmStep:
         spec = with_initial(benchmark_system,
                             [random_density(rng, 2), random_density(rng, 2)])
         snaps = propagate_trajectory(spec, 0.05, 1e-3, 1, rng_seed=(12, 0),
-                                     enforce_positivity=False)
+                                     positivity_tol=np.inf)
         assert len(snaps) == 51
         for snap in snaps[1:]:
             for rho in snap.rhos:
@@ -278,7 +283,7 @@ class TestEmStep:
 
     def test_hermiticity_exact(self, benchmark_system):
         snaps = propagate_trajectory(benchmark_system, 0.2, 1e-3, 200,
-                                     rng_seed=(13, 0), enforce_positivity=False)
+                                     rng_seed=(13, 0), positivity_tol=np.inf)
         for rho in snaps[-1].rhos:
             assert np.array_equal(rho, rho.conj().T)
 
@@ -293,7 +298,7 @@ class TestEmStep:
         mean = [rhos.mean(axis=0) for rhos in frames[1][1]]
         monkeypatch.setattr(propagator, "_draw_noise_chunk", zero_draw)
         drift = propagate_trajectory(spec, dt, dt, 1, rng_seed=0,
-                                     enforce_positivity=False)[1]
+                                     positivity_tol=np.inf)[1]
         # per-entry noise scale ~ sqrt(|omega| dt); 3 standard errors
         se = 3 * np.sqrt(3 * 0.4 * dt / n)
         for k in range(2):
@@ -306,7 +311,7 @@ class TestEmStep:
             lambda *args: np.full_like(zero_draw(*args), np.nan))
         with pytest.raises(TrajectoryBlowupError):
             propagate_trajectory(benchmark_system, 1e-3, 1e-3, 1,
-                                 rng_seed=(0, 0), enforce_positivity=False)
+                                 rng_seed=(0, 0), positivity_tol=np.inf)
 
 
 class TestPropagateTrajectory:
@@ -335,7 +340,7 @@ class TestPropagateTrajectory:
     def test_long_run_invariants(self, benchmark_system):
         # 1e4 steps: trace to 1e-10, Hermiticity to 1e-12 at recorded times
         snaps = propagate_trajectory(benchmark_system, 10.0, 1e-3, 1000,
-                                     rng_seed=(7, 0), enforce_positivity=False)
+                                     rng_seed=(7, 0), positivity_tol=np.inf)
         assert len(snaps) == 11
         for snap in snaps:
             for rho in snap.rhos:
@@ -362,7 +367,7 @@ class TestPropagateTrajectory:
         frames, _ = collect(benchmark_system, 5, 3, 4, 0.2, 1e-3, 50,
                             positivity_tol=np.inf)
         snaps = propagate_trajectory(benchmark_system, 0.2, 1e-3, 50,
-                                     rng_seed=(5, 5), enforce_positivity=False)
+                                     rng_seed=(5, 5), positivity_tol=np.inf)
         for (t, rhos, _, _), snap in zip(frames, snaps):
             assert t == snap.t
             for k in range(2):
@@ -382,7 +387,7 @@ class TestPositivityReport:
 
     def test_pure_initial_spectrum(self, benchmark_system):
         snaps = propagate_trajectory(benchmark_system, 1e-3, 1e-3, 1,
-                                     rng_seed=(0, 0), enforce_positivity=False)
+                                     rng_seed=(0, 0), positivity_tol=np.inf)
         first = snaps[0]
         for rho in first.rhos:
             w = np.linalg.eigvalsh(rho)
