@@ -32,7 +32,7 @@ from .propagator import (
     positivity_tolerance,
     propagate_block,
 )
-from .system import SystemSpec
+from .system import SystemSpec, embed
 
 #: Cap on the memory of the optional full-density accumulation.
 DEFAULT_MEMORY_LIMIT = 512 * 1024 * 1024
@@ -77,11 +77,7 @@ class ObservableSpec:
         return out
 
     def full_matrix(self, dims) -> np.ndarray:
-        mats = self.materialize(dims)
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
+        return embed(dims, dict(enumerate(self.materialize(dims))))
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ def block_edges(m: int, n_blocks: int) -> np.ndarray:
 
 def run_fingerprint(spec: SystemSpec, m, t_final, dt, record_stride,
                     master_seed, n_blocks, observables, full_density,
-                    recovery_refs, blowup_policy) -> str:
+                    recovery_refs, blowup_policy, positivity_tol) -> str:
     """Digest of everything that determines a run's results.
 
     Execution-layout knobs (the worker count) are deliberately
@@ -144,38 +140,55 @@ def run_fingerprint(spec: SystemSpec, m, t_final, dt, record_stride,
         "recovery_refs": (None if recovery_refs is None
                           else [mat(np.asarray(r, complex)) for r in recovery_refs]),
         "blowup_policy": blowup_policy,
+        "positivity_tol": repr(float(positivity_tol)),
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+#: Every per-block array of an EnsembleAccumulator, block axis first:
+#: name -> (its value on a block the accumulator did not run, how two
+#: partial accumulators combine).  Running, merging and splitting all
+#: loop over this table.
+BLOCK_SUMS = {
+    "launched": (0, np.add),
+    "counts": (0, np.add),
+    "obs_sum": (0, np.add),
+    "obs_sq": (0, np.add),
+    "rho_sum": (0, np.add),
+    "vec_sum": (0, np.add),
+    "min_eig": (np.inf, np.minimum),
+    "trace_dev": (0.0, np.maximum),
+    "herm_dev": (0.0, np.maximum),
+}
 
 
 @dataclass
 class EnsembleAccumulator:
     """Block-resolved running sums of a (possibly partial) ensemble run.
 
-    All per-block arrays are zero (or +inf for minima) on blocks this
-    accumulator does not cover, so merging partial accumulators is plain
-    elementwise addition; summing blocks in ascending index order makes
-    every estimate bitwise reproducible.
+    Each array of BLOCK_SUMS holds the table's value on blocks this
+    accumulator does not cover, so merging partial accumulators is
+    elementwise; summing blocks in ascending index order makes every
+    estimate bitwise reproducible.
     """
 
     fingerprint: str
-    dims: tuple
     times: np.ndarray                # (T,)
     edges: np.ndarray                # (n_blocks + 1,)
+    obs_names: tuple
+    recovery_refs: tuple             # per-particle reference vectors, or None
+    blowups: tuple                   # skipped trajectory indices, ascending
+    positivity_skips: tuple
     launched: np.ndarray             # (n_blocks,) trajectories run per block
     counts: np.ndarray               # (n_blocks, T) active trajectories
-    obs_names: tuple
-    obs_sum: np.ndarray              # (n_obs, n_blocks, T) complex
-    obs_sq: np.ndarray               # (n_obs, n_blocks, T) real, sum |prod|^2
-    rho_sum: np.ndarray = None       # (n_blocks, T, D, D) complex
-    vec_sum: np.ndarray = None       # (n_blocks, T, D) complex
-    recovery_refs: tuple = None
-    min_eig: np.ndarray = None       # (n_blocks, T, N)
-    max_trace_dev: float = 0.0
-    max_herm_dev: float = 0.0
-    blowups: tuple = ()
-    positivity_skips: tuple = ()
+    obs_sum: np.ndarray              # (n_blocks, n_obs, T) complex
+    obs_sq: np.ndarray               # (n_blocks, n_obs, T) real, sum |prod|^2
+    rho_sum: np.ndarray              # (n_blocks, T, D, D) complex, or None
+    vec_sum: np.ndarray              # (n_blocks, T, D) complex, or None
+    min_eig: np.ndarray              # (n_blocks, T, N)
+    trace_dev: np.ndarray            # (n_blocks,) max |Tr rho_k - 1|
+    herm_dev: np.ndarray             # (n_blocks,) max |rho_k - rho_k^dag|
 
     @property
     def n_blocks(self) -> int:
@@ -185,6 +198,14 @@ class EnsembleAccumulator:
     def count(self) -> int:
         """Trajectories launched into this accumulator."""
         return int(self.launched.sum())
+
+    @property
+    def max_trace_dev(self) -> float:
+        return float(self.trace_dev.max())
+
+    @property
+    def max_herm_dev(self) -> float:
+        return float(self.herm_dev.max())
 
     @property
     def active_counts(self) -> np.ndarray:
@@ -233,13 +254,16 @@ def _batched_refvec(rhos_by_particle, refs) -> np.ndarray:
     return out
 
 
-def _block_task(spec, master_seed, block, start, count, t_final, dt,
+def _block_task(spec, master_seed, start, count, t_final, dt,
                 record_stride, n_times, obs_stacks, refs, full_density,
                 policy, positivity_tol):
-    """Propagate one block and return its partial sums (worker-safe)."""
+    """Propagate one block (worker-safe).
+
+    Returns the block's row of BLOCK_SUMS (None for a sum the run does
+    not keep) and its two skip lists.
+    """
     n = spec.n_particles
-    dims = spec.dims
-    full_dim = int(np.prod(dims))
+    full_dim = spec.full_dim
     n_obs = obs_stacks[0].shape[0] if obs_stacks else 0
 
     counts = np.zeros(n_times, dtype=np.int64)
@@ -274,7 +298,20 @@ def _block_task(spec, master_seed, block, start, count, t_final, dt,
     stats = propagate_block(
         spec, master_seed, start, count, t_final, dt, record_stride,
         on_record, positivity_tol=positivity_tol, policy=policy)
-    return block, counts, obs_sum, obs_sq, rho_sum, vec_sum, min_eig, stats
+    row = dict(launched=count, counts=counts, obs_sum=obs_sum, obs_sq=obs_sq,
+               rho_sum=rho_sum, vec_sum=vec_sum, min_eig=min_eig,
+               trace_dev=stats.max_trace_dev, herm_dev=stats.max_herm_dev)
+    return row, stats.blowups, stats.positivity_skips
+
+
+def _block_results(tasks, worker_count):
+    """_block_task over tasks, yielded in block order as they are needed."""
+    if worker_count > 1:
+        with ProcessPoolExecutor(max_workers=worker_count) as pool:
+            yield from pool.map(_block_task, *zip(*tasks))
+    else:
+        for task in tasks:
+            yield _block_task(*task)
 
 
 def run_ensemble(spec: SystemSpec, m: int, t_final: float, dt: float,
@@ -293,9 +330,9 @@ def run_ensemble(spec: SystemSpec, m: int, t_final: float, dt: float,
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate observable names in {names}")
 
-    full_dim = spec.full_dim
     if options.full_density:
-        per_matrix = full_dim * full_dim * 16
+        # the accumulator's n_blocks rows plus the one block being filled
+        per_matrix = spec.full_dim ** 2 * 16
         n_blocks = min(options.n_blocks, m)
         total = per_matrix * n_times * (n_blocks + 1)
         if total > DEFAULT_MEMORY_LIMIT:
@@ -330,62 +367,41 @@ def run_ensemble(spec: SystemSpec, m: int, t_final: float, dt: float,
 
     edges = block_edges(m, options.n_blocks)
     n_blocks = len(edges) - 1
-    times = np.arange(n_times) * (record_stride * dt)
-    fingerprint = run_fingerprint(
-        spec, m, t_final, dt, record_stride, master_seed, options.n_blocks,
-        observables, options.full_density, refs, options.blowup_policy)
-
-    acc = EnsembleAccumulator(
-        fingerprint=fingerprint,
-        dims=spec.dims,
-        times=times,
-        edges=edges,
-        launched=np.zeros(n_blocks, dtype=np.int64),
-        counts=np.zeros((n_blocks, n_times), dtype=np.int64),
-        obs_names=names,
-        obs_sum=np.zeros((len(names), n_blocks, n_times), dtype=complex),
-        obs_sq=np.zeros((len(names), n_blocks, n_times)),
-        rho_sum=(np.zeros((n_blocks, n_times, full_dim, full_dim), dtype=complex)
-                 if options.full_density else None),
-        vec_sum=(np.zeros((n_blocks, n_times, full_dim), dtype=complex)
-                 if refs is not None else None),
-        recovery_refs=refs,
-        min_eig=np.full((n_blocks, n_times, spec.n_particles), np.inf),
-    )
-
     tasks = [
-        (spec, master_seed, b, int(edges[b]), int(edges[b + 1] - edges[b]),
+        (spec, master_seed, int(edges[b]), int(edges[b + 1] - edges[b]),
          t_final, dt, record_stride, n_times, obs_stacks, refs,
          options.full_density, options.blowup_policy, positivity_tol)
         for b in range(n_blocks)
     ]
-    if options.worker_count > 1:
-        with ProcessPoolExecutor(max_workers=options.worker_count) as pool:
-            results = list(pool.map(_block_task_star, tasks))
-    else:
-        results = [_block_task(*t) for t in tasks]
+    sums, blowups, positivity_skips = None, (), ()
+    for b, (row, blown, skipped) in enumerate(
+            _block_results(tasks, options.worker_count)):
+        if sums is None:
+            sums = {
+                name: None if value is None else np.full(
+                    (n_blocks,) + np.shape(value), BLOCK_SUMS[name][0],
+                    dtype=np.result_type(value))
+                for name, value in row.items()}
+        for name, value in row.items():
+            if value is not None:
+                sums[name][b] = value
+        blowups += blown
+        positivity_skips += skipped
+        del row  # free before the next block runs: the memory gate counts one
 
-    for block, counts, obs_sum, obs_sq, rho_sum, vec_sum, min_eig, stats in results:
-        acc.launched[block] = edges[block + 1] - edges[block]
-        acc.counts[block] = counts
-        if len(names):
-            acc.obs_sum[:, block] = obs_sum
-            acc.obs_sq[:, block] = obs_sq
-        if rho_sum is not None:
-            acc.rho_sum[block] = rho_sum
-        if vec_sum is not None:
-            acc.vec_sum[block] = vec_sum
-        acc.min_eig[block] = min_eig
-        acc.max_trace_dev = max(acc.max_trace_dev, stats.max_trace_dev)
-        acc.max_herm_dev = max(acc.max_herm_dev, stats.max_herm_dev)
-        acc.blowups = tuple(sorted(acc.blowups + stats.blowups))
-        acc.positivity_skips = tuple(
-            sorted(acc.positivity_skips + stats.positivity_skips))
-    return acc
-
-
-def _block_task_star(args):
-    return _block_task(*args)
+    return EnsembleAccumulator(
+        fingerprint=run_fingerprint(
+            spec, m, t_final, dt, record_stride, master_seed, options.n_blocks,
+            observables, options.full_density, refs, options.blowup_policy,
+            positivity_tol),
+        times=np.arange(n_times) * (record_stride * dt),
+        edges=edges,
+        obs_names=names,
+        recovery_refs=refs,
+        blowups=tuple(sorted(blowups)),
+        positivity_skips=tuple(sorted(positivity_skips)),
+        **sums,
+    )
 
 
 def merge_accumulators(a: EnsembleAccumulator,
@@ -397,65 +413,41 @@ def merge_accumulators(a: EnsembleAccumulator,
     if ((a.launched > 0) & (b.launched > 0)).any():
         raise IncompatibleAccumulatorError(
             "accumulators overlap in trajectory blocks")
-    merged = replace(
+    return replace(
         a,
-        launched=a.launched + b.launched,
-        counts=a.counts + b.counts,
-        obs_sum=a.obs_sum + b.obs_sum,
-        obs_sq=a.obs_sq + b.obs_sq,
-        rho_sum=None if a.rho_sum is None else a.rho_sum + b.rho_sum,
-        vec_sum=None if a.vec_sum is None else a.vec_sum + b.vec_sum,
-        min_eig=np.minimum(a.min_eig, b.min_eig),
-        max_trace_dev=max(a.max_trace_dev, b.max_trace_dev),
-        max_herm_dev=max(a.max_herm_dev, b.max_herm_dev),
         blowups=tuple(sorted(a.blowups + b.blowups)),
         positivity_skips=tuple(sorted(a.positivity_skips + b.positivity_skips)),
-    )
-    return merged
-
-
-def empty_like_run(acc: EnsembleAccumulator) -> EnsembleAccumulator:
-    """Identity element for merge_accumulators with acc's configuration."""
-    return replace(
-        acc,
-        launched=np.zeros_like(acc.launched),
-        counts=np.zeros_like(acc.counts),
-        obs_sum=np.zeros_like(acc.obs_sum),
-        obs_sq=np.zeros_like(acc.obs_sq),
-        rho_sum=None if acc.rho_sum is None else np.zeros_like(acc.rho_sum),
-        vec_sum=None if acc.vec_sum is None else np.zeros_like(acc.vec_sum),
-        min_eig=np.full_like(acc.min_eig, np.inf),
-        max_trace_dev=0.0,
-        max_herm_dev=0.0,
-        blowups=(),
-        positivity_skips=(),
+        **{name: None if getattr(a, name) is None
+           else combine(getattr(a, name), getattr(b, name))
+           for name, (_, combine) in BLOCK_SUMS.items()},
     )
 
 
 def restrict_to_blocks(acc: EnsembleAccumulator, blocks) -> EnsembleAccumulator:
-    """Partial accumulator covering only the given block indices."""
+    """Partial accumulator covering only the given block indices.
+
+    With no blocks it is the identity element of merge_accumulators.
+    """
     keep = np.zeros(acc.n_blocks, dtype=bool)
     keep[list(blocks)] = True
-    out = empty_like_run(acc)
-    out.launched[keep] = acc.launched[keep]
-    out.counts[keep] = acc.counts[keep]
-    out.obs_sum[:, keep] = acc.obs_sum[:, keep]
-    out.obs_sq[:, keep] = acc.obs_sq[:, keep]
-    if acc.rho_sum is not None:
-        out.rho_sum[keep] = acc.rho_sum[keep]
-    if acc.vec_sum is not None:
-        out.vec_sum[keep] = acc.vec_sum[keep]
-    out.min_eig[keep] = acc.min_eig[keep]
-    out.max_trace_dev = acc.max_trace_dev
-    out.max_herm_dev = acc.max_herm_dev
+
+    def part(sums, fill):
+        out = np.full_like(sums, fill)
+        out[keep] = sums[keep]
+        return out
 
     def in_kept_blocks(indices):
-        blocks = np.searchsorted(acc.edges, indices, side="right") - 1
-        return tuple(i for i, b in zip(indices, blocks) if keep[b])
+        owners = np.searchsorted(acc.edges, indices, side="right") - 1
+        return tuple(i for i, b in zip(indices, owners) if keep[b])
 
-    out.blowups = in_kept_blocks(acc.blowups)
-    out.positivity_skips = in_kept_blocks(acc.positivity_skips)
-    return out
+    return replace(
+        acc,
+        blowups=in_kept_blocks(acc.blowups),
+        positivity_skips=in_kept_blocks(acc.positivity_skips),
+        **{name: None if getattr(acc, name) is None
+           else part(getattr(acc, name), fill)
+           for name, (fill, _) in BLOCK_SUMS.items()},
+    )
 
 
 def estimate_density(acc: EnsembleAccumulator) -> np.ndarray:
@@ -487,8 +479,8 @@ def estimate_product_observable(acc: EnsembleAccumulator,
     plane, which also calibrates the imaginary residue of the mean).
     """
     a = acc._obs_index(name)
-    tot = acc.obs_sum[a].sum(axis=0)
-    ssq = acc.obs_sq[a].sum(axis=0)
+    tot = acc.obs_sum[:, a].sum(axis=0)
+    ssq = acc.obs_sq[:, a].sum(axis=0)
     m = acc.active_counts.astype(float)
     if (m == 0).any():
         raise MissingDataError("no active trajectories at some recorded time")

@@ -219,7 +219,7 @@ class TrajectoryState:
 
 
 def propagate_trajectory(spec: SystemSpec, t_final: float, dt: float,
-                         record_stride: int = 1, rng_seed=None,
+                         record_stride: int = 1, *, rng_seed,
                          positivity_tol: float = None) -> list:
     """Integrate one trajectory, returning snapshots every ``record_stride``
     steps (including t = 0).  Deterministic given the seed.
@@ -229,8 +229,6 @@ def propagate_trajectory(spec: SystemSpec, t_final: float, dt: float,
     a block of one, so it is bitwise the trajectory of that index in any
     ensemble run; ``positivity_tol=np.inf`` switches the positivity check off.
     """
-    if rng_seed is None:
-        raise ConfigError("propagate_trajectory needs rng_seed")
     master_seed, index = rng_seed if isinstance(rng_seed, tuple) else (rng_seed, 0)
     snapshots = []
 

@@ -340,21 +340,11 @@ def shared_interaction_terms(pair_terms, particles) -> tuple:
     )
 
 
-def embed_one_body(op, dims, k) -> np.ndarray:
-    """op acting on factor k, identity elsewhere."""
+def embed(dims, ops) -> np.ndarray:
+    """Kronecker product with ops[k] on factor k, identity elsewhere."""
     mats = [np.eye(d, dtype=complex) for d in dims]
-    mats[k] = as_cmatrix(op, f"factor {k}")
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def embed_two_body(a, b, dims, k, l) -> np.ndarray:
-    """a on factor k and b on factor l (k != l), identity elsewhere."""
-    mats = [np.eye(d, dtype=complex) for d in dims]
-    mats[k] = as_cmatrix(a, f"factor {k}")
-    mats[l] = as_cmatrix(b, f"factor {l}")
+    for k, op in ops.items():
+        mats[k] = as_cmatrix(op, f"factor {k}")
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
@@ -373,13 +363,12 @@ def assemble_full_hamiltonian(spec: SystemSpec) -> np.ndarray:
     n = spec.n_particles
     out = np.zeros((total, total), dtype=complex)
     for k, part in enumerate(spec.particles):
-        out += embed_one_body(part.h, dims, k)
+        out += embed(dims, {k: part.h})
     for k in range(n - 1):
         for l in range(k + 1, n):
             for term in spec.terms:
-                out += term.omega * embed_two_body(
-                    term.ops[k], term.ops[l], dims, k, l
-                )
+                out += term.omega * embed(
+                    dims, {k: term.ops[k], l: term.ops[l]})
     return 0.5 * (out + out.conj().T)
 
 

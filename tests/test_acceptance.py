@@ -262,7 +262,7 @@ def test_criterion_05_mc_scaling():
     def grouped(a):
         return a.reshape(n_blocks // group, group, -1).sum(axis=1)
 
-    sums, counts = acc.obs_sum[0], acc.counts
+    sums, counts = acc.obs_sum[:, 0], acc.counts
     e1000 = median_rms_error(sums, counts)
     e4000 = median_rms_error(grouped(sums), grouped(counts))
     ratio = e4000 / e1000

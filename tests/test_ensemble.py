@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import snbd.ensemble
 
 from snbd.ensemble import (
+    BLOCK_SUMS,
+    EnsembleAccumulator,
     EnsembleOptions,
     ObservableSpec,
     block_edges,
-    empty_like_run,
     estimate_density,
     estimate_product_observable,
     jackknife_density_scalar,
@@ -24,7 +27,7 @@ from snbd.errors import (
 )
 from snbd.linalg import trace_distance
 from snbd.oracle import propagate_exact
-from snbd.propagator import propagate_trajectory
+from snbd.propagator import propagate_block, propagate_trajectory
 
 from conftest import DOWN, SZ, UP, free_two_spin_system, two_spin_system
 
@@ -174,7 +177,7 @@ class TestMergeAndDeterminism:
 
     def test_merge_identity_element(self):
         acc = self._run(32)
-        merged = merge_accumulators(acc, empty_like_run(acc))
+        merged = merge_accumulators(acc, restrict_to_blocks(acc, ()))
         assert merged.count == acc.count
         assert np.array_equal(merged.obs_sum, acc.obs_sum)
         assert np.array_equal(merged.rho_sum, acc.rho_sum)
@@ -218,6 +221,40 @@ class TestMergeAndDeterminism:
         b = self._run(32, seed=4)
         with pytest.raises(IncompatibleAccumulatorError):
             merge_accumulators(a, b)
+
+    def test_fingerprint_covers_positivity_tolerance(self):
+        # the default tolerance skips every trajectory of this run, 1e9 none
+        def run(**kw):
+            return run_ensemble(two_spin_system(), 32, 1.0, 1e-3, 100,
+                                options=EnsembleOptions(
+                                    n_blocks=8, blowup_policy="skip", **kw))
+        strict, lax = run(), run(positivity_tol=1e9)
+        assert len(strict.positivity_skips) > len(lax.positivity_skips)
+        with pytest.raises(IncompatibleAccumulatorError):
+            merge_accumulators(restrict_to_blocks(strict, range(0, 4)),
+                               restrict_to_blocks(lax, range(4, 8)))
+
+    def test_parts_report_their_own_deviations(self):
+        acc = self._run(32)
+        spec = two_spin_system()
+        for b in range(acc.n_blocks):
+            start, stop = int(acc.edges[b]), int(acc.edges[b + 1])
+            stats = propagate_block(spec, 3, start, stop - start, 0.2, 1e-3,
+                                    50, lambda *_: None, positivity_tol=1e9)
+            part = restrict_to_blocks(acc, [b])
+            assert part.max_trace_dev == stats.max_trace_dev
+            assert part.max_herm_dev == stats.max_herm_dev
+        assert acc.max_trace_dev == max(
+            restrict_to_blocks(acc, [b]).max_trace_dev for b in range(8))
+
+    def test_block_sums_table_lists_every_block_array(self):
+        acc = self._run(32)
+        assert acc.n_blocks == 8 and len(acc.times) != 8
+        block_arrays = {
+            f.name for f in dataclasses.fields(EnsembleAccumulator)
+            if isinstance(getattr(acc, f.name), np.ndarray)
+            and getattr(acc, f.name).shape[:1] == (acc.n_blocks,)}
+        assert block_arrays == set(BLOCK_SUMS)
 
     def test_overlapping_blocks_rejected(self):
         acc = self._run(32)
