@@ -31,7 +31,6 @@ from .config import (
     serialize_config,
 )
 from .ensemble import (
-    EnsembleOptions,
     estimate_density,
     estimate_product_observable,
     jackknife_density_scalar,
@@ -52,7 +51,6 @@ from .errors import (
 from .linalg import trace_distance
 from .oracle import exact_observable, propagate_exact
 from .output import RunWriter
-from .propagator import _validate_grid
 from .recovery import (
     autocorrelation_spectrum,
     default_reference_vectors,
@@ -100,17 +98,6 @@ class _Reporter:
             print(message, file=sys.stderr)
 
 
-def _ensemble_options(cfg, refs):
-    return EnsembleOptions(
-        n_blocks=cfg.ensemble.n_blocks,
-        worker_count=cfg.ensemble.worker_count,
-        full_density=cfg.ensemble.full_density,
-        recovery_refs=refs,
-        blowup_policy=cfg.ensemble.blowup_policy,
-        positivity_tol=cfg.ensemble.positivity_tol,
-    )
-
-
 def _recovery_refs(cfg):
     if not cfg.recovery.enabled:
         return None
@@ -120,16 +107,11 @@ def _recovery_refs(cfg):
 
 
 def _run_ensemble_from_config(cfg, reporter):
-    refs = _recovery_refs(cfg)
     reporter.detail(
         f"running M={cfg.ensemble.m} trajectories, "
         f"{cfg.ensemble.worker_count} worker(s)")
-    acc = run_ensemble(
-        cfg.system, cfg.ensemble.m, cfg.time.t_final, cfg.time.dt,
-        cfg.time.record_stride, observables=cfg.observables,
-        master_seed=cfg.ensemble.master_seed,
-        options=_ensemble_options(cfg, refs))
-    return acc
+    return run_ensemble(cfg.system, cfg.time, cfg.ensemble, cfg.observables,
+                        _recovery_refs(cfg))
 
 
 def _write_observables(writer, cfg, acc, name="observables.csv"):
@@ -189,10 +171,7 @@ def cmd_run(cfg, writer, reporter):
 
 
 def _oracle_states(cfg, pure=False):
-    n_steps = _validate_grid(cfg.time.t_final, cfg.time.dt,
-                             cfg.time.record_stride)
-    n_times = n_steps // cfg.time.record_stride + 1
-    times = np.arange(n_times) * (cfg.time.record_stride * cfg.time.dt)
+    times = cfg.time.times
     return times, propagate_exact(cfg.system, times, pure=pure)
 
 

@@ -20,10 +20,9 @@ from .errors import (
     SnbdError,
     UnsupportedInteractionError,
 )
-from .ensemble import DEFAULT_N_BLOCKS, ObservableSpec
-from .propagator import _validate_grid
+from .ensemble import EnsembleParams, ObservableSpec
+from .propagator import BLOWUP_POLICIES, TimeGrid
 from .system import (
-    DISTINGUISHABLE,
     InteractionTerm,
     ParticleSpec,
     SystemSpec,
@@ -33,25 +32,6 @@ from .system import (
 
 FORMATS = ("csv", "bin")
 SPECTRUM_SOURCES = ("recovery", "oracle")
-BLOWUP_POLICIES = ("abort", "skip")
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    t_final: float
-    dt: float
-    record_stride: int = 1
-
-
-@dataclass(frozen=True)
-class EnsembleParams:
-    m: int = 1
-    master_seed: int = 0
-    worker_count: int = 1
-    n_blocks: int = DEFAULT_N_BLOCKS
-    full_density: bool = False
-    blowup_policy: str = "abort"
-    positivity_tol: float = None    # None: propagator.positivity_tolerance(dt, spec, t_final)
 
 
 @dataclass(frozen=True)
@@ -72,10 +52,10 @@ class OutputParams:
 class RunConfig:
     system: SystemSpec
     time: TimeGrid
-    ensemble: EnsembleParams = EnsembleParams()
-    observables: tuple = ()
-    recovery: RecoveryParams = RecoveryParams()
-    output: OutputParams = OutputParams()
+    ensemble: EnsembleParams
+    observables: tuple
+    recovery: RecoveryParams
+    output: OutputParams
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +78,31 @@ def _read_number(v, path):
     return float(v)
 
 
-def _read_int(v, path, minimum=None):
+def _read_int(v, path, minimum):
     if isinstance(v, bool) or not isinstance(v, int):
         _fail(path, f"expected an integer, got {type(v).__name__}")
-    if minimum is not None and v < minimum:
+    if v < minimum:
         _fail(path, f"must be >= {minimum}, got {v}")
+    return v
+
+
+def _read_count(v, path):
+    return _read_int(v, path, 1)
+
+
+def _read_seed(v, path):
+    v = _read_int(v, path, 0)
+    if v >= 2 ** 64:
+        _fail(path, "must fit in 64 bits")
+    return v
+
+
+def _read_tolerance(v, path):
+    if v is None:
+        return None
+    v = _read_number(v, path)
+    if v <= 0:
+        _fail(path, f"must be positive, got {v}")
     return v
 
 
@@ -110,6 +110,30 @@ def _read_bool(v, path):
     if not isinstance(v, bool):
         _fail(path, f"expected true/false, got {type(v).__name__}")
     return v
+
+
+def _read_name(v, path):
+    if not isinstance(v, str) or not v:
+        _fail(path, "expected a nonempty string")
+    return v
+
+
+def _one_of(choices):
+    def read(v, path):
+        if v not in choices:
+            _fail(path, f"expected one of {choices}, got {v!r}")
+        return v
+    return read
+
+
+def _read_formats(v, path):
+    raw = _expect(v, path, list, "a list of format names")
+    for f in raw:
+        if f not in FORMATS:
+            _fail(path, f"unknown format {f!r}; allowed: {FORMATS}")
+    if not raw:
+        _fail(path, "at least one format is required")
+    return tuple(raw)
 
 
 def _read_entry(v, path):
@@ -144,6 +168,13 @@ def _read_vector(v, path):
                      for i, e in enumerate(entries)], dtype=complex)
 
 
+def _read_vectors(v, path):
+    if v is None:
+        return None
+    raw = _expect(v, path, list, "a list of vectors")
+    return tuple(_read_vector(x, f"{path}[{k}]") for k, x in enumerate(raw))
+
+
 def _check_keys(data, path, allowed, required=()):
     _expect(data, path, dict, "an object")
     unknown = set(data) - set(allowed)
@@ -159,6 +190,58 @@ def _check_keys(data, path, allowed, required=()):
 # section parsers
 # ---------------------------------------------------------------------------
 
+# One table per flat config object: JSON key -> (dataclass field, reader).
+# It gives the allowed keys, the parsed fields and the serialized form; a
+# key left out of the JSON keeps the dataclass default.
+_PARTICLE_KEYS = {
+    "dim": ("dim", _read_count),
+    "h": ("h", _read_matrix),
+    "statistics": ("statistics", _read_name),
+}
+_TIME_KEYS = {
+    "t_final": ("t_final", _read_number),
+    "dt": ("dt", _read_number),
+    "record_stride": ("record_stride", _read_count),
+}
+_ENSEMBLE_KEYS = {
+    "M": ("m", _read_count),
+    "master_seed": ("master_seed", _read_seed),
+    "worker_count": ("worker_count", _read_count),
+    "n_blocks": ("n_blocks", _read_count),
+    "full_density": ("full_density", _read_bool),
+    "blowup_policy": ("blowup_policy", _one_of(BLOWUP_POLICIES)),
+    "positivity_tol": ("positivity_tol", _read_tolerance),
+}
+_RECOVERY_KEYS = {
+    "enabled": ("enabled", _read_bool),
+    "reference_vectors": ("reference_vectors", _read_vectors),
+    "window": ("window", _read_bool),
+    "spectrum_source": ("spectrum_source", _one_of(SPECTRUM_SOURCES)),
+}
+_OUTPUT_KEYS = {
+    "directory": ("directory", _read_name),
+    "formats": ("formats", _read_formats),
+}
+
+
+def _parse_section(data, path, cls, keys, required=()):
+    """``cls`` built from the keys of ``data`` through its table; an
+    optional section given as null is all defaults."""
+    if data is None and not required:
+        return cls()
+    _check_keys(data, path, keys, required)
+    values = {field: read(data[key], f"{path}.{key}")
+              for key, (field, read) in keys.items() if key in data}
+    try:
+        return cls(**values)
+    except SnbdError as exc:
+        _fail(path, str(exc))
+
+
+def _section_out(params, keys) -> dict:
+    return {key: getattr(params, field) for key, (field, _) in keys.items()}
+
+
 def _parse_system(data) -> SystemSpec:
     _check_keys(data, "system", ("particles", "interaction", "initial"),
                 required=("particles", "initial"))
@@ -166,19 +249,10 @@ def _parse_system(data) -> SystemSpec:
                             "a list of particles")
     if not raw_particles:
         _fail("system.particles", "at least one particle is required")
-    particles = []
-    for k, p in enumerate(raw_particles):
-        path = f"system.particles[{k}]"
-        _check_keys(p, path, ("dim", "h", "statistics"), required=("dim", "h"))
-        dim = _read_int(p["dim"], f"{path}.dim", minimum=1)
-        h = _read_matrix(p["h"], f"{path}.h")
-        statistics = p.get("statistics", DISTINGUISHABLE)
-        if not isinstance(statistics, str):
-            _fail(f"{path}.statistics", "expected a string")
-        try:
-            particles.append(ParticleSpec(dim=dim, h=h, statistics=statistics))
-        except SnbdError as exc:
-            _fail(path, str(exc))
+    particles = [
+        _parse_section(p, f"system.particles[{k}]", ParticleSpec,
+                       _PARTICLE_KEYS, required=("dim", "h"))
+        for k, p in enumerate(raw_particles)]
 
     raw_initial = _expect(data["initial"], "system.initial", list,
                           "a list of one-body densities")
@@ -257,55 +331,6 @@ def _parse_interaction(data, particles) -> tuple:
     return tuple(terms)
 
 
-def _parse_time(data) -> TimeGrid:
-    _check_keys(data, "time", ("t_final", "dt", "record_stride"),
-                required=("t_final", "dt"))
-    grid = TimeGrid(
-        t_final=_read_number(data["t_final"], "time.t_final"),
-        dt=_read_number(data["dt"], "time.dt"),
-        record_stride=_read_int(data.get("record_stride", 1),
-                                "time.record_stride", minimum=1),
-    )
-    try:
-        _validate_grid(grid.t_final, grid.dt, grid.record_stride)
-    except ConfigError as exc:
-        _fail("time", str(exc))
-    return grid
-
-
-def _parse_ensemble(data) -> EnsembleParams:
-    if data is None:
-        return EnsembleParams()
-    _check_keys(data, "ensemble",
-                ("M", "master_seed", "worker_count", "n_blocks",
-                 "full_density", "blowup_policy", "positivity_tol"))
-    policy = data.get("blowup_policy", "abort")
-    if policy not in BLOWUP_POLICIES:
-        _fail("ensemble.blowup_policy",
-              f"expected one of {BLOWUP_POLICIES}, got {policy!r}")
-    seed = _read_int(data.get("master_seed", 0), "ensemble.master_seed",
-                     minimum=0)
-    if seed >= 2 ** 64:
-        _fail("ensemble.master_seed", "must fit in 64 bits")
-    tol = data.get("positivity_tol")
-    if tol is not None:
-        tol = _read_number(tol, "ensemble.positivity_tol")
-        if tol <= 0:
-            _fail("ensemble.positivity_tol", f"must be positive, got {tol}")
-    return EnsembleParams(
-        m=_read_int(data.get("M", 1), "ensemble.M", minimum=1),
-        master_seed=seed,
-        worker_count=_read_int(data.get("worker_count", 1),
-                               "ensemble.worker_count", minimum=1),
-        n_blocks=_read_int(data.get("n_blocks", DEFAULT_N_BLOCKS),
-                           "ensemble.n_blocks", minimum=1),
-        full_density=_read_bool(data.get("full_density", False),
-                                "ensemble.full_density"),
-        blowup_policy=policy,
-        positivity_tol=tol,
-    )
-
-
 def _parse_observables(data, n_particles) -> tuple:
     if data is None:
         return ()
@@ -315,9 +340,7 @@ def _parse_observables(data, n_particles) -> tuple:
     for i, o in enumerate(raw):
         path = f"observables[{i}]"
         _check_keys(o, path, ("name", "factors"), required=("name", "factors"))
-        name = o["name"]
-        if not isinstance(name, str) or not name:
-            _fail(f"{path}.name", "expected a nonempty string")
+        name = _read_name(o["name"], f"{path}.name")
         if name in names:
             _fail(f"{path}.name", f"duplicate observable name {name!r}")
         names.add(name)
@@ -336,49 +359,6 @@ def _parse_observables(data, n_particles) -> tuple:
     return tuple(out)
 
 
-def _parse_recovery(data, n_particles) -> RecoveryParams:
-    if data is None:
-        return RecoveryParams()
-    _check_keys(data, "recovery",
-                ("enabled", "reference_vectors", "window", "spectrum_source"))
-    refs = data.get("reference_vectors")
-    if refs is not None:
-        raw = _expect(refs, "recovery.reference_vectors", list,
-                      "a list of vectors")
-        if len(raw) != n_particles:
-            _fail("recovery.reference_vectors",
-                  f"{len(raw)} vectors for {n_particles} particles")
-        refs = tuple(_read_vector(v, f"recovery.reference_vectors[{k}]")
-                     for k, v in enumerate(raw))
-    source = data.get("spectrum_source", "recovery")
-    if source not in SPECTRUM_SOURCES:
-        _fail("recovery.spectrum_source",
-              f"expected one of {SPECTRUM_SOURCES}, got {source!r}")
-    return RecoveryParams(
-        enabled=_read_bool(data.get("enabled", False), "recovery.enabled"),
-        reference_vectors=refs,
-        window=_read_bool(data.get("window", True), "recovery.window"),
-        spectrum_source=source,
-    )
-
-
-def _parse_output(data) -> OutputParams:
-    if data is None:
-        return OutputParams()
-    _check_keys(data, "output", ("directory", "formats"))
-    directory = data.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        _fail("output.directory", "expected a nonempty string")
-    formats = data.get("formats", list(FORMATS))
-    raw = _expect(formats, "output.formats", list, "a list of format names")
-    for f in raw:
-        if f not in FORMATS:
-            _fail("output.formats", f"unknown format {f!r}; allowed: {FORMATS}")
-    if not raw:
-        _fail("output.formats", "at least one format is required")
-    return OutputParams(directory=directory, formats=tuple(raw))
-
-
 def parse_config_dict(data, source="<config>") -> RunConfig:
     """Validate a configuration dictionary into a RunConfig."""
     _check_keys(data, source,
@@ -388,14 +368,22 @@ def parse_config_dict(data, source="<config>") -> RunConfig:
     system = _parse_system(data["system"])
     cfg = RunConfig(
         system=system,
-        time=_parse_time(data["time"]),
-        ensemble=_parse_ensemble(data.get("ensemble")),
+        time=_parse_section(data["time"], "time", TimeGrid, _TIME_KEYS,
+                            required=("t_final", "dt")),
+        ensemble=_parse_section(data.get("ensemble"), "ensemble",
+                                EnsembleParams, _ENSEMBLE_KEYS),
         observables=_parse_observables(data.get("observables"),
                                        system.n_particles),
-        recovery=_parse_recovery(data.get("recovery"), system.n_particles),
-        output=_parse_output(data.get("output")),
+        recovery=_parse_section(data.get("recovery"), "recovery",
+                                RecoveryParams, _RECOVERY_KEYS),
+        output=_parse_section(data.get("output"), "output", OutputParams,
+                              _OUTPUT_KEYS),
     )
-    for k, refs in enumerate(cfg.recovery.reference_vectors or ()):
+    all_refs = cfg.recovery.reference_vectors
+    if all_refs is not None and len(all_refs) != system.n_particles:
+        _fail("recovery.reference_vectors",
+              f"{len(all_refs)} vectors for {system.n_particles} particles")
+    for k, refs in enumerate(all_refs or ()):
         if refs.shape != (system.particles[k].dim,):
             _fail(f"recovery.reference_vectors[{k}]",
                   f"length {refs.shape[0]} != particle dim "
@@ -437,7 +425,7 @@ def serialize_config(cfg: RunConfig) -> dict:
     """Canonical plain-data form; parse_config_dict inverts it exactly."""
     system = {
         "particles": [
-            {"dim": p.dim, "h": _matrix_out(p.h), "statistics": p.statistics}
+            {**_section_out(p, _PARTICLE_KEYS), "h": _matrix_out(p.h)}
             for p in cfg.system.particles
         ],
         "initial": [_matrix_out(r) for r in cfg.system.initial],
@@ -454,20 +442,8 @@ def serialize_config(cfg: RunConfig) -> dict:
         system["interaction"] = {"terms": terms}
     data = {
         "system": system,
-        "time": {
-            "t_final": cfg.time.t_final,
-            "dt": cfg.time.dt,
-            "record_stride": cfg.time.record_stride,
-        },
-        "ensemble": {
-            "M": cfg.ensemble.m,
-            "master_seed": cfg.ensemble.master_seed,
-            "worker_count": cfg.ensemble.worker_count,
-            "n_blocks": cfg.ensemble.n_blocks,
-            "full_density": cfg.ensemble.full_density,
-            "blowup_policy": cfg.ensemble.blowup_policy,
-            "positivity_tol": cfg.ensemble.positivity_tol,
-        },
+        "time": _section_out(cfg.time, _TIME_KEYS),
+        "ensemble": _section_out(cfg.ensemble, _ENSEMBLE_KEYS),
         "observables": [
             {"name": o.name,
              "factors": [None if f is None else _matrix_out(f)
@@ -475,15 +451,13 @@ def serialize_config(cfg: RunConfig) -> dict:
             for o in cfg.observables
         ],
         "recovery": {
-            "enabled": cfg.recovery.enabled,
+            **_section_out(cfg.recovery, _RECOVERY_KEYS),
             "reference_vectors": (
                 None if cfg.recovery.reference_vectors is None
                 else [_vector_out(v) for v in cfg.recovery.reference_vectors]),
-            "window": cfg.recovery.window,
-            "spectrum_source": cfg.recovery.spectrum_source,
         },
         "output": {
-            "directory": cfg.output.directory,
+            **_section_out(cfg.output, _OUTPUT_KEYS),
             "formats": list(cfg.output.formats),
         },
     }

@@ -15,7 +15,7 @@ count and of how a run is split and merged.
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -27,18 +27,11 @@ from .errors import (
     ShapeError,
 )
 from .linalg import frozen_cmatrix, require_hermitian
-from .propagator import (
-    _validate_grid,
-    positivity_tolerance,
-    propagate_block,
-)
+from .propagator import TimeGrid, positivity_tolerance, propagate_block
 from .system import SystemSpec, embed
 
 #: Cap on the memory of the optional full-density accumulation.
 DEFAULT_MEMORY_LIMIT = 512 * 1024 * 1024
-
-#: Default number of trajectory blocks (jackknife / work / batch units).
-DEFAULT_N_BLOCKS = 50
 
 
 @dataclass(frozen=True)
@@ -81,14 +74,19 @@ class ObservableSpec:
 
 
 @dataclass(frozen=True)
-class EnsembleOptions:
-    """Execution knobs that do not change the physics of a run."""
+class EnsembleParams:
+    """The ensemble of a run: its size, seed, block layout, what it keeps
+    and how it treats a diverged or non-positive trajectory.
 
-    n_blocks: int = DEFAULT_N_BLOCKS
+    Every field but ``worker_count`` can change the run's results.
+    """
+
+    m: int = 1
+    master_seed: int = 0
     worker_count: int = 1
+    n_blocks: int = 50              # jackknife / work / batch units
     full_density: bool = False
-    recovery_refs: tuple = None     # per-particle reference vectors, or None
-    blowup_policy: str = "abort"    # "abort" | "skip"
+    blowup_policy: str = "abort"    # one of propagator.BLOWUP_POLICIES
     positivity_tol: float = None    # None: propagator.positivity_tolerance(dt, spec, t_final)
 
 
@@ -104,46 +102,28 @@ def block_edges(m: int, n_blocks: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)])
 
 
-def run_fingerprint(spec: SystemSpec, m, t_final, dt, record_stride,
-                    master_seed, n_blocks, observables, full_density,
-                    recovery_refs, blowup_policy, positivity_tol) -> str:
-    """Digest of everything that determines a run's results.
+def _digest_form(x):
+    """JSON-ready form of a run input: dataclasses field by field,
+    sequences item by item, arrays by the sha256 of their bytes, and
+    anything else, numpy scalars as Python numbers, by its repr."""
+    if is_dataclass(x):
+        return [type(x).__name__,
+                {f.name: _digest_form(getattr(x, f.name)) for f in fields(x)}]
+    if isinstance(x, (tuple, list)):
+        return [_digest_form(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+    if isinstance(x, np.generic):
+        x = x.item()
+    return repr(x)
 
-    Execution-layout knobs (the worker count) are deliberately
-    excluded: they do not change any output byte.
+
+def run_fingerprint(*inputs) -> str:
+    """Digest of a run's inputs, walked generically (see ``_digest_form``),
+    so that a field added to any of them is covered without an edit here.
     """
-    def mat(a):
-        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-
-    payload = {
-        "particles": [
-            {"dim": p.dim, "h": mat(p.h), "statistics": p.statistics}
-            for p in spec.particles
-        ],
-        "terms": [
-            {"omega": repr(t.omega), "ops": [mat(o) for o in t.ops]}
-            for t in spec.terms
-        ],
-        "initial": [mat(r) for r in spec.initial],
-        "M": int(m),
-        "t_final": repr(float(t_final)),
-        "dt": repr(float(dt)),
-        "record_stride": int(record_stride),
-        "master_seed": int(master_seed),
-        "n_blocks": int(min(n_blocks, m)),
-        "observables": [
-            {"name": o.name,
-             "factors": [None if f is None else mat(f) for f in o.factors]}
-            for o in observables
-        ],
-        "full_density": bool(full_density),
-        "recovery_refs": (None if recovery_refs is None
-                          else [mat(np.asarray(r, complex)) for r in recovery_refs]),
-        "blowup_policy": blowup_policy,
-        "positivity_tol": repr(float(positivity_tol)),
-    }
     return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        json.dumps(_digest_form(inputs)).encode()).hexdigest()
 
 
 #: Every per-block array of an EnsembleAccumulator, block axis first:
@@ -254,23 +234,23 @@ def _batched_refvec(rhos_by_particle, refs) -> np.ndarray:
     return out
 
 
-def _block_task(spec, master_seed, start, count, t_final, dt,
-                record_stride, n_times, obs_stacks, refs, full_density,
-                policy, positivity_tol):
-    """Propagate one block (worker-safe).
+def _block_task(spec, time, ensemble, start, count, obs_stacks, refs):
+    """Propagate trajectories [start, start + count) (worker-safe).
 
-    Returns the block's row of BLOCK_SUMS (None for a sum the run does
-    not keep) and its two skip lists.
+    ``ensemble.positivity_tol`` must be resolved.  Returns the block's
+    row of BLOCK_SUMS (None for a sum the run does not keep) and its two
+    skip lists.
     """
     n = spec.n_particles
     full_dim = spec.full_dim
     n_obs = obs_stacks[0].shape[0] if obs_stacks else 0
+    n_times = len(time.times)
 
     counts = np.zeros(n_times, dtype=np.int64)
     obs_sum = np.zeros((n_obs, n_times), dtype=complex)
     obs_sq = np.zeros((n_obs, n_times))
     rho_sum = (np.zeros((n_times, full_dim, full_dim), dtype=complex)
-               if full_density else None)
+               if ensemble.full_density else None)
     vec_sum = (np.zeros((n_times, full_dim), dtype=complex)
                if refs is not None else None)
     min_eig = np.full((n_times, n), np.inf)
@@ -289,15 +269,16 @@ def _block_task(spec, master_seed, start, count, t_final, dt,
                 kept = vals[active]
                 obs_sum[:, r] = kept.sum(axis=0)
                 obs_sq[:, r] = (kept.real ** 2 + kept.imag ** 2).sum(axis=0)
-            if full_density:
+            if ensemble.full_density:
                 rho_sum[r] = _batched_kron(rhos)[active].sum(axis=0)
             if refs is not None:
                 vec_sum[r] = _batched_refvec(rhos, refs)[active].sum(axis=0)
         min_eig[r] = mins[active].min(axis=0)
 
     stats = propagate_block(
-        spec, master_seed, start, count, t_final, dt, record_stride,
-        on_record, positivity_tol=positivity_tol, policy=policy)
+        spec, ensemble.master_seed, start, count, time.t_final, time.dt,
+        time.record_stride, on_record,
+        positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy)
     row = dict(launched=count, counts=counts, obs_sum=obs_sum, obs_sq=obs_sq,
                rho_sum=rho_sum, vec_sum=vec_sum, min_eig=min_eig,
                trace_dev=stats.max_trace_dev, herm_dev=stats.max_herm_dev)
@@ -314,37 +295,34 @@ def _block_results(tasks, worker_count):
             yield _block_task(*task)
 
 
-def run_ensemble(spec: SystemSpec, m: int, t_final: float, dt: float,
-                 record_stride: int = 1, observables=(), master_seed: int = 0,
-                 options: EnsembleOptions = EnsembleOptions()) -> EnsembleAccumulator:
-    """Run M trajectories and return the filled accumulator.
+def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
+                 observables=(), refs=None) -> EnsembleAccumulator:
+    """Run the ensemble's M trajectories and return the filled accumulator.
 
-    Trajectory j always uses the Philox stream keyed by (master_seed, j);
-    block boundaries depend only on (M, n_blocks).  The result is
-    therefore identical for any worker count.
+    ``refs`` are the per-particle reference vectors of wavefunction
+    recovery, or None.  Trajectory j always uses the Philox stream keyed
+    by (master_seed, j); block boundaries depend only on (M, n_blocks).
+    The result is therefore identical for any worker count.
     """
-    n_steps = _validate_grid(t_final, dt, record_stride)
-    n_times = n_steps // record_stride + 1
+    times = time.times
     observables = tuple(observables)
     names = tuple(o.name for o in observables)
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate observable names in {names}")
 
-    if options.full_density:
+    edges = block_edges(ensemble.m, ensemble.n_blocks)
+    n_blocks = len(edges) - 1
+    if ensemble.full_density:
         # the accumulator's n_blocks rows plus the one block being filled
         per_matrix = spec.full_dim ** 2 * 16
-        n_blocks = min(options.n_blocks, m)
-        total = per_matrix * n_times * (n_blocks + 1)
+        total = per_matrix * len(times) * (n_blocks + 1)
         if total > DEFAULT_MEMORY_LIMIT:
             raise DimensionLimitError(
                 f"full-density accumulation needs ~{total // (1 << 20)} MiB, "
                 f"over the {DEFAULT_MEMORY_LIMIT // (1 << 20)} MiB limit")
 
-    refs = None
-    if options.recovery_refs is not None:
-        refs = tuple(
-            np.ascontiguousarray(r, dtype=complex)
-            for r in options.recovery_refs)
+    if refs is not None:
+        refs = tuple(np.ascontiguousarray(r, dtype=complex) for r in refs)
         if len(refs) != spec.n_particles:
             raise ConfigError(
                 f"{len(refs)} reference vectors for {spec.n_particles} particles")
@@ -361,21 +339,21 @@ def run_ensemble(spec: SystemSpec, m: int, t_final: float, dt: float,
             for k in range(spec.n_particles)
         ]
 
-    positivity_tol = options.positivity_tol
+    positivity_tol = ensemble.positivity_tol
     if positivity_tol is None:
-        positivity_tol = positivity_tolerance(dt, spec, t_final)
-
-    edges = block_edges(m, options.n_blocks)
-    n_blocks = len(edges) - 1
+        positivity_tol = positivity_tolerance(time.dt, spec, time.t_final)
+    # what fixes the results: the worker count never does, and n_blocks
+    # beyond M and an unset tolerance mean what they resolve to
+    resolved = replace(ensemble, worker_count=1, n_blocks=n_blocks,
+                       positivity_tol=float(positivity_tol))
     tasks = [
-        (spec, master_seed, int(edges[b]), int(edges[b + 1] - edges[b]),
-         t_final, dt, record_stride, n_times, obs_stacks, refs,
-         options.full_density, options.blowup_policy, positivity_tol)
+        (spec, time, resolved, int(edges[b]), int(edges[b + 1] - edges[b]),
+         obs_stacks, refs)
         for b in range(n_blocks)
     ]
     sums, blowups, positivity_skips = None, (), ()
     for b, (row, blown, skipped) in enumerate(
-            _block_results(tasks, options.worker_count)):
+            _block_results(tasks, ensemble.worker_count)):
         if sums is None:
             sums = {
                 name: None if value is None else np.full(
@@ -390,11 +368,8 @@ def run_ensemble(spec: SystemSpec, m: int, t_final: float, dt: float,
         del row  # free before the next block runs: the memory gate counts one
 
     return EnsembleAccumulator(
-        fingerprint=run_fingerprint(
-            spec, m, t_final, dt, record_stride, master_seed, options.n_blocks,
-            observables, options.full_density, refs, options.blowup_policy,
-            positivity_tol),
-        times=np.arange(n_times) * (record_stride * dt),
+        fingerprint=run_fingerprint(spec, time, resolved, observables, refs),
+        times=times,
         edges=edges,
         obs_names=names,
         recovery_refs=refs,

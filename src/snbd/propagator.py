@@ -79,6 +79,9 @@ NORM_CAP = 1e4
 #: Runtime trip-wire; far above roundoff, far below physical scales.
 TRACE_TRIPWIRE = 1e-8
 
+#: What propagate_block does with a diverged or non-positive trajectory.
+BLOWUP_POLICIES = ("abort", "skip")
+
 
 # ---------------------------------------------------------------------------
 # pair bookkeeping and noise sampling
@@ -184,26 +187,51 @@ def positivity_tolerance(dt: float, spec: SystemSpec, t_final: float = 0.0) -> f
                POSITIVITY_FLOOR)
 
 
-def _validate_grid(t_final: float, dt: float, record_stride: int):
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    if t_final < dt:
-        raise ConfigError(f"t_final={t_final} must be at least dt={dt}")
-    if record_stride < 1:
-        raise ConfigError(f"record_stride must be >= 1, got {record_stride}")
-    steps = t_final / dt
-    n_steps = int(round(steps))
-    if n_steps < 1 or abs(steps - n_steps) > 1e-9 * max(1.0, abs(steps)):
-        raise ConfigError(
-            f"t_final={t_final} is not an integer number of steps of dt={dt}"
-        )
-    if n_steps % record_stride != 0:
-        raise ConfigError(
-            f"step count {n_steps} is not a multiple of record_stride={record_stride}"
-        )
-    if n_steps > MAX_STEPS:
-        raise ConfigError(f"step count {n_steps} exceeds the cap {MAX_STEPS}")
-    return n_steps
+@dataclass(frozen=True)
+class TimeGrid:
+    """Integration grid: ``t_final / dt`` steps, recorded every
+    ``record_stride`` steps and at t = 0.  Validated on construction;
+    the times are stored as floats, so ``TimeGrid(1, ...)`` and
+    ``TimeGrid(1.0, ...)`` are the same grid."""
+
+    t_final: float
+    dt: float
+    record_stride: int = 1
+
+    def __post_init__(self):
+        t_final, dt = float(self.t_final), float(self.dt)
+        object.__setattr__(self, "t_final", t_final)
+        object.__setattr__(self, "dt", dt)
+        if dt <= 0:
+            raise ConfigError(f"dt must be positive, got {dt}")
+        if t_final < dt:
+            raise ConfigError(f"t_final={t_final} must be at least dt={dt}")
+        if self.record_stride < 1:
+            raise ConfigError(
+                f"record_stride must be >= 1, got {self.record_stride}")
+        steps = t_final / dt
+        n_steps = self.n_steps
+        if n_steps < 1 or abs(steps - n_steps) > 1e-9 * max(1.0, abs(steps)):
+            raise ConfigError(
+                f"t_final={t_final} is not an integer number of steps of dt={dt}"
+            )
+        if n_steps % self.record_stride != 0:
+            raise ConfigError(
+                f"step count {n_steps} is not a multiple of "
+                f"record_stride={self.record_stride}"
+            )
+        if n_steps > MAX_STEPS:
+            raise ConfigError(f"step count {n_steps} exceeds the cap {MAX_STEPS}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_final / self.dt))
+
+    @property
+    def times(self) -> np.ndarray:
+        """The recorded times, t = 0 included."""
+        n_times = self.n_steps // self.record_stride + 1
+        return np.arange(n_times) * (self.record_stride * self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +334,10 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     """Propagate trajectories [start, start + count) in lockstep.
 
     ``on_record(record_index, t, rhos_by_particle, active, min_eigs)`` is
-    called at every recording time with per-particle (count, d, d) density
-    stacks, the mask of still-active trajectories, and the per-trajectory
-    minimum eigenvalue of each density.  Each trajectory consumes its own
+    called at every time t of ``TimeGrid(t_final, dt, record_stride).times``
+    with per-particle (count, d, d) density stacks, the mask of
+    still-active trajectories, and the per-trajectory minimum eigenvalue
+    of each density.  Each trajectory consumes its own
     Philox stream, so results are independent of how trajectories are
     grouped into blocks or distributed over workers.
 
@@ -321,9 +350,10 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     of a step (mean fields, particle sums, coefficients) holds the groups
     side by side, and the groups couple only through them.
     """
-    if policy not in ("abort", "skip"):
+    if policy not in BLOWUP_POLICIES:
         raise ConfigError(f"unknown blowup policy {policy!r}")
-    n_steps = _validate_grid(t_final, dt, record_stride)
+    grid = TimeGrid(t_final, dt, record_stride)
+    n_steps, times = grid.n_steps, grid.times
     if positivity_tol is None:
         positivity_tol = positivity_tolerance(dt, spec, t_final)
     n = spec.n_particles
@@ -395,7 +425,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
             np.fmax(herm_dev, np.where(active, hd, 0.0), out=herm_dev)
         on_record(r_index, t, cur, active.copy(), min_eigs)
 
-    record(0, 0.0)
+    record(0, times[0])
     step = 0
     r_index = 0
     # diverging trajectories are caught by the norm/NaN guards; their
@@ -423,7 +453,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 step += 1
                 if step % record_stride == 0:
                     r_index += 1
-                    record(r_index, step * dt)
+                    record(r_index, times[r_index])
                 elif step % CHECK_STRIDE == 0:
                     flag_blowups(step * dt, current_rhos())
 

@@ -54,7 +54,7 @@ import conftest
 from snbd.cli import main
 from snbd.errors import TrajectoryBlowupError
 from snbd.ensemble import (
-    EnsembleOptions,
+    EnsembleParams,
     ObservableSpec,
     estimate_density,
     estimate_product_observable,
@@ -64,6 +64,7 @@ from snbd.ensemble import (
 from snbd.linalg import herm_eig, hs_norm, trace_distance
 from snbd.oracle import exact_observable, initial_pure_vector, propagate_exact
 from snbd.propagator import (
+    TimeGrid,
     _particle_sums,
     _raw_to_increments,
     pair_list,
@@ -125,12 +126,11 @@ def flagship():
     spec = two_spin_system(j=0.2, omega0=1.0)
     obs = (ObservableSpec("sz0", (SZ, None)),)
     acc = run_ensemble(
-        spec, M_FLAGSHIP, T_FINAL, DT, RECORD_STRIDE, observables=obs,
-        master_seed=FLAGSHIP_SEED,
-        options=EnsembleOptions(
-            n_blocks=50, full_density=True,
-            recovery_refs=default_reference_vectors(spec),
-            blowup_policy="skip", positivity_tol=np.inf))
+        spec, TimeGrid(T_FINAL, DT, RECORD_STRIDE),
+        EnsembleParams(m=M_FLAGSHIP, master_seed=FLAGSHIP_SEED, n_blocks=50,
+                       full_density=True, blowup_policy="skip",
+                       positivity_tol=np.inf),
+        obs, default_reference_vectors(spec))
     states = propagate_exact(spec, acc.times, pure=True)
     return spec, acc, states
 
@@ -248,10 +248,11 @@ def test_criterion_05_mc_scaling():
     obs = (ObservableSpec("sz0", (SZ, None)),)
     m_block, n_blocks, group = 1000, 80, 4
     acc = run_ensemble(
-        spec, n_blocks * m_block, T_EXACT, DT, 50, observables=obs,
-        master_seed=501,
-        options=EnsembleOptions(n_blocks=n_blocks, blowup_policy="skip",
-                                positivity_tol=np.inf))
+        spec, TimeGrid(T_EXACT, DT, 50),
+        EnsembleParams(m=n_blocks * m_block, master_seed=501,
+                       n_blocks=n_blocks, blowup_policy="skip",
+                       positivity_tol=np.inf),
+        obs)
     exact = exact_observable(propagate_exact(spec, acc.times), obs[0],
                              spec.dims)
 
@@ -428,10 +429,10 @@ def test_criterion_11_estimator_identity(flagship):
 
     gap_flagship = max_gap(acc, spec)
     short = run_ensemble(
-        spec, 500, 0.5, DT, 100,
-        observables=(ObservableSpec("sz0", (SZ, None)),), master_seed=31,
-        options=EnsembleOptions(n_blocks=10, full_density=True,
-                                blowup_policy="skip", positivity_tol=np.inf))
+        spec, TimeGrid(0.5, DT, 100),
+        EnsembleParams(m=500, master_seed=31, n_blocks=10, full_density=True,
+                       blowup_policy="skip", positivity_tol=np.inf),
+        (ObservableSpec("sz0", (SZ, None)),))
     gap_short = max_gap(short, spec)
     ok = gap_flagship <= 1e-10 and gap_short <= 1e-10
     _report(11, "estimator identity", ok,

@@ -8,7 +8,7 @@ import snbd.ensemble
 from snbd.ensemble import (
     BLOCK_SUMS,
     EnsembleAccumulator,
-    EnsembleOptions,
+    EnsembleParams,
     ObservableSpec,
     block_edges,
     estimate_density,
@@ -17,6 +17,7 @@ from snbd.ensemble import (
     merge_accumulators,
     restrict_to_blocks,
     run_ensemble,
+    run_fingerprint,
 )
 from snbd.errors import (
     ConfigError,
@@ -27,17 +28,17 @@ from snbd.errors import (
 )
 from snbd.linalg import trace_distance
 from snbd.oracle import propagate_exact
-from snbd.propagator import propagate_block, propagate_trajectory
+from snbd.propagator import (
+    TimeGrid,
+    positivity_tolerance,
+    propagate_block,
+    propagate_trajectory,
+)
 
 from conftest import DOWN, SZ, UP, free_two_spin_system, two_spin_system
 
-LOOSE = EnsembleOptions(positivity_tol=1e9)
-
-
 def loose(**kw):
-    base = dict(positivity_tol=1e9)
-    base.update(kw)
-    return EnsembleOptions(**base)
+    return EnsembleParams(**{"positivity_tol": 1e9, **kw})
 
 
 class TestBlockLayout:
@@ -54,15 +55,15 @@ class TestBlockLayout:
         with pytest.raises(ConfigError):
             block_edges(10, 0)
         with pytest.raises(ConfigError):
-            run_ensemble(benchmark_system, 4, 0.01, 1e-3, 10,
-                         options=loose(n_blocks=0))
+            run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
+                         loose(m=4, n_blocks=0))
 
 
 class TestRunEnsemble:
     def test_single_deterministic_trajectory(self):
         spec = free_two_spin_system()
-        acc = run_ensemble(spec, 1, 0.5, 1e-3, 100,
-                           options=loose(full_density=True))
+        acc = run_ensemble(spec, TimeGrid(0.5, 1e-3, 100),
+                           loose(m=1, full_density=True))
         snaps = propagate_trajectory(spec, 0.5, 1e-3, 100, rng_seed=(0, 0))
         est = estimate_density(acc)
         for i, snap in enumerate(snaps):
@@ -70,31 +71,31 @@ class TestRunEnsemble:
             assert np.abs(est[i] - expected).max() <= 1e-14
 
     def test_initial_time_exact_product(self, benchmark_system):
-        acc = run_ensemble(benchmark_system, 32, 0.01, 1e-3, 10,
-                           options=loose(full_density=True, n_blocks=4))
+        acc = run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
+                           loose(m=32, full_density=True, n_blocks=4))
         est = estimate_density(acc)
         assert np.abs(est[0] - np.kron(UP, DOWN)).max() <= 1e-15
 
     def test_noise_free_limit_matches_oracle(self):
         spec = free_two_spin_system()
-        acc = run_ensemble(spec, 3, 1.0, 1e-4, 2000,
-                           options=loose(full_density=True))
+        acc = run_ensemble(spec, TimeGrid(1.0, 1e-4, 2000),
+                           loose(m=3, full_density=True))
         states = propagate_exact(spec, acc.times)
         for i in range(len(acc.times)):
             assert trace_distance(estimate_density(acc)[i],
                                   states[i].rhoN) <= 5e-4  # O(dt) integrator
 
     def test_estimate_is_hermitian_unit_trace(self, benchmark_system):
-        acc = run_ensemble(benchmark_system, 64, 0.2, 1e-3, 50,
-                           options=loose(full_density=True, n_blocks=8))
+        acc = run_ensemble(benchmark_system, TimeGrid(0.2, 1e-3, 50),
+                           loose(m=64, full_density=True, n_blocks=8))
         est = estimate_density(acc)
         for rho in est:
             assert np.linalg.norm(rho - rho.conj().T) <= 1e-12
             assert abs(np.trace(rho) - 1.0) <= 1e-10
 
     def test_monitors(self, benchmark_system):
-        acc = run_ensemble(benchmark_system, 16, 0.2, 1e-3, 50,
-                           options=loose(n_blocks=4))
+        acc = run_ensemble(benchmark_system, TimeGrid(0.2, 1e-3, 50),
+                           loose(m=16, n_blocks=4))
         assert acc.max_trace_dev <= 1e-12
         assert acc.max_herm_dev == 0.0
         assert acc.count == 16
@@ -102,27 +103,27 @@ class TestRunEnsemble:
 
     def test_positivity_abort_default(self, benchmark_system):
         with pytest.raises(PositivityViolationError):
-            run_ensemble(benchmark_system, 8, 2.0, 1e-3, 100,
-                         master_seed=5, options=EnsembleOptions(n_blocks=2))
+            run_ensemble(benchmark_system, TimeGrid(2.0, 1e-3, 100),
+                         EnsembleParams(m=8, master_seed=5, n_blocks=2))
 
     def test_full_density_memory_gate(self, benchmark_system, monkeypatch):
         monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 1000)
         with pytest.raises(DimensionLimitError):
-            run_ensemble(benchmark_system, 8, 0.1, 1e-3, 1,
-                         options=loose(full_density=True))
+            run_ensemble(benchmark_system, TimeGrid(0.1, 1e-3, 1),
+                         loose(m=8, full_density=True))
 
     def test_duplicate_observables_rejected(self, benchmark_system):
         obs = (ObservableSpec("a", (SZ, None)), ObservableSpec("a", (None, SZ)))
         with pytest.raises(ConfigError):
-            run_ensemble(benchmark_system, 4, 0.01, 1e-3, 10, observables=obs,
-                         options=LOOSE)
+            run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
+                         loose(m=4), obs)
 
 
 class TestObservables:
     def test_identity_observable(self, benchmark_system):
         obs = (ObservableSpec("one", (None, None)),)
-        acc = run_ensemble(benchmark_system, 100, 0.2, 1e-3, 100,
-                           observables=obs, options=loose(n_blocks=10))
+        acc = run_ensemble(benchmark_system, TimeGrid(0.2, 1e-3, 100),
+                           loose(m=100, n_blocks=10), obs)
         est = estimate_product_observable(acc, "one")
         assert np.abs(est.mean - 1.0).max() <= 1e-12
         # stderr picks up roundoff-level trace scatter through the variance
@@ -143,9 +144,9 @@ class TestObservables:
     def test_estimator_identity_against_full_density(self, benchmark_system):
         obs = (ObservableSpec("sz0", (SZ, None)),
                ObservableSpec("szsz", (SZ, SZ)))
-        acc = run_ensemble(benchmark_system, 200, 0.3, 1e-3, 100,
-                           observables=obs, master_seed=9,
-                           options=loose(full_density=True, n_blocks=20))
+        acc = run_ensemble(benchmark_system, TimeGrid(0.3, 1e-3, 100),
+                           loose(m=200, master_seed=9, full_density=True,
+                                 n_blocks=20), obs)
         est = estimate_density(acc)
         for o in obs:
             full = o.full_matrix(benchmark_system.dims)
@@ -155,7 +156,8 @@ class TestObservables:
             assert np.abs(contracted - product).max() <= 1e-10
 
     def test_unknown_observable(self, benchmark_system):
-        acc = run_ensemble(benchmark_system, 4, 0.01, 1e-3, 10, options=LOOSE)
+        acc = run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
+                           loose(m=4))
         with pytest.raises(MissingDataError):
             estimate_product_observable(acc, "nope")
 
@@ -169,11 +171,10 @@ class TestMergeAndDeterminism:
         spec = two_spin_system()
         obs = (ObservableSpec("sz0", (SZ, None)),)
         return run_ensemble(
-            spec, m, 0.2, 1e-3, 50, observables=obs, master_seed=seed,
-            options=loose(full_density=True, n_blocks=8,
-                          worker_count=workers,
-                          recovery_refs=(np.array([1, 0], complex),
-                                         np.array([0, 1], complex))))
+            spec, TimeGrid(0.2, 1e-3, 50),
+            loose(m=m, master_seed=seed, full_density=True, n_blocks=8,
+                  worker_count=workers),
+            obs, (np.array([1, 0], complex), np.array([0, 1], complex)))
 
     def test_merge_identity_element(self):
         acc = self._run(32)
@@ -203,9 +204,9 @@ class TestMergeAndDeterminism:
 
     def test_split_merge_keeps_skips(self):
         # the default tolerance skips trajectories of this run
-        acc = run_ensemble(two_spin_system(), 32, 1.0, 1e-3, 100,
-                           options=EnsembleOptions(n_blocks=8,
-                                                   blowup_policy="skip"))
+        acc = run_ensemble(two_spin_system(), TimeGrid(1.0, 1e-3, 100),
+                           EnsembleParams(m=32, n_blocks=8,
+                                          blowup_policy="skip"))
         assert acc.positivity_skips
         halves = [restrict_to_blocks(acc, range(0, 3)),
                   restrict_to_blocks(acc, range(3, 8))]
@@ -225,14 +226,57 @@ class TestMergeAndDeterminism:
     def test_fingerprint_covers_positivity_tolerance(self):
         # the default tolerance skips every trajectory of this run, 1e9 none
         def run(**kw):
-            return run_ensemble(two_spin_system(), 32, 1.0, 1e-3, 100,
-                                options=EnsembleOptions(
-                                    n_blocks=8, blowup_policy="skip", **kw))
+            return run_ensemble(two_spin_system(), TimeGrid(1.0, 1e-3, 100),
+                                EnsembleParams(m=32, n_blocks=8,
+                                               blowup_policy="skip", **kw))
         strict, lax = run(), run(positivity_tol=1e9)
         assert len(strict.positivity_skips) > len(lax.positivity_skips)
         with pytest.raises(IncompatibleAccumulatorError):
             merge_accumulators(restrict_to_blocks(strict, range(0, 4)),
                                restrict_to_blocks(lax, range(4, 8)))
+
+    def test_fingerprint_covers_every_run_input(self):
+        spec = two_spin_system()
+        time = TimeGrid(0.02, 1e-3, 10)
+        ens = loose(m=4, master_seed=3, n_blocks=2)
+        obs = (ObservableSpec("sz0", (SZ, None)),)
+        refs = (np.array([1, 0], complex), np.array([0, 1], complex))
+
+        def fingerprint(time=time, observables=obs, refs=refs, **changes):
+            return run_ensemble(spec, time, dataclasses.replace(ens, **changes),
+                                observables, refs).fingerprint
+
+        # every field is varied, so a field added later must be added here
+        time_changes = {"t_final": 0.04, "dt": 5e-4, "record_stride": 5}
+        ensemble_changes = {"m": 5, "master_seed": 4, "n_blocks": 3,
+                            "full_density": True, "blowup_policy": "skip",
+                            "positivity_tol": 1e8}
+        assert set(time_changes) == {
+            f.name for f in dataclasses.fields(TimeGrid)}
+        assert set(ensemble_changes) | {"worker_count"} == {
+            f.name for f in dataclasses.fields(EnsembleParams)}
+
+        base = fingerprint()
+        for name, value in time_changes.items():
+            changed = dataclasses.replace(time, **{name: value})
+            assert fingerprint(time=changed) != base, name
+        for name, value in ensemble_changes.items():
+            assert fingerprint(**{name: value}) != base, name
+        for other in ((), (ObservableSpec("sz1", (SZ, None)),),
+                      (ObservableSpec("sz0", (None, SZ)),)):
+            assert fingerprint(observables=other) != base, other
+        assert fingerprint(refs=None) != base
+        assert fingerprint(refs=(refs[0], refs[0])) != base
+
+        # what does not change the results does not change the fingerprint
+        assert fingerprint(worker_count=2) == base
+        assert fingerprint(m=2, n_blocks=2) == fingerprint(m=2, n_blocks=9)
+        assert fingerprint(positivity_tol=None) == fingerprint(
+            positivity_tol=positivity_tolerance(time.dt, spec, time.t_final))
+
+    def test_fingerprint_reads_grid_numbers_as_floats(self):
+        assert (run_fingerprint(TimeGrid(1, 1e-3, 100))
+                == run_fingerprint(TimeGrid(1.0, 1e-3, 100)))
 
     def test_parts_report_their_own_deviations(self):
         acc = self._run(32)
@@ -273,16 +317,16 @@ class TestMergeAndDeterminism:
 
 class TestJackknife:
     def test_constant_statistic_has_zero_error(self, benchmark_system):
-        acc = run_ensemble(benchmark_system, 40, 0.1, 1e-3, 25,
-                           options=loose(full_density=True, n_blocks=8))
+        acc = run_ensemble(benchmark_system, TimeGrid(0.1, 1e-3, 25),
+                           loose(m=40, full_density=True, n_blocks=8))
         values, se = jackknife_density_scalar(acc, lambda rho, t: 1.0)
         assert np.all(values == 1.0)
         assert np.abs(se).max() == 0.0
 
     def test_oracle_distance_within_bands(self, benchmark_system):
-        acc = run_ensemble(benchmark_system, 400, 0.4, 1e-3, 100,
-                           master_seed=17,
-                           options=loose(full_density=True, n_blocks=20))
+        acc = run_ensemble(benchmark_system, TimeGrid(0.4, 1e-3, 100),
+                           loose(m=400, master_seed=17, full_density=True,
+                                 n_blocks=20))
         states = propagate_exact(benchmark_system, acc.times)
         td, se = jackknife_density_scalar(
             acc, lambda rho, t: trace_distance(rho, states[t].rhoN))
@@ -291,7 +335,8 @@ class TestJackknife:
         assert np.all(td[1:] <= 5 * se[1:] + 1e-13)
 
     def test_requires_full_density(self, benchmark_system):
-        acc = run_ensemble(benchmark_system, 8, 0.01, 1e-3, 10, options=LOOSE)
+        acc = run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
+                           loose(m=8))
         with pytest.raises(MissingDataError):
             jackknife_density_scalar(acc, lambda rho, t: 0.0)
         with pytest.raises(MissingDataError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snbd.ensemble import EnsembleOptions, run_ensemble
+from snbd.ensemble import EnsembleParams, run_ensemble
 from snbd.errors import (
     DegenerateReferenceError,
     GridError,
@@ -10,6 +10,7 @@ from snbd.errors import (
 )
 from snbd.linalg import herm_eig
 from snbd.oracle import initial_pure_vector, propagate_exact
+from snbd.propagator import TimeGrid
 from snbd.recovery import (
     autocorrelation_spectrum,
     compute_phase,
@@ -27,11 +28,11 @@ from conftest import DOWN, UP, free_two_spin_system
 
 
 def run_with_recovery(spec, m, t_final, dt, stride, seed=0, n_blocks=10):
-    refs = default_reference_vectors(spec)
     return run_ensemble(
-        spec, m, t_final, dt, stride, master_seed=seed,
-        options=EnsembleOptions(n_blocks=n_blocks, positivity_tol=1e9,
-                                recovery_refs=refs))
+        spec, TimeGrid(t_final, dt, stride),
+        EnsembleParams(m=m, master_seed=seed, n_blocks=n_blocks,
+                       positivity_tol=1e9),
+        refs=default_reference_vectors(spec))
 
 
 class TestRawRecovery:
@@ -55,8 +56,8 @@ class TestRawRecovery:
             assert np.abs(row - phi_tilde[0]).max() <= 1e-13
 
     def test_missing_registration(self, benchmark_system):
-        acc = run_ensemble(benchmark_system, 4, 0.01, 1e-3, 10,
-                           options=EnsembleOptions(positivity_tol=1e9))
+        acc = run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
+                           EnsembleParams(m=4, positivity_tol=1e9))
         with pytest.raises(MissingDataError):
             recover_raw_vector(acc)
 
@@ -64,8 +65,8 @@ class TestRawRecovery:
         # reference orthogonal to the initial state: t=0 recovery annihilates
         refs = (np.array([0, 1], complex), np.array([0, 1], complex))
         acc = run_ensemble(
-            benchmark_system, 4, 0.01, 1e-3, 10,
-            options=EnsembleOptions(positivity_tol=1e9, recovery_refs=refs))
+            benchmark_system, TimeGrid(0.01, 1e-3, 10),
+            EnsembleParams(m=4, positivity_tol=1e9), refs=refs)
         with pytest.raises(DegenerateReferenceError):
             recover_raw_vector(acc)
 
