@@ -223,8 +223,8 @@ def cmd_compare(cfg, writer, reporter):
         def fidelity(record):
             return np.abs(np.sum(oracle_psi.conj() * record.psi, axis=1))
 
-        fid, fid_se = jackknife_recovery(acc, cfg.system, fidelity)
         record = recover(acc, cfg.system)
+        fid, fid_se = jackknife_recovery(acc, cfg.system, fidelity, record)
         _write_recovery(writer, cfg, record)
         header += ["fidelity", "fidelity_se"]
         columns += [fid, fid_se]

@@ -75,7 +75,10 @@ def _expect(data, path, kind, what):
 def _read_number(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
-    return float(v)
+    v = float(v)
+    if np.isnan(v):
+        _fail(path, "expected a number, got NaN")
+    return v
 
 
 def _read_int(v, path, minimum):

@@ -5,11 +5,13 @@ downstream: per-trajectory products for observables, tensor products of
 the one-body densities (optional, desk-scale validation only), and the
 reference-vector contractions used for wavefunction recovery.
 
-Trajectories are grouped into fixed blocks.  A block is simultaneously
-the unit of work handed to a worker, the unit of vectorized propagation,
-and the resampling unit for jackknife error bars; block boundaries depend
-only on (M, n_blocks), so results are bitwise independent of the worker
-count and of how a run is split and merged.
+Trajectories are grouped into fixed blocks, the resampling unit of the
+jackknife error bars and the unit of merging and splitting; block
+boundaries depend only on (M, n_blocks).  Consecutive blocks are
+propagated together, as one lockstep batch of up to ``LOCKSTEP_WIDTH``
+trajectories, and each block's sums are reduced from its own slice of the
+batch, so results are bitwise independent of that grouping, of the
+worker count and of how a run is split and merged.
 """
 
 import hashlib
@@ -32,6 +34,10 @@ from .system import SystemSpec, embed
 
 #: Cap on the memory of the optional full-density accumulation.
 DEFAULT_MEMORY_LIMIT = 512 * 1024 * 1024
+
+#: Trajectories one propagate_block call steps together, at most: a run of
+#: whole consecutive blocks (one block when a block alone is wider).
+LOCKSTEP_WIDTH = 512
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class EnsembleParams:
     m: int = 1
     master_seed: int = 0
     worker_count: int = 1
-    n_blocks: int = 50              # jackknife / work / batch units
+    n_blocks: int = 50              # jackknife / merge units
     full_density: bool = False
     blowup_policy: str = "abort"    # one of propagator.BLOWUP_POLICIES
     positivity_tol: float = None    # None: propagator.positivity_tolerance(dt, spec, t_final)
@@ -100,6 +106,21 @@ def block_edges(m: int, n_blocks: int) -> np.ndarray:
     base, extra = divmod(m, n_blocks)
     sizes = [base + (1 if b < extra else 0) for b in range(n_blocks)]
     return np.concatenate([[0], np.cumsum(sizes)])
+
+
+def block_runs(edges, worker_count: int) -> list:
+    """Runs of consecutive blocks propagated as one batch: (first, stop)
+    block ranges of equal length, the last one shorter.
+
+    A run holds as many blocks as fit in ``LOCKSTEP_WIDTH`` trajectories,
+    at least one, and there are at least min(worker_count, n_blocks) runs
+    so that every worker gets one.
+    """
+    n_blocks = len(edges) - 1
+    widest = int(np.diff(edges).max())
+    per_run = max(1, min(LOCKSTEP_WIDTH // widest, n_blocks // worker_count))
+    return [(b, min(b + per_run, n_blocks))
+            for b in range(0, n_blocks, per_run)]
 
 
 def _digest_form(x):
@@ -234,59 +255,77 @@ def _batched_refvec(rhos_by_particle, refs) -> np.ndarray:
     return out
 
 
-def _block_task(spec, time, ensemble, start, count, obs_stacks, refs):
-    """Propagate trajectories [start, start + count) (worker-safe).
+def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
+    """Propagate the trajectories of a run of consecutive blocks, whose
+    boundaries are ``edges``, as one batch (worker-safe).
 
-    ``ensemble.positivity_tol`` must be resolved.  Returns the block's
-    row of BLOCK_SUMS (None for a sum the run does not keep) and its two
-    skip lists.
+    ``ensemble.positivity_tol`` must be resolved.  Returns the run's rows
+    of BLOCK_SUMS, block axis first (None for a sum the run does not
+    keep), and its two skip lists.
     """
     n = spec.n_particles
     full_dim = spec.full_dim
     n_obs = obs_stacks[0].shape[0] if obs_stacks else 0
     n_times = len(time.times)
+    start, count = int(edges[0]), int(edges[-1] - edges[0])
+    slices = [slice(int(a - start), int(b - start))
+              for a, b in zip(edges[:-1], edges[1:])]
+    rows = len(slices)
 
-    counts = np.zeros(n_times, dtype=np.int64)
-    obs_sum = np.zeros((n_obs, n_times), dtype=complex)
-    obs_sq = np.zeros((n_obs, n_times))
-    rho_sum = (np.zeros((n_times, full_dim, full_dim), dtype=complex)
+    counts = np.zeros((rows, n_times), dtype=np.int64)
+    obs_sum = np.zeros((rows, n_obs, n_times), dtype=complex)
+    obs_sq = np.zeros((rows, n_obs, n_times))
+    rho_sum = (np.zeros((rows, n_times, full_dim, full_dim), dtype=complex)
                if ensemble.full_density else None)
-    vec_sum = (np.zeros((n_times, full_dim), dtype=complex)
+    vec_sum = (np.zeros((rows, n_times, full_dim), dtype=complex)
                if refs is not None else None)
-    min_eig = np.full((n_times, n), np.inf)
+    min_eig = np.full((rows, n_times, n), np.inf)
 
     def on_record(r, t, rhos, active, mins):
-        counts[r] = int(active.sum())
+        for j, sl in enumerate(slices):
+            counts[j, r] = int(active[sl].sum())
         if not active.any():
             return
         # inactive (diverged) trajectories still sit in the batch; their
-        # entries may overflow but are masked out of every sum
+        # entries may overflow but are masked out of every sum.  The
+        # per-trajectory products are formed once over the whole batch,
+        # and each block sums its own slice, as it would alone.
         with np.errstate(over="ignore", invalid="ignore"):
             if n_obs:
                 vals = np.ones((count, n_obs), dtype=complex)
                 for k in range(n):
                     vals *= np.einsum("aij,bji->ba", obs_stacks[k], rhos[k])
-                kept = vals[active]
-                obs_sum[:, r] = kept.sum(axis=0)
-                obs_sq[:, r] = (kept.real ** 2 + kept.imag ** 2).sum(axis=0)
-            if ensemble.full_density:
-                rho_sum[r] = _batched_kron(rhos)[active].sum(axis=0)
-            if refs is not None:
-                vec_sum[r] = _batched_refvec(rhos, refs)[active].sum(axis=0)
-        min_eig[r] = mins[active].min(axis=0)
+            kron = _batched_kron(rhos) if ensemble.full_density else None
+            vec = _batched_refvec(rhos, refs) if refs is not None else None
+            for j, sl in enumerate(slices):
+                if not counts[j, r]:
+                    continue
+                keep = active[sl]
+                if n_obs:
+                    kept = vals[sl][keep]
+                    obs_sum[j, :, r] = kept.sum(axis=0)
+                    obs_sq[j, :, r] = (kept.real ** 2
+                                       + kept.imag ** 2).sum(axis=0)
+                if kron is not None:
+                    rho_sum[j, r] = kron[sl][keep].sum(axis=0)
+                if vec is not None:
+                    vec_sum[j, r] = vec[sl][keep].sum(axis=0)
+                min_eig[j, r] = mins[sl][keep].min(axis=0)
 
     stats = propagate_block(
         spec, ensemble.master_seed, start, count, time.t_final, time.dt,
         time.record_stride, on_record,
         positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy)
-    row = dict(launched=count, counts=counts, obs_sum=obs_sum, obs_sq=obs_sq,
-               rho_sum=rho_sum, vec_sum=vec_sum, min_eig=min_eig,
-               trace_dev=stats.max_trace_dev, herm_dev=stats.max_herm_dev)
-    return row, stats.blowups, stats.positivity_skips
+    sums = dict(launched=np.diff(edges), counts=counts, obs_sum=obs_sum,
+                obs_sq=obs_sq, rho_sum=rho_sum, vec_sum=vec_sum,
+                min_eig=min_eig,
+                trace_dev=np.array([stats.trace_dev[sl].max() for sl in slices]),
+                herm_dev=np.array([stats.herm_dev[sl].max() for sl in slices]))
+    return sums, stats.blowups, stats.positivity_skips
 
 
-def _block_results(tasks, worker_count):
-    """_block_task over tasks, yielded in block order as they are needed."""
+def _run_results(tasks, worker_count):
+    """_block_task over tasks, yielded in run order as they are needed."""
     if worker_count > 1:
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
             yield from pool.map(_block_task, *zip(*tasks))
@@ -312,10 +351,12 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
 
     edges = block_edges(ensemble.m, ensemble.n_blocks)
     n_blocks = len(edges) - 1
+    runs = block_runs(edges, ensemble.worker_count)
     if ensemble.full_density:
-        # the accumulator's n_blocks rows plus the one block being filled
+        # the accumulator's n_blocks rows plus the rows of the run being filled
         per_matrix = spec.full_dim ** 2 * 16
-        total = per_matrix * len(times) * (n_blocks + 1)
+        held = n_blocks + max(stop - first for first, stop in runs)
+        total = per_matrix * len(times) * held
         if total > DEFAULT_MEMORY_LIMIT:
             raise DimensionLimitError(
                 f"full-density accumulation needs ~{total // (1 << 20)} MiB, "
@@ -346,26 +387,23 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     # beyond M and an unset tolerance mean what they resolve to
     resolved = replace(ensemble, worker_count=1, n_blocks=n_blocks,
                        positivity_tol=float(positivity_tol))
-    tasks = [
-        (spec, time, resolved, int(edges[b]), int(edges[b + 1] - edges[b]),
-         obs_stacks, refs)
-        for b in range(n_blocks)
-    ]
+    tasks = [(spec, time, resolved, edges[first:stop + 1], obs_stacks, refs)
+             for first, stop in runs]
     sums, blowups, positivity_skips = None, (), ()
-    for b, (row, blown, skipped) in enumerate(
-            _block_results(tasks, ensemble.worker_count)):
+    for (first, stop), (run_sums, blown, skipped) in zip(
+            runs, _run_results(tasks, ensemble.worker_count)):
         if sums is None:
             sums = {
                 name: None if value is None else np.full(
-                    (n_blocks,) + np.shape(value), BLOCK_SUMS[name][0],
-                    dtype=np.result_type(value))
-                for name, value in row.items()}
-        for name, value in row.items():
+                    (n_blocks,) + value.shape[1:], BLOCK_SUMS[name][0],
+                    dtype=value.dtype)
+                for name, value in run_sums.items()}
+        for name, value in run_sums.items():
             if value is not None:
-                sums[name][b] = value
+                sums[name][first:stop] = value
         blowups += blown
         positivity_skips += skipped
-        del row  # free before the next block runs: the memory gate counts one
+        del run_sums  # free before the next run: the memory gate counts one
 
     return EnsembleAccumulator(
         fingerprint=run_fingerprint(spec, time, resolved, observables, refs),
@@ -469,20 +507,23 @@ def estimate_product_observable(acc: EnsembleAccumulator,
                               stderr=stderr, mean_imag=mean_c.imag)
 
 
-def jackknife_blocks(acc: EnsembleAccumulator, sums, statistic):
+def jackknife_blocks(acc: EnsembleAccumulator, sums, statistic, values=None):
     """Delete-one-block jackknife of a statistic of block sums.
 
     ``sums`` holds per-block data, block axis first.  ``statistic(total,
     m) -> (T,) array`` maps their sum over a set of blocks and the (T,)
     active-trajectory counts of those blocks to one value per recorded
-    time; it is evaluated on all blocks and on every leave-one-block-out
-    set.  Returns (values, standard errors).
+    time; it is evaluated on every leave-one-block-out set, and on all
+    blocks unless the caller passes that value as ``values``.  Returns
+    (values, standard errors).
     """
     total = sums.sum(axis=0)
     m = acc.counts.sum(axis=0).astype(float)
     if (m == 0).any():
         raise MissingDataError("no active trajectories at some recorded time")
-    values = np.asarray(statistic(total, m), dtype=float)
+    if values is None:
+        values = statistic(total, m)
+    values = np.asarray(values, dtype=float)
     used = np.nonzero(acc.launched > 0)[0]
     if len(used) < 2:
         return values, np.zeros_like(values)

@@ -2,7 +2,21 @@
 
 
 class SnbdError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Pickled by its state, not by its constructor's arguments, so that an
+    error raised in a pool worker reaches the caller as itself.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args, state):
+    err = cls.__new__(cls)
+    err.args = args
+    err.__dict__.update(state)
+    return err
 
 
 class ShapeError(SnbdError):

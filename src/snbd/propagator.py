@@ -23,7 +23,9 @@ t = 0, and never again.
 
 ``propagate_block`` is the only code that advances densities: it steps a
 batch of trajectories in lockstep, with the particles of each dimension
-stacked into one array, and a single trajectory is a batch of one.
+stacked into one array, and a single trajectory is a batch of one.  How
+many trajectories one call steps together changes no result: every
+operation of a step acts on each trajectory's own rows.
 
 Per-trajectory randomness comes from counter-based Philox streams keyed
 by (master seed, trajectory index), so any trajectory can be reproduced
@@ -48,6 +50,7 @@ More trajectories or a finer step do not remove it; keep |omega| * t
 below that onset when the estimate must match the exact dynamics.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +69,9 @@ MAX_STEPS = 100_000_000
 #: Absolute floor added to the dt-scaled positivity tolerance (roundoff).
 POSITIVITY_FLOOR = 1e-12
 
-#: Steps of noise pre-drawn per trajectory in the batched driver.
-NOISE_CHUNK_STEPS = 1000
+#: Bytes of noise pre-drawn at a time by the batched driver: the chunk
+#: holds as many steps of every trajectory of the batch as fit (at least one).
+NOISE_CHUNK_BYTES = 2 * 1024 * 1024
 
 #: Steps between divergence checks in the batched driver.
 CHECK_STRIDE = 25
@@ -152,6 +156,10 @@ def sample_increments(rng, p: int, n_particles: int, dt: float) -> np.ndarray:
     with k < l; each is (mu + i nu) sqrt(dt/2) with mu, nu standard
     normal, giving E[dalpha* dalpha] = dt and E[dalpha dalpha] = 0; the
     generator advances deterministically.
+
+    The driver draws many steps at once (``_draw_noise_chunk``); this
+    one-step draw is kept as the literal reference that chunked draw is
+    tested against, bit for bit, and as the noise of the moment checks.
     """
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
@@ -202,6 +210,9 @@ class TimeGrid:
         t_final, dt = float(self.t_final), float(self.dt)
         object.__setattr__(self, "t_final", t_final)
         object.__setattr__(self, "dt", dt)
+        if not (math.isfinite(t_final) and math.isfinite(dt)):
+            raise ConfigError(
+                f"t_final and dt must be finite, got {t_final} and {dt}")
         if dt <= 0:
             raise ConfigError(f"dt must be positive, got {dt}")
         if t_final < dt:
@@ -274,12 +285,25 @@ def propagate_trajectory(spec: SystemSpec, t_final: float, dt: float,
 
 @dataclass
 class BlockStats:
-    """Diagnostics from one propagated block of trajectories."""
+    """Diagnostics from one propagated block of trajectories.
 
-    max_trace_dev: float = 0.0
-    max_herm_dev: float = 0.0
-    blowups: tuple = ()
-    positivity_skips: tuple = ()
+    ``trace_dev`` and ``herm_dev`` hold each trajectory's largest
+    |Tr rho_k - 1| and |rho_k - rho_k^dag| while it was active; a skipped
+    trajectory reads 0.
+    """
+
+    trace_dev: np.ndarray   # (count,)
+    herm_dev: np.ndarray    # (count,)
+    blowups: tuple
+    positivity_skips: tuple
+
+    @property
+    def max_trace_dev(self) -> float:
+        return float(self.trace_dev.max(initial=0.0))
+
+    @property
+    def max_herm_dev(self) -> float:
+        return float(self.herm_dev.max(initial=0.0))
 
 
 @dataclass
@@ -319,11 +343,18 @@ def _dim_groups(spec: SystemSpec, count: int, dt: float, obar_c: np.ndarray):
 
 
 def _draw_noise_chunk(rngs, n_steps, p, npairs, dt):
-    """Per-trajectory sequential draws; stream-identical to per-step calls."""
+    """``n_steps`` steps of increments per trajectory, (B, n_steps, p, npairs).
+
+    Each stream fills its trajectory's rows in place through the float
+    view of the complex chunk (real and imaginary parts interleaved, as
+    ``sample_increments`` pairs them), and one scaling by sqrt(dt/2)
+    follows; the result is bitwise that of n_steps one-step draws.
+    """
     out = np.empty((len(rngs), n_steps, p, npairs), dtype=complex)
-    for b, rng in enumerate(rngs):
-        raw = rng.standard_normal(size=(n_steps, p, npairs, 2))
-        out[b] = _raw_to_increments(raw, dt)
+    normals = out.view(np.float64)
+    for rng, rows in zip(rngs, normals):
+        rng.standard_normal(out=rows)
+    normals *= np.sqrt(dt / 2.0)
     return out
 
 
@@ -339,7 +370,9 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     still-active trajectories, and the per-trajectory minimum eigenvalue
     of each density.  Each trajectory consumes its own
     Philox stream, so results are independent of how trajectories are
-    grouped into blocks or distributed over workers.
+    grouped into blocks or distributed over workers.  The noise is drawn
+    in chunks of at most ``NOISE_CHUNK_BYTES`` (one step when a single
+    step of the batch is larger).
 
     ``policy`` is "abort" (raise on the first NaN/Inf or positivity
     violation, at the recording time where it is detected) or "skip"
@@ -373,6 +406,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     plus, minus = (np.ascontiguousarray(a[:, order]) for a in pair_projectors(n))
 
     rngs = [trajectory_rng(master_seed, start + b) for b in range(count)]
+    chunk_steps = max(1, NOISE_CHUNK_BYTES // max(1, 16 * count * p * npairs))
     active = np.ones(count, dtype=bool)
     trace_dev = np.zeros(count)
     herm_dev = np.zeros(count)
@@ -432,7 +466,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     # intermediate overflow arithmetic is expected under the skip policy
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
-            chunk = min(NOISE_CHUNK_STEPS, n_steps - step)
+            chunk = min(chunk_steps, n_steps - step)
             dal = _draw_noise_chunk(rngs, chunk, p, npairs, dt)
             for i in range(chunk):
                 zw = z * _particle_sums(dal[:, i], plus, minus)
@@ -456,15 +490,15 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                     record(r_index, times[r_index])
                 elif step % CHECK_STRIDE == 0:
                     flag_blowups(step * dt, current_rhos())
+            del dal  # the next chunk is drawn without this one alive
 
-    max_tr = float(trace_dev[active].max()) if active.any() else 0.0
-    max_hd = float(herm_dev[active].max()) if active.any() else 0.0
-    if max_tr > TRACE_TRIPWIRE:
+    trace_dev[~active] = 0.0
+    herm_dev[~active] = 0.0
+    stats = BlockStats(trace_dev=trace_dev, herm_dev=herm_dev,
+                       blowups=tuple(blowups),
+                       positivity_skips=tuple(pos_skips))
+    if stats.max_trace_dev > TRACE_TRIPWIRE:
         raise TrajectoryBlowupError(
-            t=t_final, detail=f"trace drift {max_tr:.3e} above trip-wire")
-    return BlockStats(
-        max_trace_dev=max_tr,
-        max_herm_dev=max_hd,
-        blowups=tuple(blowups),
-        positivity_skips=tuple(pos_skips),
-    )
+            t=t_final,
+            detail=f"trace drift {stats.max_trace_dev:.3e} above trip-wire")
+    return stats

@@ -184,13 +184,15 @@ def recover(acc: EnsembleAccumulator, spec: SystemSpec) -> RecoveryRecord:
     return _recover(acc.times, phi_tilde, assemble_full_hamiltonian(spec), psi0)
 
 
-def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn):
+def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn,
+                       full: RecoveryRecord = None):
     """Delete-one-block jackknife of a per-time functional of the recovery.
 
     ``fn(record) -> (T,) array`` is evaluated on the full recovery and on
     every leave-one-block-out recovery (the whole pipeline, phase
-    included, is recomputed per replicate).  Returns (values, standard
-    errors).
+    included, is recomputed per replicate).  ``full`` is the full
+    recovery, ``recover(acc, spec)``, when the caller has it already.
+    Returns (values, standard errors).
     """
     if acc.vec_sum is None:
         raise MissingDataError(
@@ -198,7 +200,8 @@ def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn):
     psi0 = initial_pure_vector(spec)
     h = assemble_full_hamiltonian(spec)
     return jackknife_blocks(acc, acc.vec_sum, lambda total, m: fn(
-        _recover(acc.times, _mean_vector(acc.times, total, m), h, psi0)))
+        _recover(acc.times, _mean_vector(acc.times, total, m), h, psi0)),
+        None if full is None else fn(full))
 
 
 def autocorrelation_spectrum(psi_series, t_grid, *, window: bool = False,

@@ -298,6 +298,27 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
 
+    def test_abort_in_a_pool_of_lockstep_runs(self, tmp_path, capsys):
+        # two runs of four blocks on two workers; the first violation in
+        # the run that holds it stops the whole ensemble
+        out = tmp_path / "out"
+        data = tiny_config(out, m=64, t_final=2.0, workers=2)
+        data["time"]["record_stride"] = 200
+        data["ensemble"]["blowup_policy"] = "abort"
+        data["ensemble"]["positivity_tol"] = 0.04
+        p = self._write(tmp_path, data)
+        assert main(["run", "--config", str(p), "--quiet"]) == EXIT_TRAJECTORY
+        assert "trajectory" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+
+    @pytest.mark.parametrize("override", [
+        "--time.dt=NaN", "--time.t_final=Infinity",
+        "--ensemble.positivity_tol=NaN"])
+    def test_non_finite_numbers_exit2(self, override):
+        assert main(["validate", "--config", str(FIXTURE), override,
+                     "--quiet"]) == EXIT_CONFIG
+
     def test_env_dimension_limit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNBD_MAX_DIM", "2")
         p = self._write(tmp_path, tiny_config(tmp_path / "out"))

@@ -11,6 +11,7 @@ from snbd.ensemble import (
     EnsembleParams,
     ObservableSpec,
     block_edges,
+    block_runs,
     estimate_density,
     estimate_product_observable,
     jackknife_density_scalar,
@@ -57,6 +58,53 @@ class TestBlockLayout:
         with pytest.raises(ConfigError):
             run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
                          loose(m=4, n_blocks=0))
+
+
+class TestLockstep:
+    """Runs of consecutive blocks propagated as one batch."""
+
+    def test_run_layout(self):
+        assert block_runs(block_edges(2000, 40), 1) == [
+            (0, 10), (10, 20), (20, 30), (30, 40)]
+        assert block_runs(block_edges(400, 4), 2) == [(0, 2), (2, 4)]
+        assert block_runs(block_edges(400, 8), 1) == [(0, 8)]
+        # at least min(worker_count, n_blocks) runs
+        assert len(block_runs(block_edges(10, 5), 4)) == 5
+        assert block_runs(block_edges(3, 3), 8) == [(0, 1), (1, 2), (2, 3)]
+        # a block wider than LOCKSTEP_WIDTH runs alone
+        assert block_runs(block_edges(5000, 2), 1) == [(0, 1), (1, 2)]
+
+    def _run(self, workers):
+        return run_ensemble(
+            two_spin_system(), TimeGrid(1.0, 1e-3, 100),
+            EnsembleParams(m=48, master_seed=3, n_blocks=12,
+                           worker_count=workers, full_density=True,
+                           blowup_policy="skip", positivity_tol=1.0),
+            (ObservableSpec("sz0", (SZ, None)),
+             ObservableSpec("szsz", (SZ, SZ))),
+            (np.array([1, 0], complex), np.array([0, 1], complex)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runs_match_one_block_per_run(self, workers, monkeypatch):
+        lockstep = self._run(workers)
+        runs = block_runs(lockstep.edges, workers)
+        assert len(runs) == workers
+        # the skips fall in blocks inside a run, neither first nor last
+        interior = {b for first, stop in runs for b in range(first + 1, stop - 1)}
+        owners = np.searchsorted(lockstep.edges, lockstep.positivity_skips,
+                                 side="right") - 1
+        assert len(owners) and set(owners) <= interior
+
+        monkeypatch.setattr(snbd.ensemble, "LOCKSTEP_WIDTH", 1)
+        assert block_runs(lockstep.edges, workers) == [
+            (b, b + 1) for b in range(12)]
+        single = self._run(workers)
+        for name in BLOCK_SUMS:
+            assert np.array_equal(getattr(lockstep, name),
+                                  getattr(single, name)), name
+        assert lockstep.blowups == single.blowups
+        assert lockstep.positivity_skips == single.positivity_skips
+        assert lockstep.fingerprint == single.fingerprint
 
 
 class TestRunEnsemble:

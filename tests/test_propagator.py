@@ -150,6 +150,19 @@ def zero_noise(monkeypatch):
     monkeypatch.setattr(propagator, "_draw_noise_chunk", zero_draw)
 
 
+def record_noise_chunks(monkeypatch):
+    """Keep every noise chunk the driver draws, in order, in the list returned."""
+    chunks = []
+    draw = propagator._draw_noise_chunk
+
+    def recording(*args):
+        chunks.append(draw(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(propagator, "_draw_noise_chunk", recording)
+    return chunks
+
+
 class TestNoise:
     def test_pair_indexing(self):
         assert pair_count(4) == 6
@@ -207,16 +220,32 @@ class TestNoise:
         assert np.abs(plain_mom).max() <= 5 * se
         assert np.abs(vals.mean(axis=0)).max() <= 5 * np.sqrt(dt / 2 / n) * 2
 
-    def test_chunked_draw_matches_per_step(self):
-        # the batched driver's chunked noise must be stream-identical to
-        # repeated one-step draws from the same generator
-        a = trajectory_rng(9, 7)
-        b = trajectory_rng(9, 7)
-        per_step = np.stack([
-            sample_increments(a, p=3, n_particles=3, dt=0.1)
-            for _ in range(20)])
-        chunk = _raw_to_increments(b.standard_normal((20, 3, 3, 2)), 0.1)
-        assert np.array_equal(per_step, chunk)
+    def test_chunked_draw_matches_per_step(self, monkeypatch):
+        # the noise the driver draws, in budget-limited chunks with a
+        # partial last one, is bitwise each trajectory's one-step draws
+        spec = interleaved_system()
+        p, npairs, count, n_steps, dt = 2, 3, 3, 10, 1e-3
+        step_bytes = 16 * count * p * npairs
+        monkeypatch.setattr(propagator, "NOISE_CHUNK_BYTES", 4 * step_bytes + 8)
+        chunks = record_noise_chunks(monkeypatch)
+        propagate_block(spec, 9, 2, count, n_steps * dt, dt, n_steps,
+                        lambda *_: None, positivity_tol=np.inf)
+        assert [c.shape[1] for c in chunks] == [4, 4, 2]
+        drawn = np.concatenate(chunks, axis=1)
+        for j in range(count):
+            rng = trajectory_rng(9, 2 + j)
+            per_step = np.stack([sample_increments(rng, p, 3, dt)
+                                 for _ in range(n_steps)])
+            assert np.array_equal(drawn[j], per_step)
+
+    def test_wide_block_chunks_stay_within_budget(self, benchmark_system,
+                                                  monkeypatch):
+        chunks = record_noise_chunks(monkeypatch)
+        propagate_block(benchmark_system, 1, 0, 600, 0.4, 1e-3, 400,
+                        lambda *_: None, positivity_tol=np.inf, policy="skip")
+        assert len(chunks) > 1
+        assert sum(c.shape[1] for c in chunks) == 400
+        assert max(c.nbytes for c in chunks) <= propagator.NOISE_CHUNK_BYTES
 
     def test_determinism(self):
         x = sample_increments(trajectory_rng(1, 2), 2, 2, 0.1)
