@@ -26,7 +26,15 @@ from snbd.propagator import (
     sqrt_noise_factors,
     trajectory_rng,
 )
-from snbd.system import InteractionTerm, ParticleSpec, SystemSpec
+from snbd.system import (
+    InteractionTerm,
+    ParticleSpec,
+    SystemSpec,
+    assemble_full_hamiltonian,
+    decompose_pair_interaction,
+    shared_interaction_terms,
+    swap_operator,
+)
 
 from conftest import (
     DOWN,
@@ -35,6 +43,7 @@ from conftest import (
     UP,
     free_two_spin_system,
     random_density,
+    random_hermitian,
     random_hermitian,
 )
 
@@ -343,6 +352,114 @@ class TestEmStep:
                                  rng_seed=(0, 0), positivity_tol=np.inf)
 
 
+# ---------------------------------------------------------------------------
+# the mean step, averaged exactly over the noise
+# ---------------------------------------------------------------------------
+
+class NodeStream:
+    """Stand-in for trajectory ``index``'s Philox stream: its standard
+    normals are the +-1 signs of the bits of ``index``, one bit per real
+    noise coordinate of the (single) step."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def standard_normal(self, out):
+        bits = (self.index >> np.arange(out.size)) & 1
+        out[...] = (1.0 - 2.0 * bits).reshape(out.shape)
+
+
+def mean_product(rhos):
+    """(1/B) sum_b rho_1[b] (x) ... (x) rho_N[b] from per-particle stacks."""
+    out = rhos[0]
+    for nxt in rhos[1:]:
+        b, m, n = len(out), out.shape[1], nxt.shape[1]
+        out = np.einsum("bij,bkl->bikjl", out, nxt).reshape(b, m * n, m * n)
+    return out.mean(axis=0)
+
+
+def random_terms(rng, dims, n_terms):
+    return tuple(
+        InteractionTerm(omega=omega,
+                        ops=tuple(random_hermitian(rng, d, 0.5) for d in dims))
+        for omega in rng.uniform(-0.5, 0.5, n_terms))
+
+
+def random_system(seed, dims, n_terms):
+    rng = np.random.default_rng(seed)
+    return SystemSpec(
+        particles=tuple(ParticleSpec(dim=d, h=random_hermitian(rng, d))
+                        for d in dims),
+        terms=random_terms(rng, dims, n_terms),
+        initial=tuple(random_density(rng, d) for d in dims))
+
+
+def exchange_system(seed):
+    """Two spin-1/2 with random fields and a random exchange-symmetric
+    pair matrix, decomposed into its four product terms."""
+    rng = np.random.default_rng(seed)
+    s = swap_operator(2)
+    v = random_hermitian(rng, 4)
+    particles = tuple(ParticleSpec(dim=2, h=random_hermitian(rng, 2))
+                      for _ in range(2))
+    terms = shared_interaction_terms(
+        decompose_pair_interaction(0.5 * (v + s @ v @ s), 2), particles)
+    return SystemSpec(particles=particles, terms=terms,
+                      initial=tuple(random_density(rng, 2) for _ in range(2)))
+
+
+class TestGenerator:
+    """One step's mean of the N-fold product is the exact N-body generator.
+
+    Each real noise coordinate enters each rho_k' affinely and reaches
+    two particles, so it enters the product rho_1' (x) ... (x) rho_N' at
+    most quadratically: the full +-1 factorial design over the
+    2 p N(N-1)/2 coordinates reproduces the Gaussian average exactly.
+    The design's nodes run through propagate_block as trajectories, one
+    per node; the driver's own draw scales them by sqrt(dt/2).  The mean
+    minus rho_N is then a polynomial of degree N in dt without constant
+    term, fitted exactly from N step sizes; its linear coefficient must
+    be -i [H, rho_N] with H the full Hamiltonian.
+
+    The bound is roundoff: entries of order 1, mean products summed
+    pairwise over at most 2^12 nodes (about 64 eps each), divided by
+    step sizes of order 0.1 through fit weights whose absolute sum is at
+    most 50 (N = 3): about 7e-13 on a generator of order 1.
+    """
+
+    BOUND = 1e-12
+    STEPS = (0.1, 0.2, 0.3)
+
+    def linear_coefficient(self, spec, monkeypatch):
+        monkeypatch.setattr(propagator, "trajectory_rng",
+                            lambda seed, index: NodeStream(index))
+        n = spec.n_particles
+        nodes = 2 ** (2 * len(spec.terms) * pair_count(n))
+        hs = self.STEPS[:n]
+        lifts = []
+        for h in hs:
+            frames, _ = collect(spec, 0, 0, nodes, h, h, 1,
+                                positivity_tol=np.inf)
+            rho_n = mean_product([r[:1] for r in frames[0][1]])
+            lifts.append(mean_product(frames[1][1]) - rho_n)
+        fit = np.array([[h ** j for j in range(1, n + 1)] for h in hs])
+        coeffs = np.linalg.solve(fit, np.reshape(lifts, (n, -1)))
+        return coeffs[0].reshape(rho_n.shape), rho_n
+
+    @pytest.mark.parametrize("spec", [
+        exchange_system(41),
+        random_system(42, (2, 3), 4),
+        interleaved_system(),
+        random_system(43, (2, 2, 2), 1),
+    ], ids=["(2,2)", "(2,3)", "(2,3,2)", "N=3 one term"])
+    def test_linear_term_is_exact_generator(self, spec, monkeypatch):
+        slope, rho_n = self.linear_coefficient(spec, monkeypatch)
+        h = assemble_full_hamiltonian(spec)
+        exact = -1j * (h @ rho_n - rho_n @ h)
+        scale = max(1.0, np.abs(exact).max())
+        assert np.abs(slope - exact).max() <= self.BOUND * scale
+
+
 class TestPropagateTrajectory:
     def test_free_precession_analytic(self):
         # rho(0) = |+><+|: off-diagonal rotates as exp(-i w0 t)
@@ -401,6 +518,24 @@ class TestPropagateTrajectory:
             assert t == snap.t
             for k in range(2):
                 assert np.array_equal(rhos[k][2], snap.rhos[k])
+
+    def test_t0_record_is_the_symmetrized_initial_state(self):
+        # the first record hands on (rho + rho^dag)/2 of each initial
+        # density bit for bit, here of densities Hermitian only to 1e-15
+        spec = interleaved_system()
+        rhos = [r.copy() for r in spec.initial]
+        for r in rhos:
+            r[0, 1] += 1e-15
+        spec = with_initial(spec, rhos)
+        frames, _ = collect(spec, 2, 0, 5, 1e-3, 1e-3, 1,
+                            positivity_tol=np.inf)
+        t, first, _, _ = frames[0]
+        assert t == 0.0
+        for k, rho in enumerate(spec.initial):
+            expected = 0.5 * (rho + rho.conj().T)
+            assert not np.array_equal(expected, rho)
+            for b in range(5):
+                assert np.array_equal(first[k][b], expected)
 
 
 class TestPositivityReport:
