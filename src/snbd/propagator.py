@@ -15,25 +15,47 @@ is the complex conjugate of the one stored for (k, l); each stored
 increment is (mu + i nu) sqrt(dt/2) with mu, nu standard normal, so that
 E[|dalpha|^2] = dt (each quadrature carries variance dt/2).
 
-The whole update is assembled as rho + (P + P^dag) with P = Q rho, which
-makes every step map Hermitian matrices to Hermitian matrices exactly (in
-floating point, not just analytically) and conserves the trace to
-roundoff, so the densities are symmetrized as (rho + rho^dag)/2 once, at
-t = 0, and never again.
+Each rho_k is held as its d^2 real coordinates c_a = Tr{B_a rho_k} in
+the orthonormal Hermitian basis of ``system.build_hermitian_basis``,
+whose B_0 = 1/sqrt(d) carries the trace.  The step is
+rho + Q rho + rho Q^dag with
+
+    Q = sum_s coeff_s O_k^s - i dt H_k - g0,
+    coeff_s = -i dt omega_s sum_{l != k} Obar_l^s + sqrt(-i omega_s) W_k^s,
+    g0 = sum_s sqrt(-i omega_s) W_k^s Obar_k^s,
+
+which is {X, rho} + i [Y, rho] with the Hermitian X = sum_s Re coeff_s
+O_k^s - Re g0 and Y = sum_s Im coeff_s O_k^s - dt H_k.  In coordinates
+that is c + M(u) c, with M(u) = sum_j u_j T_j linear in the real row
+u = [Re coeff, Im coeff, 1, Re g0]; the parts T_j ({O_k^s, .},
+i[O_k^s, .], -i dt [H_k, .] and -2 times the identity) are built once
+per run from the basis's structure constants, and the mean fields are
+Obar_k^s = o_k^s . c_k.  Every coordinate vector is a Hermitian matrix,
+and coordinate 0 is never written after t = 0, so Hermiticity and the
+trace hold by construction, not to roundoff.  Densities are rebuilt as
+matrices (exactly Hermitian, the lower triangle the conjugate of the
+upper) only where they are looked at: at the recorded times and at the
+divergence checks.  The t = 0 record is the symmetrized initial
+densities (rho + rho^dag)/2 themselves.
 
 ``propagate_block`` is the only code that advances densities: it steps a
 batch of trajectories in lockstep, with the particles of each dimension
 stacked into one array, and a single trajectory is a batch of one.  How
-many trajectories one call steps together changes no result: every
-operation of a step acts on each trajectory's own rows.
+many trajectories one call steps together changes no result, bit for
+bit: every contraction of a step is a per-trajectory stacked matmul,
+(..., 1, n) @ (n, m), one small product per trajectory, and the rest is
+elementwise.  A batch-wide GEMM over the trajectories would be faster
+but is not bitwise invariant to the batch width (BLAS rounds the rows
+of a tall product differently depending on where its panels fall), and
+``np.einsum`` is invariant but several times slower.
 
 Per-trajectory randomness comes from counter-based Philox streams keyed
 by (master seed, trajectory index), so any trajectory can be reproduced
 in isolation and ensembles are independent of worker scheduling.
 
-A note on positivity: the update conserves trace and Hermiticity exactly,
-but individual trajectory densities are genuine quasi-densities.  From a
-pure initial state the smallest eigenvalue drifts negative at the rate
+A note on positivity: the update conserves trace and Hermiticity, but
+individual trajectory densities are genuine quasi-densities.  From a pure
+initial state the smallest eigenvalue drifts negative at the rate
 
     sum_s |omega_s| (N - 1) |<2|(O^s - Obar^s)|1>|^2
 
@@ -58,10 +80,14 @@ import numpy as np
 from .errors import (
     ConfigError,
     PositivityViolationError,
-    ShapeError,
     TrajectoryBlowupError,
 )
-from .system import SystemSpec
+from .system import (
+    SystemSpec,
+    build_hermitian_basis,
+    hermitian_coordinates,
+    hermitian_structure_constants,
+)
 
 #: Hard cap on steps per trajectory.
 MAX_STEPS = 100_000_000
@@ -95,13 +121,6 @@ def pair_count(n_particles: int) -> int:
     return n_particles * (n_particles - 1) // 2
 
 
-def pair_index(k: int, l: int, n_particles: int) -> int:
-    """Index of the unordered pair {k, l} (k < l) in lexicographic order."""
-    if not 0 <= k < l < n_particles:
-        raise ShapeError(f"invalid pair ({k}, {l}) for N={n_particles}")
-    return k * n_particles - k * (k + 1) // 2 + (l - k - 1)
-
-
 def pair_list(n_particles: int) -> list:
     return [
         (k, l)
@@ -127,14 +146,21 @@ def pair_projectors(n_particles: int):
 
 
 def _particle_sums(dal, plus, minus) -> np.ndarray:
-    """W[b, k, s] from one step's stored increments ``dal[b, s, q]``.
+    """W[..., k, s] from the stored increments ``dal[..., s, q]``.
 
     The one place where the pairing is applied: a stored (k, l) increment
     enters its first particle as it is and its second particle complex
-    conjugated, through the ``plus``/``minus`` projectors.
+    conjugated, through the ``plus``/``minus`` projectors.  On the
+    interleaved (re, im) parts that is one real product per trajectory,
+    (p, 2 npairs) @ (2 npairs, 2 N): Re W takes plus + minus, Im W takes
+    plus - minus.
     """
-    return (np.einsum("bpq,qk->bkp", dal, plus)
-            + np.einsum("bpq,qk->bkp", dal.conj(), minus))
+    npairs, n = plus.shape
+    pairing = np.zeros((npairs, 2, n, 2))
+    pairing[:, 0, :, 0] = plus + minus
+    pairing[:, 1, :, 1] = plus - minus
+    w = np.matmul(dal.view(np.float64), pairing.reshape(2 * npairs, 2 * n))
+    return w.view(complex).swapaxes(-1, -2)
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -308,38 +334,86 @@ class BlockStats:
 
 @dataclass
 class _DimGroup:
-    """The particles of one dimension d, stepped as one (B, K, d, d) stack."""
+    """The K particles of one dimension d, stepped as (K, B, d^2) real
+    coordinates in ``build_hermitian_basis(d)``.
+
+    A density is rebuilt from ``to_upper``, whose column pairs are the
+    (re, im) parts of the basis entries at the flat indices ``upper``:
+    the off-diagonal ones first, mirrored to ``lower``, then the diagonal.
+    """
 
     members: list        # particle indices, ascending
-    cols: slice          # their columns in the group-ordered (B, N, p) arrays
-    ops: np.ndarray      # (K, p, d, d) interaction factors O_k^s
-    mihdt: np.ndarray    # (K, d, d) -i dt H_k
-    diag: np.ndarray     # arange(d), indexes the diagonal of every stack
-    rho: np.ndarray      # (B, K, d, d) current densities
-    obar: np.ndarray     # (B, K, p) complex view into the shared mean fields
+    cols: slice          # their rows in the group-ordered (N, B, ...) arrays
+    fields: np.ndarray   # (K, 1, d^2, p) covectors o_k^s: Obar = c . o
+    tables: np.ndarray   # (K, 1, 2p + 2, (d^2 - 1) d^2) parts T_j of M(u)
+    coords: np.ndarray   # (K, B, d^2) current coordinates
+    to_upper: np.ndarray  # (d^2, 2 d (d + 1) / 2)
+    upper: np.ndarray    # d (d + 1) / 2 flat indices
+    lower: np.ndarray    # d (d - 1) / 2 flat indices
+    initial: np.ndarray  # (K, d, d) symmetrized initial densities
 
 
-def _dim_groups(spec: SystemSpec, count: int, dt: float, obar_c: np.ndarray):
-    """Group the particles by dimension, groups in order of first appearance."""
+def _dim_groups(spec: SystemSpec, count: int, dt: float):
+    """Group the particles by dimension, groups in order of first appearance.
+
+    The parts of M(u) = sum_j u_j T_j for particle k are {O_k^s, .},
+    i[O_k^s, .], -i dt [H_k, .] and -2 times the identity, in coordinates,
+    for u = [Re coeff, Im coeff, 1, Re g0].  Row 0 (the trace coordinate)
+    of every part is dropped: it is never updated.
+    """
     dims = spec.dims
     groups, lo = [], 0
     for d in dict.fromkeys(dims):
         members = [k for k in range(spec.n_particles) if dims[k] == d]
-        cols = slice(lo, lo + len(members))
+        n_k, n_c = len(members), d * d
+        cols = slice(lo, lo + n_k)
         lo = cols.stop
-        ops = np.zeros((len(members), len(spec.terms), d, d), dtype=complex)
-        for j, k in enumerate(members):
-            for s, term in enumerate(spec.terms):
-                ops[j, s] = term.ops[k]
-        rho = np.stack([
-            np.broadcast_to(_symmetrize(spec.initial[k].astype(complex)),
-                            (count, d, d))
-            for k in members], axis=1)
-        mihdt = np.stack([(-1j * dt) * spec.particles[k].h for k in members])
-        groups.append(_DimGroup(members=members, cols=cols, ops=ops,
-                                mihdt=mihdt, diag=np.arange(d), rho=rho,
-                                obar=obar_c[:, cols]))
+        anti, comm = hermitian_structure_constants(d)
+        ops = hermitian_coordinates(np.array(
+            [[term.ops[k] for term in spec.terms] for k in members]
+        ).reshape(n_k, len(spec.terms), d, d))
+        h = hermitian_coordinates(np.stack([spec.particles[k].h for k in members]))
+        parts = np.concatenate([
+            np.einsum("kse,eab->ksab", ops, anti),
+            np.einsum("kse,eab->ksab", ops, comm),
+            (-dt) * np.einsum("ke,eab->kab", h, comm)[:, None],
+            np.broadcast_to(-2.0 * np.eye(n_c), (n_k, 1, n_c, n_c)),
+        ], axis=1)
+        rho = np.stack([_symmetrize(spec.initial[k].astype(complex))
+                        for k in members])
+        iu, ju = np.triu_indices(d, 1)
+        iu, ju = np.r_[iu, np.arange(d)], np.r_[ju, np.arange(d)]
+        basis = np.array(build_hermitian_basis(d))
+        groups.append(_DimGroup(
+            members=members, cols=cols,
+            fields=np.ascontiguousarray(ops.transpose(0, 2, 1)[:, None]),
+            tables=np.ascontiguousarray(
+                parts[:, :, 1:].reshape(n_k, 1, len(parts[0]), -1)),
+            coords=np.repeat(hermitian_coordinates(rho)[:, None], count, axis=1),
+            to_upper=np.ascontiguousarray(basis[:, iu, ju]).view(np.float64),
+            upper=iu * d + ju, lower=(ju * d + iu)[:-d],
+            initial=rho))
     return groups
+
+
+def _densities(g: _DimGroup) -> np.ndarray:
+    """(K, B, d, d) densities rebuilt from the coordinates, exactly Hermitian.
+
+    The upper triangle and diagonal are sum_a c_a B_a, accumulated term by
+    term in elementwise arithmetic, so an entry that cancels analytically
+    (the empty level of a diagonal state) cancels exactly; the lower
+    triangle is the conjugate of the upper.
+    """
+    n_k, count, n_c = g.coords.shape
+    d = g.initial.shape[-1]
+    upper = g.coords[..., :1] * g.to_upper[0]
+    for a in range(1, n_c):
+        upper += g.coords[..., a:a + 1] * g.to_upper[a]
+    upper = upper.view(complex)
+    rho = np.empty((n_k, count, n_c), dtype=complex)
+    rho[..., g.upper] = upper
+    rho[..., g.lower] = upper[..., :len(g.lower)].conj()
+    return rho.reshape(n_k, count, d, d)
 
 
 def _draw_noise_chunk(rngs, n_steps, p, npairs, dt):
@@ -379,9 +453,9 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     (deactivate the offending trajectories and keep going; skipped
     indices are reported in the returned stats).
 
-    The particles of each dimension form one group; every (B, N, p) array
-    of a step (mean fields, particle sums, coefficients) holds the groups
-    side by side, and the groups couple only through them.
+    The particles of each dimension form one group; every (N, B, 1, ...)
+    array of a step (mean fields, the rows u) holds the groups side by
+    side, and the groups couple only through the mean-field total.
     """
     if policy not in BLOWUP_POLICIES:
         raise ConfigError(f"unknown blowup policy {policy!r}")
@@ -393,17 +467,19 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     p = len(spec.terms)
     npairs = pair_count(n)
 
-    omegas = np.array([t.omega for t in spec.terms], dtype=float)
-    momdt = (-1j * dt) * omegas
+    mdtw = -dt * np.array([t.omega for t in spec.terms], dtype=float)
     z = sqrt_noise_factors(spec.terms)
-    obar_c = np.empty((count, n, p), dtype=complex)
-    obar = obar_c.real
-    groups = _dim_groups(spec, count, dt, obar_c)
+    groups = _dim_groups(spec, count, dt)
     order = [k for g in groups for k in g.members]
-    # the mean-field total sums the particles in their own order, so
-    # interleaved dimensions round exactly as if ungrouped
-    unsort = slice(None) if order == sorted(order) else np.argsort(order)
+    # row of each particle in the group-ordered arrays; the mean-field
+    # total adds the particles one by one in their own order
+    rows = np.argsort(order)
     plus, minus = (np.ascontiguousarray(a[:, order]) for a in pair_projectors(n))
+    # u = [Re coeff, Im coeff, 1, Re g0] per particle and trajectory
+    u = np.empty((n, count, 1, 2 * p + 2))
+    u[..., 2 * p] = 1.0
+    re, im, g0 = u[..., :p], u[..., p:2 * p], u[..., 2 * p + 1]
+    obar = np.empty((n, count, 1, p))
 
     rngs = [trajectory_rng(master_seed, start + b) for b in range(count)]
     chunk_steps = max(1, NOISE_CHUNK_BYTES // max(1, 16 * count * p * npairs))
@@ -412,20 +488,24 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     herm_dev = np.zeros(count)
     blowups, pos_skips = [], []
 
-    def current_rhos():
-        cur = [None] * n
-        for g in groups:
-            for j, k in enumerate(g.members):
-                cur[k] = g.rho[:, j]
-        return cur
+    def check(t, stacks):
+        """Per-particle density stacks from the group stacks, after the
+        divergence check and the trace monitor have seen them.
 
-    def flag_blowups(t, cur):
-        """Deactivate (or abort on) diverged trajectories: NaN/Inf entries or
-        entries beyond NORM_CAP, which only an unstable path can reach."""
+        A trajectory with NaN/Inf entries or entries beyond NORM_CAP,
+        which only an unstable path can reach, is deactivated or aborts.
+        """
+        cur = [None] * n
         healthy = np.ones(count, dtype=bool)
-        for k in range(n):
-            flat = np.abs(cur[k]).reshape(count, -1)
-            healthy &= np.isfinite(flat).all(axis=1) & (flat.max(axis=1) <= NORM_CAP)
+        for g, rho in zip(groups, stacks):
+            flat = np.abs(rho).reshape(len(g.members), count, -1)
+            healthy &= (np.isfinite(flat).all(axis=2)
+                        & (flat.max(axis=2) <= NORM_CAP)).all(axis=0)
+            tr = np.einsum("kbii->kb", rho)
+            dev = (np.abs(tr.real - 1.0) + np.abs(tr.imag)).max(axis=0)
+            np.fmax(trace_dev, np.where(active, dev, 0.0), out=trace_dev)
+            for j, k in enumerate(g.members):
+                cur[k] = rho[j]
         bad = active & ~healthy
         if bad.any():
             first = int(np.nonzero(bad)[0][0])
@@ -433,10 +513,10 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 raise TrajectoryBlowupError(t=t, trajectory=start + first)
             blowups.extend((start + int(b)) for b in np.nonzero(bad)[0])
             active[bad] = False
+        return cur
 
-    def record(r_index, t):
-        cur = current_rhos()
-        flag_blowups(t, cur)
+    def record(r_index, t, stacks):
+        cur = check(t, stacks)
         min_eigs = np.full((count, n), np.inf)
         for k in range(n):
             ok = active
@@ -459,7 +539,8 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
             np.fmax(herm_dev, np.where(active, hd, 0.0), out=herm_dev)
         on_record(r_index, t, cur, active.copy(), min_eigs)
 
-    record(0, times[0])
+    record(0, times[0], [np.repeat(g.initial[:, None], count, axis=1)
+                         for g in groups])
     step = 0
     r_index = 0
     # diverging trajectories are caught by the norm/NaN guards; their
@@ -470,26 +551,33 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
             dal = _draw_noise_chunk(rngs, chunk, p, npairs, dt)
             for i in range(chunk):
                 zw = z * _particle_sums(dal[:, i], plus, minus)
+                zw = zw.transpose(1, 0, 2)[:, :, None]
                 for g in groups:
-                    np.einsum("kpij,bkji->bkp", g.ops, g.rho, out=g.obar)
-                tot = obar[:, unsort].sum(axis=1, keepdims=True)
-                coeff = momdt * (tot - obar) + zw
-                g0 = (zw * obar).sum(axis=-1)
+                    np.matmul(g.coords[:, :, None, :], g.fields, out=obar[g.cols])
+                tot = obar[rows[0]].copy()
+                for r in rows[1:]:
+                    tot += obar[r]
+                re[...] = zw.real
+                field = tot - obar
+                field *= mdtw
+                field += zw.imag
+                im[...] = field
+                prod = re * obar
+                g0[...] = 0.0
+                for s in range(p):
+                    g0 += prod[..., s]
                 for g in groups:
-                    q = np.einsum("bkp,kpij->bkij", coeff[:, g.cols], g.ops)
-                    q += g.mihdt
-                    q[:, :, g.diag, g.diag] -= g0[:, g.cols, None]
-                    pm = q @ g.rho
-                    g.rho = g.rho + (pm + pm.conj().swapaxes(-1, -2))
-                    tr = np.einsum("bkii->bk", g.rho)
-                    dev = (np.abs(tr.real - 1.0) + np.abs(tr.imag)).max(axis=1)
-                    np.fmax(trace_dev, np.where(active, dev, 0.0), out=trace_dev)
+                    n_k, _, n_c = g.coords.shape
+                    m = np.matmul(u[g.cols], g.tables)
+                    g.coords[..., 1:] += np.matmul(
+                        m.reshape(n_k, count, n_c - 1, n_c),
+                        g.coords[..., None])[..., 0]
                 step += 1
                 if step % record_stride == 0:
                     r_index += 1
-                    record(r_index, times[r_index])
+                    record(r_index, times[r_index], [_densities(g) for g in groups])
                 elif step % CHECK_STRIDE == 0:
-                    flag_blowups(step * dt, current_rhos())
+                    check(step * dt, [_densities(g) for g in groups])
             del dal  # the next chunk is drawn without this one alive
 
     trace_dev[~active] = 0.0

@@ -231,6 +231,31 @@ def build_hermitian_basis(m: int) -> list:
     return basis
 
 
+def hermitian_coordinates(x) -> np.ndarray:
+    """Real coordinates Tr(B_a x) of Hermitian matrices ``x`` (..., m, m)
+    in ``build_hermitian_basis(m)``, the last axis running over a."""
+    x = np.asarray(x)
+    basis = np.array(build_hermitian_basis(x.shape[-1]))
+    return np.einsum("aji,...ij->...a", basis, x).real
+
+
+def hermitian_structure_constants(m: int):
+    """Real structure constants of ``build_hermitian_basis(m)``.
+
+    Returns ``(anti, comm)``, each (m*m, m*m, m*m), with
+    ``anti[e, a, b] = Tr(B_a {B_e, B_b})`` and
+    ``comm[e, a, b] = Tr(B_a i[B_e, B_b])``: for Hermitian O and rho with
+    coordinates o and c, {O, rho} and i[O, rho] have coordinates
+    ``(o @ anti) @ c`` and ``(o @ comm) @ c`` (contracting e, then b).
+    Both are real because the basis is Hermitian: with
+    t = Tr(B_a B_e B_b), Tr(B_a B_b B_e) is conj(t), so the anticommutator
+    gives 2 Re t and the commutator -2 Im t.
+    """
+    basis = np.array(build_hermitian_basis(m))
+    t = np.einsum("aij,ejk,bki->eab", basis, basis, basis)
+    return 2.0 * t.real, -2.0 * t.imag
+
+
 def swap_operator(m: int) -> np.ndarray:
     """Two-particle swap S with S (x (x) y) S = y (x) x on m (x) m."""
     s = np.zeros((m * m, m * m), dtype=complex)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from snbd.errors import ShapeError
 from snbd.system import (
     ParticleSpec,
     SystemSpec,
@@ -40,6 +41,14 @@ def random_density(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def pair_index(k: int, l: int, n_particles: int) -> int:
+    """Index of the unordered pair {k, l} (k < l) in the lexicographic order
+    of ``propagator.pair_list``, where the stored increments live."""
+    if not 0 <= k < l < n_particles:
+        raise ShapeError(f"invalid pair ({k}, {l}) for N={n_particles}")
+    return k * n_particles - k * (k + 1) // 2 + (l - k - 1)
 
 
 def heisenberg_pair_matrix(j=0.2):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import snbd.propagator as propagator
+from snbd.ensemble import LOCKSTEP_WIDTH
 from snbd.errors import (
     ConfigError,
     PositivityViolationError,
@@ -16,7 +17,6 @@ from snbd.propagator import (
     _particle_sums,
     _raw_to_increments,
     pair_count,
-    pair_index,
     pair_list,
     pair_projectors,
     positivity_tolerance,
@@ -42,9 +42,10 @@ from conftest import (
     SZ,
     UP,
     free_two_spin_system,
+    pair_index,
     random_density,
     random_hermitian,
-    random_hermitian,
+    two_spin_system,
 )
 
 
@@ -518,6 +519,29 @@ class TestPropagateTrajectory:
             assert t == snap.t
             for k in range(2):
                 assert np.array_equal(rhos[k][2], snap.rhos[k])
+
+    @pytest.mark.parametrize("make", [two_spin_system, interleaved_system],
+                             ids=["(2,2)", "(2,3,2)"])
+    def test_same_bits_at_any_width(self, make):
+        # trajectory 40 at widths 1, 7, 64 and LOCKSTEP_WIDTH, at a
+        # different position in each block: every record, every minimum
+        # eigenvalue and both deviations are bitwise the same
+        spec, j = make(), 40
+        seen = []
+        for width in (1, 7, 64, LOCKSTEP_WIDTH):
+            start = max(0, j - width // 2)
+            frames, stats = collect(spec, 6, start, width, 0.05, 1e-3, 25,
+                                    positivity_tol=np.inf)
+            b = j - start
+            seen.append(([[r[b] for r in rhos] for _, rhos, _, _ in frames],
+                         [mins[b] for _, _, _, mins in frames],
+                         stats.trace_dev[b], stats.herm_dev[b]))
+        rhos, mins, trace_dev, herm_dev = seen[0]
+        for other in seen[1:]:
+            for a, b in zip(rhos, other[0]):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            assert all(np.array_equal(x, y) for x, y in zip(mins, other[1]))
+            assert (trace_dev, herm_dev) == other[2:]
 
     def test_t0_record_is_the_symmetrized_initial_state(self):
         # the first record hands on (rho + rho^dag)/2 of each initial
