@@ -471,8 +471,10 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     z = sqrt_noise_factors(spec.terms)
     groups = _dim_groups(spec, count, dt)
     order = [k for g in groups for k in g.members]
-    # row of each particle in the group-ordered arrays; the mean-field
-    # total adds the particles one by one in their own order
+    # row of each particle in the group-ordered arrays; the sums over
+    # particles (the mean-field total) and over terms (g0) are added one
+    # term at a time in a fixed order, where a numpy reduction could
+    # change its order with the shape of the batch
     rows = np.argsort(order)
     plus, minus = (np.ascontiguousarray(a[:, order]) for a in pair_projectors(n))
     # u = [Re coeff, Im coeff, 1, Re g0] per particle and trajectory

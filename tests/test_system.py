@@ -17,13 +17,24 @@ from snbd.system import (
     assemble_full_hamiltonian,
     build_hermitian_basis,
     decompose_pair_interaction,
+    hermitian_coordinates,
+    hermitian_structure_constants,
     product_density,
     reconstruct_pair_interaction,
     shared_interaction_terms,
     swap_operator,
 )
 
-from conftest import DOWN, SX, SY, SZ, UP, heisenberg_pair_matrix, two_spin_system
+from conftest import (
+    DOWN,
+    SX,
+    SY,
+    SZ,
+    UP,
+    heisenberg_pair_matrix,
+    random_hermitian,
+    two_spin_system,
+)
 
 
 def random_swap_symmetric(rng, m):
@@ -56,6 +67,23 @@ class TestHermitianBasis:
         basis = build_hermitian_basis(3)
         stack = np.stack([b.reshape(-1) for b in basis])
         assert np.linalg.matrix_rank(stack) == 9
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_coordinates_and_structure_constants(self, m):
+        # x = sum_a c_a B_a, and (o @ anti) c, (o @ comm) c are the
+        # coordinates of {O, R} and i[O, R]
+        rng = np.random.default_rng(m)
+        basis = np.array(build_hermitian_basis(m))
+        o_mat, r_mat = (random_hermitian(rng, m) for _ in range(2))
+        o, c = hermitian_coordinates(o_mat), hermitian_coordinates(r_mat)
+        anti, comm = hermitian_structure_constants(m)
+        assert anti.dtype == comm.dtype == np.float64
+        assert np.abs(np.einsum("a,aij->ij", c, basis) - r_mat).max() <= 1e-14
+        for table, want in ((anti, o_mat @ r_mat + r_mat @ o_mat),
+                            (comm, 1j * (o_mat @ r_mat - r_mat @ o_mat))):
+            got = np.einsum("a,aij->ij", np.einsum("e,eab,b->a", o, table, c),
+                            basis)
+            assert np.abs(got - want).max() <= 1e-13
 
 
 class TestDecomposition:
