@@ -417,10 +417,10 @@ class TestGenerator:
     most quadratically: the full +-1 factorial design over the
     2 p N(N-1)/2 coordinates reproduces the Gaussian average exactly.
     The design's nodes run through propagate_block as trajectories, one
-    per node; the driver's own draw scales them by sqrt(dt/2).  The mean
-    minus rho_N is then a polynomial of degree N in dt without constant
-    term, fitted exactly from N step sizes; its linear coefficient must
-    be -i [H, rho_N] with H the full Hamiltonian.
+    per node, and propagate_block's own draw scales them by sqrt(dt/2).
+    The mean minus rho_N is then a polynomial of degree N in dt without
+    constant term, fitted exactly from N step sizes; its linear
+    coefficient must be -i [H, rho_N] with H the full Hamiltonian.
 
     The bound is roundoff: entries of order 1, mean products summed
     pairwise over at most 2^12 nodes (about 64 eps each), divided by
