@@ -12,6 +12,14 @@ propagated together, as one lockstep batch of up to ``LOCKSTEP_WIDTH``
 trajectories, and each block's sums are reduced from its own slice of the
 batch, so results are bitwise independent of that grouping, of the
 worker count and of how a run is split and merged.
+
+A block's sum of tensor products, sum_b kron_k rho_k^b (and likewise of
+kron_k rho_k^b |i_k>), is one matrix product over the block's active
+trajectories, X^T @ Y: X holds particle 1's flattened density per
+trajectory and Y the per-trajectory Kronecker product of the others'.
+No per-trajectory (D, D) product is formed; the largest record-time
+array is Y, prod_{k>=2} d_k^2 complex numbers per trajectory of the
+batch, which the memory gate of the full-density accumulation counts.
 """
 
 import hashlib
@@ -235,24 +243,45 @@ class EnsembleAccumulator:
             ) from None
 
 
-def _batched_kron(rhos_by_particle) -> np.ndarray:
-    """Per-trajectory tensor product of the one-body densities: (B, D, D)."""
-    out = rhos_by_particle[0]
-    for nxt in rhos_by_particle[1:]:
-        b, da, _ = out.shape
-        db = nxt.shape[1]
-        out = np.einsum("bij,bkl->bikjl", out, nxt).reshape(b, da * db, da * db)
-    return out
+def _first_and_rest(rows):
+    """(X, Y) from per-particle rows (B, n_k): X is particle 1's rows and Y
+    the per-trajectory Kronecker product of the others', (B, prod n_k), so
+    that the sum over any set of trajectories b of kron_k rows_k[b] is
+    (X_set^T @ Y_set) flattened.  Y is a column of ones for one particle.
+    Each entry of Y is a product formed elementwise in a fixed order, so
+    its bits do not depend on the batch."""
+    first = rows[0]
+    rest = rows[1] if len(rows) > 1 else np.ones((len(first), 1), first.dtype)
+    for nxt in rows[2:]:
+        rest = (rest[:, :, None] * nxt[:, None, :]).reshape(len(first), -1)
+    return first, rest
 
 
-def _batched_refvec(rhos_by_particle, refs) -> np.ndarray:
-    """Per-trajectory tensor product of rho_k |i_k>: (B, D)."""
-    out = rhos_by_particle[0] @ refs[0]
-    for rho, ref in zip(rhos_by_particle[1:], refs[1:]):
-        nxt = rho @ ref
-        b, da = out.shape
-        out = np.einsum("bi,bj->bij", out, nxt).reshape(b, da * nxt.shape[1])
-    return out
+def _batched_kron(rhos_by_particle):
+    """The (X, Y) factors of the record's density sums: X is rho_1
+    flattened, (B, d_1^2), and Y the per-trajectory Kronecker product of
+    rho_2 ... rho_N flattened, (B, prod_{k>=2} d_k^2).  The sum over a set
+    of trajectories of kron_k rho_k is X_set^T @ Y_set with its axes
+    permuted from (i_1 j_1, i_2 j_2, ...) to (i_1 i_2 ..., j_1 j_2 ...)."""
+    return _first_and_rest([r.reshape(len(r), -1) for r in rhos_by_particle])
+
+
+def _batched_refvec(rhos_by_particle, refs):
+    """The (X, Y) factors of the record's reference-vector sums, from the
+    per-trajectory v_k = rho_k |i_k>: X is v_1, (B, d_1), and Y the
+    per-trajectory Kronecker product of v_2 ... v_N; the sum over a set of
+    trajectories of kron_k v_k is X_set^T @ Y_set flattened."""
+    return _first_and_rest(
+        [rho @ ref for rho, ref in zip(rhos_by_particle, refs)])
+
+
+def _set_sum(factors, sl, keep):
+    """X^T @ Y over the active trajectories ``keep`` of the slice ``sl``:
+    a basic slice when all of them are active, else their rows copied."""
+    x, y = factors
+    if keep.all():
+        return x[sl].T @ y[sl]
+    return x[sl][keep].T @ y[sl][keep]
 
 
 def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
@@ -280,6 +309,9 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     vec_sum = (np.zeros((rows, n_times, full_dim), dtype=complex)
                if refs is not None else None)
     min_eig = np.full((rows, n_times, n), np.inf)
+    # a density sum X^T @ Y is indexed (i_1, j_1, i_2, j_2, ...)
+    pairs = tuple(d for d in spec.dims for _ in range(2))
+    from_pairs = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
 
     def on_record(r, t, rhos, active, mins):
         for j, sl in enumerate(slices):
@@ -288,8 +320,10 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
             return
         # inactive (diverged) trajectories still sit in the batch; their
         # entries may overflow but are masked out of every sum.  The
-        # per-trajectory products are formed once over the whole batch,
-        # and each block sums its own slice, as it would alone.
+        # per-trajectory factors are formed once over the whole batch, and
+        # each block reduces its own active rows, as it would alone: the
+        # observables by a sum, the tensor products by one X^T @ Y product
+        # (see _first_and_rest), so no (B, D, D) array is ever formed.
         with np.errstate(over="ignore", invalid="ignore"):
             if n_obs:
                 vals = np.ones((count, n_obs), dtype=complex)
@@ -307,9 +341,10 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
                     obs_sq[j, :, r] = (kept.real ** 2
                                        + kept.imag ** 2).sum(axis=0)
                 if kron is not None:
-                    rho_sum[j, r] = kron[sl][keep].sum(axis=0)
+                    rho_sum[j, r] = _set_sum(kron, sl, keep).reshape(
+                        pairs).transpose(from_pairs).reshape(rho_sum.shape[2:])
                 if vec is not None:
-                    vec_sum[j, r] = vec[sl][keep].sum(axis=0)
+                    vec_sum[j, r] = _set_sum(vec, sl, keep).reshape(full_dim)
                 min_eig[j, r] = mins[sl][keep].min(axis=0)
 
     stats = propagate_block(
@@ -353,10 +388,13 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     n_blocks = len(edges) - 1
     runs = block_runs(edges, ensemble.worker_count)
     if ensemble.full_density:
-        # the accumulator's n_blocks rows plus the rows of the run being filled
+        # the accumulator's n_blocks rows plus the rows of the run being
+        # filled, and the Y factor each record forms over the run's width
         per_matrix = spec.full_dim ** 2 * 16
         held = n_blocks + max(stop - first for first, stop in runs)
-        total = per_matrix * len(times) * held
+        width = max(int(edges[stop] - edges[first]) for first, stop in runs)
+        total = (per_matrix * len(times) * held
+                 + width * per_matrix // spec.dims[0] ** 2)
         if total > DEFAULT_MEMORY_LIMIT:
             raise DimensionLimitError(
                 f"full-density accumulation needs ~{total // (1 << 20)} MiB, "

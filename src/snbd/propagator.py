@@ -416,6 +416,25 @@ def _densities(g: _DimGroup) -> np.ndarray:
     return rho.reshape(n_k, count, d, d)
 
 
+def _min_eigenvalues(g: _DimGroup, rho: np.ndarray, on) -> np.ndarray:
+    """(K, len(on)) smallest eigenvalue of the group's densities ``rho``
+    (K, B, d, d) of the trajectories ``on``.
+
+    For d = 2 the basis is the Pauli basis over sqrt(2), so
+    rho = (c_0 + c . sigma) / sqrt(2) has the eigenvalues
+    (c_0 +- |(c_1, c_2, c_3)|) / sqrt(2), taken elementwise from the
+    coordinates.  A larger d takes one eigvalsh call over the stack, which
+    LAPACK solves matrix by matrix, as it would one particle at a time; no
+    closed form is used there, since the trigonometric cubic of d = 3
+    loses about sqrt(eps) at a degenerate pair of eigenvalues.
+    """
+    if rho.shape[-1] == 2:
+        c = g.coords[:, on]
+        norm = np.sqrt(c[..., 1] ** 2 + c[..., 2] ** 2 + c[..., 3] ** 2)
+        return (c[..., 0] - norm) / np.sqrt(2.0)
+    return np.linalg.eigvalsh(rho[:, on]).min(axis=-1)
+
+
 def _draw_noise_chunk(rngs, n_steps, p, npairs, dt):
     """``n_steps`` steps of increments per trajectory, (B, n_steps, p, npairs).
 
@@ -441,10 +460,14 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     ``on_record(record_index, t, rhos_by_particle, active, min_eigs)`` is
     called at every time t of ``TimeGrid(t_final, dt, record_stride).times``
     with per-particle (count, d, d) density stacks, the mask of
-    still-active trajectories, and the per-trajectory minimum eigenvalue
-    of each density.  Each trajectory consumes its own
-    Philox stream, so results are independent of how trajectories are
-    grouped into blocks or distributed over workers.  The noise is drawn
+    still-active trajectories, and ``min_eigs`` (count, N), the smallest
+    eigenvalue of each density (inf for a trajectory already inactive at
+    the divergence check).  A spin-1/2 reads it in closed form from its
+    coordinates, within a few 1e-16 of ``eigvalsh`` of the matrix handed
+    on; a larger particle reads ``eigvalsh`` itself, one call per
+    dimension group (see ``_min_eigenvalues``).  Each trajectory consumes
+    its own Philox stream, so results are independent of how trajectories
+    are grouped into blocks or distributed over workers.  The noise is drawn
     in chunks of at most ``NOISE_CHUNK_BYTES`` (one step when a single
     step of the batch is larger).
 
@@ -520,10 +543,11 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     def record(r_index, t, stacks):
         cur = check(t, stacks)
         min_eigs = np.full((count, n), np.inf)
-        for k in range(n):
-            ok = active
-            if ok.any():
-                min_eigs[ok, k] = np.linalg.eigvalsh(cur[k][ok]).min(axis=1)
+        on = np.flatnonzero(active)
+        if on.size:
+            for g, rho in zip(groups, stacks):
+                min_eigs[np.ix_(on, g.members)] = _min_eigenvalues(
+                    g, rho, on).T
         lows = min_eigs.min(axis=1)
         viol = active & ((lows < -positivity_tol) | ~np.isfinite(lows))
         if viol.any():

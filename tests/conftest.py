@@ -3,6 +3,7 @@ import pytest
 
 from snbd.errors import ShapeError
 from snbd.system import (
+    InteractionTerm,
     ParticleSpec,
     SystemSpec,
     decompose_pair_interaction,
@@ -69,6 +70,23 @@ def two_spin_system(j=0.2, omega0=1.0, initial=(UP, DOWN)) -> SystemSpec:
 def free_two_spin_system(omega0=1.0, initial=(UP, DOWN)) -> SystemSpec:
     particles = (ParticleSpec(dim=2, h=0.5 * omega0 * SZ),) * 2
     return SystemSpec(particles=particles, terms=(), initial=tuple(initial))
+
+
+def interleaved_system():
+    """Dims (2, 3, 2): the d=2 group holds particles 0 and 2, not adjacent.
+
+    Two terms with random Hermitian factors, one weight negative."""
+    rng = np.random.default_rng(31)
+    dims = (2, 3, 2)
+    terms = tuple(
+        InteractionTerm(omega=omega,
+                        ops=tuple(random_hermitian(rng, d, 0.5) for d in dims))
+        for omega in (0.3, -0.2))
+    return SystemSpec(
+        particles=tuple(ParticleSpec(dim=d, h=random_hermitian(rng, d))
+                        for d in dims),
+        terms=terms,
+        initial=(random_density(rng, 2), random_density(rng, 3), UP))
 
 
 @pytest.fixture

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import snbd.cli
+import snbd.ensemble
 from snbd.cli import (
     EXIT_CONFIG,
+    EXIT_DIMENSION,
     EXIT_OK,
     EXIT_TRAJECTORY,
     execute,
@@ -22,6 +24,7 @@ from snbd.config import (
     parse_config_dict,
     serialize_config,
 )
+from snbd.ensemble import DEFAULT_MEMORY_LIMIT
 from snbd.errors import ConfigError, UnsupportedInteractionError
 from snbd.output import (
     MAGIC,
@@ -324,6 +327,27 @@ class TestCli:
         p = self._write(tmp_path, tiny_config(tmp_path / "out"))
         code = main(["oracle", "--config", str(p), "--quiet"])
         assert code == 3  # dimension-limit category
+
+    def test_record_factor_counts_against_memory_limit(self, tmp_path,
+                                                       monkeypatch):
+        # nine spin-1/2 (D = 512) in one block of 600 trajectories, one
+        # step: the accumulator rows take 16 MiB, but the Y factor each
+        # record forms takes 600 * 4^8 * 16 B = 600 MiB, over the limit
+        calls = []
+        monkeypatch.setattr(snbd.ensemble, "propagate_block",
+                            lambda *args, **options: calls.append(args))
+        assert 512 ** 2 * 16 * 2 * 2 < DEFAULT_MEMORY_LIMIT < 600 * 4 ** 8 * 16
+        data = tiny_config(tmp_path / "out", m=600, t_final=0.001,
+                           recovery=False)
+        data["system"]["particles"] = [
+            {"dim": 2, "h": [[0.5, 0], [0, -0.5]]}] * 9
+        data["system"]["initial"] = [[[1, 0], [0, 0]]] * 9
+        data["time"]["record_stride"] = 1
+        data["ensemble"]["n_blocks"] = 1
+        data["observables"] = []
+        p = self._write(tmp_path, data)
+        assert main(["run", "--config", str(p), "--quiet"]) == EXIT_DIMENSION
+        assert calls == []
 
     def test_execute_validate_api(self, tmp_path):
         cfg = parse_config_dict(tiny_config(tmp_path / "out"))

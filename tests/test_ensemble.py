@@ -36,7 +36,14 @@ from snbd.propagator import (
     propagate_trajectory,
 )
 
-from conftest import DOWN, SZ, UP, free_two_spin_system, two_spin_system
+from conftest import (
+    DOWN,
+    SZ,
+    UP,
+    free_two_spin_system,
+    interleaved_system,
+    two_spin_system,
+)
 
 def loose(**kw):
     return EnsembleParams(**{"positivity_tol": 1e9, **kw})
@@ -105,6 +112,58 @@ class TestLockstep:
         assert lockstep.blowups == single.blowups
         assert lockstep.positivity_skips == single.positivity_skips
         assert lockstep.fingerprint == single.fingerprint
+
+
+class TestRecordSums:
+    """Each block's density and reference-vector sums at each record."""
+
+    def test_sums_over_the_active_rows_of_each_block(self, monkeypatch):
+        # dims (2, 3, 2) in blocks of 6, 6, 6 and 5 run as one batch; the
+        # tolerance skips trajectories from the 9th record on, so blocks go
+        # from fully to partly to not active.  The references are the
+        # np.kron sums over the densities and mask on_record was handed.
+        spec = interleaved_system()
+        rng = np.random.default_rng(5)
+        refs = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                     for d in spec.dims)
+        seen = []
+        propagate = snbd.ensemble.propagate_block
+
+        def recording(*args, **options):
+            on_record = args[7]
+
+            def record(r, t, rhos, active, mins):
+                seen.append(([x.copy() for x in rhos], active.copy()))
+                on_record(r, t, rhos, active, mins)
+
+            return propagate(*args[:7], record, **options)
+
+        monkeypatch.setattr(snbd.ensemble, "propagate_block", recording)
+        acc = run_ensemble(spec, TimeGrid(0.3, 1e-3, 20),
+                           EnsembleParams(m=23, master_seed=4, n_blocks=4,
+                                          full_density=True,
+                                          blowup_policy="skip",
+                                          positivity_tol=0.03),
+                           refs=refs)
+        assert list(np.diff(acc.edges)) == [6, 6, 6, 5]
+        assert len(seen) == len(acc.times)
+        partial = 0
+        for r, (rhos, active) in enumerate(seen):
+            for j in range(acc.n_blocks):
+                on = [b for b in range(acc.edges[j], acc.edges[j + 1])
+                      if active[b]]
+                partial += 0 < len(on) < acc.edges[j + 1] - acc.edges[j]
+                rho = np.zeros((spec.full_dim,) * 2, dtype=complex)
+                vec = np.zeros(spec.full_dim, dtype=complex)
+                for b in on:
+                    rho += np.kron(np.kron(rhos[0][b], rhos[1][b]), rhos[2][b])
+                    vec += np.kron(np.kron(rhos[0][b] @ refs[0],
+                                           rhos[1][b] @ refs[1]),
+                                   rhos[2][b] @ refs[2])
+                assert np.abs(acc.rho_sum[j, r] - rho).max() <= 1e-13
+                assert np.abs(acc.vec_sum[j, r] - vec).max() <= 1e-13
+        assert partial >= 10
+        assert 0 < acc.active_counts[-1] < 23
 
 
 class TestRunEnsemble:

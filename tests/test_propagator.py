@@ -42,6 +42,7 @@ from conftest import (
     SZ,
     UP,
     free_two_spin_system,
+    interleaved_system,
     pair_index,
     random_density,
     random_hermitian,
@@ -115,23 +116,6 @@ def spin_qutrit_system():
                    ParticleSpec(dim=3, h=h3)),
         terms=(term,),
         initial=((np.eye(2) + SX) / 2, np.outer([1, 1, 0], [1, 1, 0]) / 2))
-
-
-def interleaved_system():
-    """Dims (2, 3, 2): the d=2 group holds particles 0 and 2, not adjacent.
-
-    Two terms with random Hermitian factors, one weight negative."""
-    rng = np.random.default_rng(31)
-    dims = (2, 3, 2)
-    terms = tuple(
-        InteractionTerm(omega=omega,
-                        ops=tuple(random_hermitian(rng, d, 0.5) for d in dims))
-        for omega in (0.3, -0.2))
-    return SystemSpec(
-        particles=tuple(ParticleSpec(dim=d, h=random_hermitian(rng, d))
-                        for d in dims),
-        terms=terms,
-        initial=(random_density(rng, 2), random_density(rng, 3), UP))
 
 
 def with_initial(spec, rhos):
@@ -580,6 +564,37 @@ class TestPositivityReport:
         for rho in first.rhos:
             w = np.linalg.eigvalsh(rho)
             assert np.allclose(sorted(w), [0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: two_spin_system(initial=[
+            random_density(np.random.default_rng(17), 2) for _ in range(2)]),
+        interleaved_system], ids=["(2,2)", "(2,3,2)"])
+    def test_min_eigs_are_those_of_the_densities(self, make):
+        # a spin-1/2 reads its closed form to within 1e-15 of eigvalsh of
+        # the matrix handed on; a qutrit reads eigvalsh itself, bit for bit
+        frames, _ = collect(make(), 3, 0, 16, 0.2, 1e-3, 20,
+                            positivity_tol=np.inf)
+        for _, rhos, active, mins in frames:
+            assert active.all()
+            for k, rho in enumerate(rhos):
+                exact = np.linalg.eigvalsh(rho).min(axis=1)
+                if rho.shape[-1] == 2:
+                    assert np.abs(mins[:, k] - exact).max() <= 1e-15
+                else:
+                    assert np.array_equal(mins[:, k], exact)
+
+    def test_pure_spins_read_nonnegative(self):
+        # random pure spin-1/2 states read >= -1e-15 at t = 0, and their
+        # free evolution does not trip the default tolerance
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            psi = rng.standard_normal((2, 2, 2)) @ [1, 1j]
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            spec = free_two_spin_system(
+                initial=[np.outer(v, v.conj()) for v in psi])
+            frames, stats = collect(spec, 0, 0, 2, 0.2, 1e-3, 50)
+            assert frames[0][3].min() >= -1e-15
+            assert frames[-1][2].all() and not stats.positivity_skips
 
     def test_min_eig_decay_law(self, benchmark_system):
         """The smallest eigenvalue leaves zero at the second-order rate
