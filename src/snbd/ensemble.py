@@ -14,9 +14,10 @@ batch, so results are bitwise independent of that grouping, of the
 worker count and of how a run is split and merged.
 
 A block's sum of tensor products, sum_b kron_k rho_k^b (and likewise of
-kron_k rho_k^b |i_k>), is one matrix product over the block's active
-trajectories, X^T @ Y: X holds particle 1's flattened density per
-trajectory and Y the per-trajectory Kronecker product of the others'.
+kron_k rho_k^b |i_k>), is one matrix product over the block's rows,
+X^T @ Y: X holds particle 1's flattened density per trajectory and Y the
+per-trajectory Kronecker product of the others', and a trajectory no
+longer active enters both as zero.
 No per-trajectory (D, D) product is formed; the largest record-time
 array is Y, prod_{k>=2} d_k^2 complex numbers per trajectory of the
 batch, which the memory gate of the full-density accumulation counts.
@@ -275,15 +276,6 @@ def _batched_refvec(rhos_by_particle, refs):
         [rho @ ref for rho, ref in zip(rhos_by_particle, refs)])
 
 
-def _set_sum(factors, sl, keep):
-    """X^T @ Y over the active trajectories ``keep`` of the slice ``sl``:
-    a basic slice when all of them are active, else their rows copied."""
-    x, y = factors
-    if keep.all():
-        return x[sl].T @ y[sl]
-    return x[sl][keep].T @ y[sl][keep]
-
-
 def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     """Propagate the trajectories of a run of consecutive blocks, whose
     boundaries are ``edges``, as one batch (worker-safe).
@@ -319,18 +311,19 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
         if not active.any():
             return
         # inactive (diverged) trajectories still sit in the batch; their
-        # entries may overflow but are masked out of every sum.  The
-        # per-trajectory factors are formed once over the whole batch, and
-        # each block reduces its own active rows, as it would alone: the
-        # observables by a sum, the tensor products by one X^T @ Y product
-        # (see _first_and_rest), so no (B, D, D) array is ever formed.
+        # entries may overflow but are masked out of every sum.  Each block
+        # reduces its own rows, as it would alone: the observables by a sum
+        # over the active ones, the tensor products by one X^T @ Y product
+        # (see _first_and_rest) in which an inactive trajectory enters as
+        # a zero density, so no (B, D, D) array is ever formed.
         with np.errstate(over="ignore", invalid="ignore"):
             if n_obs:
                 vals = np.ones((count, n_obs), dtype=complex)
                 for k in range(n):
                     vals *= np.einsum("aij,bji->ba", obs_stacks[k], rhos[k])
-            kron = _batched_kron(rhos) if ensemble.full_density else None
-            vec = _batched_refvec(rhos, refs) if refs is not None else None
+            on = [np.where(active[:, None, None], rho, 0) for rho in rhos]
+            kron = _batched_kron(on) if rho_sum is not None else None
+            vec = _batched_refvec(on, refs) if vec_sum is not None else None
             for j, sl in enumerate(slices):
                 if not counts[j, r]:
                     continue
@@ -341,10 +334,12 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
                     obs_sq[j, :, r] = (kept.real ** 2
                                        + kept.imag ** 2).sum(axis=0)
                 if kron is not None:
-                    rho_sum[j, r] = _set_sum(kron, sl, keep).reshape(
-                        pairs).transpose(from_pairs).reshape(rho_sum.shape[2:])
+                    x, y = kron
+                    rho_sum[j, r] = (x[sl].T @ y[sl]).reshape(pairs).transpose(
+                        from_pairs).reshape(rho_sum.shape[2:])
                 if vec is not None:
-                    vec_sum[j, r] = _set_sum(vec, sl, keep).reshape(full_dim)
+                    x, y = vec
+                    vec_sum[j, r] = (x[sl].T @ y[sl]).reshape(full_dim)
                 min_eig[j, r] = mins[sl][keep].min(axis=0)
 
     stats = propagate_block(
@@ -388,13 +383,16 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     n_blocks = len(edges) - 1
     runs = block_runs(edges, ensemble.worker_count)
     if ensemble.full_density:
-        # the accumulator's n_blocks rows plus the rows of the run being
-        # filled, and the Y factor each record forms over the run's width
+        # the accumulator's n_blocks rows, plus, for each run in flight (one
+        # per worker), the rows it fills and the Y factor each of its
+        # records forms over the run's width
         per_matrix = spec.full_dim ** 2 * 16
-        held = n_blocks + max(stop - first for first, stop in runs)
+        in_flight = min(ensemble.worker_count, len(runs))
+        rows = max(stop - first for first, stop in runs)
         width = max(int(edges[stop] - edges[first]) for first, stop in runs)
-        total = (per_matrix * len(times) * held
-                 + width * per_matrix // spec.dims[0] ** 2)
+        total = (per_matrix * len(times) * n_blocks + in_flight * (
+            per_matrix * len(times) * rows
+            + width * per_matrix // spec.dims[0] ** 2))
         if total > DEFAULT_MEMORY_LIMIT:
             raise DimensionLimitError(
                 f"full-density accumulation needs ~{total // (1 << 20)} MiB, "

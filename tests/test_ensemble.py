@@ -219,6 +219,27 @@ class TestRunEnsemble:
             run_ensemble(benchmark_system, TimeGrid(0.1, 1e-3, 1),
                          loose(m=8, full_density=True))
 
+    def test_memory_gate_counts_every_run_in_flight(self, benchmark_system,
+                                                    monkeypatch):
+        # D = 4, 2 records, 4 blocks of 2 in 4 runs of one block: the
+        # accumulator takes 4 * 2 * 256 B = 2048 B, and each run in flight
+        # its 2 * 256 B of rows and its Y factor, 2 * 4 * 16 B: 2688 B at
+        # one worker, 3328 B at two
+        monkeypatch.setattr(snbd.ensemble, "LOCKSTEP_WIDTH", 2)
+        monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 3000)
+        grid = TimeGrid(0.1, 1e-3, 100)
+        acc = run_ensemble(benchmark_system, grid,
+                           loose(m=8, n_blocks=4, full_density=True))
+        assert acc.count == 8
+        started = []
+        monkeypatch.setattr(snbd.ensemble, "_run_results",
+                            lambda *args: started.append(args))
+        with pytest.raises(DimensionLimitError):
+            run_ensemble(benchmark_system, grid,
+                         loose(m=8, n_blocks=4, worker_count=2,
+                               full_density=True))
+        assert started == []
+
     def test_duplicate_observables_rejected(self, benchmark_system):
         obs = (ObservableSpec("a", (SZ, None)), ObservableSpec("a", (None, SZ)))
         with pytest.raises(ConfigError):
