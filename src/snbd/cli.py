@@ -48,7 +48,7 @@ from .errors import (
     SnbdError,
     TrajectoryBlowupError,
 )
-from .linalg import trace_distance
+from .linalg import trace_distances
 from .oracle import exact_observable, propagate_exact
 from .output import RunWriter
 from .recovery import (
@@ -203,14 +203,14 @@ def cmd_compare(cfg, writer, reporter):
     _write_positivity(writer, cfg, acc)
     pure = cfg.recovery.enabled
     times, states = _oracle_states(cfg, pure=pure)
+    oracle = np.stack([s.rhoN for s in states])
     if "bin" in cfg.output.formats:
         writer.write_density_bin("density.bin", estimate_density(acc))
-        writer.write_density_bin(
-            "oracle_density.bin", np.stack([s.rhoN for s in states]))
+        writer.write_density_bin("oracle_density.bin", oracle)
 
     header = ["t", "trace_distance", "trace_distance_se"]
     td, td_se = jackknife_density_scalar(
-        acc, lambda rho, t: trace_distance(rho, states[t].rhoN))
+        acc, lambda rhos: trace_distances(rhos, oracle))
     columns = [acc.times, td, td_se]
     for obs in cfg.observables:
         est = estimate_product_observable(acc, obs.name)

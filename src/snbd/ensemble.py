@@ -573,12 +573,13 @@ def jackknife_blocks(acc: EnsembleAccumulator, sums, statistic, values=None):
 def jackknife_density_scalar(acc: EnsembleAccumulator, fn):
     """Delete-one-block jackknife of a scalar functional of the mean density.
 
-    ``fn(rho, t_index) -> float`` is applied to the full estimate and to
-    every leave-one-block-out estimate; returns (values, standard errors)
-    over recorded times.  Nonlinear statistics (trace distance, fidelity)
-    need this rather than a plain variance.
+    ``fn(rhos) -> (T,) array`` maps a (T, D, D) stack of mean densities,
+    one per recorded time, to one value per time; it is applied to the
+    full estimate and to every leave-one-block-out estimate.  Returns
+    (values, standard errors) over recorded times.  Nonlinear statistics
+    (trace distance, fidelity) need this rather than a plain variance.
     """
     if acc.rho_sum is None:
         raise MissingDataError("full-density mode was not enabled")
-    return jackknife_blocks(acc, acc.rho_sum, lambda total, m: [
-        fn(total[t] / m[t], t) for t in range(len(acc.times))])
+    return jackknife_blocks(acc, acc.rho_sum,
+                            lambda total, m: fn(total / m[:, None, None]))

@@ -138,6 +138,13 @@ def trace_distance(a, b) -> float:
     b = as_cmatrix(b, "b")
     if a.shape != b.shape:
         raise ShapeError(f"trace_distance: shape mismatch {a.shape} vs {b.shape}")
-    diff = a - b
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return float(trace_distances(a, b))
+
+
+def trace_distances(a, b) -> np.ndarray:
+    """``trace_distance`` over stacks (..., D, D), one eigvalsh call for
+    the whole stack; LAPACK solves it matrix by matrix, so each value is
+    bitwise the one ``trace_distance`` gives for its pair."""
+    diff = np.asarray(a, dtype=np.complex128) - b
+    diff = 0.5 * (diff + diff.conj().swapaxes(-1, -2))
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)

@@ -61,7 +61,7 @@ from snbd.ensemble import (
     jackknife_density_scalar,
     run_ensemble,
 )
-from snbd.linalg import herm_eig, hs_norm, trace_distance
+from snbd.linalg import herm_eig, hs_norm, trace_distances
 from snbd.oracle import exact_observable, initial_pure_vector, propagate_exact
 from snbd.propagator import (
     TimeGrid,
@@ -147,8 +147,9 @@ def _window(acc):
 
 def test_criterion_01_exactness_benchmark(flagship):
     spec, acc, states = flagship
+    oracle = np.stack([s.rhoN for s in states])
     td_full, se_full = jackknife_density_scalar(
-        acc, lambda rho, t: trace_distance(rho, states[t].rhoN))
+        acc, lambda rhos: trace_distances(rhos, oracle))
     n = len(_window(acc).times)
     td, se = td_full[:n], se_full[:n]
     within_bands = bool(np.all(td <= 5 * se + MACHINE_FLOOR))

@@ -27,7 +27,7 @@ from snbd.errors import (
     MissingDataError,
     PositivityViolationError,
 )
-from snbd.linalg import trace_distance
+from snbd.linalg import trace_distance, trace_distances
 from snbd.oracle import propagate_exact
 from snbd.propagator import (
     TimeGrid,
@@ -447,7 +447,8 @@ class TestJackknife:
     def test_constant_statistic_has_zero_error(self, benchmark_system):
         acc = run_ensemble(benchmark_system, TimeGrid(0.1, 1e-3, 25),
                            loose(m=40, full_density=True, n_blocks=8))
-        values, se = jackknife_density_scalar(acc, lambda rho, t: 1.0)
+        values, se = jackknife_density_scalar(
+            acc, lambda rhos: np.ones(len(rhos)))
         assert np.all(values == 1.0)
         assert np.abs(se).max() == 0.0
 
@@ -456,8 +457,9 @@ class TestJackknife:
                            loose(m=400, master_seed=17, full_density=True,
                                  n_blocks=20))
         states = propagate_exact(benchmark_system, acc.times)
+        oracle = np.stack([s.rhoN for s in states])
         td, se = jackknife_density_scalar(
-            acc, lambda rho, t: trace_distance(rho, states[t].rhoN))
+            acc, lambda rhos: trace_distances(rhos, oracle))
         assert td[0] <= 1e-12
         # short horizon: statistics are benign, agreement within 5 sigma
         assert np.all(td[1:] <= 5 * se[1:] + 1e-13)
@@ -466,6 +468,6 @@ class TestJackknife:
         acc = run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
                            loose(m=8))
         with pytest.raises(MissingDataError):
-            jackknife_density_scalar(acc, lambda rho, t: 0.0)
+            jackknife_density_scalar(acc, lambda rhos: np.zeros(len(rhos)))
         with pytest.raises(MissingDataError):
             estimate_density(acc)

@@ -14,6 +14,7 @@ from snbd.linalg import (
     hs_norm,
     kron,
     trace_distance,
+    trace_distances,
 )
 
 from conftest import SX, SY, SZ, random_hermitian
@@ -142,3 +143,13 @@ class TestTraceDistance:
         up = np.diag([1.0, 0.0]).astype(complex)
         down = np.diag([0.0, 1.0]).astype(complex)
         assert trace_distance(up, down) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d", [2, 12])
+    def test_stack_is_bitwise_each_pair(self, d):
+        # one eigvalsh over the stack, solved matrix by matrix
+        rng = np.random.default_rng(5)
+        a = np.stack([random_hermitian(rng, d) for _ in range(30)])
+        b = random_hermitian(rng, d)
+        got = trace_distances(a, b)
+        assert got.shape == (30,)
+        assert all(got[t] == trace_distance(a[t], b) for t in range(30))
