@@ -25,6 +25,7 @@ batch, which the memory gate of the full-density accumulation counts.
 
 import hashlib
 import json
+from itertools import groupby
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 
@@ -289,9 +290,22 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     n_obs = obs_stacks[0].shape[0] if obs_stacks else 0
     n_times = len(time.times)
     start, count = int(edges[0]), int(edges[-1] - edges[0])
-    slices = [slice(int(a - start), int(b - start))
-              for a, b in zip(edges[:-1], edges[1:])]
-    rows = len(slices)
+    widths = np.diff(edges)
+    firsts = edges[:-1] - start
+    rows = len(widths)
+    # runs of consecutive blocks of one width, at most two (block_edges):
+    # (first row, blocks, width)
+    same_width, lo = [], 0
+    for w, run in groupby(widths.tolist()):
+        k = len(list(run))
+        same_width.append((lo, k, w))
+        lo += k * w
+
+    def by_block(x):
+        """x's rows as (blocks, width, ...) views, one per run of equal
+        widths, so each block reduces its own rows."""
+        return [x[lo:lo + k * w].reshape((k, w) + x.shape[1:])
+                for lo, k, w in same_width]
 
     counts = np.zeros((rows, n_times), dtype=np.int64)
     obs_sum = np.zeros((rows, n_obs, n_times), dtype=complex)
@@ -303,54 +317,60 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     min_eig = np.full((rows, n_times, n), np.inf)
     # a density sum X^T @ Y is indexed (i_1, j_1, i_2, j_2, ...)
     pairs = tuple(d for d in spec.dims for _ in range(2))
-    from_pairs = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    from_pairs = (0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2))
+
+    def xty(factors):
+        """Each block's X^T @ Y, (rows, a, b), one stacked product per
+        run of equal widths."""
+        x, y = factors
+        return np.concatenate([xb.swapaxes(1, 2) @ yb for xb, yb in
+                               zip(by_block(x), by_block(y))])
 
     def on_record(r, t, rhos, active, mins):
-        for j, sl in enumerate(slices):
-            counts[j, r] = int(active[sl].sum())
-        if not active.any():
+        counts[:, r] = np.add.reduceat(active, firsts, dtype=np.int64)
+        filled = counts[:, r] > 0
+        if not filled.any():
             return
         # inactive (diverged) trajectories still sit in the batch; their
-        # entries may overflow but are masked out of every sum.  Each block
-        # reduces its own rows, as it would alone: the observables by a sum
-        # over the active ones, the tensor products by one X^T @ Y product
-        # (see _first_and_rest) in which an inactive trajectory enters as
-        # a zero density, so no (B, D, D) array is ever formed.
+        # entries may overflow but never reach a sum.  Each block reduces
+        # its own rows, as it would alone, with an inactive row entering as
+        # an exact identity: -0.0 in the observable sums, a zero density in
+        # the tensor products X^T @ Y (see _first_and_rest; no (B, D, D)
+        # array is formed), inf in the minimum.  A block with no active
+        # row keeps its fill values.
         with np.errstate(over="ignore", invalid="ignore"):
             if n_obs:
                 vals = np.ones((count, n_obs), dtype=complex)
                 for k in range(n):
                     vals *= np.einsum("aij,bji->ba", obs_stacks[k], rhos[k])
+                vals = np.where(active[:, None], vals, complex(-0.0, -0.0))
+                blocks = by_block(vals)
+                obs_sum[filled, :, r] = np.concatenate(
+                    [b.sum(axis=1) for b in blocks])[filled]
+                obs_sq[filled, :, r] = np.concatenate(
+                    [(b.real ** 2 + b.imag ** 2).sum(axis=1)
+                     for b in blocks])[filled]
             on = [np.where(active[:, None, None], rho, 0) for rho in rhos]
-            kron = _batched_kron(on) if rho_sum is not None else None
-            vec = _batched_refvec(on, refs) if vec_sum is not None else None
-            for j, sl in enumerate(slices):
-                if not counts[j, r]:
-                    continue
-                keep = active[sl]
-                if n_obs:
-                    kept = vals[sl][keep]
-                    obs_sum[j, :, r] = kept.sum(axis=0)
-                    obs_sq[j, :, r] = (kept.real ** 2
-                                       + kept.imag ** 2).sum(axis=0)
-                if kron is not None:
-                    x, y = kron
-                    rho_sum[j, r] = (x[sl].T @ y[sl]).reshape(pairs).transpose(
-                        from_pairs).reshape(rho_sum.shape[2:])
-                if vec is not None:
-                    x, y = vec
-                    vec_sum[j, r] = (x[sl].T @ y[sl]).reshape(full_dim)
-                min_eig[j, r] = mins[sl][keep].min(axis=0)
+            if rho_sum is not None:
+                rho_sum[filled, r] = xty(_batched_kron(on))[filled].reshape(
+                    (-1,) + pairs).transpose(from_pairs).reshape(
+                    -1, full_dim, full_dim)
+            if vec_sum is not None:
+                vec_sum[filled, r] = xty(_batched_refvec(on, refs))[
+                    filled].reshape(-1, full_dim)
+            mins = np.where(active[:, None], mins, np.inf)
+            min_eig[filled, r] = np.concatenate(
+                [b.min(axis=1) for b in by_block(mins)])[filled]
 
     stats = propagate_block(
         spec, ensemble.master_seed, start, count, time.t_final, time.dt,
         time.record_stride, on_record,
         positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy)
-    sums = dict(launched=np.diff(edges), counts=counts, obs_sum=obs_sum,
+    sums = dict(launched=widths, counts=counts, obs_sum=obs_sum,
                 obs_sq=obs_sq, rho_sum=rho_sum, vec_sum=vec_sum,
                 min_eig=min_eig,
-                trace_dev=np.array([stats.trace_dev[sl].max() for sl in slices]),
-                herm_dev=np.array([stats.herm_dev[sl].max() for sl in slices]))
+                trace_dev=np.maximum.reduceat(stats.trace_dev, firsts),
+                herm_dev=np.maximum.reduceat(stats.herm_dev, firsts))
     return sums, stats.blowups, stats.positivity_skips
 
 

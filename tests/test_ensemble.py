@@ -38,10 +38,12 @@ from snbd.propagator import (
 
 from conftest import (
     DOWN,
+    SX,
     SZ,
     UP,
     free_two_spin_system,
     interleaved_system,
+    random_hermitian,
     two_spin_system,
 )
 
@@ -164,6 +166,90 @@ class TestRecordSums:
                 assert np.abs(acc.vec_sum[j, r] - vec).max() <= 1e-13
         assert partial >= 10
         assert 0 < acc.active_counts[-1] < 23
+
+
+    def test_stacked_sums_are_each_block_alone(self, monkeypatch):
+        # the same run with two observables: every sum of every block at
+        # every record is bitwise the per-block reduction over the block's
+        # active rows written out below, for blocks of both widths while
+        # fully, partly and not active; a block with no active row keeps
+        # its fill values (+0 sums, an inf minimum)
+        spec = interleaved_system()
+        rng = np.random.default_rng(5)
+        refs = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                     for d in spec.dims)
+        obs = (ObservableSpec("sz0", (SZ, None, None)),
+               ObservableSpec("mixed", (SX, random_hermitian(rng, 3), SZ)))
+        seen = []
+        propagate = snbd.ensemble.propagate_block
+
+        def recording(*args, **options):
+            on_record = args[7]
+
+            def record(r, t, rhos, active, mins):
+                seen.append(([x.copy() for x in rhos], active.copy(),
+                             mins.copy()))
+                on_record(r, t, rhos, active, mins)
+
+            return propagate(*args[:7], record, **options)
+
+        monkeypatch.setattr(snbd.ensemble, "propagate_block", recording)
+        acc = run_ensemble(spec, TimeGrid(0.6, 1e-3, 20),
+                           EnsembleParams(m=23, master_seed=4, n_blocks=4,
+                                          full_density=True,
+                                          blowup_policy="skip",
+                                          positivity_tol=0.03),
+                           observables=obs, refs=refs)
+        assert list(np.diff(acc.edges)) == [6, 6, 6, 5]
+        factors = [o.materialize(spec.dims) for o in obs]
+        d = spec.full_dim
+        perm = (0, 2, 4, 1, 3, 5)   # (i1 j1 i2 j2 i3 j3) -> (i1 i2 i3 j1 j2 j3)
+
+        def xty(rows, sl):
+            # X^T @ Y over one block, X particle 0's rows, Y the
+            # Kronecker product of the others' formed elementwise
+            y = (rows[1][:, :, None] * rows[2][:, None, :]).reshape(
+                len(rows[0]), -1)
+            return rows[0][sl].T @ y[sl]
+
+        states = {"full": 0, "partial": 0, "empty": 0}
+        for r, (rhos, active, mins) in enumerate(seen):
+            on = [np.where(active[:, None, None], x, 0) for x in rhos]
+            # the observable products as on_record forms them, over the
+            # whole batch; what is checked is each block's reduction
+            vals = np.ones((23, len(obs)), dtype=complex)
+            for k in range(3):
+                vals *= np.einsum("aij,bji->ba",
+                                  np.stack([f[k] for f in factors]), rhos[k])
+            for j in range(acc.n_blocks):
+                sl = slice(acc.edges[j], acc.edges[j + 1])
+                keep = active[sl]
+                assert acc.counts[j, r] == keep.sum()
+                if not keep.any():
+                    states["empty"] += 1
+                    sums = acc.obs_sum[j, :, r]
+                    assert not np.signbit([sums.real, sums.imag]).any()
+                    assert not sums.any()
+                    assert not acc.obs_sq[j, :, r].any()
+                    assert not acc.rho_sum[j, r].any()
+                    assert not acc.vec_sum[j, r].any()
+                    assert np.isinf(acc.min_eig[j, r]).all()
+                    continue
+                states["full" if keep.all() else "partial"] += 1
+                kept = vals[sl][keep]
+                assert np.array_equal(acc.obs_sum[j, :, r], kept.sum(axis=0))
+                assert np.array_equal(acc.obs_sq[j, :, r],
+                                      (kept.real ** 2
+                                       + kept.imag ** 2).sum(axis=0))
+                assert np.array_equal(acc.min_eig[j, r],
+                                      mins[sl][keep].min(axis=0))
+                rho = xty([x.reshape(23, -1) for x in on], sl)
+                assert np.array_equal(
+                    acc.rho_sum[j, r],
+                    rho.reshape(2, 2, 3, 3, 2, 2).transpose(perm).reshape(d, d))
+                vec = xty([x @ v for x, v in zip(on, refs)], sl)
+                assert np.array_equal(acc.vec_sum[j, r], vec.reshape(d))
+        assert all(n >= 5 for n in states.values()), states
 
 
 class TestRunEnsemble:
