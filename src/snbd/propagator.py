@@ -40,14 +40,32 @@ densities (rho + rho^dag)/2 themselves.
 
 ``propagate_block`` is the only code that advances densities: it steps a
 batch of trajectories in lockstep, with the particles of each dimension
-stacked into one array, and a single trajectory is a batch of one.  How
-many trajectories one call steps together changes no result, bit for
-bit: every contraction of a step is a per-trajectory stacked matmul,
-(..., 1, n) @ (n, m), one small product per trajectory, and the rest is
-elementwise.  A batch-wide GEMM over the trajectories would be faster
-but is not bitwise invariant to the batch width (BLAS rounds the rows
-of a tall product differently depending on where its panels fall), and
-``np.einsum`` is invariant but several times slower.
+stacked into one array, and a single trajectory is a batch of one.  The
+batch is the last axis: a group of K particles of dimension d holds its
+coordinates as C, (K, d^2, W), one column per trajectory.  A step makes
+two GEMMs per group with the shared operator tables as the left factor,
+Obar = F^T C for the mean fields and M(u) = T^T U for the generator, and
+forms M(u) c column by column as an elementwise product summed over the
+d^2 coordinates in order.  The noise draw and the pair sums W_k^s stay
+per trajectory.
+
+How many trajectories one call steps together changes no result, bit
+for bit.  The elementwise work is per column by construction.  For the
+GEMMs it rests on a measured property of BLAS: when the width is a
+multiple of 8, a column of the product depends only on that column, the
+left factor and the column's position modulo 8 (OpenBLAS 0.3.31 on an
+AVX-512 core, left factors from 1 x 4 to 1260 x 34, widths 8 to 1024).
+At other widths the bits do change: the tail columns take other kernels,
+and a width of one takes the matrix-vector path.  So W is the batch
+rounded up to a multiple of ``COLUMN_ALIGN`` = 8, and trajectory j sits
+in column j - 8 floor(start / 8), always at position j mod 8.  (On the
+core measured the position did not matter at all once the width was
+aligned; the fixed position costs at most 7 columns and relies on nothing
+that was not measured.)  The padding columns hold the initial state and
+draw no noise, and nothing reads them.  ``test_same_bits_at_any_width``
+guards the property at every start modulo 8 and widths from 1 to
+``LOCKSTEP_WIDTH``, on systems whose GEMMs take a one-row left factor
+(one term), an inner dimension of 16 (d = 4) and mixed dimensions.
 
 Per-trajectory randomness comes from counter-based Philox streams keyed
 by (master seed, trajectory index), so any trajectory can be reproduced
@@ -98,6 +116,10 @@ POSITIVITY_FLOOR = 1e-12
 #: Bytes of noise pre-drawn at a time by the batched driver: the chunk
 #: holds as many steps of every trajectory of the batch as fit (at least one).
 NOISE_CHUNK_BYTES = 2 * 1024 * 1024
+
+#: The batch is padded to a multiple of this many columns, and trajectory
+#: j sits at column position j mod COLUMN_ALIGN (see the module notes).
+COLUMN_ALIGN = 8
 
 #: Steps between divergence checks in the batched driver.
 CHECK_STRIDE = 25
@@ -334,8 +356,8 @@ class BlockStats:
 
 @dataclass
 class _DimGroup:
-    """The K particles of one dimension d, stepped as (K, B, d^2) real
-    coordinates in ``build_hermitian_basis(d)``.
+    """The K particles of one dimension d, stepped as (K, d^2, W) real
+    coordinates in ``build_hermitian_basis(d)``, one column per trajectory.
 
     A density is rebuilt from ``to_upper``, whose column pairs are the
     (re, im) parts of the basis entries at the flat indices ``upper``:
@@ -343,31 +365,34 @@ class _DimGroup:
     """
 
     members: list        # particle indices, ascending
-    cols: slice          # their rows in the group-ordered (N, B, ...) arrays
-    fields: np.ndarray   # (K, 1, d^2, p) covectors o_k^s: Obar = c . o
-    tables: np.ndarray   # (K, 1, 2p + 2, (d^2 - 1) d^2) parts T_j of M(u)
-    coords: np.ndarray   # (K, B, d^2) current coordinates
+    rows: slice          # their rows in the group-ordered (N, ..., W) arrays
+    fields: np.ndarray   # (K, p, d^2) F^T, the covectors o_k^s: Obar = F^T C
+    tables: np.ndarray   # (K, (d^2 - 1) d^2, 2p + 2) T^T: M(u) = T^T U
+    coords: np.ndarray   # (K, d^2, W) current coordinates
+    live: slice          # the columns of the batch's trajectories
     to_upper: np.ndarray  # (d^2, 2 d (d + 1) / 2)
     upper: np.ndarray    # d (d + 1) / 2 flat indices
     lower: np.ndarray    # d (d - 1) / 2 flat indices
     initial: np.ndarray  # (K, d, d) symmetrized initial densities
 
 
-def _dim_groups(spec: SystemSpec, count: int, dt: float):
+def _dim_groups(spec: SystemSpec, live: slice, width: int, dt: float):
     """Group the particles by dimension, groups in order of first appearance.
 
     The parts of M(u) = sum_j u_j T_j for particle k are {O_k^s, .},
     i[O_k^s, .], -i dt [H_k, .] and -2 times the identity, in coordinates,
     for u = [Re coeff, Im coeff, 1, Re g0].  Row 0 (the trace coordinate)
-    of every part is dropped: it is never updated.
+    of every part is dropped: it is never updated.  Every one of the
+    ``width`` columns starts at the initial state; ``live`` are the
+    batch's.
     """
     dims = spec.dims
     groups, lo = [], 0
     for d in dict.fromkeys(dims):
         members = [k for k in range(spec.n_particles) if dims[k] == d]
         n_k, n_c = len(members), d * d
-        cols = slice(lo, lo + n_k)
-        lo = cols.stop
+        rows = slice(lo, lo + n_k)
+        lo = rows.stop
         anti, comm = hermitian_structure_constants(d)
         ops = hermitian_coordinates(np.array(
             [[term.ops[k] for term in spec.terms] for k in members]
@@ -385,11 +410,14 @@ def _dim_groups(spec: SystemSpec, count: int, dt: float):
         iu, ju = np.r_[iu, np.arange(d)], np.r_[ju, np.arange(d)]
         basis = np.array(build_hermitian_basis(d))
         groups.append(_DimGroup(
-            members=members, cols=cols,
-            fields=np.ascontiguousarray(ops.transpose(0, 2, 1)[:, None]),
+            members=members, rows=rows,
+            fields=np.ascontiguousarray(ops),
             tables=np.ascontiguousarray(
-                parts[:, :, 1:].reshape(n_k, 1, len(parts[0]), -1)),
-            coords=np.repeat(hermitian_coordinates(rho)[:, None], count, axis=1),
+                parts[:, :, 1:].reshape(n_k, len(parts[0]), -1)
+                .transpose(0, 2, 1)),
+            coords=np.repeat(hermitian_coordinates(rho)[:, :, None], width,
+                             axis=2),
+            live=live,
             to_upper=np.ascontiguousarray(basis[:, iu, ju]).view(np.float64),
             upper=iu * d + ju, lower=(ju * d + iu)[:-d],
             initial=rho))
@@ -397,18 +425,20 @@ def _dim_groups(spec: SystemSpec, count: int, dt: float):
 
 
 def _densities(g: _DimGroup) -> np.ndarray:
-    """(K, B, d, d) densities rebuilt from the coordinates, exactly Hermitian.
+    """(K, B, d, d) densities of the batch's B trajectories, rebuilt from
+    the coordinates, exactly Hermitian.
 
     The upper triangle and diagonal are sum_a c_a B_a, accumulated term by
     term in elementwise arithmetic, so an entry that cancels analytically
     (the empty level of a diagonal state) cancels exactly; the lower
     triangle is the conjugate of the upper.
     """
-    n_k, count, n_c = g.coords.shape
+    c = g.coords[:, :, g.live]
+    n_k, n_c, count = c.shape
     d = g.initial.shape[-1]
-    upper = g.coords[..., :1] * g.to_upper[0]
+    upper = c[:, 0, :, None] * g.to_upper[0]
     for a in range(1, n_c):
-        upper += g.coords[..., a:a + 1] * g.to_upper[a]
+        upper += c[:, a, :, None] * g.to_upper[a]
     upper = upper.view(complex)
     rho = np.empty((n_k, count, n_c), dtype=complex)
     rho[..., g.upper] = upper
@@ -429,9 +459,9 @@ def _min_eigenvalues(g: _DimGroup, rho: np.ndarray, on) -> np.ndarray:
     loses about sqrt(eps) at a degenerate pair of eigenvalues.
     """
     if rho.shape[-1] == 2:
-        c = g.coords[:, on]
-        norm = np.sqrt(c[..., 1] ** 2 + c[..., 2] ** 2 + c[..., 3] ** 2)
-        return (c[..., 0] - norm) / np.sqrt(2.0)
+        c = g.coords[:, :, g.live][:, :, on]
+        norm = np.sqrt(c[:, 1] ** 2 + c[:, 2] ** 2 + c[:, 3] ** 2)
+        return (c[:, 0] - norm) / np.sqrt(2.0)
     return np.linalg.eigvalsh(rho[:, on]).min(axis=-1)
 
 
@@ -476,7 +506,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     (deactivate the offending trajectories and keep going; skipped
     indices are reported in the returned stats).
 
-    The particles of each dimension form one group; every (N, B, 1, ...)
+    The particles of each dimension form one group; every (N, ..., W)
     array of a step (mean fields, the rows u) holds the groups side by
     side, and the groups couple only through the mean-field total.
     """
@@ -490,21 +520,21 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     p = len(spec.terms)
     npairs = pair_count(n)
 
-    mdtw = -dt * np.array([t.omega for t in spec.terms], dtype=float)
+    mdtw = -dt * np.array([t.omega for t in spec.terms], dtype=float)[:, None]
     z = sqrt_noise_factors(spec.terms)
-    groups = _dim_groups(spec, count, dt)
+    # trajectory j in column j - COLUMN_ALIGN * (start // COLUMN_ALIGN)
+    live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
+    width = -(-live.stop // COLUMN_ALIGN) * COLUMN_ALIGN
+    groups = _dim_groups(spec, live, width, dt)
     order = [k for g in groups for k in g.members]
-    # row of each particle in the group-ordered arrays; the sums over
-    # particles (the mean-field total) and over terms (g0) are added one
-    # term at a time in a fixed order, where a numpy reduction could
-    # change its order with the shape of the batch
-    rows = np.argsort(order)
     plus, minus = (np.ascontiguousarray(a[:, order]) for a in pair_projectors(n))
-    # u = [Re coeff, Im coeff, 1, Re g0] per particle and trajectory
-    u = np.empty((n, count, 1, 2 * p + 2))
-    u[..., 2 * p] = 1.0
-    re, im, g0 = u[..., :p], u[..., p:2 * p], u[..., 2 * p + 1]
-    obar = np.empty((n, count, 1, p))
+    # u = [Re coeff, Im coeff, 1, Re g0] per particle, trajectories last;
+    # the padding columns of the noise rows stay zero
+    u = np.zeros((n, 2 * p + 2, width))
+    u[:, 2 * p] = 1.0
+    re, im, g0 = u[:, :p], u[:, p:2 * p], u[:, 2 * p + 1]
+    noise_im = np.zeros((n, p, width))
+    obar = np.empty((n, p, width))
 
     rngs = [trajectory_rng(master_seed, start + b) for b in range(count)]
     chunk_steps = max(1, NOISE_CHUNK_BYTES // max(1, 16 * count * p * npairs))
@@ -576,28 +606,24 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
             chunk = min(chunk_steps, n_steps - step)
             dal = _draw_noise_chunk(rngs, chunk, p, npairs, dt)
             for i in range(chunk):
-                zw = z * _particle_sums(dal[:, i], plus, minus)
-                zw = zw.transpose(1, 0, 2)[:, :, None]
+                zw = (z * _particle_sums(dal[:, i], plus, minus)).transpose(1, 2, 0)
+                re[..., live] = zw.real
+                noise_im[..., live] = zw.imag
                 for g in groups:
-                    np.matmul(g.coords[:, :, None, :], g.fields, out=obar[g.cols])
-                tot = obar[rows[0]].copy()
-                for r in rows[1:]:
-                    tot += obar[r]
-                re[...] = zw.real
-                field = tot - obar
-                field *= mdtw
-                field += zw.imag
-                im[...] = field
-                prod = re * obar
-                g0[...] = 0.0
-                for s in range(p):
-                    g0 += prod[..., s]
+                    np.matmul(g.fields, g.coords, out=obar[g.rows])
+                # the sums over particles, terms and coordinates run along
+                # a leading axis with the trajectories contiguous, so numpy
+                # adds them in axis order, column by column
+                np.subtract(obar.sum(axis=0), obar, out=im)
+                im *= mdtw
+                im += noise_im
+                np.sum(re * obar, axis=1, out=g0)
                 for g in groups:
-                    n_k, _, n_c = g.coords.shape
-                    m = np.matmul(u[g.cols], g.tables)
-                    g.coords[..., 1:] += np.matmul(
-                        m.reshape(n_k, count, n_c - 1, n_c),
-                        g.coords[..., None])[..., 0]
+                    n_k, n_c, _ = g.coords.shape
+                    m = np.matmul(g.tables, u[g.rows]).reshape(
+                        n_k, n_c - 1, n_c, width)
+                    m *= g.coords[:, None]
+                    g.coords[:, 1:] += m.sum(axis=2)
                 step += 1
                 if step % record_stride == 0:
                     r_index += 1

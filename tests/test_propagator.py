@@ -118,6 +118,17 @@ def spin_qutrit_system():
         initial=((np.eye(2) + SX) / 2, np.outer([1, 1, 0], [1, 1, 0]) / 2))
 
 
+def ising_system():
+    """Two spin-1/2 in transverse fields with one coupling term, Z Z: the
+    mean fields of a step take a one-row left factor."""
+    rng = np.random.default_rng(3)
+    particles = (ParticleSpec(dim=2, h=0.5 * SX + 0.2 * SZ),) * 2
+    return SystemSpec(
+        particles=particles,
+        terms=(InteractionTerm(omega=0.4, ops=(SZ, SZ)),),
+        initial=(random_density(rng, 2), random_density(rng, 2)))
+
+
 def with_initial(spec, rhos):
     return dataclasses.replace(spec, initial=tuple(rhos))
 
@@ -504,28 +515,41 @@ class TestPropagateTrajectory:
             for k in range(2):
                 assert np.array_equal(rhos[k][2], snap.rhos[k])
 
-    @pytest.mark.parametrize("make", [two_spin_system, interleaved_system],
-                             ids=["(2,2)", "(2,3,2)"])
+    @pytest.mark.parametrize("make", [
+        two_spin_system, interleaved_system, ising_system,
+        lambda: random_system(7, (4, 2), 2)],
+        ids=["(2,2)", "(2,3,2)", "ising", "(4,2)"])
     def test_same_bits_at_any_width(self, make):
-        # trajectory 40 at widths 1, 7, 64 and LOCKSTEP_WIDTH, at a
-        # different position in each block: every record, every minimum
-        # eigenvalue and both deviations are bitwise the same
-        spec, j = make(), 40
-        seen = []
-        for width in (1, 7, 64, LOCKSTEP_WIDTH):
-            start = max(0, j - width // 2)
-            frames, stats = collect(spec, 6, start, width, 0.05, 1e-3, 25,
-                                    positivity_tol=np.inf)
-            b = j - start
-            seen.append(([[r[b] for r in rhos] for _, rhos, _, _ in frames],
-                         [mins[b] for _, _, _, mins in frames],
-                         stats.trace_dev[b], stats.herm_dev[b]))
-        rhos, mins, trace_dev, herm_dev = seen[0]
-        for other in seen[1:]:
-            for a, b in zip(rhos, other[0]):
-                assert all(np.array_equal(x, y) for x, y in zip(a, b))
-            assert all(np.array_equal(x, y) for x, y in zip(mins, other[1]))
-            assert (trace_dev, herm_dev) == other[2:]
+        # blocks at every start from 0 to 17 (every column position modulo
+        # 8, with and without leading padding) and of widths 1 to
+        # LOCKSTEP_WIDTH: each of their trajectories is bitwise that
+        # trajectory of one wide block, in every record, minimum
+        # eigenvalue and both deviations, and so is propagate_trajectory.
+        # The systems reach a one-row left factor in the mean-field GEMM
+        # (one term), k = 16 (d = 4) and two dimension groups.
+        spec = make()
+        grid = (0.02, 1e-3, 10)
+        ref, ref_stats = collect(spec, 6, 0, 17 + LOCKSTEP_WIDTH, *grid,
+                                 positivity_tol=np.inf)
+        for width in (1, 2, 7, 8, 9, 17, 64, LOCKSTEP_WIDTH):
+            for start in range(18):
+                frames, stats = collect(spec, 6, start, width, *grid,
+                                        positivity_tol=np.inf)
+                cols = slice(start, start + width)
+                for (_, rhos, _, mins), (_, ref_rhos, _, ref_mins) in zip(
+                        frames, ref, strict=True):
+                    assert all(np.array_equal(x, y[cols])
+                               for x, y in zip(rhos, ref_rhos, strict=True))
+                    assert np.array_equal(mins, ref_mins[cols])
+                assert np.array_equal(stats.trace_dev, ref_stats.trace_dev[cols])
+                assert np.array_equal(stats.herm_dev, ref_stats.herm_dev[cols])
+        for j in (0, 7, 13, 17 + LOCKSTEP_WIDTH - 1):
+            snaps = propagate_trajectory(spec, *grid[:2], grid[2],
+                                         rng_seed=(6, j), positivity_tol=np.inf)
+            for snap, (t, ref_rhos, _, _) in zip(snaps, ref, strict=True):
+                assert snap.t == t
+                assert all(np.array_equal(x, y[j])
+                           for x, y in zip(snap.rhos, ref_rhos, strict=True))
 
     def test_t0_record_is_the_symmetrized_initial_state(self):
         # the first record hands on (rho + rho^dag)/2 of each initial
