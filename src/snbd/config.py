@@ -18,7 +18,6 @@ from .errors import (
     ContractViolationError,
     ShapeError,
     SnbdError,
-    UnsupportedInteractionError,
 )
 from .ensemble import EnsembleParams, ObservableSpec
 from .propagator import BLOWUP_POLICIES, TimeGrid
@@ -302,8 +301,6 @@ def _parse_interaction(data, particles) -> tuple:
         v = _read_matrix(data["pair_matrix"], "system.interaction.pair_matrix")
         try:
             pairs = decompose_pair_interaction(v, m)
-        except UnsupportedInteractionError:
-            raise
         except SnbdError as exc:
             _fail("system.interaction.pair_matrix", str(exc))
         return shared_interaction_terms(pairs, particles)

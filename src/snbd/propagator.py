@@ -269,6 +269,9 @@ class TimeGrid:
             raise ConfigError(
                 f"record_stride must be >= 1, got {self.record_stride}")
         steps = t_final / dt
+        if not math.isfinite(steps):
+            raise ConfigError(
+                f"t_final={t_final} / dt={dt} overflows a step count")
         n_steps = self.n_steps
         if n_steps < 1 or abs(steps - n_steps) > 1e-9 * max(1.0, abs(steps)):
             raise ConfigError(

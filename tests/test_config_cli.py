@@ -25,7 +25,7 @@ from snbd.config import (
     serialize_config,
 )
 from snbd.ensemble import DEFAULT_MEMORY_LIMIT
-from snbd.errors import ConfigError, UnsupportedInteractionError
+from snbd.errors import ConfigError
 from snbd.output import (
     MAGIC,
     csv_bytes,
@@ -79,11 +79,13 @@ class TestParsing:
             parse_config_dict(data)
 
     def test_non_swap_symmetric_pair_matrix(self, tmp_path):
+        # Hermitian but not swap-symmetric: a config error with its path
         data = tiny_config(tmp_path)
         data["system"]["interaction"] = {
             "pair_matrix": [[0, 0, 1, 0], [0, 0, 0, 0],
                             [1, 0, 0, 0], [0, 0, 0, 0]]}
-        with pytest.raises(UnsupportedInteractionError):
+        with pytest.raises(ConfigError, match="system.interaction.pair_matrix"
+                           ": .*swap-symmetric"):
             parse_config_dict(data)
 
     def test_non_hermitian_pair_matrix(self, tmp_path):
@@ -104,6 +106,13 @@ class TestParsing:
         data = tiny_config(tmp_path)
         data["time"]["dt"] = 0.0003
         with pytest.raises(ConfigError, match="time"):
+            parse_config_dict(data)
+
+    def test_step_count_overflow_rejected(self, tmp_path):
+        # both numbers are finite, their ratio is not
+        data = tiny_config(tmp_path)
+        data["time"].update(t_final=1e308, dt=5e-4, record_stride=1)
+        with pytest.raises(ConfigError, match="time: .*overflows"):
             parse_config_dict(data)
 
     def test_complex_entries(self, tmp_path):
@@ -321,6 +330,23 @@ class TestCli:
     def test_non_finite_numbers_exit2(self, override):
         assert main(["validate", "--config", str(FIXTURE), override,
                      "--quiet"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["time"].update(t_final=1e308, dt=5e-4, record_stride=1),
+         "time: t_final=1e+308 / dt=0.0005 overflows"),
+        (lambda d: d["system"].update(interaction={"pair_matrix": [
+            [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]}),
+         "system.interaction.pair_matrix: pair matrix is not swap-symmetric"),
+    ], ids=["step-overflow", "not-swap-symmetric"])
+    def test_config_contracts_exit2_with_path(self, tmp_path, capsys, edit,
+                                              message):
+        data = tiny_config(tmp_path / "out")
+        edit(data)
+        p = self._write(tmp_path, data)
+        assert main(["validate", "--config", str(p), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_env_dimension_limit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNBD_MAX_DIM", "2")
