@@ -122,14 +122,16 @@ def flagship():
     as faithful as floating point allows; only numerically diverged
     trajectories (non-finite entries or entries beyond the 1e4 norm cap)
     are dropped and counted, which the engine reports as diagnostics.
+    It runs on two workers: the results are the same bytes at any worker
+    count (criterion 10), and the fixture is most of the suite's time.
     """
     spec = two_spin_system(j=0.2, omega0=1.0)
     obs = (ObservableSpec("sz0", (SZ, None)),)
     acc = run_ensemble(
         spec, TimeGrid(T_FINAL, DT, RECORD_STRIDE),
         EnsembleParams(m=M_FLAGSHIP, master_seed=FLAGSHIP_SEED, n_blocks=50,
-                       full_density=True, blowup_policy="skip",
-                       positivity_tol=np.inf),
+                       worker_count=2, full_density=True,
+                       blowup_policy="skip", positivity_tol=np.inf),
         obs, default_reference_vectors(spec))
     states = propagate_exact(spec, acc.times, pure=True)
     return spec, acc, states
