@@ -25,9 +25,9 @@ batch, which the memory gate of the full-density accumulation counts.
 
 import hashlib
 import json
-from itertools import groupby
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
+from itertools import groupby
 
 import numpy as np
 

@@ -116,6 +116,26 @@ class TestLockstep:
         assert lockstep.fingerprint == single.fingerprint
 
 
+def recorded_records(monkeypatch):
+    """Keep the (densities, active mask, minimum eigenvalues) of every
+    record the ensemble's propagate_block hands on_record, in order, in
+    the list returned."""
+    seen = []
+    propagate = snbd.ensemble.propagate_block
+
+    def recording(*args, **options):
+        on_record = args[7]
+
+        def record(r, t, rhos, active, mins):
+            seen.append(([x.copy() for x in rhos], active.copy(), mins.copy()))
+            on_record(r, t, rhos, active, mins)
+
+        return propagate(*args[:7], record, **options)
+
+    monkeypatch.setattr(snbd.ensemble, "propagate_block", recording)
+    return seen
+
+
 class TestRecordSums:
     """Each block's density and reference-vector sums at each record."""
 
@@ -128,19 +148,7 @@ class TestRecordSums:
         rng = np.random.default_rng(5)
         refs = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
                      for d in spec.dims)
-        seen = []
-        propagate = snbd.ensemble.propagate_block
-
-        def recording(*args, **options):
-            on_record = args[7]
-
-            def record(r, t, rhos, active, mins):
-                seen.append(([x.copy() for x in rhos], active.copy()))
-                on_record(r, t, rhos, active, mins)
-
-            return propagate(*args[:7], record, **options)
-
-        monkeypatch.setattr(snbd.ensemble, "propagate_block", recording)
+        seen = recorded_records(monkeypatch)
         acc = run_ensemble(spec, TimeGrid(0.3, 1e-3, 20),
                            EnsembleParams(m=23, master_seed=4, n_blocks=4,
                                           full_density=True,
@@ -150,7 +158,7 @@ class TestRecordSums:
         assert list(np.diff(acc.edges)) == [6, 6, 6, 5]
         assert len(seen) == len(acc.times)
         partial = 0
-        for r, (rhos, active) in enumerate(seen):
+        for r, (rhos, active, _) in enumerate(seen):
             for j in range(acc.n_blocks):
                 on = [b for b in range(acc.edges[j], acc.edges[j + 1])
                       if active[b]]
@@ -180,20 +188,7 @@ class TestRecordSums:
                      for d in spec.dims)
         obs = (ObservableSpec("sz0", (SZ, None, None)),
                ObservableSpec("mixed", (SX, random_hermitian(rng, 3), SZ)))
-        seen = []
-        propagate = snbd.ensemble.propagate_block
-
-        def recording(*args, **options):
-            on_record = args[7]
-
-            def record(r, t, rhos, active, mins):
-                seen.append(([x.copy() for x in rhos], active.copy(),
-                             mins.copy()))
-                on_record(r, t, rhos, active, mins)
-
-            return propagate(*args[:7], record, **options)
-
-        monkeypatch.setattr(snbd.ensemble, "propagate_block", recording)
+        seen = recorded_records(monkeypatch)
         acc = run_ensemble(spec, TimeGrid(0.6, 1e-3, 20),
                            EnsembleParams(m=23, master_seed=4, n_blocks=4,
                                           full_density=True,

@@ -544,8 +544,8 @@ class TestPropagateTrajectory:
                 assert np.array_equal(stats.trace_dev, ref_stats.trace_dev[cols])
                 assert np.array_equal(stats.herm_dev, ref_stats.herm_dev[cols])
         for j in (0, 7, 13, 17 + LOCKSTEP_WIDTH - 1):
-            snaps = propagate_trajectory(spec, *grid[:2], grid[2],
-                                         rng_seed=(6, j), positivity_tol=np.inf)
+            snaps = propagate_trajectory(spec, *grid, rng_seed=(6, j),
+                                         positivity_tol=np.inf)
             for snap, (t, ref_rhos, _, _) in zip(snaps, ref, strict=True):
                 assert snap.t == t
                 assert all(np.array_equal(x, y[j])
