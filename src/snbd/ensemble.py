@@ -25,7 +25,6 @@ batch, which the memory gate of the full-density accumulation counts.
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from itertools import groupby
 
@@ -272,9 +271,16 @@ def _batched_refvec(rhos_by_particle, refs):
     """The (X, Y) factors of the record's reference-vector sums, from the
     per-trajectory v_k = rho_k |i_k>: X is v_1, (B, d_1), and Y the
     per-trajectory Kronecker product of v_2 ... v_N; the sum over a set of
-    trajectories of kron_k v_k is X_set^T @ Y_set flattened."""
-    return _first_and_rest(
-        [rho @ ref for rho, ref in zip(rhos_by_particle, refs)])
+    trajectories of kron_k v_k is X_set^T @ Y_set flattened.  Each v_k is
+    d_k elementwise multiply-adds over the columns of rho_k, in order, so
+    its bits do not depend on the batch."""
+    vecs = []
+    for rho, ref in zip(rhos_by_particle, refs):
+        v = rho[..., 0] * ref[0]
+        for j in range(1, len(ref)):
+            v += rho[..., j] * ref[j]
+        vecs.append(v)
+    return _first_and_rest(vecs)
 
 
 def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
@@ -377,6 +383,8 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
 def _run_results(tasks, worker_count):
     """_block_task over tasks, yielded in run order as they are needed."""
     if worker_count > 1:
+        # imported here, so that a serial run and ``snbd validate`` skip it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
             yield from pool.map(_block_task, *zip(*tasks))
     else:

@@ -11,6 +11,7 @@ groups and exact observable series.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,8 +32,8 @@ class FullState:
     psiN: np.ndarray = None
 
 
-def initial_pure_vector(spec: SystemSpec) -> np.ndarray:
-    """Tensor product of the pure vectors underlying the initial densities.
+def initial_pure_factors(spec: SystemSpec) -> list:
+    """The pure one-body vectors underlying the initial densities.
 
     Each one-body initial density must be (numerically) a rank-1
     projector; the dominant natural orbital is taken as the vector.
@@ -44,10 +45,12 @@ def initial_pure_vector(spec: SystemSpec) -> np.ndarray:
             raise ContractViolationError(
                 f"initial density {k} is not pure (occupations {w})")
         vecs.append(v[:, -1])
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.kron(out, v)
-    return out
+    return vecs
+
+
+def initial_pure_vector(spec: SystemSpec) -> np.ndarray:
+    """Tensor product of the ``initial_pure_factors``."""
+    return reduce(np.kron, initial_pure_factors(spec))
 
 
 def propagate_exact(spec: SystemSpec, t_grid, pure: bool = False) -> list:

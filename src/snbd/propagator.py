@@ -41,31 +41,42 @@ densities (rho + rho^dag)/2 themselves.
 ``propagate_block`` is the only code that advances densities: it steps a
 batch of trajectories in lockstep, with the particles of each dimension
 stacked into one array, and a single trajectory is a batch of one.  The
-batch is the last axis: a group of K particles of dimension d holds its
-coordinates as C, (K, d^2, W), one column per trajectory.  A step makes
-two GEMMs per group with the shared operator tables as the left factor,
-Obar = F^T C for the mean fields and M(u) = T^T U for the generator, and
-forms M(u) c column by column as an elementwise product summed over the
-d^2 coordinates in order.  The noise draw and the pair sums W_k^s stay
-per trajectory.
+batch is the last axis: the coordinates of all particles form one array
+C, (sum_k d_k^2, W), one column per trajectory, and a group of K
+particles of dimension d views its rows as (K, d^2, W).  Every product
+of a step has a left factor built once per run and shared by all
+columns.  The rows u come from two GEMMs:
+
+    Z A = [Re z_s W_k^s, Im z_s W_k^s],   z_s = sqrt(-i omega_s),
+    L C = [Obar_k^s, -dt omega_s sum_{l != k} Obar_l^s],
+
+where A holds one step's stored increments, (2 p npairs, W), and the
+noise factor Z (one block per term) folds in the pairing, the conjugate
+read of the second particle and z_s.  Then Re coeff is a copy, Im coeff
+one addition and Re g0 one product summed over the terms.  Per group,
+M(u) = T^T U is one more GEMM with the operator tables as the left
+factor, and M(u) c an elementwise product summed over the d^2
+coordinates in order.  Only the Philox draw stays per trajectory.
 
 How many trajectories one call steps together changes no result, bit
 for bit.  The elementwise work is per column by construction.  For the
 GEMMs it rests on a measured property of BLAS: when the width is a
 multiple of 8, a column of the product depends only on that column, the
 left factor and the column's position modulo 8 (OpenBLAS 0.3.31 on an
-AVX-512 core, left factors from 1 x 4 to 1260 x 34, widths 8 to 1024).
-At other widths the bits do change: the tail columns take other kernels,
-and a width of one takes the matrix-vector path.  So W is the batch
-rounded up to a multiple of ``COLUMN_ALIGN`` = 8, and trajectory j sits
-in column j - 8 floor(start / 8), always at position j mod 8.  (On the
-core measured the position did not matter at all once the width was
-aligned; the fixed position costs at most 7 columns and relies on nothing
-that was not measured.)  The padding columns hold the initial state and
-draw no noise, and nothing reads them.  ``test_same_bits_at_any_width``
-guards the property at every start modulo 8 and widths from 1 to
-``LOCKSTEP_WIDTH``, on systems whose GEMMs take a one-row left factor
-(one term), an inner dimension of 16 (d = 4) and mixed dimensions.
+AVX-512 core, left factors from 1 x 4 to 1260 x 34, widths 8 to 1024;
+the noise-factor blocks and the mean-field factor of 8 spin-1/2 on all
+28 pairs, 16 x 56 and 48 x 32, pass the same test).  At other widths the bits do change:
+the tail columns take other kernels, and a width of one takes the
+matrix-vector path.  So W is the batch rounded up to a multiple of
+``COLUMN_ALIGN`` = 8, and trajectory j sits in column j - 8 floor(start /
+8), always at position j mod 8.  (On the core measured the position did
+not matter at all once the width was aligned; the fixed position costs
+at most 7 columns and relies on nothing that was not measured.)  The
+padding columns hold the initial state and zero increments, and nothing
+reads them.  ``test_same_bits_at_any_width`` guards the property at
+every start modulo 8 and widths from 1 to ``LOCKSTEP_WIDTH``, on systems
+whose factors reach 4 x 2 (one term), an inner dimension of 16 (d = 4),
+mixed dimensions and 16 x 56 blocks (8 spins).
 
 Per-trajectory randomness comes from counter-based Philox streams keyed
 by (master seed, trajectory index), so any trajectory can be reproduced
@@ -151,38 +162,24 @@ def pair_list(n_particles: int) -> list:
     ]
 
 
-def pair_projectors(n_particles: int):
-    """0/1 matrices mapping pair slots to particles.
+def _noise_factor(z, order) -> np.ndarray:
+    """The left factor Z that takes one step's stored increments to
+    Re z_s W_k^s and Im z_s W_k^s, one (2 N, 2 npairs) block per term s.
 
-    ``plus[q, k] = 1`` when particle k is the first member of pair q and
-    ``minus[q, k] = 1`` when it is the second; used to accumulate
-    W_k = sum_{l>k} dalpha_{k,l} + sum_{l<k} conj(dalpha_{l,k}).
+    Block s reads the float view of ``dal[s]``, columns (q, re | im), and
+    writes rows (Re | Im, particle), the particles in ``order``.  The one
+    place where the pairing is applied: a stored (k, l) increment a + i b
+    enters particle k as z_s (a + i b) and particle l conjugated, as
+    z_s (a - i b), and no other particle.
     """
-    npairs = pair_count(n_particles)
-    plus = np.zeros((npairs, n_particles))
-    minus = np.zeros((npairs, n_particles))
-    for q, (k, l) in enumerate(pair_list(n_particles)):
-        plus[q, k] = 1.0
-        minus[q, l] = 1.0
-    return plus, minus
-
-
-def _particle_sums(dal, plus, minus) -> np.ndarray:
-    """W[..., k, s] from the stored increments ``dal[..., s, q]``.
-
-    The one place where the pairing is applied: a stored (k, l) increment
-    enters its first particle as it is and its second particle complex
-    conjugated, through the ``plus``/``minus`` projectors.  On the
-    interleaved (re, im) parts that is one real product per trajectory,
-    (p, 2 npairs) @ (2 npairs, 2 N): Re W takes plus + minus, Im W takes
-    plus - minus.
-    """
-    npairs, n = plus.shape
-    pairing = np.zeros((npairs, 2, n, 2))
-    pairing[:, 0, :, 0] = plus + minus
-    pairing[:, 1, :, 1] = plus - minus
-    w = np.matmul(dal.view(np.float64), pairing.reshape(2 * npairs, 2 * n))
-    return w.view(complex).swapaxes(-1, -2)
+    n, p, npairs = len(order), len(z), pair_count(len(order))
+    out = np.zeros((p, 2, n, npairs, 2))
+    row = {k: r for r, k in enumerate(order)}
+    for q, (k, l) in enumerate(pair_list(n)):
+        for r, sign in ((row[k], 1.0), (row[l], -1.0)):
+            out[:, 0, r, q] = np.stack([z.real, -sign * z.imag], axis=-1)
+            out[:, 1, r, q] = np.stack([z.imag, sign * z.real], axis=-1)
+    return out.reshape(p, 2 * n, 2 * npairs)
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -369,9 +366,8 @@ class _DimGroup:
 
     members: list        # particle indices, ascending
     rows: slice          # their rows in the group-ordered (N, ..., W) arrays
-    fields: np.ndarray   # (K, p, d^2) F^T, the covectors o_k^s: Obar = F^T C
     tables: np.ndarray   # (K, (d^2 - 1) d^2, 2p + 2) T^T: M(u) = T^T U
-    coords: np.ndarray   # (K, d^2, W) current coordinates
+    coords: np.ndarray   # (K, d^2, W) current coordinates, a view of C
     live: slice          # the columns of the batch's trajectories
     to_upper: np.ndarray  # (d^2, 2 d (d + 1) / 2)
     upper: np.ndarray    # d (d + 1) / 2 flat indices
@@ -382,6 +378,11 @@ class _DimGroup:
 def _dim_groups(spec: SystemSpec, live: slice, width: int, dt: float):
     """Group the particles by dimension, groups in order of first appearance.
 
+    Returns the groups, the coordinates C of all of them, (sum K d^2, W),
+    of which each group's ``coords`` is a view, and the mean-field factor
+    L, (2 N p, sum K d^2): L C holds Obar_k^s = o_k^s . c_k and
+    -dt omega_s sum_{l != k} Obar_l^s, rows (Obar | field, particle, s).
+
     The parts of M(u) = sum_j u_j T_j for particle k are {O_k^s, .},
     i[O_k^s, .], -i dt [H_k, .] and -2 times the identity, in coordinates,
     for u = [Re coeff, Im coeff, 1, Re g0].  Row 0 (the trace coordinate)
@@ -390,7 +391,10 @@ def _dim_groups(spec: SystemSpec, live: slice, width: int, dt: float):
     batch's.
     """
     dims = spec.dims
-    groups, lo = [], 0
+    coords = np.empty((sum(d * d for d in dims), width))
+    # fields[k, s] is o_k^s on particle k's coordinates, zero elsewhere
+    fields = np.zeros((spec.n_particles, len(spec.terms), len(coords)))
+    groups, lo, col = [], 0, 0
     for d in dict.fromkeys(dims):
         members = [k for k in range(spec.n_particles) if dims[k] == d]
         n_k, n_c = len(members), d * d
@@ -412,19 +416,25 @@ def _dim_groups(spec: SystemSpec, live: slice, width: int, dt: float):
         iu, ju = np.triu_indices(d, 1)
         iu, ju = np.r_[iu, np.arange(d)], np.r_[ju, np.arange(d)]
         basis = np.array(build_hermitian_basis(d))
+        group = coords[col:col + n_k * n_c].reshape(n_k, n_c, width)
+        group[...] = hermitian_coordinates(rho)[:, :, None]
+        for j in range(n_k):
+            fields[rows.start + j, :, col + j * n_c:col + (j + 1) * n_c] = ops[j]
+        col += n_k * n_c
         groups.append(_DimGroup(
             members=members, rows=rows,
-            fields=np.ascontiguousarray(ops),
             tables=np.ascontiguousarray(
                 parts[:, :, 1:].reshape(n_k, len(parts[0]), -1)
                 .transpose(0, 2, 1)),
-            coords=np.repeat(hermitian_coordinates(rho)[:, :, None], width,
-                             axis=2),
+            coords=group,
             live=live,
             to_upper=np.ascontiguousarray(basis[:, iu, ju]).view(np.float64),
             upper=iu * d + ju, lower=(ju * d + iu)[:-d],
             initial=rho))
-    return groups
+    mdtw = -dt * np.array([t.omega for t in spec.terms], dtype=float)[:, None]
+    # the particles' blocks are disjoint, so sum - own is exactly the others'
+    mean_field = np.concatenate([fields, mdtw * (fields.sum(axis=0) - fields)])
+    return groups, coords, mean_field.reshape(-1, len(coords))
 
 
 def _densities(g: _DimGroup) -> np.ndarray:
@@ -511,7 +521,8 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
 
     The particles of each dimension form one group; every (N, ..., W)
     array of a step (mean fields, the rows u) holds the groups side by
-    side, and the groups couple only through the mean-field total.
+    side, and the groups couple only through the noise and mean-field
+    factors Z and L (see the module notes).
     """
     if policy not in BLOWUP_POLICIES:
         raise ConfigError(f"unknown blowup policy {policy!r}")
@@ -523,21 +534,21 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     p = len(spec.terms)
     npairs = pair_count(n)
 
-    mdtw = -dt * np.array([t.omega for t in spec.terms], dtype=float)[:, None]
-    z = sqrt_noise_factors(spec.terms)
     # trajectory j in column j - COLUMN_ALIGN * (start // COLUMN_ALIGN)
     live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
     width = -(-live.stop // COLUMN_ALIGN) * COLUMN_ALIGN
-    groups = _dim_groups(spec, live, width, dt)
-    order = [k for g in groups for k in g.members]
-    plus, minus = (np.ascontiguousarray(a[:, order]) for a in pair_projectors(n))
-    # u = [Re coeff, Im coeff, 1, Re g0] per particle, trajectories last;
-    # the padding columns of the noise rows stay zero
+    groups, coords, mean_field = _dim_groups(spec, live, width, dt)
+    noise_factor = _noise_factor(sqrt_noise_factors(spec.terms),
+                                 [k for g in groups for k in g.members])
+    # one step's increments, rows (s; q, re | im) as Z reads them; the
+    # padding columns stay zero, so their noise rows do too
+    increments = np.zeros((p, 2 * npairs, width))
+    noise = np.empty((p, 2, n, width))      # Re, Im of z_s W_k^s
+    fields = np.empty((2, n, p, width))     # Obar, -dt omega_s sum_{l != k} Obar_l
+    # u = [Re coeff, Im coeff, 1, Re g0] per particle, trajectories last
     u = np.zeros((n, 2 * p + 2, width))
     u[:, 2 * p] = 1.0
     re, im, g0 = u[:, :p], u[:, p:2 * p], u[:, 2 * p + 1]
-    noise_im = np.zeros((n, p, width))
-    obar = np.empty((n, p, width))
 
     rngs = [trajectory_rng(master_seed, start + b) for b in range(count)]
     chunk_steps = max(1, NOISE_CHUNK_BYTES // max(1, 16 * count * p * npairs))
@@ -609,18 +620,17 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
             chunk = min(chunk_steps, n_steps - step)
             dal = _draw_noise_chunk(rngs, chunk, p, npairs, dt)
             for i in range(chunk):
-                zw = (z * _particle_sums(dal[:, i], plus, minus)).transpose(1, 2, 0)
-                re[..., live] = zw.real
-                noise_im[..., live] = zw.imag
-                for g in groups:
-                    np.matmul(g.fields, g.coords, out=obar[g.rows])
-                # the sums over particles, terms and coordinates run along
-                # a leading axis with the trajectories contiguous, so numpy
-                # adds them in axis order, column by column
-                np.subtract(obar.sum(axis=0), obar, out=im)
-                im *= mdtw
-                im += noise_im
-                np.sum(re * obar, axis=1, out=g0)
+                increments[..., live] = dal[:, i].view(np.float64).transpose(
+                    1, 2, 0)
+                np.matmul(noise_factor, increments,
+                          out=noise.reshape(p, 2 * n, width))
+                np.matmul(mean_field, coords, out=fields.reshape(-1, width))
+                re[...] = noise[:, 0].swapaxes(0, 1)
+                np.add(noise[:, 1].swapaxes(0, 1), fields[1], out=im)
+                # the sums over terms and coordinates run along a leading
+                # axis with the trajectories contiguous, so numpy adds them
+                # in axis order, column by column
+                np.sum(re * fields[0], axis=1, out=g0)
                 for g in groups:
                     n_k, n_c, _ = g.coords.shape
                     m = np.matmul(g.tables, u[g.rows]).reshape(

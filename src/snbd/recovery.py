@@ -21,6 +21,7 @@ per-trajectory tensor-product vectors accumulated during the run.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from .errors import (
 )
 from .ensemble import EnsembleAccumulator, jackknife_blocks
 from .linalg import herm_eig
-from .oracle import initial_pure_vector
-from .system import SystemSpec, assemble_full_hamiltonian
+from .oracle import initial_pure_factors
+from .system import SystemSpec, apply_full_hamiltonian
 
 #: Below this overlap the phase quotient is statistically meaningless.
 EPS_OVERLAP = 1e-3
@@ -117,20 +118,20 @@ def _check_uniform(t_grid: np.ndarray) -> float:
     return float(dt)
 
 
-def phase_integrand(t_grid, phi, hamiltonian, psi0) -> np.ndarray:
+def phase_integrand(t_grid, phi, h_psi0, psi0) -> np.ndarray:
     """Complex integrand of the phase formula (its exact value is real).
 
-    ``hamiltonian`` must be Hermitian (it is the assembled full-space
-    operator in practice).
+    ``h_psi0`` is H|psi0> for a Hermitian H (in practice the full-space
+    Hamiltonian applied to the product state, ``apply_full_hamiltonian``).
     """
     dt = _check_uniform(t_grid)
     overlap = phi @ np.conj(psi0)                    # <psi0|phi(t)>
-    h_overlap = phi @ np.conj(hamiltonian @ psi0)    # <psi0|H|phi(t)>
+    h_overlap = phi @ np.conj(h_psi0)                # <psi0|H|phi(t)>
     d_overlap = _series_derivative_fd(overlap, dt)
     return (h_overlap - 1j * d_overlap) / overlap
 
 
-def compute_phase(t_grid, phi, hamiltonian, psi0) -> np.ndarray:
+def compute_phase(t_grid, phi, h_psi0, psi0) -> np.ndarray:
     """Phase series Theta(t) by cumulative trapezoid of the (real) integrand.
 
     Raises PhaseSingularityError at the first grid time where the overlap
@@ -142,7 +143,7 @@ def compute_phase(t_grid, phi, hamiltonian, psi0) -> np.ndarray:
         i = int(np.argmax(small))
         raise PhaseSingularityError(t=float(np.asarray(t_grid)[i]),
                                     overlap=float(overlap[i]))
-    integrand = phase_integrand(t_grid, phi, hamiltonian, psi0).real
+    integrand = phase_integrand(t_grid, phi, h_psi0, psi0).real
     dt = _check_uniform(t_grid)
     theta = np.zeros(len(integrand))
     theta[1:] = np.cumsum(0.5 * (integrand[1:] + integrand[:-1])) * dt
@@ -165,10 +166,10 @@ def recover_wavefunction(phi: np.ndarray, theta: np.ndarray,
     return psi
 
 
-def _recover(times, phi_tilde, hamiltonian, psi0) -> RecoveryRecord:
+def _recover(times, phi_tilde, h_psi0, psi0) -> RecoveryRecord:
     """Normalize, phase-correct and autocorrelate a recovered-vector series."""
     phi = phi_tilde / np.linalg.norm(phi_tilde, axis=1)[:, None]
-    theta = compute_phase(times, phi, hamiltonian, psi0)
+    theta = compute_phase(times, phi, h_psi0, psi0)
     psi = recover_wavefunction(phi, theta, psi0)
     return RecoveryRecord(t_grid=times.copy(), phi_tilde=phi_tilde, phi=phi,
                           theta=theta, psi=psi, autocorr=psi @ np.conj(psi[0]))
@@ -179,9 +180,10 @@ def recover(acc: EnsembleAccumulator, spec: SystemSpec) -> RecoveryRecord:
 
     The phase reference psi0 is the (pure product) initial state of the spec.
     """
-    psi0 = initial_pure_vector(spec)
+    factors = initial_pure_factors(spec)
     phi_tilde = recover_raw_vector(acc)
-    return _recover(acc.times, phi_tilde, assemble_full_hamiltonian(spec), psi0)
+    return _recover(acc.times, phi_tilde, apply_full_hamiltonian(spec, factors),
+                    reduce(np.kron, factors))
 
 
 def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn,
@@ -197,10 +199,11 @@ def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn,
     if acc.vec_sum is None:
         raise MissingDataError(
             "no reference vectors were registered before the run")
-    psi0 = initial_pure_vector(spec)
-    h = assemble_full_hamiltonian(spec)
+    factors = initial_pure_factors(spec)
+    h_psi0 = apply_full_hamiltonian(spec, factors)
+    psi0 = reduce(np.kron, factors)
     return jackknife_blocks(acc, acc.vec_sum, lambda total, m: fn(
-        _recover(acc.times, _mean_vector(acc.times, total, m), h, psi0)),
+        _recover(acc.times, _mean_vector(acc.times, total, m), h_psi0, psi0)),
         None if full is None else fn(full))
 
 

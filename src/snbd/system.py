@@ -14,6 +14,7 @@ coefficient matrix.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -376,25 +377,40 @@ def embed(dims, ops) -> np.ndarray:
     return out
 
 
-def assemble_full_hamiltonian(spec: SystemSpec) -> np.ndarray:
-    """Full N-body Hamiltonian: one-body parts plus all pair terms."""
-    dims = spec.dims
-    total = spec.full_dim
+def _hamiltonian_terms(spec: SystemSpec):
+    """(weight, {particle: factor}) of every one-body and pair term of the
+    full Hamiltonian; a DimensionLimitError above ``max_full_dim``."""
     limit = max_full_dim()
-    if total > limit:
+    if spec.full_dim > limit:
         raise DimensionLimitError(
-            f"full dimension {total} exceeds the configured maximum {limit}"
+            f"full dimension {spec.full_dim} exceeds the configured maximum {limit}"
         )
     n = spec.n_particles
-    out = np.zeros((total, total), dtype=complex)
-    for k, part in enumerate(spec.particles):
-        out += embed(dims, {k: part.h})
-    for k in range(n - 1):
-        for l in range(k + 1, n):
-            for term in spec.terms:
-                out += term.omega * embed(
-                    dims, {k: term.ops[k], l: term.ops[l]})
+    terms = [(1.0, {k: part.h}) for k, part in enumerate(spec.particles)]
+    terms += [(term.omega, {k: term.ops[k], l: term.ops[l]})
+              for k in range(n - 1) for l in range(k + 1, n)
+              for term in spec.terms]
+    return terms
+
+
+def assemble_full_hamiltonian(spec: SystemSpec) -> np.ndarray:
+    """Full N-body Hamiltonian: one-body parts plus all pair terms."""
+    out = np.zeros((spec.full_dim, spec.full_dim), dtype=complex)
+    for weight, ops in _hamiltonian_terms(spec):
+        out += weight * embed(spec.dims, ops)
     return 0.5 * (out + out.conj().T)
+
+
+def apply_full_hamiltonian(spec: SystemSpec, vecs) -> np.ndarray:
+    """H |psi> for the product vector psi = kron_k vecs[k], with H as
+    ``assemble_full_hamiltonian`` builds it, (H + H^dag)/2, applied term by
+    term to the factors, so no (D, D) matrix is formed."""
+    out = np.zeros(spec.full_dim, dtype=complex)
+    for weight, ops in _hamiltonian_terms(spec):
+        for side in (ops, {k: op.conj().T for k, op in ops.items()}):
+            out += (0.5 * weight) * reduce(np.kron, [
+                side[k] @ v if k in side else v for k, v in enumerate(vecs)])
+    return out
 
 
 def product_density(spec: SystemSpec) -> np.ndarray:

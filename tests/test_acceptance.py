@@ -65,10 +65,9 @@ from snbd.linalg import herm_eig, hs_norm, trace_distances
 from snbd.oracle import exact_observable, initial_pure_vector, propagate_exact
 from snbd.propagator import (
     TimeGrid,
-    _particle_sums,
+    _noise_factor,
     _raw_to_increments,
     pair_list,
-    pair_projectors,
     positivity_tolerance,
     propagate_block,
     propagate_trajectory,
@@ -300,11 +299,12 @@ def test_criterion_07_noise_constraints():
     raw = rng.standard_normal(size=(n, p, npairs, 2))
     stored = _raw_to_increments(raw, dt)
 
-    # exact conjugate pairing where the propagator reads the increments:
-    # a stored (k, l) increment reaches particle k as is, particle l
-    # conjugated, and no other particle
+    # exact conjugate pairing where the propagator reads the increments,
+    # in the step's noise factor (here with z = 1, so that it returns the
+    # pair sums W themselves): a stored (k, l) increment reaches particle k
+    # as is, particle l conjugated, and no other particle
     probe = sample_increments(trajectory_rng(7, 1), p, n_part, dt)
-    plus, minus = pair_projectors(n_part)
+    factor = _noise_factor(np.ones(p, complex), range(n_part))
     pairing = True
     for s in range(p):
         for q, (k, l) in enumerate(pair_list(n_part)):
@@ -313,8 +313,10 @@ def test_criterion_07_noise_constraints():
             expected = np.zeros((n_part, p), dtype=complex)
             expected[k, s] = probe[s, q]
             expected[l, s] = np.conj(probe[s, q])
-            w = _particle_sums(single[None], plus, minus)[0]
-            pairing = pairing and bool(np.array_equal(w, expected))
+            w = (factor @ single.view(np.float64).reshape(p, -1, 1)).reshape(
+                p, 2, n_part)
+            pairing = pairing and bool(
+                np.array_equal((w[:, 0] + 1j * w[:, 1]).T, expected))
 
     # every ordered channel (s, k, l), k != l; (l, k) reads are conjugates
     pairs = [(0, 1), (0, 2), (1, 2)]

@@ -1,6 +1,9 @@
 """Module boundaries inside the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "snbd"
@@ -22,3 +25,15 @@ def test_no_module_imports_a_private_name_of_another():
                       if alias.name.startswith("_")
                       and alias.name != "__version__"]
     assert found == []
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # the pool is imported where a run with more than one worker starts it,
+    # so a serial run and ``snbd validate`` do not pay for it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, snbd.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

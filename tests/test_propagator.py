@@ -14,11 +14,10 @@ from snbd.errors import (
 )
 from snbd.propagator import (
     BlockStats,
-    _particle_sums,
+    _noise_factor,
     _raw_to_increments,
     pair_count,
     pair_list,
-    pair_projectors,
     positivity_tolerance,
     propagate_block,
     propagate_trajectory,
@@ -42,6 +41,7 @@ from conftest import (
     SZ,
     UP,
     free_two_spin_system,
+    heisenberg_pair_matrix,
     interleaved_system,
     pair_index,
     random_density,
@@ -120,13 +120,29 @@ def spin_qutrit_system():
 
 def ising_system():
     """Two spin-1/2 in transverse fields with one coupling term, Z Z: the
-    mean fields of a step take a one-row left factor."""
+    smallest noise and mean-field factors, 4 x 2 and 4 x 8."""
     rng = np.random.default_rng(3)
     particles = (ParticleSpec(dim=2, h=0.5 * SX + 0.2 * SZ),) * 2
     return SystemSpec(
         particles=particles,
         terms=(InteractionTerm(omega=0.4, ops=(SZ, SZ)),),
         initial=(random_density(rng, 2), random_density(rng, 2)))
+
+
+def eight_spin_system():
+    """8 spin-1/2 in random fields, one Heisenberg pair matrix on all 28
+    pairs (three terms): the shapes of the spins8 benchmark, a noise factor
+    of three 16 x 56 blocks over 168 increments and a 48 x 32 mean-field
+    factor."""
+    rng = np.random.default_rng(8)
+    particles = tuple(ParticleSpec(dim=2, h=random_hermitian(rng, 2))
+                      for _ in range(8))
+    return SystemSpec(
+        particles=particles,
+        terms=shared_interaction_terms(
+            decompose_pair_interaction(heisenberg_pair_matrix(0.05), 2),
+            particles),
+        initial=tuple(random_density(rng, 2) for _ in range(8)))
 
 
 def with_initial(spec, rhos):
@@ -168,6 +184,16 @@ def record_noise_chunks(monkeypatch):
     return chunks
 
 
+def apply_noise_factor(factor, dal):
+    """z_s W_k^s, (N, p), from one step's stored increments ``dal[s, q]``,
+    read through the float view and the per-term blocks as the step reads
+    them."""
+    p, rows, cols = factor.shape
+    w = (factor @ dal.view(np.float64).reshape(p, cols, 1)).reshape(
+        p, 2, rows // 2)
+    return (w[:, 0] + 1j * w[:, 1]).T
+
+
 class TestNoise:
     def test_pair_indexing(self):
         assert pair_count(4) == 6
@@ -178,36 +204,47 @@ class TestNoise:
             pair_index(2, 1, 4)
 
     def test_conjugate_pairing_exact(self):
-        # each stored increment reaches its first particle as is and its
-        # second particle exactly conjugated, and no other particle
+        # through the noise factor of the step, each stored increment
+        # reaches its first particle as is and its second particle exactly
+        # conjugated, times z_s, and no other particle: the real and the
+        # imaginary part of one increment, probed alone, land in rows k and
+        # l only, with the +- pattern of the conjugation
         n, p = 3, 2
         values = sample_increments(trajectory_rng(3, 0), p, n, dt=0.01)
-        plus, minus = pair_projectors(n)
+        terms = random_terms(np.random.default_rng(0), (2,) * n, p)
+        assert terms[0].omega > 0 > terms[1].omega
+        z = sqrt_noise_factors(terms)
+        factor = _noise_factor(z, range(n))
         for s in range(p):
             for q, (k, l) in enumerate(pair_list(n)):
-                single = np.zeros_like(values)
-                single[s, q] = values[s, q]
-                expected = np.zeros((n, p), dtype=complex)
-                expected[k, s] = values[s, q]
-                expected[l, s] = np.conj(values[s, q])
-                w = _particle_sums(single[None], plus, minus)[0]
-                assert np.array_equal(w, expected)
+                for part in (values[s, q].real, 1j * values[s, q].imag):
+                    single = np.zeros_like(values)
+                    single[s, q] = part
+                    expected = np.zeros((n, p), dtype=complex)
+                    expected[k, s] = z[s] * part
+                    expected[l, s] = z[s] * np.conj(part)
+                    w = apply_noise_factor(factor, single)
+                    assert np.array_equal(w, expected)
 
     def test_particle_sums_match_direct(self):
+        # with z = 1 the noise factor returns W_k^s itself, here with the
+        # particles in another row order
         n = 4
         values = sample_increments(trajectory_rng(4, 1), p=2, n_particles=n,
                                    dt=0.02)
-        w = _particle_sums(values[None], *pair_projectors(n))[0]
+        order = [2, 0, 3, 1]
+        w = apply_noise_factor(_noise_factor(np.ones(2, complex), order),
+                               values)
 
         def read(s, k, l):
             if k < l:
                 return values[s, pair_index(k, l, n)]
             return np.conj(values[s, pair_index(l, k, n)])
 
-        for k in range(n):
+        for r, k in enumerate(order):
             for s in range(2):
                 direct = sum(read(s, k, l) for l in range(n) if l != k)
-                assert w[k, s] == pytest.approx(direct, abs=1e-15)
+                assert w[r, s] == pytest.approx(direct, abs=1e-15)
 
     def test_second_moments(self):
         # E[da* da'] = delta dt and E[da da'] = 0 within sampling error
@@ -517,16 +554,18 @@ class TestPropagateTrajectory:
 
     @pytest.mark.parametrize("make", [
         two_spin_system, interleaved_system, ising_system,
-        lambda: random_system(7, (4, 2), 2)],
-        ids=["(2,2)", "(2,3,2)", "ising", "(4,2)"])
+        lambda: random_system(7, (4, 2), 2), eight_spin_system],
+        ids=["(2,2)", "(2,3,2)", "ising", "(4,2)", "8 spins"])
     def test_same_bits_at_any_width(self, make):
         # blocks at every start from 0 to 17 (every column position modulo
         # 8, with and without leading padding) and of widths 1 to
         # LOCKSTEP_WIDTH: each of their trajectories is bitwise that
         # trajectory of one wide block, in every record, minimum
         # eigenvalue and both deviations, and so is propagate_trajectory.
-        # The systems reach a one-row left factor in the mean-field GEMM
-        # (one term), k = 16 (d = 4) and two dimension groups.
+        # The systems reach noise and mean-field factors of 4 x 2 and 4 x 8
+        # (one term), k = 16 (d = 4), two dimension groups, and three
+        # noise blocks of 16 x 56 and a mean-field factor of 48 x 32
+        # (8 spins, 28 pairs).
         spec = make()
         grid = (0.02, 1e-3, 10)
         ref, ref_stats = collect(spec, 6, 0, 17 + LOCKSTEP_WIDTH, *grid,

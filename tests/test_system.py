@@ -14,6 +14,7 @@ from snbd.system import (
     InteractionTerm,
     ParticleSpec,
     SystemSpec,
+    apply_full_hamiltonian,
     assemble_full_hamiltonian,
     build_hermitian_basis,
     decompose_pair_interaction,
@@ -32,6 +33,7 @@ from conftest import (
     SZ,
     UP,
     heisenberg_pair_matrix,
+    interleaved_system,
     random_hermitian,
     two_spin_system,
 )
@@ -170,6 +172,27 @@ class TestAssembly:
         monkeypatch.setenv("SNBD_MAX_DIM", "2")
         with pytest.raises(DimensionLimitError):
             assemble_full_hamiltonian(two_spin_system())
+
+    @pytest.mark.parametrize("make", [two_spin_system, interleaved_system],
+                             ids=["(2,2)", "(2,3,2)"])
+    def test_applied_term_by_term_to_a_product(self, make):
+        # H|psi> on a product psi = kron_k v_k, without the (D, D) matrix
+        spec = make()
+        rng = np.random.default_rng(11)
+        vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                for d in spec.dims]
+        psi = vecs[0]
+        for v in vecs[1:]:
+            psi = np.kron(psi, v)
+        expected = assemble_full_hamiltonian(spec) @ psi
+        got = apply_full_hamiltonian(spec, vecs)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_applied_dimension_limit(self, monkeypatch):
+        monkeypatch.setenv("SNBD_MAX_DIM", "2")
+        spec = two_spin_system()
+        with pytest.raises(DimensionLimitError):
+            apply_full_hamiltonian(spec, [np.array([1, 0], complex)] * 2)
 
     def test_product_density(self, benchmark_system):
         rho = product_density(benchmark_system)
