@@ -65,11 +65,11 @@ multiple of 8, a column of the product depends only on that column, the
 left factor and the column's position modulo 8 (OpenBLAS 0.3.31 on an
 AVX-512 core, left factors from 1 x 4 to 1260 x 34, widths 8 to 1024;
 the noise-factor blocks and the mean-field factor of 8 spin-1/2 on all
-28 pairs, 16 x 56 and 48 x 32, pass the same test).  At other widths the bits do change:
-the tail columns take other kernels, and a width of one takes the
-matrix-vector path.  So W is the batch rounded up to a multiple of
-``COLUMN_ALIGN`` = 8, and trajectory j sits in column j - 8 floor(start /
-8), always at position j mod 8.  (On the core measured the position did
+28 pairs, 16 x 56 and 48 x 32, pass the same test).  At other widths
+the bits do change: the tail columns take other kernels, and a width of
+one takes the matrix-vector path.  So W is the batch rounded up to a
+multiple of ``COLUMN_ALIGN`` = 8, and trajectory j sits in column
+j - 8 floor(start / 8), always at position j mod 8.  (On the core measured the position did
 not matter at all once the width was aligned; the fixed position costs
 at most 7 columns and relies on nothing that was not measured.)  The
 padding columns hold the initial state and zero increments, and nothing
