@@ -42,7 +42,6 @@ from .errors import (
     DimensionLimitError,
     IncompatibleAccumulatorError,
     MissingDataError,
-    NullProjectionError,
     PhaseSingularityError,
     PositivityViolationError,
     SnbdError,
@@ -72,8 +71,7 @@ _ERROR_CODES = (
     ((DimensionLimitError,), EXIT_DIMENSION),
     ((TrajectoryBlowupError, PositivityViolationError), EXIT_TRAJECTORY),
     ((MissingDataError, IncompatibleAccumulatorError), EXIT_DATA),
-    ((DegenerateReferenceError, PhaseSingularityError, NullProjectionError),
-     EXIT_RECOVERY),
+    ((DegenerateReferenceError, PhaseSingularityError), EXIT_RECOVERY),
     ((SnbdError,), EXIT_NUMERIC),
 )
 

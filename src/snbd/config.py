@@ -22,6 +22,7 @@ from .errors import (
 from .ensemble import EnsembleParams, ObservableSpec
 from .propagator import BLOWUP_POLICIES, TimeGrid
 from .system import (
+    DISTINGUISHABLE,
     InteractionTerm,
     ParticleSpec,
     SystemSpec,
@@ -198,7 +199,7 @@ def _check_keys(data, path, allowed, required=()):
 _PARTICLE_KEYS = {
     "dim": ("dim", _read_count),
     "h": ("h", _read_matrix),
-    "statistics": ("statistics", _read_name),
+    "statistics": ("statistics", _one_of((DISTINGUISHABLE,))),
 }
 _TIME_KEYS = {
     "t_final": ("t_final", _read_number),

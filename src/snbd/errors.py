@@ -92,7 +92,3 @@ class PhaseSingularityError(SnbdError):
         self.t = t
         self.overlap = overlap
         super().__init__(f"overlap |<psi0|phi(t)>| = {overlap:.3e} at t={t:.6g}")
-
-
-class NullProjectionError(SnbdError):
-    """(Anti)symmetrization annihilated the state."""

@@ -4,23 +4,17 @@ Propagates the full N-body density (or pure state) under
 d rho / dt = -i [H, rho] by eigendecomposition of the assembled
 Hamiltonian, which at the supported dimensions is exact to roundoff and
 keeps time-stepping error out of every comparison against the stochastic
-engine.  Also provides the (anti)symmetrizers for identical-particle
-groups and exact observable series.
+engine.  Also provides exact observable series.
 """
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import ContractViolationError, NullProjectionError, ShapeError
+from .errors import ContractViolationError, ShapeError
 from .linalg import herm_eig
 from .system import SystemSpec, assemble_full_hamiltonian, product_density
-
-#: Permutation groups are enumerated explicitly; 6! = 720 is the cap.
-MAX_GROUP_SIZE = 6
 
 
 @dataclass
@@ -75,61 +69,6 @@ def propagate_exact(spec: SystemSpec, t_grid, pure: bool = False) -> list:
         psi = v @ (phase * psi0_eig) if pure else None
         states.append(FullState(t=float(t), rhoN=rho, psiN=psi))
     return states
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def symmetrize_vector(v, spec: SystemSpec) -> np.ndarray:
-    """Project onto the (anti)symmetric subspace of each identical group.
-
-    Applies (1/|G|) sum_pi (+-1)^pi P_pi over the permutations of every
-    boson (plus sign) or fermion (permutation sign) group declared in the
-    spec, then normalizes.  Groups act on disjoint particles, so the
-    projectors commute and are applied in sequence.
-    """
-    v = np.ascontiguousarray(v, dtype=complex)
-    dims = spec.dims
-    if v.shape != (spec.full_dim,):
-        raise ShapeError(
-            f"vector has shape {v.shape}, expected ({spec.full_dim},)")
-    original_norm = np.linalg.norm(v)
-    if original_norm == 0.0:
-        raise NullProjectionError("cannot symmetrize the zero vector")
-    tensor = v.reshape(dims)
-    for indices, sign in spec.statistics_groups():
-        if len(indices) > MAX_GROUP_SIZE:
-            raise ShapeError(
-                f"identical-particle group of size {len(indices)} exceeds "
-                f"the supported maximum {MAX_GROUP_SIZE}")
-        acc = np.zeros_like(tensor)
-        for perm in itertools.permutations(range(len(indices))):
-            axes = list(range(len(dims)))
-            for slot, src in zip(indices, perm):
-                axes[slot] = indices[src]
-            factor = _permutation_sign(perm) if sign < 0 else 1
-            acc += factor * np.transpose(tensor, axes)
-        tensor = acc / math.factorial(len(indices))
-    out = tensor.reshape(-1)
-    norm = np.linalg.norm(out)
-    if norm < 1e-12 * original_norm:
-        raise NullProjectionError(
-            "projection annihilated the state (wrong exchange symmetry)")
-    return out / norm
 
 
 def exact_observable(states, obs, dims) -> np.ndarray:

@@ -337,7 +337,8 @@ class BlockStats:
 
     ``trace_dev`` and ``herm_dev`` hold each trajectory's largest
     |Tr rho_k - 1| and |rho_k - rho_k^dag| while it was active; a skipped
-    trajectory reads 0.
+    trajectory reads 0.  The latter is 2 max |Im (rho_k)_ii| over the
+    diagonal, the only entries a rebuilt density does not mirror.
     """
 
     trace_dev: np.ndarray   # (count,)
@@ -562,14 +563,14 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         divergence check and the trace monitor have seen them.
 
         A trajectory with NaN/Inf entries or entries beyond NORM_CAP,
-        which only an unstable path can reach, is deactivated or aborts.
+        which only an unstable path can reach, is deactivated or aborts
+        (``max`` carries a NaN through, and NaN <= NORM_CAP is false).
         """
         cur = [None] * n
         healthy = np.ones(count, dtype=bool)
         for g, rho in zip(groups, stacks):
             flat = np.abs(rho).reshape(len(g.members), count, -1)
-            healthy &= (np.isfinite(flat).all(axis=2)
-                        & (flat.max(axis=2) <= NORM_CAP)).all(axis=0)
+            healthy &= (flat.max(axis=2) <= NORM_CAP).all(axis=0)
             tr = np.einsum("kbii->kb", rho)
             dev = (np.abs(tr.real - 1.0) + np.abs(tr.imag)).max(axis=0)
             np.fmax(trace_dev, np.where(active, dev, 0.0), out=trace_dev)
@@ -603,9 +604,11 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                     tol=positivity_tol, trajectory=start + first)
             pos_skips.extend((start + int(b)) for b in np.nonzero(viol)[0])
             active[viol] = False
-        for k in range(n):
-            dev = np.abs(cur[k] - cur[k].conj().swapaxes(-1, -2))
-            hd = dev.reshape(count, -1).max(axis=1)
+        # a rebuilt density's lower triangle is the conjugate of its upper
+        # one, so only an imaginary diagonal entry can break Hermiticity
+        for rho in stacks:
+            hd = 2.0 * np.abs(np.diagonal(rho, axis1=-2, axis2=-1).imag).max(
+                axis=(0, 2))
             np.fmax(herm_dev, np.where(active, hd, 0.0), out=herm_dev)
         on_record(r_index, t, cur, active.copy(), min_eigs)
 

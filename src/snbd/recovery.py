@@ -54,6 +54,8 @@ class RecoveryRecord:
     theta: np.ndarray       # (T,) phase integral, theta[0] = 0
     psi: np.ndarray         # (T, D) phase-corrected wavefunction
     autocorr: np.ndarray    # (T,) <psi(0)|psi(t)>
+    psi0: np.ndarray        # (D,) phase reference, the initial product state
+    h_psi0: np.ndarray      # (D,) H|psi0>
 
 
 def default_reference_vectors(spec: SystemSpec) -> tuple:
@@ -172,7 +174,8 @@ def _recover(times, phi_tilde, h_psi0, psi0) -> RecoveryRecord:
     theta = compute_phase(times, phi, h_psi0, psi0)
     psi = recover_wavefunction(phi, theta, psi0)
     return RecoveryRecord(t_grid=times.copy(), phi_tilde=phi_tilde, phi=phi,
-                          theta=theta, psi=psi, autocorr=psi @ np.conj(psi[0]))
+                          theta=theta, psi=psi, autocorr=psi @ np.conj(psi[0]),
+                          psi0=psi0, h_psi0=h_psi0)
 
 
 def recover(acc: EnsembleAccumulator, spec: SystemSpec) -> RecoveryRecord:
@@ -192,19 +195,15 @@ def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn,
 
     ``fn(record) -> (T,) array`` is evaluated on the full recovery and on
     every leave-one-block-out recovery (the whole pipeline, phase
-    included, is recomputed per replicate).  ``full`` is the full
-    recovery, ``recover(acc, spec)``, when the caller has it already.
-    Returns (values, standard errors).
+    included, is recomputed per replicate, with the full recovery's psi0
+    and H|psi0>).  ``full`` is the full recovery, ``recover(acc, spec)``,
+    when the caller has it already.  Returns (values, standard errors).
     """
-    if acc.vec_sum is None:
-        raise MissingDataError(
-            "no reference vectors were registered before the run")
-    factors = initial_pure_factors(spec)
-    h_psi0 = apply_full_hamiltonian(spec, factors)
-    psi0 = reduce(np.kron, factors)
+    if full is None:
+        full = recover(acc, spec)
     return jackknife_blocks(acc, acc.vec_sum, lambda total, m: fn(
-        _recover(acc.times, _mean_vector(acc.times, total, m), h_psi0, psi0)),
-        None if full is None else fn(full))
+        _recover(acc.times, _mean_vector(acc.times, total, m), full.h_psi0,
+                 full.psi0)), fn(full))
 
 
 def autocorrelation_spectrum(psi_series, t_grid, *, window: bool = False,

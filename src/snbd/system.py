@@ -40,24 +40,12 @@ DISTINGUISHABLE = "distinguishable"
 TERM_DROP_RTOL = 1e-12
 
 
-def _parse_statistics(statistics):
-    if statistics == DISTINGUISHABLE:
-        return DISTINGUISHABLE, None
-    kind, sep, group = statistics.partition(":")
-    if kind not in ("boson", "fermion") or not sep or not group:
-        raise ContractViolationError(
-            f"statistics must be 'distinguishable', 'boson:<id>' or "
-            f"'fermion:<id>', got {statistics!r}"
-        )
-    return kind, group
-
-
 @dataclass(frozen=True)
 class ParticleSpec:
     """One particle: Hilbert-space dimension, 1-body Hamiltonian, statistics.
 
-    ``statistics`` is ``"distinguishable"`` or ``"boson:<id>"`` /
-    ``"fermion:<id>"``; particles sharing a group id must be identical.
+    ``statistics`` must be ``"distinguishable"``: every particle is
+    distinguishable, and the field stays only as the configs' wire format.
     """
 
     dim: int
@@ -73,15 +61,10 @@ class ParticleSpec:
                 f"particle Hamiltonian dim {h.shape[0]} != declared dim {self.dim}"
             )
         object.__setattr__(self, "h", h)
-        _parse_statistics(self.statistics)
-
-    @property
-    def kind(self) -> str:
-        return _parse_statistics(self.statistics)[0]
-
-    @property
-    def group(self):
-        return _parse_statistics(self.statistics)[1]
+        if self.statistics != DISTINGUISHABLE:
+            raise ContractViolationError(
+                f"statistics must be {DISTINGUISHABLE!r}, got {self.statistics!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -160,22 +143,6 @@ class SystemSpec:
             checked.append(rho)
         object.__setattr__(self, "initial", tuple(checked))
 
-        groups = {}
-        for k, part in enumerate(particles):
-            if part.group is None:
-                continue
-            key = (part.kind, part.group)
-            if key in groups:
-                ref = particles[groups[key][0]]
-                if part.dim != ref.dim or not np.array_equal(part.h, ref.h):
-                    raise ContractViolationError(
-                        f"particles {groups[key][0]} and {k} share group "
-                        f"{part.statistics!r} but differ in dim or Hamiltonian"
-                    )
-                groups[key].append(k)
-            else:
-                groups[key] = [k]
-
     @property
     def n_particles(self) -> int:
         return len(self.particles)
@@ -191,17 +158,6 @@ class SystemSpec:
     @property
     def max_abs_omega(self) -> float:
         return max((abs(t.omega) for t in self.terms), default=0.0)
-
-    def statistics_groups(self):
-        """Particle-index lists per identical-particle group, with signs."""
-        groups = {}
-        for k, part in enumerate(self.particles):
-            if part.group is not None:
-                groups.setdefault((part.kind, part.group), []).append(k)
-        return [
-            (indices, -1 if kind == "fermion" else +1)
-            for (kind, _), indices in sorted(groups.items())
-        ]
 
 
 def build_hermitian_basis(m: int) -> list:

@@ -331,7 +331,13 @@ class TestCli:
         (lambda d: d["system"].update(interaction={"pair_matrix": [
             [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]}),
          "system.interaction.pair_matrix: pair matrix is not swap-symmetric"),
-    ], ids=["step-overflow", "not-swap-symmetric"])
+        # every particle is distinguishable: an identical-particle label is
+        # refused, never run as if it were absent
+        (lambda d: d["system"]["particles"][0].update(statistics="fermion:a"),
+         "system.particles[0].statistics: expected one of ('distinguishable',)"),
+        (lambda d: d["system"]["particles"][1].update(statistics="boson:g"),
+         "system.particles[1].statistics: expected one of ('distinguishable',)"),
+    ], ids=["step-overflow", "not-swap-symmetric", "fermion", "boson"])
     def test_config_contracts_exit2_with_path(self, tmp_path, capsys, edit,
                                               message):
         data = tiny_config(tmp_path / "out")

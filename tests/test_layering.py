@@ -37,3 +37,19 @@ def test_cli_import_leaves_the_process_pool_out():
          "import sys, snbd.cli; print('concurrent.futures' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_error_class_has_a_raiser():
+    # an error class outlives its raiser silently: its exit-code mapping
+    # and docs keep promising a failure that can no longer happen
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body
+               if isinstance(node, ast.ClassDef)} - {"SnbdError"}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(defined - raised) == []

@@ -3,13 +3,12 @@ import pytest
 import scipy.integrate
 
 from snbd.ensemble import ObservableSpec
-from snbd.errors import ContractViolationError, NullProjectionError
+from snbd.errors import ContractViolationError
 from snbd.linalg import hs_norm
 from snbd.oracle import (
     exact_observable,
     initial_pure_vector,
     propagate_exact,
-    symmetrize_vector,
 )
 from snbd.system import ParticleSpec, SystemSpec, assemble_full_hamiltonian
 
@@ -71,62 +70,6 @@ class TestPropagateExact:
         expected = np.zeros(4, dtype=complex)
         expected[1] = 1.0  # |up, down>
         assert np.abs(np.abs(psi0) - np.abs(expected)).max() <= 1e-12
-
-
-class TestSymmetrize:
-    def _spec(self, statistics, n=2, dim=2):
-        h = np.zeros((dim, dim), dtype=complex)
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        particles = tuple(ParticleSpec(dim=dim, h=h, statistics=statistics)
-                          for _ in range(n))
-        return SystemSpec(particles=particles, terms=(),
-                          initial=(rho,) * n)
-
-    def test_two_bosons(self):
-        spec = self._spec("boson:a")
-        v = np.zeros(4, dtype=complex)
-        v[1] = 1.0  # |01>
-        out = symmetrize_vector(v, spec)
-        expected = np.array([0, 1, 1, 0]) / np.sqrt(2)
-        assert np.abs(out - expected).max() <= 1e-12
-
-    def test_pauli_exclusion(self):
-        spec = self._spec("fermion:a")
-        v = np.zeros(4, dtype=complex)
-        v[0] = 1.0  # |00>: symmetric, annihilated by antisymmetrizer
-        with pytest.raises(NullProjectionError):
-            symmetrize_vector(v, spec)
-
-    def test_singlet_is_fixed_point(self):
-        spec = self._spec("fermion:a")
-        singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-        out = symmetrize_vector(singlet, spec)
-        assert np.abs(out - singlet).max() <= 1e-12
-
-    def test_three_fermion_idempotence(self):
-        spec = self._spec("fermion:a", n=3, dim=3)
-        rng = np.random.default_rng(8)
-        v = rng.standard_normal(27) + 1j * rng.standard_normal(27)
-        once = symmetrize_vector(v, spec)
-        twice = symmetrize_vector(once, spec)
-        assert np.abs(twice - once).max() <= 1e-12
-
-    def test_sym_antisym_orthogonal(self):
-        rng = np.random.default_rng(9)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        sym = symmetrize_vector(v, self._spec("boson:a"))
-        try:
-            anti = symmetrize_vector(v, self._spec("fermion:a"))
-        except NullProjectionError:
-            return
-        assert abs(np.vdot(sym, anti)) <= 1e-12
-
-    def test_distinguishable_untouched(self):
-        spec = self._spec("distinguishable")
-        v = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
-        out = symmetrize_vector(v, spec)
-        assert np.abs(out - v / np.linalg.norm(v)).max() <= 1e-12
 
 
 class TestExactObservable:

@@ -713,6 +713,23 @@ class TestBatchedDriver:
             collect(benchmark_system, 5, 0, 4, 1.0, 1e-3, 100,
                     positivity_tol=tol, policy="abort")
 
+    def test_hermiticity_check_sees_an_imaginary_diagonal(
+            self, benchmark_system, monkeypatch):
+        # rebuild densities with a traceless imaginary part on the diagonal
+        # (the sigma_z coordinate of |up> and |down> is nonzero), which the
+        # coordinates cannot carry; the record-time check must report it
+        basis = propagator.build_hermitian_basis
+
+        def skewed(d):
+            out = basis(d)
+            out[-1] = out[-1] * (1.0 + 1e-3j)
+            return out
+
+        monkeypatch.setattr(propagator, "build_hermitian_basis", skewed)
+        _, stats = collect(benchmark_system, 5, 0, 4, 2e-3, 1e-3, 1,
+                           positivity_tol=1e9)
+        assert stats.max_herm_dev > 1e-4
+
     def test_noise_free_block(self):
         spec = free_two_spin_system()
         frames, stats = collect(spec, 0, 0, 2, 0.5, 1e-3, 500)

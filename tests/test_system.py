@@ -220,16 +220,12 @@ class TestSpecValidation:
         with pytest.raises(ContractViolationError):
             InteractionTerm(omega=0.0, ops=(SZ, SZ))
 
-    def test_group_consistency(self):
-        a = ParticleSpec(dim=2, h=SZ, statistics="boson:g")
-        b = ParticleSpec(dim=2, h=SX, statistics="boson:g")
-        with pytest.raises(ContractViolationError, match="group"):
-            SystemSpec(particles=(a, b), terms=(),
-                       initial=(UP, UP))
-
-    def test_statistics_format(self):
-        with pytest.raises(ContractViolationError):
-            ParticleSpec(dim=2, h=SZ, statistics="maxwellian")
+    @pytest.mark.parametrize("statistics", ["maxwellian", "fermion:a",
+                                            "boson:g"])
+    def test_statistics_format(self, statistics):
+        # every particle is distinguishable; no other label is accepted
+        with pytest.raises(ContractViolationError, match="distinguishable"):
+            ParticleSpec(dim=2, h=SZ, statistics=statistics)
 
     def test_shared_terms_need_uniform_dims(self):
         a = ParticleSpec(dim=2, h=SZ)
