@@ -40,7 +40,6 @@ from .errors import (
     ConfigError,
     DegenerateReferenceError,
     DimensionLimitError,
-    IncompatibleAccumulatorError,
     MissingDataError,
     PhaseSingularityError,
     PositivityViolationError,
@@ -70,7 +69,7 @@ _ERROR_CODES = (
     ((ConfigError,), EXIT_CONFIG),
     ((DimensionLimitError,), EXIT_DIMENSION),
     ((TrajectoryBlowupError, PositivityViolationError), EXIT_TRAJECTORY),
-    ((MissingDataError, IncompatibleAccumulatorError), EXIT_DATA),
+    ((MissingDataError,), EXIT_DATA),
     ((DegenerateReferenceError, PhaseSingularityError), EXIT_RECOVERY),
     ((SnbdError,), EXIT_NUMERIC),
 )

@@ -75,7 +75,10 @@ def _expect(data, path, kind, what):
 def _read_number(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        _fail(path, "number out of range")
     if np.isnan(v):
         _fail(path, "expected a number, got NaN")
     return v
@@ -140,12 +143,16 @@ def _read_formats(v, path):
 
 
 def _read_entry(v, path):
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
     if isinstance(v, list) and len(v) == 2:
-        return complex(_read_number(v[0], f"{path}[0]"),
-                       _read_number(v[1], f"{path}[1]"))
-    _fail(path, "expected a number or an [re, im] pair")
+        z = complex(_read_number(v[0], f"{path}[0]"),
+                    _read_number(v[1], f"{path}[1]"))
+    elif isinstance(v, (int, float)) and not isinstance(v, bool):
+        z = complex(_read_number(v, path))
+    else:
+        _fail(path, "expected a number or an [re, im] pair")
+    if not np.isfinite(z):
+        _fail(path, f"expected a finite entry, got {z}")
+    return z
 
 
 def _read_matrix(v, path):

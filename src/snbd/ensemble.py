@@ -6,12 +6,11 @@ the one-body densities (optional, desk-scale validation only), and the
 reference-vector contractions used for wavefunction recovery.
 
 Trajectories are grouped into fixed blocks, the resampling unit of the
-jackknife error bars and the unit of merging and splitting; block
-boundaries depend only on (M, n_blocks).  Consecutive blocks are
-propagated together, as one lockstep batch of up to ``LOCKSTEP_WIDTH``
-trajectories, and each block's sums are reduced from its own slice of the
-batch, so results are bitwise independent of that grouping, of the
-worker count and of how a run is split and merged.
+jackknife error bars; block boundaries depend only on (M, n_blocks).
+Consecutive blocks are propagated together, as one lockstep batch of up
+to ``LOCKSTEP_WIDTH`` trajectories, and each block's sums are reduced
+from its own slice of the batch, so results are bitwise independent of
+that grouping and of the worker count.
 
 A block's sum of tensor products, sum_b kron_k rho_k^b (and likewise of
 kron_k rho_k^b |i_k>), is one matrix product over the block's rows,
@@ -20,12 +19,10 @@ per-trajectory Kronecker product of the others', and a trajectory no
 longer active enters both as zero.
 No per-trajectory (D, D) product is formed; the largest record-time
 array is Y, prod_{k>=2} d_k^2 complex numbers per trajectory of the
-batch, which the memory gate of the full-density accumulation counts.
+batch, which the memory gate counts with the record sums.
 """
 
-import hashlib
-import json
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import groupby
 
 import numpy as np
@@ -33,7 +30,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionLimitError,
-    IncompatibleAccumulatorError,
     MissingDataError,
     ShapeError,
 )
@@ -41,7 +37,7 @@ from .linalg import frozen_cmatrix, require_hermitian
 from .propagator import TimeGrid, positivity_tolerance, propagate_block
 from .system import SystemSpec, embed
 
-#: Cap on the memory of the optional full-density accumulation.
+#: Cap on the memory of a run's record sums.
 DEFAULT_MEMORY_LIMIT = 512 * 1024 * 1024
 
 #: Trajectories one propagate_block call steps together, at most: a run of
@@ -99,7 +95,7 @@ class EnsembleParams:
     m: int = 1
     master_seed: int = 0
     worker_count: int = 1
-    n_blocks: int = 50              # jackknife / merge units
+    n_blocks: int = 50              # jackknife units
     full_density: bool = False
     blowup_policy: str = "abort"    # one of propagator.BLOWUP_POLICIES
     positivity_tol: float = None    # None: propagator.positivity_tolerance(dt, spec, t_final)
@@ -132,65 +128,20 @@ def block_runs(edges, worker_count: int) -> list:
             for b in range(0, n_blocks, per_run)]
 
 
-def _digest_form(x):
-    """JSON-ready form of a run input: dataclasses field by field,
-    sequences item by item, arrays by the sha256 of their bytes, and
-    anything else, numpy scalars as Python numbers, by its repr."""
-    if is_dataclass(x):
-        return [type(x).__name__,
-                {f.name: _digest_form(getattr(x, f.name)) for f in fields(x)}]
-    if isinstance(x, (tuple, list)):
-        return [_digest_form(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
-    if isinstance(x, np.generic):
-        x = x.item()
-    return repr(x)
-
-
-def run_fingerprint(*inputs) -> str:
-    """Digest of a run's inputs, walked generically (see ``_digest_form``),
-    so that a field added to any of them is covered without an edit here.
-    """
-    return hashlib.sha256(
-        json.dumps(_digest_form(inputs)).encode()).hexdigest()
-
-
-#: Every per-block array of an EnsembleAccumulator, block axis first:
-#: name -> (its value on a block the accumulator did not run, how two
-#: partial accumulators combine).  Running, merging and splitting all
-#: loop over this table.
-BLOCK_SUMS = {
-    "launched": (0, np.add),
-    "counts": (0, np.add),
-    "obs_sum": (0, np.add),
-    "obs_sq": (0, np.add),
-    "rho_sum": (0, np.add),
-    "vec_sum": (0, np.add),
-    "min_eig": (np.inf, np.minimum),
-    "trace_dev": (0.0, np.maximum),
-    "herm_dev": (0.0, np.maximum),
-}
-
-
 @dataclass
 class EnsembleAccumulator:
-    """Block-resolved running sums of a (possibly partial) ensemble run.
+    """Block-resolved sums of an ensemble run.
 
-    Each array of BLOCK_SUMS holds the table's value on blocks this
-    accumulator does not cover, so merging partial accumulators is
-    elementwise; summing blocks in ascending index order makes every
-    estimate bitwise reproducible.
+    Summing blocks in ascending index order makes every estimate bitwise
+    reproducible.
     """
 
-    fingerprint: str
     times: np.ndarray                # (T,)
     edges: np.ndarray                # (n_blocks + 1,)
     obs_names: tuple
     recovery_refs: tuple             # per-particle reference vectors, or None
     blowups: tuple                   # skipped trajectory indices, ascending
     positivity_skips: tuple
-    launched: np.ndarray             # (n_blocks,) trajectories run per block
     counts: np.ndarray               # (n_blocks, T) active trajectories
     obs_sum: np.ndarray              # (n_blocks, n_obs, T) complex
     obs_sq: np.ndarray               # (n_blocks, n_obs, T) real, sum |prod|^2
@@ -206,8 +157,8 @@ class EnsembleAccumulator:
 
     @property
     def count(self) -> int:
-        """Trajectories launched into this accumulator."""
-        return int(self.launched.sum())
+        """Trajectories run."""
+        return int(self.edges[-1])
 
     @property
     def max_trace_dev(self) -> float:
@@ -288,8 +239,8 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     boundaries are ``edges``, as one batch (worker-safe).
 
     ``ensemble.positivity_tol`` must be resolved.  Returns the run's rows
-    of BLOCK_SUMS, block axis first (None for a sum the run does not
-    keep), and its two skip lists.
+    of the accumulator's per-block arrays by name, block axis first (None
+    for a sum the run does not keep), and its two skip lists.
     """
     n = spec.n_particles
     full_dim = spec.full_dim
@@ -372,7 +323,7 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
         spec, ensemble.master_seed, start, count, time.t_final, time.dt,
         time.record_stride, on_record,
         positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy)
-    sums = dict(launched=widths, counts=counts, obs_sum=obs_sum,
+    sums = dict(counts=counts, obs_sum=obs_sum,
                 obs_sq=obs_sq, rho_sum=rho_sum, vec_sum=vec_sum,
                 min_eig=min_eig,
                 trace_dev=np.maximum.reduceat(stats.trace_dev, firsts),
@@ -385,7 +336,8 @@ def _run_results(tasks, worker_count):
     if worker_count > 1:
         # imported here, so that a serial run and ``snbd validate`` skip it
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
+        with ProcessPoolExecutor(max_workers=min(worker_count,
+                                                 len(tasks))) as pool:
             yield from pool.map(_block_task, *zip(*tasks))
     else:
         for task in tasks:
@@ -410,21 +362,26 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     edges = block_edges(ensemble.m, ensemble.n_blocks)
     n_blocks = len(edges) - 1
     runs = block_runs(edges, ensemble.worker_count)
-    if ensemble.full_density:
-        # the accumulator's n_blocks rows, plus, for each run in flight (one
-        # per worker), the rows it fills and the Y factor each of its
-        # records forms over the run's width
-        per_matrix = spec.full_dim ** 2 * 16
-        in_flight = min(ensemble.worker_count, len(runs))
-        rows = max(stop - first for first, stop in runs)
-        width = max(int(edges[stop] - edges[first]) for first, stop in runs)
-        total = (per_matrix * len(times) * n_blocks + in_flight * (
-            per_matrix * len(times) * rows
-            + width * per_matrix // spec.dims[0] ** 2))
-        if total > DEFAULT_MEMORY_LIMIT:
-            raise DimensionLimitError(
-                f"full-density accumulation needs ~{total // (1 << 20)} MiB, "
-                f"over the {DEFAULT_MEMORY_LIMIT // (1 << 20)} MiB limit")
+    # the accumulator's record sums, plus, for each run in flight (one per
+    # worker), the rows it fills and, for the full density, the Y factor
+    # each of its records forms over the run's width.  A block's row per
+    # record: its count, each observable's complex sum and real square
+    # sum, each particle's minimum eigenvalue, and the density and
+    # reference-vector sums when kept
+    d = spec.full_dim
+    per_row = len(times) * (
+        8 + 24 * len(observables) + 8 * spec.n_particles
+        + (16 * d * d if ensemble.full_density else 0)
+        + (16 * d if refs is not None else 0))
+    in_flight = min(ensemble.worker_count, len(runs))
+    rows = max(stop - first for first, stop in runs)
+    width = max(int(edges[stop] - edges[first]) for first, stop in runs)
+    y = width * 16 * d * d // spec.dims[0] ** 2 if ensemble.full_density else 0
+    total = per_row * n_blocks + in_flight * (per_row * rows + y)
+    if total > DEFAULT_MEMORY_LIMIT:
+        raise DimensionLimitError(
+            f"the record sums need ~{total // (1 << 20)} MiB, "
+            f"over the {DEFAULT_MEMORY_LIMIT // (1 << 20)} MiB limit")
 
     if refs is not None:
         refs = tuple(np.ascontiguousarray(r, dtype=complex) for r in refs)
@@ -447,21 +404,17 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     positivity_tol = ensemble.positivity_tol
     if positivity_tol is None:
         positivity_tol = positivity_tolerance(time.dt, spec, time.t_final)
-    # what fixes the results: the worker count never does, and n_blocks
-    # beyond M and an unset tolerance mean what they resolve to
-    resolved = replace(ensemble, worker_count=1, n_blocks=n_blocks,
-                       positivity_tol=float(positivity_tol))
+    resolved = replace(ensemble, positivity_tol=float(positivity_tol))
     tasks = [(spec, time, resolved, edges[first:stop + 1], obs_stacks, refs)
              for first, stop in runs]
     sums, blowups, positivity_skips = None, (), ()
     for (first, stop), (run_sums, blown, skipped) in zip(
             runs, _run_results(tasks, ensemble.worker_count)):
+        # the runs tile the blocks, so every row is written by one run
         if sums is None:
-            sums = {
-                name: None if value is None else np.full(
-                    (n_blocks,) + value.shape[1:], BLOCK_SUMS[name][0],
-                    dtype=value.dtype)
-                for name, value in run_sums.items()}
+            sums = {name: None if value is None else np.empty(
+                        (n_blocks,) + value.shape[1:], dtype=value.dtype)
+                    for name, value in run_sums.items()}
         for name, value in run_sums.items():
             if value is not None:
                 sums[name][first:stop] = value
@@ -470,7 +423,6 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
         del run_sums  # free before the next run: the memory gate counts one
 
     return EnsembleAccumulator(
-        fingerprint=run_fingerprint(spec, time, resolved, observables, refs),
         times=times,
         edges=edges,
         obs_names=names,
@@ -478,52 +430,6 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
         blowups=tuple(sorted(blowups)),
         positivity_skips=tuple(sorted(positivity_skips)),
         **sums,
-    )
-
-
-def merge_accumulators(a: EnsembleAccumulator,
-                       b: EnsembleAccumulator) -> EnsembleAccumulator:
-    """Combine two partial accumulators of the same run configuration."""
-    if a.fingerprint != b.fingerprint:
-        raise IncompatibleAccumulatorError(
-            "accumulators come from different run configurations")
-    if ((a.launched > 0) & (b.launched > 0)).any():
-        raise IncompatibleAccumulatorError(
-            "accumulators overlap in trajectory blocks")
-    return replace(
-        a,
-        blowups=tuple(sorted(a.blowups + b.blowups)),
-        positivity_skips=tuple(sorted(a.positivity_skips + b.positivity_skips)),
-        **{name: None if getattr(a, name) is None
-           else combine(getattr(a, name), getattr(b, name))
-           for name, (_, combine) in BLOCK_SUMS.items()},
-    )
-
-
-def restrict_to_blocks(acc: EnsembleAccumulator, blocks) -> EnsembleAccumulator:
-    """Partial accumulator covering only the given block indices.
-
-    With no blocks it is the identity element of merge_accumulators.
-    """
-    keep = np.zeros(acc.n_blocks, dtype=bool)
-    keep[list(blocks)] = True
-
-    def part(sums, fill):
-        out = np.full_like(sums, fill)
-        out[keep] = sums[keep]
-        return out
-
-    def in_kept_blocks(indices):
-        owners = np.searchsorted(acc.edges, indices, side="right") - 1
-        return tuple(i for i, b in zip(indices, owners) if keep[b])
-
-    return replace(
-        acc,
-        blowups=in_kept_blocks(acc.blowups),
-        positivity_skips=in_kept_blocks(acc.positivity_skips),
-        **{name: None if getattr(acc, name) is None
-           else part(getattr(acc, name), fill)
-           for name, (fill, _) in BLOCK_SUMS.items()},
     )
 
 
@@ -588,12 +494,11 @@ def jackknife_blocks(acc: EnsembleAccumulator, sums, statistic, values=None):
     if values is None:
         values = statistic(total, m)
     values = np.asarray(values, dtype=float)
-    used = np.nonzero(acc.launched > 0)[0]
-    if len(used) < 2:
+    g = acc.n_blocks
+    if g < 2:
         return values, np.zeros_like(values)
     reps = np.array([statistic(total - sums[b], m - acc.counts[b])
-                     for b in used], dtype=float)
-    g = len(used)
+                     for b in range(g)], dtype=float)
     se = np.sqrt((g - 1) / g * ((reps - reps.mean(axis=0)) ** 2).sum(axis=0))
     return values, se
 

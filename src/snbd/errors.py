@@ -77,10 +77,6 @@ class MissingDataError(SnbdError):
     """Requested data was not recorded during the run."""
 
 
-class IncompatibleAccumulatorError(SnbdError):
-    """Accumulators come from different run configurations."""
-
-
 class DegenerateReferenceError(SnbdError):
     """The recovery reference vector is nearly orthogonal to the state."""
 

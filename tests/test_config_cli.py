@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import snbd.cli
+import snbd.config
 import snbd.ensemble
 from snbd.cli import (
     EXIT_CONFIG,
@@ -133,6 +134,46 @@ class TestParsing:
         dumped["ensemble"]["worker_count"] = 8
         dumped["output"]["directory"] = "elsewhere"
         assert config_digest(parse_config_dict(dumped)) == config_digest(cfg)
+
+    def test_digest_covers_every_result_input(self, tmp_path):
+        def digest(section=None, key=None, value=None, edit=None):
+            data = tiny_config(tmp_path)
+            if section is not None:
+                data[section][key] = value
+            if edit is not None:
+                edit(data)
+            return config_digest(parse_config_dict(data))
+
+        # every key is varied, so a key added later must be added here
+        changes = {
+            "time": {"t_final": 0.2, "dt": 5e-4, "record_stride": 10},
+            "ensemble": {"M": 17, "master_seed": 12, "n_blocks": 4,
+                         "full_density": False, "blowup_policy": "abort",
+                         "positivity_tol": 40.0},
+            "recovery": {"enabled": False,
+                         "reference_vectors": [[1, 0], [0, 1]],
+                         "window": False, "spectrum_source": "oracle"},
+        }
+        assert set(changes["time"]) == set(snbd.config._TIME_KEYS)
+        assert set(changes["ensemble"]) | {"worker_count"} == set(
+            snbd.config._ENSEMBLE_KEYS)
+        assert set(changes["recovery"]) == set(snbd.config._RECOVERY_KEYS)
+
+        base = digest()
+        for section, values in changes.items():
+            for key, value in values.items():
+                assert digest(section, key, value) != base, (section, key)
+        physics = [
+            lambda d: d["system"]["particles"][0]["h"][0].__setitem__(0, 0.6),
+            lambda d: d["system"]["initial"].__setitem__(
+                0, [[0.5, 0], [0, 0.5]]),
+            lambda d: d["system"]["interaction"]["terms"][0].update(omega=0.5),
+            lambda d: d["observables"][0]["factors"].reverse(),
+        ]
+        for k, edit in enumerate(physics):
+            assert digest(edit=edit) != base, k
+        # what does not change the results does not change the digest
+        assert digest("ensemble", "worker_count", 4) == base
 
 
 class TestOverrides:
@@ -337,7 +378,25 @@ class TestCli:
          "system.particles[0].statistics: expected one of ('distinguishable',)"),
         (lambda d: d["system"]["particles"][1].update(statistics="boson:g"),
          "system.particles[1].statistics: expected one of ('distinguishable',)"),
-    ], ids=["step-overflow", "not-swap-symmetric", "fermion", "boson"])
+        # a matrix or vector entry must be finite (JSON reads 1e400 as inf)
+        (lambda d: d["system"]["particles"][0]["h"][0].__setitem__(
+            0, float("nan")),
+         "system.particles[0].h[0][0]: expected a number, got NaN"),
+        (lambda d: d["system"]["particles"][0]["h"][0].__setitem__(1, 1e400),
+         "system.particles[0].h[0][1]: expected a finite entry"),
+        (lambda d: d["system"]["initial"][0][0].__setitem__(1, [1e400, 0]),
+         "system.initial[0][0][1]: expected a finite entry"),
+        (lambda d: d["observables"][0]["factors"][0][0].__setitem__(0, 1e400),
+         "observables[0].factors[0][0][0]: expected a finite entry"),
+        (lambda d: d["recovery"].update(reference_vectors=[[1e400, 0], [0, 1]]),
+         "recovery.reference_vectors[0][0]: expected a finite entry"),
+        # an integer too large for a float
+        (lambda d: d["system"]["particles"][0]["h"][0].__setitem__(
+            0, 10 ** 400),
+         "system.particles[0].h[0][0]: number out of range"),
+    ], ids=["step-overflow", "not-swap-symmetric", "fermion", "boson",
+            "nan-h", "inf-h", "inf-initial", "inf-observable",
+            "inf-reference", "int-overflow"])
     def test_config_contracts_exit2_with_path(self, tmp_path, capsys, edit,
                                               message):
         data = tiny_config(tmp_path / "out")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -6,8 +7,6 @@ import pytest
 import snbd.ensemble
 
 from snbd.ensemble import (
-    BLOCK_SUMS,
-    EnsembleAccumulator,
     EnsembleParams,
     ObservableSpec,
     block_edges,
@@ -15,15 +14,11 @@ from snbd.ensemble import (
     estimate_density,
     estimate_product_observable,
     jackknife_density_scalar,
-    merge_accumulators,
-    restrict_to_blocks,
     run_ensemble,
-    run_fingerprint,
 )
 from snbd.errors import (
     ConfigError,
     DimensionLimitError,
-    IncompatibleAccumulatorError,
     MissingDataError,
     PositivityViolationError,
 )
@@ -31,7 +26,6 @@ from snbd.linalg import trace_distance, trace_distances
 from snbd.oracle import propagate_exact
 from snbd.propagator import (
     TimeGrid,
-    positivity_tolerance,
     propagate_block,
     propagate_trajectory,
 )
@@ -108,12 +102,14 @@ class TestLockstep:
         assert block_runs(lockstep.edges, workers) == [
             (b, b + 1) for b in range(12)]
         single = self._run(workers)
-        for name in BLOCK_SUMS:
+        arrays = [f.name for f in dataclasses.fields(lockstep)
+                  if isinstance(getattr(lockstep, f.name), np.ndarray)]
+        assert {"counts", "rho_sum", "vec_sum", "herm_dev"} <= set(arrays)
+        for name in arrays:
             assert np.array_equal(getattr(lockstep, name),
                                   getattr(single, name)), name
         assert lockstep.blowups == single.blowups
         assert lockstep.positivity_skips == single.positivity_skips
-        assert lockstep.fingerprint == single.fingerprint
 
 
 def recorded_records(monkeypatch):
@@ -302,10 +298,11 @@ class TestRunEnsemble:
 
     def test_memory_gate_counts_every_run_in_flight(self, benchmark_system,
                                                     monkeypatch):
-        # D = 4, 2 records, 4 blocks of 2 in 4 runs of one block: the
-        # accumulator takes 4 * 2 * 256 B = 2048 B, and each run in flight
-        # its 2 * 256 B of rows and its Y factor, 2 * 4 * 16 B: 2688 B at
-        # one worker, 3328 B at two
+        # D = 4, N = 2, 2 records, 4 blocks of 2 in 4 runs of one block: a
+        # block's record sums take 2 * (256 + 8 + 16) B = 560 B (density,
+        # count, minimum eigenvalues), so the accumulator takes 2240 B, and
+        # each run in flight its 560 B row and its Y factor, 2 * 4 * 16 B:
+        # 2928 B at one worker, 3616 B at two
         monkeypatch.setattr(snbd.ensemble, "LOCKSTEP_WIDTH", 2)
         monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 3000)
         grid = TimeGrid(0.1, 1e-3, 100)
@@ -320,6 +317,52 @@ class TestRunEnsemble:
                          loose(m=8, n_blocks=4, worker_count=2,
                                full_density=True))
         assert started == []
+
+    def test_memory_gate_counts_the_reference_vector_sums(
+            self, benchmark_system, monkeypatch):
+        # 4 blocks of 2 in one run, 11 records: without reference vectors
+        # the accumulator and the run each take 4 * 11 * 24 B = 1056 B of
+        # record sums; vec_sum alone takes 4 * 11 * 4 * 16 B = 2816 B
+        monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 2800)
+        grid = TimeGrid(0.01, 1e-3, 1)
+        assert run_ensemble(benchmark_system, grid,
+                            loose(m=8, n_blocks=4)).count == 8
+        started = []
+        monkeypatch.setattr(snbd.ensemble, "_run_results",
+                            lambda *args: started.append(args))
+        with pytest.raises(DimensionLimitError):
+            run_ensemble(benchmark_system, grid, loose(m=8, n_blocks=4),
+                         refs=(np.array([1, 0], complex),
+                               np.array([0, 1], complex)))
+        assert started == []
+
+    def test_pool_is_no_wider_than_the_runs(self, benchmark_system,
+                                             monkeypatch):
+        # a stand-in executor that runs serially: no process is started
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        grid = TimeGrid(0.01, 1e-3, 5)
+        pooled = run_ensemble(benchmark_system, grid,
+                              loose(m=8, n_blocks=4, worker_count=64))
+        assert widths == [4]
+        serial = run_ensemble(benchmark_system, grid, loose(m=8, n_blocks=4))
+        assert np.array_equal(pooled.counts, serial.counts)
+        assert np.array_equal(pooled.min_eig, serial.min_eig)
 
     def test_duplicate_observables_rejected(self, benchmark_system):
         obs = (ObservableSpec("a", (SZ, None)), ObservableSpec("a", (None, SZ)))
@@ -385,108 +428,6 @@ class TestMergeAndDeterminism:
                   worker_count=workers),
             obs, (np.array([1, 0], complex), np.array([0, 1], complex)))
 
-    def test_merge_identity_element(self):
-        acc = self._run(32)
-        merged = merge_accumulators(acc, restrict_to_blocks(acc, ()))
-        assert merged.count == acc.count
-        assert np.array_equal(merged.obs_sum, acc.obs_sum)
-        assert np.array_equal(merged.rho_sum, acc.rho_sum)
-
-    def test_merge_counts_add(self):
-        acc = self._run(32)
-        a = restrict_to_blocks(acc, range(0, 3))
-        b = restrict_to_blocks(acc, range(3, 8))
-        merged = merge_accumulators(a, b)
-        assert merged.count == acc.count
-        assert np.array_equal(merged.counts, acc.counts)
-
-    def test_split_merge_bitwise(self):
-        acc = self._run(32)
-        parts = [restrict_to_blocks(acc, [b]) for b in range(8)]
-        merged = parts[0]
-        for p in parts[1:]:
-            merged = merge_accumulators(merged, p)
-        assert np.array_equal(merged.rho_sum, acc.rho_sum)
-        assert np.array_equal(merged.obs_sum, acc.obs_sum)
-        assert np.array_equal(merged.vec_sum, acc.vec_sum)
-        assert np.array_equal(merged.min_eig, acc.min_eig)
-
-    def test_split_merge_keeps_skips(self):
-        # the default tolerance skips trajectories of this run
-        acc = run_ensemble(two_spin_system(), TimeGrid(1.0, 1e-3, 100),
-                           EnsembleParams(m=32, n_blocks=8,
-                                          blowup_policy="skip"))
-        assert acc.positivity_skips
-        halves = [restrict_to_blocks(acc, range(0, 3)),
-                  restrict_to_blocks(acc, range(3, 8))]
-        assert halves[0].positivity_skips == tuple(
-            i for i in acc.positivity_skips if i < acc.edges[3])
-        merged = merge_accumulators(*halves)
-        assert merged.blowups == acc.blowups
-        assert merged.positivity_skips == acc.positivity_skips
-        assert np.array_equal(merged.counts, acc.counts)
-
-    def test_fingerprint_mismatch(self):
-        a = self._run(32, seed=3)
-        b = self._run(32, seed=4)
-        with pytest.raises(IncompatibleAccumulatorError):
-            merge_accumulators(a, b)
-
-    def test_fingerprint_covers_positivity_tolerance(self):
-        # the default tolerance skips every trajectory of this run, 1e9 none
-        def run(**kw):
-            return run_ensemble(two_spin_system(), TimeGrid(1.0, 1e-3, 100),
-                                EnsembleParams(m=32, n_blocks=8,
-                                               blowup_policy="skip", **kw))
-        strict, lax = run(), run(positivity_tol=1e9)
-        assert len(strict.positivity_skips) > len(lax.positivity_skips)
-        with pytest.raises(IncompatibleAccumulatorError):
-            merge_accumulators(restrict_to_blocks(strict, range(0, 4)),
-                               restrict_to_blocks(lax, range(4, 8)))
-
-    def test_fingerprint_covers_every_run_input(self):
-        spec = two_spin_system()
-        time = TimeGrid(0.02, 1e-3, 10)
-        ens = loose(m=4, master_seed=3, n_blocks=2)
-        obs = (ObservableSpec("sz0", (SZ, None)),)
-        refs = (np.array([1, 0], complex), np.array([0, 1], complex))
-
-        def fingerprint(time=time, observables=obs, refs=refs, **changes):
-            return run_ensemble(spec, time, dataclasses.replace(ens, **changes),
-                                observables, refs).fingerprint
-
-        # every field is varied, so a field added later must be added here
-        time_changes = {"t_final": 0.04, "dt": 5e-4, "record_stride": 5}
-        ensemble_changes = {"m": 5, "master_seed": 4, "n_blocks": 3,
-                            "full_density": True, "blowup_policy": "skip",
-                            "positivity_tol": 1e8}
-        assert set(time_changes) == {
-            f.name for f in dataclasses.fields(TimeGrid)}
-        assert set(ensemble_changes) | {"worker_count"} == {
-            f.name for f in dataclasses.fields(EnsembleParams)}
-
-        base = fingerprint()
-        for name, value in time_changes.items():
-            changed = dataclasses.replace(time, **{name: value})
-            assert fingerprint(time=changed) != base, name
-        for name, value in ensemble_changes.items():
-            assert fingerprint(**{name: value}) != base, name
-        for other in ((), (ObservableSpec("sz1", (SZ, None)),),
-                      (ObservableSpec("sz0", (None, SZ)),)):
-            assert fingerprint(observables=other) != base, other
-        assert fingerprint(refs=None) != base
-        assert fingerprint(refs=(refs[0], refs[0])) != base
-
-        # what does not change the results does not change the fingerprint
-        assert fingerprint(worker_count=2) == base
-        assert fingerprint(m=2, n_blocks=2) == fingerprint(m=2, n_blocks=9)
-        assert fingerprint(positivity_tol=None) == fingerprint(
-            positivity_tol=positivity_tolerance(time.dt, spec, time.t_final))
-
-    def test_fingerprint_reads_grid_numbers_as_floats(self):
-        assert (run_fingerprint(TimeGrid(1, 1e-3, 100))
-                == run_fingerprint(TimeGrid(1.0, 1e-3, 100)))
-
     def test_parts_report_their_own_deviations(self):
         acc = self._run(32)
         spec = two_spin_system()
@@ -494,30 +435,12 @@ class TestMergeAndDeterminism:
             start, stop = int(acc.edges[b]), int(acc.edges[b + 1])
             stats = propagate_block(spec, 3, start, stop - start, 0.2, 1e-3,
                                     50, lambda *_: None, positivity_tol=1e9)
-            part = restrict_to_blocks(acc, [b])
-            assert part.max_trace_dev == stats.max_trace_dev
-            assert part.max_herm_dev == stats.max_herm_dev
-        assert acc.max_trace_dev == max(
-            restrict_to_blocks(acc, [b]).max_trace_dev for b in range(8))
-
-    def test_block_sums_table_lists_every_block_array(self):
-        acc = self._run(32)
-        assert acc.n_blocks == 8 and len(acc.times) != 8
-        block_arrays = {
-            f.name for f in dataclasses.fields(EnsembleAccumulator)
-            if isinstance(getattr(acc, f.name), np.ndarray)
-            and getattr(acc, f.name).shape[:1] == (acc.n_blocks,)}
-        assert block_arrays == set(BLOCK_SUMS)
-
-    def test_overlapping_blocks_rejected(self):
-        acc = self._run(32)
-        with pytest.raises(IncompatibleAccumulatorError):
-            merge_accumulators(acc, acc)
+            assert acc.trace_dev[b] == stats.max_trace_dev
+            assert acc.herm_dev[b] == stats.max_herm_dev
 
     def test_worker_count_invariance(self):
         serial = self._run(32, workers=1)
         parallel = self._run(32, workers=4)
-        assert serial.fingerprint == parallel.fingerprint
         assert np.array_equal(serial.rho_sum, parallel.rho_sum)
         assert np.array_equal(serial.obs_sum, parallel.obs_sum)
         assert np.array_equal(serial.vec_sum, parallel.vec_sum)
