@@ -276,7 +276,7 @@ def _parse_system(data) -> SystemSpec:
         if rho.shape[0] != particles[k].dim:
             _fail(path, f"dim {rho.shape[0]} != particle dim {particles[k].dim}")
         tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             _fail(path, f"particle {k} initial density has trace "
                         f"{tr.real:.15g}, expected 1 within 1e-12")
         initial.append(rho)

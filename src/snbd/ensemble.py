@@ -12,18 +12,26 @@ to ``LOCKSTEP_WIDTH`` trajectories, and each block's sums are reduced
 from its own slice of the batch, so results are bitwise independent of
 that grouping and of the worker count.
 
-A block's sum of tensor products, sum_b kron_k rho_k^b (and likewise of
-kron_k rho_k^b |i_k>), is one matrix product over the block's rows,
-X^T @ Y: X holds particle 1's flattened density per trajectory and Y the
-per-trajectory Kronecker product of the others', and a trajectory no
-longer active enters both as zero.
-No per-trajectory (D, D) product is formed; the largest record-time
-array is Y, prod_{k>=2} d_k^2 complex numbers per trajectory of the
-batch, which the memory gate counts with the record sums.
+Every record sum is read from the coordinates propagate_block steps,
+c_k with rho_k = sum_a c_{k,a} B_a in an orthonormal Hermitian basis,
+through a left factor built once per run.  An observable factor is
+Tr{A_k rho_k} = a_k . c_k with a_k the (real) coordinates of A_k, and a
+reference vector rho_k |i_k> is linear in c_k too, so all of a record's
+observable factors and reference vectors are one real GEMM over the
+batch's columns (``_record_factor``).  A block's
+sum of tensor products, sum_b kron_k rho_k^b, is kept as the real
+coordinate sum X^T @ Y: X holds particle 1's coordinates per trajectory
+and Y the per-trajectory Kronecker product of the others', and a
+trajectory no longer active enters both as zero.  ``coordinate_density``
+turns such sums into (D, D) matrices, one particle mode at a time, where
+``estimate_density`` and the jackknife read them.  No per-trajectory
+(D, D) product is formed; the largest record-time array is Y,
+prod_{k>=2} d_k^2 reals per trajectory of the batch, which the memory
+gate counts with the record sums.
 """
 
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -34,8 +42,19 @@ from .errors import (
     ShapeError,
 )
 from .linalg import frozen_cmatrix, require_hermitian
-from .propagator import TimeGrid, positivity_tolerance, propagate_block
-from .system import SystemSpec, embed
+from .propagator import (
+    COLUMN_ALIGN,
+    TimeGrid,
+    coordinate_rows,
+    positivity_tolerance,
+    propagate_block,
+)
+from .system import (
+    SystemSpec,
+    build_hermitian_basis,
+    embed,
+    hermitian_coordinates,
+)
 
 #: Cap on the memory of a run's record sums.
 DEFAULT_MEMORY_LIMIT = 512 * 1024 * 1024
@@ -138,14 +157,15 @@ class EnsembleAccumulator:
 
     times: np.ndarray                # (T,)
     edges: np.ndarray                # (n_blocks + 1,)
+    dims: tuple                      # the particles' dimensions
     obs_names: tuple
     recovery_refs: tuple             # per-particle reference vectors, or None
     blowups: tuple                   # skipped trajectory indices, ascending
     positivity_skips: tuple
     counts: np.ndarray               # (n_blocks, T) active trajectories
-    obs_sum: np.ndarray              # (n_blocks, n_obs, T) complex
-    obs_sq: np.ndarray               # (n_blocks, n_obs, T) real, sum |prod|^2
-    rho_sum: np.ndarray              # (n_blocks, T, D, D) complex, or None
+    obs_sum: np.ndarray              # (n_blocks, n_obs, T) sum of products
+    obs_sq: np.ndarray               # (n_blocks, n_obs, T) sum of their squares
+    rho_sum: np.ndarray              # (n_blocks, T, D^2) coordinates, or None
     vec_sum: np.ndarray              # (n_blocks, T, D) complex, or None
     min_eig: np.ndarray              # (n_blocks, T, N)
     trace_dev: np.ndarray            # (n_blocks,) max |Tr rho_k - 1|
@@ -175,9 +195,10 @@ class EnsembleAccumulator:
 
     @property
     def sum_rhoN(self) -> np.ndarray:
+        """(T, D, D) sum over every block of the trajectories' products."""
         if self.rho_sum is None:
             raise MissingDataError("full-density mode was not enabled")
-        return self.rho_sum.sum(axis=0)
+        return coordinate_density(self.rho_sum.sum(axis=0), self.dims)
 
     @property
     def sum_vec(self) -> np.ndarray:
@@ -195,6 +216,23 @@ class EnsembleAccumulator:
             ) from None
 
 
+def coordinate_density(sums: np.ndarray, dims) -> np.ndarray:
+    """(..., D, D) N-body matrices from coordinate sums (..., D^2), indexed
+    (a_1, ..., a_N) in the product basis kron_k build_hermitian_basis(d_k):
+    sum_a S[a] kron_k B_{a_k}, formed one particle mode at a time."""
+    lead = sums.shape[:-1]
+    out = sums.reshape((-1,) + tuple(d * d for d in dims))
+    for d in dims:
+        # contracts the leading coordinate axis left and appends (i_k j_k)
+        basis = np.array(build_hermitian_basis(d)).reshape(d * d, d * d)
+        out = np.tensordot(out, basis, axes=([1], [0]))
+    n, full = len(dims), int(np.prod(dims))
+    out = out.reshape((-1,) + tuple(x for d in dims for x in (d, d)))
+    out = out.transpose((0,) + tuple(range(1, 2 * n, 2))
+                        + tuple(range(2, 2 * n + 1, 2)))
+    return out.reshape(lead + (full, full))
+
+
 def _first_and_rest(rows):
     """(X, Y) from per-particle rows (B, n_k): X is particle 1's rows and Y
     the per-trajectory Kronecker product of the others', (B, prod n_k), so
@@ -209,29 +247,61 @@ def _first_and_rest(rows):
     return first, rest
 
 
-def _batched_kron(rhos_by_particle):
-    """The (X, Y) factors of the record's density sums: X is rho_1
-    flattened, (B, d_1^2), and Y the per-trajectory Kronecker product of
-    rho_2 ... rho_N flattened, (B, prod_{k>=2} d_k^2).  The sum over a set
-    of trajectories of kron_k rho_k is X_set^T @ Y_set with its axes
-    permuted from (i_1 j_1, i_2 j_2, ...) to (i_1 i_2 ..., j_1 j_2 ...)."""
-    return _first_and_rest([r.reshape(len(r), -1) for r in rhos_by_particle])
+def _live_rows(columns, active):
+    """(B, n) rows, trajectory-major, from (n, B) columns, an inactive
+    trajectory's row as zeros."""
+    out = np.zeros(columns.shape[::-1])
+    np.copyto(out, columns.T, where=active[:, None])
+    return out
 
 
-def _batched_refvec(rhos_by_particle, refs):
+def _batched_kron(coord_rows):
+    """The (X, Y) factors of the record's density sums from each particle's
+    coordinate rows (B, d_k^2): X is particle 1's and Y the per-trajectory
+    Kronecker product of the others', (B, prod_{k>=2} d_k^2).  The sum
+    over a set of trajectories of kron_k c_k, the coordinates of
+    sum kron_k rho_k, is X_set^T @ Y_set flattened."""
+    return _first_and_rest(coord_rows)
+
+
+def _batched_refvec(rows, dims, active):
     """The (X, Y) factors of the record's reference-vector sums, from the
     per-trajectory v_k = rho_k |i_k>: X is v_1, (B, d_1), and Y the
     per-trajectory Kronecker product of v_2 ... v_N; the sum over a set of
-    trajectories of kron_k v_k is X_set^T @ Y_set flattened.  Each v_k is
-    d_k elementwise multiply-adds over the columns of rho_k, in order, so
-    its bits do not depend on the batch."""
-    vecs = []
-    for rho, ref in zip(rhos_by_particle, refs):
-        v = rho[..., 0] * ref[0]
-        for j in range(1, len(ref)):
-            v += rho[..., j] * ref[j]
-        vecs.append(v)
-    return _first_and_rest(vecs)
+    trajectories of kron_k v_k is X_set^T @ Y_set flattened.
+
+    ``rows`` (sum_k 2 d_k, B) holds each particle's v_k with Re and Im
+    interleaved, as its rows of the record factor (``_record_factor``)
+    give them; an inactive trajectory enters as zero."""
+    v = _live_rows(rows, active).view(complex)
+    edges = np.cumsum((0,) + tuple(dims))
+    return _first_and_rest([v[:, a:b] for a, b in zip(edges, edges[1:])])
+
+
+def _record_factor(spec, obs_stacks, refs):
+    """The left factor of a run's record sums, (rows, sum_k d_k^2), whose
+    product with the coordinates C gives, per trajectory, every
+    observable factor and every reference vector.
+
+    Row k n_obs + a holds the coordinates of A_k^a on particle k's
+    columns, so that its product is Tr{A_k^a rho_k}; then, with
+    references, each particle's 2 d_k rows hold Re and Im of B_a |i_k>
+    on its columns, interleaved, so that their product is rho_k |i_k>.
+    """
+    cols = coordinate_rows(spec.dims)
+    n_cols = sum(d * d for d in spec.dims)
+    obs = np.zeros((spec.n_particles, len(obs_stacks[0]) if obs_stacks else 0,
+                    n_cols))
+    for k, stack in enumerate(obs_stacks):
+        obs[k, :, cols[k]] = hermitian_coordinates(stack)
+    blocks = [obs.reshape(-1, n_cols)]
+    for k, r in enumerate(refs if refs is not None else ()):
+        d = spec.dims[k]
+        v = np.array(build_hermitian_basis(d)) @ r     # row a: B_a |i_k>
+        block = np.zeros((2 * d, n_cols))
+        block[:, cols[k]] = v.view(np.float64).T
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
@@ -243,13 +313,16 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     for a sum the run does not keep), and its two skip lists.
     """
     n = spec.n_particles
-    full_dim = spec.full_dim
     n_obs = obs_stacks[0].shape[0] if obs_stacks else 0
     n_times = len(time.times)
     start, count = int(edges[0]), int(edges[-1] - edges[0])
     widths = np.diff(edges)
     firsts = edges[:-1] - start
     rows = len(widths)
+    live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
+    particle_rows = coordinate_rows(spec.dims)
+    factor = _record_factor(spec, obs_stacks, refs)
+    n_prod = n * n_obs        # the factor's observable rows
     # runs of consecutive blocks of one width, at most two (block_edges):
     # (first row, blocks, width)
     same_width, lo = [], 0
@@ -264,65 +337,67 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
         return [x[lo:lo + k * w].reshape((k, w) + x.shape[1:])
                 for lo, k, w in same_width]
 
+    def per_block(parts):
+        """Per-block results of the runs of equal widths, block axis first."""
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     counts = np.zeros((rows, n_times), dtype=np.int64)
-    obs_sum = np.zeros((rows, n_obs, n_times), dtype=complex)
+    obs_sum = np.zeros((rows, n_obs, n_times))
     obs_sq = np.zeros((rows, n_obs, n_times))
-    rho_sum = (np.zeros((rows, n_times, full_dim, full_dim), dtype=complex)
+    rho_sum = (np.zeros((rows, n_times, spec.full_dim ** 2))
                if ensemble.full_density else None)
-    vec_sum = (np.zeros((rows, n_times, full_dim), dtype=complex)
+    vec_sum = (np.zeros((rows, n_times, spec.full_dim), dtype=complex)
                if refs is not None else None)
     min_eig = np.full((rows, n_times, n), np.inf)
-    # a density sum X^T @ Y is indexed (i_1, j_1, i_2, j_2, ...)
-    pairs = tuple(d for d in spec.dims for _ in range(2))
-    from_pairs = (0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2))
 
     def xty(factors):
-        """Each block's X^T @ Y, (rows, a, b), one stacked product per
+        """Each block's X^T @ Y, (rows, a * b), one stacked product per
         run of equal widths."""
         x, y = factors
-        return np.concatenate([xb.swapaxes(1, 2) @ yb for xb, yb in
-                               zip(by_block(x), by_block(y))])
+        return per_block([(xb.swapaxes(1, 2) @ yb).reshape(len(xb), -1)
+                          for xb, yb in zip(by_block(x), by_block(y))])
 
-    def on_record(r, t, rhos, active, mins):
+    def on_record(r, t, coords, active, mins):
         counts[:, r] = np.add.reduceat(active, firsts, dtype=np.int64)
+        min_eig[:, r] = mins
         filled = counts[:, r] > 0
         if not filled.any():
             return
+        filled = slice(None) if filled.all() else filled
         # inactive (diverged) trajectories still sit in the batch; their
         # entries may overflow but never reach a sum.  Each block reduces
         # its own rows, as it would alone, with an inactive row entering as
-        # an exact identity: -0.0 in the observable sums, a zero density in
-        # the tensor products X^T @ Y (see _first_and_rest; no (B, D, D)
-        # array is formed), inf in the minimum.  A block with no active
-        # row keeps its fill values.
+        # an exact identity: -0.0 in the observable sums, zero coordinates
+        # in the tensor products X^T @ Y (see _first_and_rest; no (B, D, D)
+        # array is formed).  A block with no active row keeps its zeros.
         with np.errstate(over="ignore", invalid="ignore"):
+            # one product over every column: a column's bits rest on the
+            # column property (propagator notes)
+            prods = (factor @ coords)[:, live]
             if n_obs:
-                vals = np.ones((count, n_obs), dtype=complex)
-                for k in range(n):
-                    vals *= np.einsum("aij,bji->ba", obs_stacks[k], rhos[k])
-                vals = np.where(active[:, None], vals, complex(-0.0, -0.0))
-                blocks = by_block(vals)
-                obs_sum[filled, :, r] = np.concatenate(
+                # Tr{A_k rho_k} per particle, then their product in order
+                v = prods[:n_prod].reshape(n, n_obs, count)
+                vals = v[0]
+                for k in range(1, n):
+                    vals = vals * v[k]
+                blocks = by_block(np.where(active[:, None], vals.T, -0.0))
+                obs_sum[filled, :, r] = per_block(
                     [b.sum(axis=1) for b in blocks])[filled]
-                obs_sq[filled, :, r] = np.concatenate(
-                    [(b.real ** 2 + b.imag ** 2).sum(axis=1)
-                     for b in blocks])[filled]
-            on = [np.where(active[:, None, None], rho, 0) for rho in rhos]
+                obs_sq[filled, :, r] = per_block(
+                    [(b * b).sum(axis=1) for b in blocks])[filled]
             if rho_sum is not None:
-                rho_sum[filled, r] = xty(_batched_kron(on))[filled].reshape(
-                    (-1,) + pairs).transpose(from_pairs).reshape(
-                    -1, full_dim, full_dim)
+                c = _live_rows(coords[:, live], active)
+                rho_sum[filled, r] = xty(_batched_kron(
+                    [c[:, k] for k in particle_rows]))[filled]
             if vec_sum is not None:
-                vec_sum[filled, r] = xty(_batched_refvec(on, refs))[
-                    filled].reshape(-1, full_dim)
-            mins = np.where(active[:, None], mins, np.inf)
-            min_eig[filled, r] = np.concatenate(
-                [b.min(axis=1) for b in by_block(mins)])[filled]
+                vec_sum[filled, r] = xty(_batched_refvec(
+                    prods[n_prod:], spec.dims, active))[filled]
 
     stats = propagate_block(
         spec, ensemble.master_seed, start, count, time.t_final, time.dt,
         time.record_stride, on_record,
-        positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy)
+        positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy,
+        block_starts=firsts)
     sums = dict(counts=counts, obs_sum=obs_sum,
                 obs_sq=obs_sq, rho_sum=rho_sum, vec_sum=vec_sum,
                 min_eig=min_eig,
@@ -332,16 +407,27 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
 
 
 def _run_results(tasks, worker_count):
-    """_block_task over tasks, yielded in run order as they are needed."""
-    if worker_count > 1:
-        # imported here, so that a serial run and ``snbd validate`` skip it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(worker_count,
-                                                 len(tasks))) as pool:
-            yield from pool.map(_block_task, *zip(*tasks))
-    else:
-        for task in tasks:
-            yield _block_task(*task)
+    """(index, _block_task result) for every task.  On a pool, a task is
+    submitted when a worker is free and a finished one's result has been
+    taken, so at most ``worker_count`` results exist at a time, finished
+    or not; they arrive in the order they complete."""
+    if worker_count <= 1:
+        for i, task in enumerate(tasks):
+            yield i, _block_task(*task)
+        return
+    # imported here, so that a serial run and ``snbd validate`` skip it
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    todo = enumerate(tasks)
+    with ProcessPoolExecutor(max_workers=min(worker_count,
+                                             len(tasks))) as pool:
+        pending = {pool.submit(_block_task, *task): i
+                   for i, task in islice(todo, worker_count)}
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                yield pending.pop(future), future.result()
+                for i, task in islice(todo, 1):
+                    pending[pool.submit(_block_task, *task)] = i
 
 
 def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
@@ -365,18 +451,18 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     # the accumulator's record sums, plus, for each run in flight (one per
     # worker), the rows it fills and, for the full density, the Y factor
     # each of its records forms over the run's width.  A block's row per
-    # record: its count, each observable's complex sum and real square
-    # sum, each particle's minimum eigenvalue, and the density and
-    # reference-vector sums when kept
+    # record: its count, each observable's sum and square sum, each
+    # particle's minimum eigenvalue, and the density's coordinate sums and
+    # the complex reference-vector sums when kept
     d = spec.full_dim
     per_row = len(times) * (
-        8 + 24 * len(observables) + 8 * spec.n_particles
-        + (16 * d * d if ensemble.full_density else 0)
+        8 + 16 * len(observables) + 8 * spec.n_particles
+        + (8 * d * d if ensemble.full_density else 0)
         + (16 * d if refs is not None else 0))
     in_flight = min(ensemble.worker_count, len(runs))
     rows = max(stop - first for first, stop in runs)
     width = max(int(edges[stop] - edges[first]) for first, stop in runs)
-    y = width * 16 * d * d // spec.dims[0] ** 2 if ensemble.full_density else 0
+    y = width * 8 * d * d // spec.dims[0] ** 2 if ensemble.full_density else 0
     total = per_row * n_blocks + in_flight * (per_row * rows + y)
     if total > DEFAULT_MEMORY_LIMIT:
         raise DimensionLimitError(
@@ -408,9 +494,11 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     tasks = [(spec, time, resolved, edges[first:stop + 1], obs_stacks, refs)
              for first, stop in runs]
     sums, blowups, positivity_skips = None, (), ()
-    for (first, stop), (run_sums, blown, skipped) in zip(
-            runs, _run_results(tasks, ensemble.worker_count)):
-        # the runs tile the blocks, so every row is written by one run
+    for i, (run_sums, blown, skipped) in _run_results(
+            tasks, ensemble.worker_count):
+        # the runs tile the blocks, so every row is written by one run, in
+        # whatever order the runs arrive
+        first, stop = runs[i]
         if sums is None:
             sums = {name: None if value is None else np.empty(
                         (n_blocks,) + value.shape[1:], dtype=value.dtype)
@@ -425,6 +513,7 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     return EnsembleAccumulator(
         times=times,
         edges=edges,
+        dims=spec.dims,
         obs_names=names,
         recovery_refs=refs,
         blowups=tuple(sorted(blowups)),
@@ -447,9 +536,8 @@ class ObservableEstimate:
     """Ensemble mean of a product observable with its standard error."""
 
     times: np.ndarray
-    mean: np.ndarray        # real part; the exact value is real
+    mean: np.ndarray
     stderr: np.ndarray
-    mean_imag: np.ndarray   # statistical residue, |mean_imag| <~ 5 stderr
 
 
 def estimate_product_observable(acc: EnsembleAccumulator,
@@ -457,9 +545,8 @@ def estimate_product_observable(acc: EnsembleAccumulator,
     """Mean and standard error of one registered product observable.
 
     Per trajectory the observable is the product over particles of
-    Tr{A_k rho_k}; the standard error comes from the sample variance of
-    those per-trajectory products (scatter measured over the complex
-    plane, which also calibrates the imaginary residue of the mean).
+    Tr{A_k rho_k}, which is real (both factors are Hermitian); the
+    standard error comes from the sample variance of those products.
     """
     a = acc._obs_index(name)
     tot = acc.obs_sum[:, a].sum(axis=0)
@@ -467,14 +554,12 @@ def estimate_product_observable(acc: EnsembleAccumulator,
     m = acc.active_counts.astype(float)
     if (m == 0).any():
         raise MissingDataError("no active trajectories at some recorded time")
-    mean_c = tot / m
     var = np.zeros_like(ssq)
     many = m > 1
-    resid = ssq[many] - (tot[many].real ** 2 + tot[many].imag ** 2) / m[many]
+    resid = ssq[many] - tot[many] ** 2 / m[many]
     var[many] = np.maximum(resid, 0.0) / (m[many] - 1.0)
-    stderr = np.sqrt(var / m)
-    return ObservableEstimate(times=acc.times, mean=mean_c.real,
-                              stderr=stderr, mean_imag=mean_c.imag)
+    return ObservableEstimate(times=acc.times, mean=tot / m,
+                              stderr=np.sqrt(var / m))
 
 
 def jackknife_blocks(acc: EnsembleAccumulator, sums, statistic, values=None):
@@ -514,5 +599,6 @@ def jackknife_density_scalar(acc: EnsembleAccumulator, fn):
     """
     if acc.rho_sum is None:
         raise MissingDataError("full-density mode was not enabled")
-    return jackknife_blocks(acc, acc.rho_sum,
-                            lambda total, m: fn(total / m[:, None, None]))
+    return jackknife_blocks(
+        acc, acc.rho_sum, lambda total, m: fn(
+            coordinate_density(total, acc.dims) / m[:, None, None]))

@@ -35,7 +35,7 @@ def initial_pure_factors(spec: SystemSpec) -> list:
     vecs = []
     for k, rho in enumerate(spec.initial):
         w, v = herm_eig(rho)
-        if abs(w[-1] - 1.0) > 1e-10 or (len(w) > 1 and abs(w[-2]) > 1e-10):
+        if not (abs(w[-1] - 1.0) <= 1e-10 and (len(w) < 2 or abs(w[-2]) <= 1e-10)):
             raise ContractViolationError(
                 f"initial density {k} is not pure (occupations {w})")
         vecs.append(v[:, -1])
@@ -82,7 +82,7 @@ def exact_observable(states, obs, dims) -> np.ndarray:
             raise ShapeError(
                 f"observable dim {a.shape[0]} != state dim {st.rhoN.shape[0]}")
         val = complex(np.trace(a @ st.rhoN))
-        if abs(val.imag) > 1e-10:
+        if not abs(val.imag) <= 1e-10:
             raise ContractViolationError(
                 f"observable develops imaginary part {val.imag:.3e}")
         out[i] = val.real

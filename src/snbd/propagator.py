@@ -32,11 +32,31 @@ i[O_k^s, .], -i dt [H_k, .] and -2 times the identity) are built once
 per run from the basis's structure constants, and the mean fields are
 Obar_k^s = o_k^s . c_k.  Every coordinate vector is a Hermitian matrix,
 and coordinate 0 is never written after t = 0, so Hermiticity and the
-trace hold by construction, not to roundoff.  Densities are rebuilt as
-matrices (exactly Hermitian, the lower triangle the conjugate of the
-upper) only where they are looked at: at the recorded times and at the
-divergence checks.  The t = 0 record is the symmetrized initial
-densities (rho + rho^dag)/2 themselves.
+trace hold by construction, not to roundoff.
+
+The record path stays on the coordinates.  ``on_record`` is handed C
+itself, and everything the ensemble sums is linear in it (ensemble
+notes).  The monitors read as little as they must:
+
+- the divergence check reads ||c_k||_2 = ||rho_k||_F >= max |rho_ij|, and
+  rebuilds only a column too large for that bound to settle;
+- the trace and Hermiticity readings add the diagonal entries of the
+  rebuilt density, in the rebuild's own order, so they are its bits;
+- a spin-1/2's smallest eigenvalue is closed-form in its coordinates;
+  a d = 3 density's is eigvalsh's, but a certified screen hands eigvalsh
+  only the few densities that can decide a block's minimum or the
+  positivity test (``_screened_minima``, ``_below``): a floating-point
+  LDL^H of rho - s I with positive pivots proves the smallest
+  eigenvalue above s less an allowance sigma = 2^-40 (||rho||_F + |s|),
+  30 times the backward-error bound it rests on (``_ldl_positive``);
+- a larger particle takes eigvalsh over its group.
+
+A density handed to eigvalsh is rebuilt as a matrix, exactly Hermitian
+(the lower triangle the conjugate of the upper), by the same
+term-by-term arithmetic as always, so every decision (divergence,
+positivity, the trace and Hermiticity readings, each block's minimum) is
+bit for bit the one a full rebuild would take.  The t = 0 monitors read
+the symmetrized initial densities (rho + rho^dag)/2 themselves.
 
 ``propagate_block`` is the only code that advances densities: it steps a
 batch of trajectories in lockstep, with the particles of each dimension
@@ -72,8 +92,9 @@ multiple of ``COLUMN_ALIGN`` = 8, and trajectory j sits in column
 j - 8 floor(start / 8), always at position j mod 8.  (On the core measured the position did
 not matter at all once the width was aligned; the fixed position costs
 at most 7 columns and relies on nothing that was not measured.)  The
-padding columns hold the initial state and zero increments, and nothing
-reads them.  ``test_same_bits_at_any_width`` guards the property at
+padding columns hold the initial state and zero increments; the
+ensemble's record products run over all W columns, for the same
+property, and drop them.  ``test_same_bits_at_any_width`` guards the property at
 every start modulo 8 and widths from 1 to ``LOCKSTEP_WIDTH``, on systems
 whose factors reach 4 x 2 (one term), an inner dimension of 16 (d = 4),
 mixed dimensions and 16 x 56 blocks (8 spins).
@@ -139,8 +160,21 @@ CHECK_STRIDE = 25
 #: (physical states have entries of order 1).
 NORM_CAP = 1e4
 
+#: A column whose coordinates have at most this 2-norm (= ||rho_k||_F) has
+#: every entry within NORM_CAP, with room for the rebuild's roundoff.
+NORM_SCREEN = NORM_CAP * (1.0 - 1e-12)
+
 #: Runtime trip-wire; far above roundoff, far below physical scales.
 TRACE_TRIPWIRE = 1e-8
+
+#: sigma, the d = 3 certificate's allowance relative to ||rho||_F + |shift|
+#: (the bound it rests on is in ``_ldl_positive``).
+CERTIFICATE_ALLOWANCE = 2.0 ** -40
+
+#: The d = 3 screen's margin on a block's least closed-form estimate,
+#: relative to 1 + |estimate|; it sets how many matrices reach eigvalsh,
+#: not the value a block reads.
+ESTIMATE_MARGIN = 2.0 ** -20
 
 #: What propagate_block does with a diverged or non-positive trajectory.
 BLOWUP_POLICIES = ("abort", "skip")
@@ -270,7 +304,7 @@ class TimeGrid:
             raise ConfigError(
                 f"t_final={t_final} / dt={dt} overflows a step count")
         n_steps = self.n_steps
-        if n_steps < 1 or abs(steps - n_steps) > 1e-9 * max(1.0, abs(steps)):
+        if n_steps < 1 or not abs(steps - n_steps) <= 1e-9 * max(1.0, abs(steps)):
             raise ConfigError(
                 f"t_final={t_final} is not an integer number of steps of dt={dt}"
             )
@@ -314,13 +348,19 @@ def propagate_trajectory(spec: SystemSpec, t_final: float, dt: float,
     ``rng_seed`` is interpreted as (master_seed, trajectory_index) when a
     tuple, otherwise as a master seed for trajectory 0.  The trajectory is
     a block of one, so it is bitwise the trajectory of that index in any
-    ensemble run; ``positivity_tol=np.inf`` switches the positivity check off.
+    ensemble run; ``positivity_tol=np.inf`` switches the positivity check
+    off.  The snapshots are the densities rebuilt from the coordinates
+    handed to ``on_record`` (see ``coordinate_densities``).
     """
     master_seed, index = rng_seed if isinstance(rng_seed, tuple) else (rng_seed, 0)
+    rows = coordinate_rows(spec.dims)
+    col = slice(index % COLUMN_ALIGN, index % COLUMN_ALIGN + 1)
     snapshots = []
 
-    def on_record(r_index, t, rhos, active, min_eigs):
-        snapshots.append(TrajectoryState(t=t, rhos=[r[0].copy() for r in rhos]))
+    def on_record(r_index, t, coords, active, min_eigs):
+        snapshots.append(TrajectoryState(t=t, rhos=[
+            coordinate_densities(coords[r, col], d)[0]
+            for r, d in zip(rows, spec.dims)]))
 
     propagate_block(spec, master_seed, index, 1, t_final, dt, record_stride,
                     on_record, positivity_tol=positivity_tol)
@@ -360,23 +400,42 @@ class _DimGroup:
     """The K particles of one dimension d, stepped as (K, d^2, W) real
     coordinates in ``build_hermitian_basis(d)``, one column per trajectory.
 
-    A density is rebuilt from ``to_upper``, whose column pairs are the
-    (re, im) parts of the basis entries at the flat indices ``upper``:
-    the off-diagonal ones first, mirrored to ``lower``, then the diagonal.
+    ``maps`` rebuilds the densities (``_upper_map``).  ``screen`` is its
+    table as one left factor, whose product with the coordinates the d = 3
+    screen reads, and ``diagonal`` lists the nonzero terms of each
+    diagonal entry's (re, im) plane, which the trace and Hermiticity
+    monitors read.
     """
 
     members: list        # particle indices, ascending
     rows: slice          # their rows in the group-ordered (N, ..., W) arrays
     tables: np.ndarray   # (K, (d^2 - 1) d^2, 2p + 2) T^T: M(u) = T^T U
     coords: np.ndarray   # (K, d^2, W) current coordinates, a view of C
-    live: slice          # the columns of the batch's trajectories
-    to_upper: np.ndarray  # (d^2, 2 d (d + 1) / 2)
-    upper: np.ndarray    # d (d + 1) / 2 flat indices
-    lower: np.ndarray    # d (d - 1) / 2 flat indices
+    maps: tuple          # (table, upper, lower), see _upper_map
+    screen: np.ndarray   # (d (d + 1), d^2) the table as a left factor
+    diagonal: list       # per diagonal plane, its (a, coefficient) terms
     initial: np.ndarray  # (K, d, d) symmetrized initial densities
 
+    @property
+    def dim(self) -> int:
+        return self.initial.shape[-1]
 
-def _dim_groups(spec: SystemSpec, live: slice, width: int, dt: float):
+
+def coordinate_rows(dims) -> list:
+    """Particle k's rows of the coordinates C that ``propagate_block``
+    steps and hands ``on_record``: the particles grouped by dimension,
+    groups in order of first appearance, members ascending, d_k^2 rows
+    each (coordinate a of particle k is row ``rows[k].start + a``)."""
+    rows, lo = [None] * len(dims), 0
+    for d in dict.fromkeys(dims):
+        for k, dk in enumerate(dims):
+            if dk == d:
+                rows[k] = slice(lo, lo + d * d)
+                lo += d * d
+    return rows
+
+
+def _dim_groups(spec: SystemSpec, width: int, dt: float):
     """Group the particles by dimension, groups in order of first appearance.
 
     Returns the groups, the coordinates C of all of them, (sum K d^2, W),
@@ -388,19 +447,18 @@ def _dim_groups(spec: SystemSpec, live: slice, width: int, dt: float):
     i[O_k^s, .], -i dt [H_k, .] and -2 times the identity, in coordinates,
     for u = [Re coeff, Im coeff, 1, Re g0].  Row 0 (the trace coordinate)
     of every part is dropped: it is never updated.  Every one of the
-    ``width`` columns starts at the initial state; ``live`` are the
-    batch's.
+    ``width`` columns starts at the initial state.
     """
     dims = spec.dims
+    rows = coordinate_rows(dims)
     coords = np.empty((sum(d * d for d in dims), width))
-    # fields[k, s] is o_k^s on particle k's coordinates, zero elsewhere
+    # fields[i, s] is o_k^s on the coordinates of the i-th particle k in
+    # group order, zero elsewhere
     fields = np.zeros((spec.n_particles, len(spec.terms), len(coords)))
-    groups, lo, col = [], 0, 0
+    groups, lo = [], 0
     for d in dict.fromkeys(dims):
         members = [k for k in range(spec.n_particles) if dims[k] == d]
         n_k, n_c = len(members), d * d
-        rows = slice(lo, lo + n_k)
-        lo = rows.stop
         anti, comm = hermitian_structure_constants(d)
         ops = hermitian_coordinates(np.array(
             [[term.ops[k] for term in spec.terms] for k in members]
@@ -414,69 +472,245 @@ def _dim_groups(spec: SystemSpec, live: slice, width: int, dt: float):
         ], axis=1)
         rho = np.stack([_symmetrize(spec.initial[k].astype(complex))
                         for k in members])
-        iu, ju = np.triu_indices(d, 1)
-        iu, ju = np.r_[iu, np.arange(d)], np.r_[ju, np.arange(d)]
-        basis = np.array(build_hermitian_basis(d))
-        group = coords[col:col + n_k * n_c].reshape(n_k, n_c, width)
+        top = rows[members[0]].start
+        group = coords[top:top + n_k * n_c].reshape(n_k, n_c, width)
         group[...] = hermitian_coordinates(rho)[:, :, None]
-        for j in range(n_k):
-            fields[rows.start + j, :, col + j * n_c:col + (j + 1) * n_c] = ops[j]
-        col += n_k * n_c
+        for j, k in enumerate(members):
+            fields[lo + j, :, rows[k]] = ops[j]
+        maps = _upper_map(d)
+        table = maps[0][:, :, 0]
         groups.append(_DimGroup(
-            members=members, rows=rows,
+            members=members, rows=slice(lo, lo + n_k),
             tables=np.ascontiguousarray(
                 parts[:, :, 1:].reshape(n_k, len(parts[0]), -1)
                 .transpose(0, 2, 1)),
             coords=group,
-            live=live,
-            to_upper=np.ascontiguousarray(basis[:, iu, ju]).view(np.float64),
-            upper=iu * d + ju, lower=(ju * d + iu)[:-d],
+            maps=maps,
+            screen=np.ascontiguousarray(table.T),
+            diagonal=[[(a, table[a, r]) for a in np.flatnonzero(table[:, r])]
+                      for r in range(len(table[0]) - 2 * d, len(table[0]))],
             initial=rho))
+        lo += n_k
     mdtw = -dt * np.array([t.omega for t in spec.terms], dtype=float)[:, None]
     # the particles' blocks are disjoint, so sum - own is exactly the others'
     mean_field = np.concatenate([fields, mdtw * (fields.sum(axis=0) - fields)])
     return groups, coords, mean_field.reshape(-1, len(coords))
 
 
-def _densities(g: _DimGroup) -> np.ndarray:
-    """(K, B, d, d) densities of the batch's B trajectories, rebuilt from
-    the coordinates, exactly Hermitian.
+def _upper_map(d: int) -> tuple:
+    """The rebuild of a d x d density from its coordinates: a table
+    (d^2, d (d + 1), 1) whose rows (re, im) per entry are the basis
+    entries at the flat indices ``upper`` (the off-diagonal ones first,
+    mirrored to ``lower``, then the diagonal), and those indices."""
+    iu, ju = np.triu_indices(d, 1)
+    iu, ju = np.r_[iu, np.arange(d)], np.r_[ju, np.arange(d)]
+    basis = np.array(build_hermitian_basis(d))
+    table = np.ascontiguousarray(basis[:, iu, ju]).view(np.float64)
+    return table[:, :, None], iu * d + ju, (ju * d + iu)[:-d]
 
-    The upper triangle and diagonal are sum_a c_a B_a, accumulated term by
-    term in elementwise arithmetic, so an entry that cancels analytically
-    (the empty level of a diagonal state) cancels exactly; the lower
-    triangle is the conjugate of the upper.
+
+def _rebuild(c: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The upper entries' planes sum_a c_a table[a], (..., rows, B), from
+    coordinates (..., n_c, B): row 2 u is the real and row 2 u + 1 the
+    imaginary part of entry u.  The sum is accumulated term by term in
+    elementwise arithmetic, so an entry that cancels analytically (the
+    empty level of a diagonal state) cancels exactly, and an entry's bits
+    do not depend on which others are formed."""
+    terms = c[..., :, None, :] * table
+    out = terms[..., 0, :, :].copy()
+    for a in range(1, len(table)):
+        out += terms[..., a, :, :]
+    return out
+
+
+def _diagonal(c: np.ndarray, terms: list) -> list:
+    """The diagonal planes (..., B) of ``_rebuild``, each summed over its
+    nonzero terms only, None for a plane without any.  Dropping c_a * 0
+    changes no value, only, at most, the sign of a zero; so the trace and
+    the Hermiticity reading, which take absolute values, keep their bits
+    (a coordinate that is NaN or inf is caught by the divergence check
+    before any reading is kept)."""
+    planes = []
+    for row in terms:
+        out = None
+        for a, coefficient in row:
+            if out is None:
+                out = c[..., a, :] * coefficient
+            else:
+                out += c[..., a, :] * coefficient
+        planes.append(out)
+    return planes
+
+
+def _assemble(planes: np.ndarray, maps: tuple) -> np.ndarray:
+    """(..., B, d, d) exactly Hermitian matrices from upper-entry planes
+    (..., rows, B): the lower triangle is the conjugate of the upper."""
+    _, upper, lower = maps
+    up = np.ascontiguousarray(np.swapaxes(planes, -1, -2)).view(complex)
+    d = math.isqrt(len(upper) + len(lower))
+    rho = np.empty(up.shape[:-1] + (d * d,), dtype=complex)
+    rho[..., upper] = up
+    rho[..., lower] = up[..., :len(lower)].conj()
+    return rho.reshape(up.shape[:-1] + (d, d))
+
+
+def _upper_planes(rho: np.ndarray, maps: tuple) -> np.ndarray:
+    """The upper-entry planes (..., rows, B) of matrices (..., B, d, d)."""
+    up = rho.reshape(rho.shape[:-2] + (-1,))[..., maps[1]]
+    return np.swapaxes(np.ascontiguousarray(up).view(np.float64), -1, -2)
+
+
+def coordinate_densities(c: np.ndarray, d: int) -> np.ndarray:
+    """(..., B, d, d) densities from their coordinates (..., d^2, B) in
+    ``build_hermitian_basis(d)``, exactly Hermitian, bit for bit the
+    matrices whose eigenvalues ``propagate_block`` reads."""
+    maps = _upper_map(d)
+    return _assemble(_rebuild(c, maps[0]), maps)
+
+
+# ---------------------------------------------------------------------------
+# the d = 3 minimum-eigenvalue screen
+# ---------------------------------------------------------------------------
+
+def _min_eigvalsh(rho: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of a stack, by eigvalsh, which
+    LAPACK solves matrix by matrix: a value does not depend on the stack."""
+    return np.linalg.eigvalsh(rho).min(axis=-1)
+
+
+def _trig_min_estimate(e: np.ndarray) -> np.ndarray:
+    """Closed-form smallest eigenvalue of each Hermitian 3 x 3 given by its
+    upper-entry planes e (12, M), elementwise: the trigonometric root of
+    the characteristic cubic.  It loses about sqrt(eps) ||rho|| at a
+    degenerate pair, so it only steers ``_screened_minima``, whose result
+    does not depend on it."""
+    z1, z2, y1, y2, x1, x2 = e[:6]          # a12, a13, a23
+    q = (e[6] + e[8] + e[10]) / 3.0
+    b11, b22, b33 = e[6] - q, e[8] - q, e[10] - q
+    n12, n13, n23 = z1 * z1 + z2 * z2, y1 * y1 + y2 * y2, x1 * x1 + x2 * x2
+    p = np.sqrt((b11 * b11 + b22 * b22 + b33 * b33
+                 + 2.0 * (n12 + n13 + n23)) / 6.0)
+    # det(rho - q) with 2 Re(a12 a23 conj(a13)) for the two cyclic terms;
+    # r = det / (2 p^3) in [-1, 1], and 0 when p = 0 (then det = 0 too)
+    det = (b11 * b22 * b33 - b11 * n23 - b22 * n13 - b33 * n12
+           + 2.0 * ((z1 * x1 - z2 * x2) * y1 + (z1 * x2 + z2 * x1) * y2))
+    safe = np.maximum(p, 1e-100)
+    r = np.minimum(np.maximum(det / (2.0 * safe * safe * safe), -1.0), 1.0)
+    return q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+
+
+def _ldl_positive(e: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """True where the floating-point LDL^H of rho - shift I runs to three
+    pivots > 0, for the Hermitian 3 x 3s given by their upper-entry planes
+    e (12, M) and shifts (M,); the diagonal's imaginary parts are not
+    read, as eigvalsh does not read them.
+
+    Why a pass certifies (u = 2^-53 the unit roundoff): a factorization
+    that completes with positive pivots is the exact one of a nearby
+    matrix, L D L^H = A~ + E with |E| <= gamma |L| D |L^H| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3, in
+    its square-root-free form; complex arithmetic raises gamma_{n+1} to
+    about gamma_{8(n+1)}), and ||E||_2 <= gamma / (1 - gamma) tr(A~)
+    (Rump, BIT 46 (2006) 433, the bound behind its Lemma 2.1).  With
+    A~ = fl(rho - shift I) and tr(A~) <= sqrt(3) ||rho||_F + 3 |shift|,
+    the smallest eigenvalue of rho then exceeds
+    shift - 2 gamma (sqrt(3) ||rho||_F + 3 |shift|) - u |shift|.  Below
+    that must also fit eigvalsh's own error, p(3) u ||rho||_2, and the
+    distance between the planes read here (one GEMM) and the matrix
+    eigvalsh reads (``_rebuild``), at most 2 gamma_9 per entry times
+    ||rho||_F, 54 u ||rho||_F in Frobenius norm: in all about
+    (170 + p(3)) u (||rho||_F + |shift|) with gamma = gamma_32.
+    ``CERTIFICATE_ALLOWANCE`` sigma is 8192 u times that scale, over 30
+    times the bound for any p(3) up to 80.
     """
-    c = g.coords[:, :, g.live]
-    n_k, n_c, count = c.shape
-    d = g.initial.shape[-1]
-    upper = c[:, 0, :, None] * g.to_upper[0]
-    for a in range(1, n_c):
-        upper += c[:, a, :, None] * g.to_upper[a]
-    upper = upper.view(complex)
-    rho = np.empty((n_k, count, n_c), dtype=complex)
-    rho[..., g.upper] = upper
-    rho[..., g.lower] = upper[..., :len(g.lower)].conj()
-    return rho.reshape(n_k, count, d, d)
+    z1, z2, y1, y2, x1, x2 = e[:6]          # a12, a13, a23
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d1 = e[6] - shift
+        d2 = (e[8] - shift) - (z1 * z1 + z2 * z2) / d1
+        # the (2, 3) entry of the Schur complement, a23 - conj(a12) a13 / d1
+        w1 = x1 - (z1 * y1 + z2 * y2) / d1
+        w2 = x2 - (z1 * y2 - z2 * y1) / d1
+        d3 = ((e[10] - shift) - (y1 * y1 + y2 * y2) / d1
+              - (w1 * w1 + w2 * w2) / d2)
+        return (d1 > 0.0) & (d2 > 0.0) & (d3 > 0.0)
 
 
-def _min_eigenvalues(g: _DimGroup, rho: np.ndarray, on) -> np.ndarray:
-    """(K, len(on)) smallest eigenvalue of the group's densities ``rho``
-    (K, B, d, d) of the trajectories ``on``.
+def _allowance(norms, shift):
+    """The certificate's sigma for densities of Frobenius norm ``norms``
+    at ``shift`` (see ``_ldl_positive``)."""
+    return CERTIFICATE_ALLOWANCE * (norms + np.abs(shift))
 
-    For d = 2 the basis is the Pauli basis over sqrt(2), so
-    rho = (c_0 + c . sigma) / sqrt(2) has the eigenvalues
-    (c_0 +- |(c_1, c_2, c_3)|) / sqrt(2), taken elementwise from the
-    coordinates.  A larger d takes one eigvalsh call over the stack, which
-    LAPACK solves matrix by matrix, as it would one particle at a time; no
-    closed form is used there, since the trigonometric cubic of d = 3
-    loses about sqrt(eps) at a degenerate pair of eigenvalues.
+
+def _solve(matrices, need: np.ndarray, exact: np.ndarray):
+    """Fill ``exact`` with eigvalsh's smallest eigenvalue where ``need``;
+    ``matrices(index)`` gives the matrices eigvalsh reads."""
+    if need.any():
+        index = np.flatnonzero(need)
+        exact[index] = _min_eigvalsh(matrices(index))
+
+
+def _below(e: np.ndarray, norms: np.ndarray, tol: float, exact: np.ndarray,
+           matrices) -> np.ndarray:
+    """Where the smallest eigvalsh eigenvalue of 3 x 3 densities is below
+    -tol, bit for bit the comparison of eigvalsh's values, from their
+    planes e (12, M) and Frobenius norms.  A density is cleared (its
+    eigvalsh value is > -tol) when ||rho||_F + sigma < tol, or else when
+    its LDL^H of rho + (tol - sigma) I passes; only the rest reach
+    eigvalsh, through ``matrices`` (see ``_solve``).  ``exact``, (M,) and
+    NaN where unknown, takes the values eigvalsh gave."""
+    need = ~(norms + _allowance(norms, 0.0) < tol)
+    if need.any():
+        need[need] = ~_ldl_positive(
+            e[:, need], _allowance(norms[need], tol) - tol)
+    _solve(matrices, need, exact)
+    return need & ~(exact >= -tol)
+
+
+def _segment_min(x: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """The minimum of x over each segment [seg[i], seg[i + 1]), the last
+    one to the end; inf for an empty segment."""
+    out = np.full(len(seg), np.inf)
+    filled = seg < np.append(seg[1:], len(x))
+    if filled.any():
+        out[filled] = np.minimum.reduceat(x, seg[filled])
+    return out
+
+
+def _screened_minima(e: np.ndarray, norms: np.ndarray, seg: np.ndarray,
+                     exact: np.ndarray, matrices) -> np.ndarray:
+    """Each segment's smallest eigvalsh eigenvalue of 3 x 3 densities, bit
+    for bit, from their planes e (12, M) and Frobenius norms, with
+    eigvalsh run on few of them (through ``matrices``, see ``_solve``).
+
+    ``seg`` holds the segments' first indices (a block's trajectories) and
+    ``exact`` eigvalsh's values where known, NaN elsewhere; it takes the
+    values computed here.  Per segment, m is the least closed-form
+    estimate plus a margin.  A density whose LDL^H of rho - (m + sigma) I
+    passes has an eigvalsh value > m and is ruled out; the rest are
+    solved.  If their least value mu is at most m, every ruled-out value
+    is above it and mu is the minimum; otherwise the whole segment is
+    solved.  So the estimate's accuracy sets only how many are solved.
     """
-    if rho.shape[-1] == 2:
-        c = g.coords[:, :, g.live][:, :, on]
-        norm = np.sqrt(c[:, 1] ** 2 + c[:, 2] ** 2 + c[:, 3] ** 2)
-        return (c[:, 0] - norm) / np.sqrt(2.0)
-    return np.linalg.eigvalsh(rho[:, on]).min(axis=-1)
+    if not len(norms):
+        return np.full(len(seg), np.inf)
+    owner = np.repeat(np.arange(len(seg)), np.diff(np.append(seg, len(norms))))
+    low = _segment_min(_trig_min_estimate(e), seg)
+    bound = low + ESTIMATE_MARGIN * (1.0 + np.abs(low))
+    m = bound[owner]
+    _solve(matrices, ~_ldl_positive(e, m + _allowance(norms, m))
+           & np.isnan(exact), exact)
+    mins = _segment_min(np.where(np.isnan(exact), np.inf, exact), seg)
+    redo = mins > bound
+    if redo.any():
+        _solve(matrices, redo[owner] & np.isnan(exact), exact)
+        mins[redo] = _segment_min(exact, seg)[redo]
+    return mins
+
+
+def _selection(on: np.ndarray, count: int):
+    """An index for the trajectories ``on`` of a batch of ``count``: a
+    slice, which selects without a copy, when that is all of them."""
+    return slice(None) if len(on) == count else on
 
 
 def _draw_noise_chunk(rngs, n_steps, p, npairs, dt):
@@ -498,22 +732,31 @@ def _draw_noise_chunk(rngs, n_steps, p, npairs, dt):
 def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                     t_final: float, dt: float, record_stride: int,
                     on_record, *, positivity_tol: float = None,
-                    policy: str = "abort") -> BlockStats:
+                    policy: str = "abort", block_starts=None) -> BlockStats:
     """Propagate trajectories [start, start + count) in lockstep.
 
-    ``on_record(record_index, t, rhos_by_particle, active, min_eigs)`` is
-    called at every time t of ``TimeGrid(t_final, dt, record_stride).times``
-    with per-particle (count, d, d) density stacks, the mask of
-    still-active trajectories, and ``min_eigs`` (count, N), the smallest
-    eigenvalue of each density (inf for a trajectory already inactive at
-    the divergence check).  A spin-1/2 reads it in closed form from its
-    coordinates, within a few 1e-16 of ``eigvalsh`` of the matrix handed
-    on; a larger particle reads ``eigvalsh`` itself, one call per
-    dimension group (see ``_min_eigenvalues``).  Each trajectory consumes
-    its own Philox stream, so results are independent of how trajectories
-    are grouped into blocks or distributed over workers.  The noise is drawn
-    in chunks of at most ``NOISE_CHUNK_BYTES`` (one step when a single
-    step of the batch is larger).
+    ``on_record(record_index, t, coords, active, min_eigs)`` is called at
+    every time t of ``TimeGrid(t_final, dt, record_stride).times`` with
+    the live coordinates C, (sum_k d_k^2, W): particle k's rows are
+    ``coordinate_rows(spec.dims)[k]`` and trajectory start + j is column
+    start % COLUMN_ALIGN + j (the other columns are padding).  C is the
+    propagator's own array, valid during the call only.  ``active`` is
+    the mask of trajectories still active after this record's checks and
+    ``min_eigs`` (n_blocks, N) each block's smallest eigenvalue of each
+    particle over those trajectories, inf for a block with none.  The
+    blocks start at ``block_starts`` (ascending offsets into the batch,
+    the first 0); by default each trajectory is a block of its own.
+
+    A spin-1/2 reads its smallest eigenvalue in closed form from its
+    coordinates; a larger particle reads ``eigvalsh`` of its rebuilt
+    density, bit for bit, although a d = 3 block solves only the few
+    matrices a certified screen cannot rule out (``_screened_minima``),
+    and the positivity test solves only those it cannot clear.  Each
+    trajectory consumes its own Philox stream, so results are independent
+    of how trajectories are grouped into blocks or distributed over
+    workers.  The noise is drawn in chunks of at most
+    ``NOISE_CHUNK_BYTES`` (one step when a single step of the batch is
+    larger).
 
     ``policy`` is "abort" (raise on the first NaN/Inf or positivity
     violation, at the recording time where it is detected) or "skip"
@@ -534,11 +777,13 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     n = spec.n_particles
     p = len(spec.terms)
     npairs = pair_count(n)
+    starts = (np.arange(count) if block_starts is None
+              else np.asarray(block_starts, dtype=np.intp))
 
     # trajectory j in column j - COLUMN_ALIGN * (start // COLUMN_ALIGN)
     live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
     width = -(-live.stop // COLUMN_ALIGN) * COLUMN_ALIGN
-    groups, coords, mean_field = _dim_groups(spec, live, width, dt)
+    groups, coords, mean_field = _dim_groups(spec, width, dt)
     noise_factor = _noise_factor(sqrt_noise_factors(spec.terms),
                                  [k for g in groups for k in g.members])
     # one step's increments, rows (s; q, re | im) as Z reads them; the
@@ -558,24 +803,50 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     herm_dev = np.zeros(count)
     blowups, pos_skips = [], []
 
-    def check(t, stacks):
-        """Per-particle density stacks from the group stacks, after the
-        divergence check and the trace monitor have seen them.
+    def check(t, initial=False):
+        """The divergence check and the trace monitor; returns each
+        group's diagonal planes (see ``_diagonal``) and its density norms
+        (K, count).
 
-        A trajectory with NaN/Inf entries or entries beyond NORM_CAP,
-        which only an unstable path can reach, is deactivated or aborts
-        (``max`` carries a NaN through, and NaN <= NORM_CAP is false).
+        At t = 0 the monitors read the symmetrized initial densities.  A
+        column whose coordinates have a 2-norm, which is
+        ||rho_k||_F >= max |rho_ij|, within ``NORM_SCREEN`` is healthy; any
+        other active column, NaN included, is rebuilt and deactivated or
+        aborts when an entry is NaN/Inf or beyond NORM_CAP, which only an
+        unstable path can reach (NaN <= NORM_CAP is false).
         """
-        cur = [None] * n
         healthy = np.ones(count, dtype=bool)
-        for g, rho in zip(groups, stacks):
-            flat = np.abs(rho).reshape(len(g.members), count, -1)
-            healthy &= (flat.max(axis=2) <= NORM_CAP).all(axis=0)
-            tr = np.einsum("kbii->kb", rho)
-            dev = (np.abs(tr.real - 1.0) + np.abs(tr.imag)).max(axis=0)
-            np.fmax(trace_dev, np.where(active, dev, 0.0), out=trace_dev)
-            for j, k in enumerate(g.members):
-                cur[k] = rho[j]
+        diags, norms = [], []
+        for g in groups:
+            c = g.coords[:, :, live]
+            if initial:
+                planes = _upper_planes(g.initial[:, None], g.maps)
+                diag = list(planes[:, -2 * g.dim:].swapaxes(0, 1))
+            else:
+                diag = _diagonal(c, g.diagonal)
+            sq = (c * c).sum(axis=1)
+            doubt = active & ~(sq <= NORM_SCREEN ** 2).all(axis=0)
+            if doubt.any():
+                cols = np.flatnonzero(doubt)
+                rho = coordinate_densities(c[:, :, cols], g.dim)
+                healthy[cols] &= (np.abs(rho).reshape(
+                    len(g.members), len(cols), -1).max(axis=2)
+                    <= NORM_CAP).all(axis=0)
+            # the trace's real and imaginary parts, added in entry order
+            tr_re = diag[0]
+            for x in diag[2::2]:
+                tr_re = tr_re + x
+            dev = np.abs(tr_re - 1.0)
+            ims = [x for x in diag[1::2] if x is not None]
+            if ims:
+                tr_im = ims[0]
+                for x in ims[1:]:
+                    tr_im = tr_im + x
+                dev = dev + np.abs(tr_im)
+            np.fmax(trace_dev, np.where(active, dev.max(axis=0), 0.0),
+                    out=trace_dev)
+            diags.append(ims)
+            norms.append(np.sqrt(sq))
         bad = active & ~healthy
         if bad.any():
             first = int(np.nonzero(bad)[0][0])
@@ -583,37 +854,93 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 raise TrajectoryBlowupError(t=t, trajectory=start + first)
             blowups.extend((start + int(b)) for b in np.nonzero(bad)[0])
             active[bad] = False
-        return cur
+        return diags, norms
 
-    def record(r_index, t, stacks):
-        cur = check(t, stacks)
-        min_eigs = np.full((count, n), np.inf)
+    def sources(g, initial):
+        """Per particle of the group, ``matrices(index)`` (see ``_solve``)
+        and its upper-entry planes (12, count) for a d = 3 group."""
+        d, c = g.dim, g.coords[:, :, live]
+        if initial:
+            planes = np.broadcast_to(_upper_planes(g.initial[:, None], g.maps),
+                                     (len(g.members), d * (d + 1), count))
+            return [(lambda index, rho=rho: np.broadcast_to(
+                rho, (len(index), d, d)), e)
+                for rho, e in zip(g.initial, planes)]
+        planes = np.matmul(g.screen, c) if d == 3 else [None] * len(c)
+        return [(lambda index, cj=cj: _assemble(
+            _rebuild(cj[:, index], g.maps[0]), g.maps), e)
+            for cj, e in zip(c, planes)]
+
+    def lowest(g, src, on, norms):
+        """(K, count) smallest eigenvalues of the group's trajectories
+        ``on`` where known (NaN where the d = 3 screen left them unsolved;
+        inf off ``on``), and the mask of those below -positivity_tol."""
+        sel = _selection(on, count)
+        vals = np.full((len(g.members), count), np.inf)
+        if g.dim == 2:
+            # rho = (c_0 + c . sigma) / sqrt(2): eigenvalues
+            # (c_0 +- |(c_1, c_2, c_3)|) / sqrt(2)
+            c = g.coords[:, :, live][:, :, sel]
+            norm = np.sqrt(c[:, 1] ** 2 + c[:, 2] ** 2 + c[:, 3] ** 2)
+            vals[:, sel] = (c[:, 0] - norm) / np.sqrt(2.0)
+            return vals, ~(vals >= -positivity_tol).all(axis=0)
+        below = np.zeros(count, dtype=bool)
+        for j, (matrices, e) in enumerate(src):
+            exact = np.full(len(on), np.nan)
+            if g.dim > 3:
+                exact[:] = _min_eigvalsh(matrices(on))
+                below[sel] |= ~(exact >= -positivity_tol)
+            else:
+                below[sel] |= _below(e[:, sel], norms[j, sel],
+                                     positivity_tol, exact,
+                                     lambda index, m=matrices: m(on[index]))
+            vals[j, sel] = exact
+        return vals, below
+
+    def record(r_index, t):
+        diags, norms = check(t, initial=r_index == 0)
+        srcs = [None if g.dim == 2 else sources(g, r_index == 0)
+                for g in groups]
         on = np.flatnonzero(active)
-        if on.size:
-            for g, rho in zip(groups, stacks):
-                min_eigs[np.ix_(on, g.members)] = _min_eigenvalues(
-                    g, rho, on).T
-        lows = min_eigs.min(axis=1)
-        viol = active & ((lows < -positivity_tol) | ~np.isfinite(lows))
+        found = [lowest(g, src, on, nm)
+                 for g, src, nm in zip(groups, srcs, norms)]
+        viol = active & np.logical_or.reduce([below for _, below in found])
         if viol.any():
             first = int(np.nonzero(viol)[0][0])
-            pk = int(np.argmin(min_eigs[first]))
             if policy == "abort":
+                eig = np.empty(n)
+                for g, src, (vals, _) in zip(groups, srcs, found):
+                    for j, k in enumerate(g.members):
+                        eig[k] = vals[j, first]
+                        if np.isnan(eig[k]):
+                            eig[k] = _min_eigvalsh(src[j][0]([first]))[0]
+                pk = int(np.argmin(eig))
                 raise PositivityViolationError(
-                    t=t, particle=pk, min_eig=float(min_eigs[first, pk]),
+                    t=t, particle=pk, min_eig=float(eig[pk]),
                     tol=positivity_tol, trajectory=start + first)
             pos_skips.extend((start + int(b)) for b in np.nonzero(viol)[0])
             active[viol] = False
+        min_eigs = np.full((len(starts), n), np.inf)
+        on = np.flatnonzero(active)
+        sel, seg = _selection(on, count), np.searchsorted(on, starts)
+        for g, src, nm, (vals, _) in zip(groups, srcs, norms, found):
+            if g.dim != 3:
+                min_eigs[:, g.members] = np.minimum.reduceat(
+                    np.where(active, vals, np.inf), starts, axis=1).T
+                continue
+            for j, (k, (matrices, e)) in enumerate(zip(g.members, src)):
+                min_eigs[:, k] = _screened_minima(
+                    e[:, sel], nm[j, sel], seg, vals[j, sel],
+                    lambda index, m=matrices: m(on[index]))
         # a rebuilt density's lower triangle is the conjugate of its upper
         # one, so only an imaginary diagonal entry can break Hermiticity
-        for rho in stacks:
-            hd = 2.0 * np.abs(np.diagonal(rho, axis1=-2, axis2=-1).imag).max(
-                axis=(0, 2))
-            np.fmax(herm_dev, np.where(active, hd, 0.0), out=herm_dev)
-        on_record(r_index, t, cur, active.copy(), min_eigs)
+        for ims in diags:
+            if ims:
+                hd = 2.0 * np.abs(ims).max(axis=(0, 1))
+                np.fmax(herm_dev, np.where(active, hd, 0.0), out=herm_dev)
+        on_record(r_index, t, coords, active.copy(), min_eigs)
 
-    record(0, times[0], [np.repeat(g.initial[:, None], count, axis=1)
-                         for g in groups])
+    record(0, times[0])
     step = 0
     r_index = 0
     # diverging trajectories are caught by the norm/NaN guards; their
@@ -643,9 +970,9 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 step += 1
                 if step % record_stride == 0:
                     r_index += 1
-                    record(r_index, times[r_index], [_densities(g) for g in groups])
+                    record(r_index, times[r_index])
                 elif step % CHECK_STRIDE == 0:
-                    check(step * dt, [_densities(g) for g in groups])
+                    check(step * dt)
             del dal  # the next chunk is drawn without this one alive
 
     trace_dev[~active] = 0.0
@@ -653,7 +980,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     stats = BlockStats(trace_dev=trace_dev, herm_dev=herm_dev,
                        blowups=tuple(blowups),
                        positivity_skips=tuple(pos_skips))
-    if stats.max_trace_dev > TRACE_TRIPWIRE:
+    if not stats.max_trace_dev <= TRACE_TRIPWIRE:
         raise TrajectoryBlowupError(
             t=t_final,
             detail=f"trace drift {stats.max_trace_dev:.3e} above trip-wire")

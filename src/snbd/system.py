@@ -131,12 +131,12 @@ class SystemSpec:
                     f"dim {part.dim}"
                 )
             tr = complex(np.trace(rho))
-            if abs(tr - 1.0) > 1e-12:
+            if not abs(tr - 1.0) <= 1e-12:
                 raise ContractViolationError(
                     f"initial density {k}: trace {tr.real:.15g} not 1 within 1e-12"
                 )
             lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-            if lo < -1e-12:
+            if not lo >= -1e-12:
                 raise ContractViolationError(
                     f"initial density {k}: negative eigenvalue {lo:.3e}"
                 )

@@ -394,9 +394,19 @@ class TestCli:
         (lambda d: d["system"]["particles"][0]["h"][0].__setitem__(
             0, 10 ** 400),
          "system.particles[0].h[0][0]: number out of range"),
+        # finite entries whose Hilbert-Schmidt norms overflow: the
+        # Hermiticity check reads them scaled, and NaN would fail it
+        (lambda d: d["system"]["particles"][0]["h"][1].__setitem__(
+            0, -1e308),
+         "system.particles[0]: particle Hamiltonian: not Hermitian"),
+        (lambda d: d["system"].update(interaction={"pair_matrix": [
+            [0.2, 0, 1e308, 0], [0, -0.2, 0.4, 0], [0, 0.4, -0.2, 0],
+            [0, 0, 0, 0.2]]}),
+         "system.interaction.pair_matrix: pair matrix: not Hermitian"),
     ], ids=["step-overflow", "not-swap-symmetric", "fermion", "boson",
             "nan-h", "inf-h", "inf-initial", "inf-observable",
-            "inf-reference", "int-overflow"])
+            "inf-reference", "int-overflow", "overflow-h",
+            "overflow-pair-matrix"])
     def test_config_contracts_exit2_with_path(self, tmp_path, capsys, edit,
                                               message):
         data = tiny_config(tmp_path / "out")
@@ -415,14 +425,15 @@ class TestCli:
 
     def test_record_factor_counts_against_memory_limit(self, tmp_path,
                                                        monkeypatch):
-        # nine spin-1/2 (D = 512) in one block of 600 trajectories, one
-        # step: the accumulator rows take 16 MiB, but the Y factor each
-        # record forms takes 600 * 4^8 * 16 B = 600 MiB, over the limit
+        # nine spin-1/2 (D = 512) in one block of 1200 trajectories, one
+        # step: the accumulator rows take 8 MiB of coordinate sums, but the
+        # real Y factor each record forms takes 1200 * 4^8 * 8 B = 600 MiB,
+        # over the limit
         calls = []
         monkeypatch.setattr(snbd.ensemble, "propagate_block",
                             lambda *args, **options: calls.append(args))
-        assert 512 ** 2 * 16 * 2 * 2 < DEFAULT_MEMORY_LIMIT < 600 * 4 ** 8 * 16
-        data = tiny_config(tmp_path / "out", m=600, t_final=0.001,
+        assert 512 ** 2 * 8 * 2 * 2 < DEFAULT_MEMORY_LIMIT < 1200 * 4 ** 8 * 8
+        data = tiny_config(tmp_path / "out", m=1200, t_final=0.001,
                            recovery=False)
         data["system"]["particles"] = [
             {"dim": 2, "h": [[0.5, 0], [0, -0.5]]}] * 9

@@ -11,6 +11,7 @@ from snbd.ensemble import (
     ObservableSpec,
     block_edges,
     block_runs,
+    coordinate_density,
     estimate_density,
     estimate_product_observable,
     jackknife_density_scalar,
@@ -26,6 +27,8 @@ from snbd.linalg import trace_distance, trace_distances
 from snbd.oracle import propagate_exact
 from snbd.propagator import (
     TimeGrid,
+    coordinate_densities,
+    coordinate_rows,
     propagate_block,
     propagate_trajectory,
 )
@@ -113,23 +116,30 @@ class TestLockstep:
 
 
 def recorded_records(monkeypatch):
-    """Keep the (densities, active mask, minimum eigenvalues) of every
-    record the ensemble's propagate_block hands on_record, in order, in
-    the list returned."""
+    """Keep the (live coordinate columns, active mask, block minima) of
+    every record the ensemble's propagate_block hands on_record, in order,
+    in the list returned (one run, starting at trajectory 0)."""
     seen = []
     propagate = snbd.ensemble.propagate_block
 
     def recording(*args, **options):
         on_record = args[7]
+        live = slice(0, args[3])
 
-        def record(r, t, rhos, active, mins):
-            seen.append(([x.copy() for x in rhos], active.copy(), mins.copy()))
-            on_record(r, t, rhos, active, mins)
+        def record(r, t, coords, active, mins):
+            seen.append((coords[:, live].copy(), active.copy(), mins.copy()))
+            on_record(r, t, coords, active, mins)
 
         return propagate(*args[:7], record, **options)
 
     monkeypatch.setattr(snbd.ensemble, "propagate_block", recording)
     return seen
+
+
+def densities(spec, coords):
+    """Per particle its (B, d, d) densities from live coordinate columns."""
+    return [coordinate_densities(coords[r], d)
+            for r, d in zip(coordinate_rows(spec.dims), spec.dims)]
 
 
 class TestRecordSums:
@@ -139,7 +149,9 @@ class TestRecordSums:
         # dims (2, 3, 2) in blocks of 6, 6, 6 and 5 run as one batch; the
         # tolerance skips trajectories from the 9th record on, so blocks go
         # from fully to partly to not active.  The references are the
-        # np.kron sums over the densities and mask on_record was handed.
+        # np.kron sums over the densities of the coordinates and the mask
+        # on_record was handed, against the density sums converted from
+        # coordinates and the reference-vector sums.
         spec = interleaved_system()
         rng = np.random.default_rng(5)
         refs = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -154,7 +166,8 @@ class TestRecordSums:
         assert list(np.diff(acc.edges)) == [6, 6, 6, 5]
         assert len(seen) == len(acc.times)
         partial = 0
-        for r, (rhos, active, _) in enumerate(seen):
+        for r, (coords, active, _) in enumerate(seen):
+            rhos = densities(spec, coords)
             for j in range(acc.n_blocks):
                 on = [b for b in range(acc.edges[j], acc.edges[j + 1])
                       if active[b]]
@@ -166,18 +179,21 @@ class TestRecordSums:
                     vec += np.kron(np.kron(rhos[0][b] @ refs[0],
                                            rhos[1][b] @ refs[1]),
                                    rhos[2][b] @ refs[2])
-                assert np.abs(acc.rho_sum[j, r] - rho).max() <= 1e-13
+                got = coordinate_density(acc.rho_sum[j, r], spec.dims)
+                assert np.abs(got - rho).max() <= 1e-13
                 assert np.abs(acc.vec_sum[j, r] - vec).max() <= 1e-13
         assert partial >= 10
         assert 0 < acc.active_counts[-1] < 23
-
+        assert np.array_equal(acc.sum_rhoN, coordinate_density(
+            acc.rho_sum.sum(axis=0), spec.dims))
 
     def test_stacked_sums_are_each_block_alone(self, monkeypatch):
         # the same run with two observables: every sum of every block at
         # every record is bitwise the per-block reduction over the block's
         # active rows written out below, for blocks of both widths while
         # fully, partly and not active; a block with no active row keeps
-        # its fill values (+0 sums, an inf minimum)
+        # its zeros, and every block reads its minima as handed on (inf
+        # when it has no active row)
         spec = interleaved_system()
         rng = np.random.default_rng(5)
         refs = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -193,8 +209,10 @@ class TestRecordSums:
                            observables=obs, refs=refs)
         assert list(np.diff(acc.edges)) == [6, 6, 6, 5]
         factors = [o.materialize(spec.dims) for o in obs]
-        d = spec.full_dim
-        perm = (0, 2, 4, 1, 3, 5)   # (i1 j1 i2 j2 i3 j3) -> (i1 i2 i3 j1 j2 j3)
+        factor = snbd.ensemble._record_factor(
+            spec, [np.stack([f[k] for f in factors]) for k in range(3)],
+            refs)
+        rows = coordinate_rows(spec.dims)
 
         def xty(rows, sl):
             # X^T @ Y over one block, X particle 0's rows, Y the
@@ -204,14 +222,19 @@ class TestRecordSums:
             return rows[0][sl].T @ y[sl]
 
         states = {"full": 0, "partial": 0, "empty": 0}
-        for r, (rhos, active, mins) in enumerate(seen):
-            on = [np.where(active[:, None, None], x, 0) for x in rhos]
-            # the observable products as on_record forms them, over the
-            # whole batch; what is checked is each block's reduction
-            vals = np.ones((23, len(obs)), dtype=complex)
-            for k in range(3):
-                vals *= np.einsum("aij,bji->ba",
-                                  np.stack([f[k] for f in factors]), rhos[k])
+        for r, (coords, active, mins) in enumerate(seen):
+            # the rows as on_record forms them, from its products over the
+            # 24 aligned columns; what is checked is each block's reduction
+            full = np.zeros((len(coords), 24))
+            full[:, :23] = coords
+            prods = (factor @ full)[:, :23]
+            v = prods[:6].reshape(3, 2, 23)
+            vals = (v[0] * v[1] * v[2]).T
+            c = np.where(active[:, None], coords.T, 0.0)
+            vec = np.where(active[:, None], prods[6:].T, 0.0).copy().view(
+                complex)
+            vecs = [vec[:, :2], vec[:, 2:5], vec[:, 5:]]
+            assert np.array_equal(acc.min_eig[:, r], mins)
             for j in range(acc.n_blocks):
                 sl = slice(acc.edges[j], acc.edges[j + 1])
                 keep = active[sl]
@@ -219,27 +242,22 @@ class TestRecordSums:
                 if not keep.any():
                     states["empty"] += 1
                     sums = acc.obs_sum[j, :, r]
-                    assert not np.signbit([sums.real, sums.imag]).any()
+                    assert not np.signbit(sums).any()
                     assert not sums.any()
                     assert not acc.obs_sq[j, :, r].any()
                     assert not acc.rho_sum[j, r].any()
                     assert not acc.vec_sum[j, r].any()
-                    assert np.isinf(acc.min_eig[j, r]).all()
+                    assert np.isinf(mins[j]).all()
                     continue
                 states["full" if keep.all() else "partial"] += 1
                 kept = vals[sl][keep]
                 assert np.array_equal(acc.obs_sum[j, :, r], kept.sum(axis=0))
                 assert np.array_equal(acc.obs_sq[j, :, r],
-                                      (kept.real ** 2
-                                       + kept.imag ** 2).sum(axis=0))
-                assert np.array_equal(acc.min_eig[j, r],
-                                      mins[sl][keep].min(axis=0))
-                rho = xty([x.reshape(23, -1) for x in on], sl)
-                assert np.array_equal(
-                    acc.rho_sum[j, r],
-                    rho.reshape(2, 2, 3, 3, 2, 2).transpose(perm).reshape(d, d))
-                vec = xty([x @ v for x, v in zip(on, refs)], sl)
-                assert np.array_equal(acc.vec_sum[j, r], vec.reshape(d))
+                                      (kept * kept).sum(axis=0))
+                rho = xty([c[:, k] for k in rows], sl)
+                assert np.array_equal(acc.rho_sum[j, r], rho.reshape(-1))
+                vec = xty(vecs, sl)
+                assert np.array_equal(acc.vec_sum[j, r], vec.reshape(-1))
         assert all(n >= 5 for n in states.values()), states
 
 
@@ -299,12 +317,12 @@ class TestRunEnsemble:
     def test_memory_gate_counts_every_run_in_flight(self, benchmark_system,
                                                     monkeypatch):
         # D = 4, N = 2, 2 records, 4 blocks of 2 in 4 runs of one block: a
-        # block's record sums take 2 * (256 + 8 + 16) B = 560 B (density,
-        # count, minimum eigenvalues), so the accumulator takes 2240 B, and
-        # each run in flight its 560 B row and its Y factor, 2 * 4 * 16 B:
-        # 2928 B at one worker, 3616 B at two
+        # block's record sums take 2 * (128 + 8 + 16) B = 304 B (density
+        # coordinates, count, minimum eigenvalues), so the accumulator takes
+        # 1216 B, and each run in flight its 304 B row and its real Y
+        # factor, 2 * 4 * 8 B: 1584 B at one worker, 1952 B at two
         monkeypatch.setattr(snbd.ensemble, "LOCKSTEP_WIDTH", 2)
-        monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 3000)
+        monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 1800)
         grid = TimeGrid(0.1, 1e-3, 100)
         acc = run_ensemble(benchmark_system, grid,
                            loose(m=8, n_blocks=4, full_density=True))
@@ -341,18 +359,10 @@ class TestRunEnsemble:
         # a stand-in executor that runs serially: no process is started
         widths = []
 
-        class SerialPool:
+        class SerialPool(StandInPool):
             def __init__(self, max_workers):
+                super().__init__(max_workers)
                 widths.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             SerialPool)
@@ -364,11 +374,88 @@ class TestRunEnsemble:
         assert np.array_equal(pooled.counts, serial.counts)
         assert np.array_equal(pooled.min_eig, serial.min_eig)
 
+    def test_at_most_one_result_per_worker_is_held(self, benchmark_system,
+                                                   monkeypatch):
+        # six runs on two workers through a stand-in executor that starts
+        # no process: the first run is held back until every other has
+        # been submitted, so it completes last.  At every submission at
+        # most two runs have a result not yet taken by run_ensemble, and
+        # the accumulator is the serial run's, bit for bit
+        held = []
+
+        class SlowFirstPool(StandInPool):
+            def submit(self, fn, *args):
+                future = super().submit(fn, *args)
+                held.append(len(self.futures) - self.taken)
+                if len(self.futures) == 1:
+                    self.first = (future, future._result)
+                    future._state = "PENDING"
+                elif len(self.futures) == 6:
+                    first, result = self.first
+                    first._state = "PENDING"
+                    first.set_result(result)
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SlowFirstPool)
+        monkeypatch.setattr(snbd.ensemble, "LOCKSTEP_WIDTH", 2)
+        grid = TimeGrid(0.01, 1e-3, 5)
+        params = loose(m=12, n_blocks=6, worker_count=2, full_density=True,
+                       blowup_policy="skip", positivity_tol=0.01)
+        assert len(block_runs(block_edges(12, 6), 2)) == 6
+        pooled = run_ensemble(benchmark_system, grid, params)
+        assert len(held) == 6 and max(held) <= 2
+        serial = run_ensemble(benchmark_system, grid,
+                              dataclasses.replace(params, worker_count=1))
+        for f in dataclasses.fields(serial):
+            a, b = getattr(pooled, f.name), getattr(serial, f.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
     def test_duplicate_observables_rejected(self, benchmark_system):
         obs = (ObservableSpec("a", (SZ, None)), ObservableSpec("a", (None, SZ)))
         with pytest.raises(ConfigError):
             run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
                          loose(m=4), obs)
+
+
+class StandInPool:
+    """A stand-in for the process pool that starts no process: each
+    submitted task runs at once in this process.  It counts the futures
+    whose result has been taken."""
+
+    def __init__(self, max_workers):
+        self.futures, self.taken = [], 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        pool = self
+        future = TakenFuture(lambda: setattr(pool, "taken", pool.taken + 1))
+        future.set_result(fn(*args))
+        self.futures.append(future)
+        return future
+
+    def map(self, fn, *iterables):
+        # as the process pool's map: every task is submitted at once
+        futures = [self.submit(fn, *args) for args in zip(*iterables)]
+        return (future.result() for future in futures)
+
+
+class TakenFuture(concurrent.futures.Future):
+    def __init__(self, on_take):
+        super().__init__()
+        self.on_take = on_take
+
+    def result(self, timeout=None):
+        self.on_take()
+        return super().result(timeout)
 
 
 class TestObservables:
@@ -381,7 +468,6 @@ class TestObservables:
         # stderr picks up roundoff-level trace scatter through the variance
         # formula's cancellation; zero at any physical scale
         assert np.abs(est.stderr).max() <= 1e-8
-        assert np.abs(est.mean_imag).max() <= 1e-13
 
     def test_product_of_traces_identity(self):
         # per-trajectory identity: prod_k Tr(A_k rho_k) = Tr(kron(A) kron(rho))

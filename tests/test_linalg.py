@@ -9,6 +9,7 @@ from snbd.errors import (
     ShapeError,
 )
 from snbd.linalg import (
+    herm_deviation,
     herm_eig,
     hs_inner,
     hs_norm,
@@ -112,6 +113,21 @@ class TestHermEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractViolationError):
             herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_deviation_of_huge_entries_and_nan(self):
+        # entries whose norms overflow are read scaled, so a matrix that is
+        # plainly not Hermitian fails and a Hermitian one passes; a NaN
+        # entry gives a NaN deviation, which fails too
+        big = np.array([[0.5, 0], [-1e308, -0.5]], dtype=complex)
+        assert herm_deviation(big) == pytest.approx(np.sqrt(2.0))
+        with pytest.raises(ContractViolationError):
+            herm_eig(big)
+        hermitian = np.array([[1e308, 1e308j], [-1e308j, 1e308]])
+        assert herm_deviation(hermitian) == 0.0
+        nan = np.array([[0, np.nan], [np.nan, 0]], dtype=complex)
+        assert np.isnan(herm_deviation(nan))
+        with pytest.raises(ContractViolationError):
+            herm_eig(nan)
 
 
 class TestHsInner:

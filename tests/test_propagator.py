@@ -1,8 +1,12 @@
 import cmath
+import contextlib
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snbd.propagator as propagator
 from snbd.ensemble import LOCKSTEP_WIDTH
@@ -13,9 +17,12 @@ from snbd.errors import (
     TrajectoryBlowupError,
 )
 from snbd.propagator import (
+    COLUMN_ALIGN,
     BlockStats,
     _noise_factor,
     _raw_to_increments,
+    coordinate_densities,
+    coordinate_rows,
     pair_count,
     pair_list,
     positivity_tolerance,
@@ -31,6 +38,7 @@ from snbd.system import (
     SystemSpec,
     assemble_full_hamiltonian,
     decompose_pair_interaction,
+    hermitian_coordinates,
     shared_interaction_terms,
     swap_operator,
 )
@@ -149,12 +157,20 @@ def with_initial(spec, rhos):
     return dataclasses.replace(spec, initial=tuple(rhos))
 
 
-def collect(spec, seed, start, count, t_final, dt, stride, **kw):
-    """Every record of a block: (t, per-particle density copies, active, mins)."""
+def collect(spec, seed, start, count, t_final, dt, stride, coords=False,
+            **kw):
+    """Every record of a block: (t, per particle its (count, d, d)
+    densities rebuilt from the coordinates on_record is handed, or with
+    ``coords`` those (d^2, count) coordinates, active, mins)."""
     frames = []
+    rows = coordinate_rows(spec.dims)
+    live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
 
-    def on_record(r, t, rhos, active, mins):
-        frames.append((t, [x.copy() for x in rhos], active.copy(), mins.copy()))
+    def on_record(r, t, c, active, mins):
+        per = [c[k, live] for k in rows]
+        frames.append((t, [x.copy() if coords else coordinate_densities(x, d)
+                           for x, d in zip(per, spec.dims)],
+                       active.copy(), mins.copy()))
 
     stats = propagate_block(spec, seed, start, count, t_final, dt, stride,
                             on_record, **kw)
@@ -560,53 +576,68 @@ class TestPropagateTrajectory:
         # blocks at every start from 0 to 17 (every column position modulo
         # 8, with and without leading padding) and of widths 1 to
         # LOCKSTEP_WIDTH: each of their trajectories is bitwise that
-        # trajectory of one wide block, in every record, minimum
-        # eigenvalue and both deviations, and so is propagate_trajectory.
-        # The systems reach noise and mean-field factors of 4 x 2 and 4 x 8
-        # (one term), k = 16 (d = 4), two dimension groups, and three
-        # noise blocks of 16 x 56 and a mean-field factor of 48 x 32
-        # (8 spins, 28 pairs).
+        # trajectory of one wide block, in every record's coordinates,
+        # minimum eigenvalue and both deviations, and so is
+        # propagate_trajectory; the wide block's minima over blocks of 8
+        # are those of its trajectories.  The systems reach noise and
+        # mean-field factors of 4 x 2 and 4 x 8 (one term), k = 16
+        # (d = 4), two dimension groups, and three noise blocks of 16 x 56
+        # and a mean-field factor of 48 x 32 (8 spins, 28 pairs).
         spec = make()
         grid = (0.02, 1e-3, 10)
-        ref, ref_stats = collect(spec, 6, 0, 17 + LOCKSTEP_WIDTH, *grid,
+        wide = 17 + LOCKSTEP_WIDTH
+        ref, ref_stats = collect(spec, 6, 0, wide, *grid, coords=True,
                                  positivity_tol=np.inf)
+        starts = np.arange(0, wide, 8)
+        blocked, _ = collect(spec, 6, 0, wide, *grid, coords=True,
+                             positivity_tol=np.inf, block_starts=starts)
+        for (_, _, _, mins), (_, _, _, ref_mins) in zip(blocked, ref,
+                                                         strict=True):
+            assert np.array_equal(
+                mins, np.minimum.reduceat(ref_mins, starts, axis=0))
         for width in (1, 2, 7, 8, 9, 17, 64, LOCKSTEP_WIDTH):
             for start in range(18):
                 frames, stats = collect(spec, 6, start, width, *grid,
-                                        positivity_tol=np.inf)
+                                        coords=True, positivity_tol=np.inf)
                 cols = slice(start, start + width)
-                for (_, rhos, _, mins), (_, ref_rhos, _, ref_mins) in zip(
+                for (_, cs, _, mins), (_, ref_cs, _, ref_mins) in zip(
                         frames, ref, strict=True):
-                    assert all(np.array_equal(x, y[cols])
-                               for x, y in zip(rhos, ref_rhos, strict=True))
+                    assert all(np.array_equal(x, y[:, cols])
+                               for x, y in zip(cs, ref_cs, strict=True))
                     assert np.array_equal(mins, ref_mins[cols])
                 assert np.array_equal(stats.trace_dev, ref_stats.trace_dev[cols])
                 assert np.array_equal(stats.herm_dev, ref_stats.herm_dev[cols])
-        for j in (0, 7, 13, 17 + LOCKSTEP_WIDTH - 1):
+        for j in (0, 7, 13, wide - 1):
             snaps = propagate_trajectory(spec, *grid, rng_seed=(6, j),
                                          positivity_tol=np.inf)
-            for snap, (t, ref_rhos, _, _) in zip(snaps, ref, strict=True):
+            for snap, (t, ref_cs, _, _) in zip(snaps, ref, strict=True):
                 assert snap.t == t
-                assert all(np.array_equal(x, y[j])
-                           for x, y in zip(snap.rhos, ref_rhos, strict=True))
+                assert all(np.array_equal(x, coordinate_densities(
+                    y[:, j:j + 1], d)[0]) for x, y, d in zip(
+                        snap.rhos, ref_cs, spec.dims, strict=True))
 
     def test_t0_record_is_the_symmetrized_initial_state(self):
-        # the first record hands on (rho + rho^dag)/2 of each initial
-        # density bit for bit, here of densities Hermitian only to 1e-15
+        # the first record hands on the coordinates of (rho + rho^dag)/2 of
+        # each initial density in every column, and the t = 0 monitors read
+        # those matrices themselves, bit for bit, here of densities
+        # Hermitian only to 1e-15
         spec = interleaved_system()
         rhos = [r.copy() for r in spec.initial]
         for r in rhos:
             r[0, 1] += 1e-15
         spec = with_initial(spec, rhos)
-        frames, _ = collect(spec, 2, 0, 5, 1e-3, 1e-3, 1,
+        frames, _ = collect(spec, 2, 0, 5, 1e-3, 1e-3, 1, coords=True,
                             positivity_tol=np.inf)
-        t, first, _, _ = frames[0]
+        t, first, _, mins = frames[0]
         assert t == 0.0
         for k, rho in enumerate(spec.initial):
             expected = 0.5 * (rho + rho.conj().T)
             assert not np.array_equal(expected, rho)
-            for b in range(5):
-                assert np.array_equal(first[k][b], expected)
+            assert (first[k] == first[k][:, :1]).all()
+            assert np.abs(first[k][:, 0]
+                          - hermitian_coordinates(expected)).max() <= 1e-15
+            if rho.shape[0] == 3:
+                assert (mins[:, k] == np.linalg.eigvalsh(expected).min()).all()
 
 
 class TestPositivityReport:
@@ -634,12 +665,19 @@ class TestPositivityReport:
         interleaved_system], ids=["(2,2)", "(2,3,2)"])
     def test_min_eigs_are_those_of_the_densities(self, make):
         # a spin-1/2 reads its closed form to within 1e-15 of eigvalsh of
-        # the matrix handed on; a qutrit reads eigvalsh itself, bit for bit
-        frames, _ = collect(make(), 3, 0, 16, 0.2, 1e-3, 20,
+        # the density rebuilt from the coordinates handed on; a qutrit reads
+        # eigvalsh of that density itself, bit for bit (at t = 0, of the
+        # symmetrized initial density)
+        spec = make()
+        frames, _ = collect(spec, 3, 0, 16, 0.2, 1e-3, 20,
                             positivity_tol=np.inf)
-        for _, rhos, active, mins in frames:
+        for r, (_, rhos, active, mins) in enumerate(frames):
             assert active.all()
             for k, rho in enumerate(rhos):
+                if r == 0:
+                    rho = np.broadcast_to(
+                        0.5 * (spec.initial[k] + spec.initial[k].conj().T),
+                        rho.shape)
                 exact = np.linalg.eigvalsh(rho).min(axis=1)
                 if rho.shape[-1] == 2:
                     assert np.abs(mins[:, k] - exact).max() <= 1e-15
@@ -739,3 +777,117 @@ class TestBatchedDriver:
         t, rhos, active, _ = frames[-1]
         assert np.array_equal(rhos[0][0], rhos[0][1])
         assert active.all()
+
+
+# ---------------------------------------------------------------------------
+# the d = 3 minimum-eigenvalue screen against eigvalsh over every matrix
+# ---------------------------------------------------------------------------
+
+def screen_stack(seed, kind, gap, scale, n):
+    """n exactly Hermitian 3 x 3 matrices of one kind: copies of one
+    matrix; one conjugation whose smallest eigenvalue is shifted by
+    ``gap`` in every other matrix; one spectrum whose lower pair is
+    ``gap`` apart, under random unitary conjugations; or independent
+    random spectra.  Entries reach ``scale``."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+        return q
+
+    low = rng.uniform(-1.0, 0.5)
+    spectrum = np.array([low, low + gap, rng.uniform(0.5, 1.5)])
+    if kind == "identical":
+        u = unitary()
+        rho = np.broadcast_to(u @ np.diag(spectrum) @ u.conj().T, (n, 3, 3))
+    elif kind == "shifted":
+        u = unitary()
+        shifts = np.where(np.arange(n) % 2, gap, 0.0)
+        rho = np.stack([u @ np.diag(spectrum + [s, 0, 0]) @ u.conj().T
+                        for s in shifts])
+    elif kind == "conjugated":
+        rho = np.stack([u @ np.diag(spectrum) @ u.conj().T
+                        for u in (unitary() for _ in range(n))])
+    else:
+        rho = np.stack([u @ np.diag(rng.uniform(-1.0, 1.5, 3)) @ u.conj().T
+                        for u in (unitary() for _ in range(n))])
+    rho = scale * rho / max(1.0, np.abs(spectrum).max())
+    # the matrices eigvalsh reads: upper triangle, real diagonal
+    maps = propagator._upper_map(3)
+    e = propagator._upper_planes(rho, maps).copy()
+    e[7::2] = 0.0
+    return propagator._assemble(e, maps), e
+
+
+class TestMinimumScreen:
+    """The d = 3 screen reads, bit for bit, what eigvalsh over every
+    matrix reads: each block's smallest eigenvalue and each matrix's
+    positivity verdict, whatever its estimate of the minima."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["identical", "shifted", "conjugated",
+                                 "random"]),
+           gap=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3]),
+           scale=st.sampled_from([1.0, 30.0, propagator.NORM_CAP]),
+           widths=st.lists(st.integers(1, 64), min_size=1, max_size=4),
+           estimate=st.sampled_from([None, 0.0, -1e-15, -1e-9, 1e-9]),
+           pick=st.integers(0, 10 ** 6),
+           nudge=st.sampled_from([0, 1, -1, 1e-13, -1e-13]))
+    def test_screen_reads_what_eigvalsh_reads(self, seed, kind, gap, scale,
+                                              widths, estimate, pick, nudge):
+        # ``estimate`` None runs the closed form and its margin; a number
+        # replaces them by eigvalsh's own minima that far off (times the
+        # scale), with no margin, so that a block's bound sits at or next
+        # to its minimum
+        n = sum(widths)
+        rho, e = screen_stack(seed, kind, gap, scale, n)
+        norms = np.sqrt((np.abs(rho) ** 2).sum(axis=(1, 2)))
+        exact = np.linalg.eigvalsh(rho).min(axis=1)
+        seg = np.cumsum([0] + widths[:-1])
+
+        def off(planes):
+            return (np.linalg.eigvalsh(propagator._assemble(
+                planes, propagator._upper_map(3))).min(axis=1)
+                + estimate * scale)
+
+        with contextlib.ExitStack() as patches:
+            if estimate is not None:
+                patches.enter_context(mock.patch.object(
+                    propagator, "_trig_min_estimate", off))
+                patches.enter_context(mock.patch.object(
+                    propagator, "ESTIMATE_MARGIN", 0.0))
+            mins = propagator._screened_minima(
+                e, norms, seg, np.full(n, np.nan), rho.__getitem__)
+        assert np.array_equal(mins, [exact[a:a + w].min()
+                                     for a, w in zip(seg, widths)])
+        # thresholds at a matrix's own value, one ulp either side of it,
+        # or 1e-13 of the scale away
+        value = exact[pick % n]
+        tol = -(np.nextafter(value, np.inf * nudge) if nudge in (1, -1)
+                else value + nudge * scale)
+        below = propagator._below(e, norms, tol, np.full(n, np.nan),
+                                  rho.__getitem__)
+        assert np.array_equal(below, ~(exact >= -tol))
+
+    def test_screen_solves_few_of_many(self):
+        # 400 conjugated random spectra in 8 blocks of 50: the screen
+        # solves about one matrix per block, and none for a threshold that
+        # clears every matrix by its norm
+        rho, e = screen_stack(3, "random", 0.0, 1.0, 400)
+        norms = np.sqrt((np.abs(rho) ** 2).sum(axis=(1, 2)))
+        solved = []
+
+        def matrices(index):
+            solved.append(len(index))
+            return rho[index]
+
+        seg = np.arange(0, 400, 50)
+        propagator._screened_minima(e, norms, seg, np.full(400, np.nan),
+                                    matrices)
+        assert sum(solved) <= 16
+        solved.clear()
+        assert not propagator._below(e, norms, 10.0, np.full(400, np.nan),
+                                     matrices).any()
+        assert solved == []
