@@ -46,17 +46,18 @@ notes).  The monitors read as little as they must:
   a d = 3 density's is eigvalsh's, but a certified screen hands eigvalsh
   only the few densities that can decide a block's minimum or the
   positivity test (``_screened_minima``, ``_below``): a floating-point
-  LDL^H of rho - s I with positive pivots proves the smallest
-  eigenvalue above s less an allowance sigma = 2^-40 (||rho||_F + |s|),
-  30 times the backward-error bound it rests on (``_ldl_positive``);
+  LDL^H of rho - (s + sigma) I with positive pivots proves that eigvalsh
+  reads more than s, where the allowance sigma = 2^-40 (||rho||_F + |s|)
+  is over 30 times the error bound it must cover (``_ldl_positive``);
 - a larger particle takes eigvalsh over its group.
 
 A density handed to eigvalsh is rebuilt as a matrix, exactly Hermitian
-(the lower triangle the conjugate of the upper), by the same
-term-by-term arithmetic as always, so every decision (divergence,
-positivity, the trace and Hermiticity readings, each block's minimum) is
-bit for bit the one a full rebuild would take.  The t = 0 monitors read
-the symmetrized initial densities (rho + rho^dag)/2 themselves.
+(the lower triangle the conjugate of the upper), by term-by-term
+arithmetic whose bits do not depend on which densities are formed, so
+every decision (divergence, positivity, the trace and Hermiticity
+readings, each block's minimum) is bit for bit the one a rebuild of
+every density would take.  The t = 0 monitors read the symmetrized
+initial densities (rho + rho^dag)/2 themselves.
 
 ``propagate_block`` is the only code that advances densities: it steps a
 batch of trajectories in lockstep, with the particles of each dimension
