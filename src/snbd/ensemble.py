@@ -406,11 +406,18 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     return sums, stats.blowups, stats.positivity_skips
 
 
+def _take(pending: dict, future) -> tuple:
+    """(index, result) of a finished future, dropped from ``pending``."""
+    return pending.pop(future), future.result()
+
+
 def _run_results(tasks, worker_count):
     """(index, _block_task result) for every task.  On a pool, a task is
     submitted when a worker is free and a finished one's result has been
     taken, so at most ``worker_count`` results exist at a time, finished
-    or not; they arrive in the order they complete."""
+    or not, the one the caller holds included (no reference to a taken
+    future or result stays here); they arrive in the order they
+    complete."""
     if worker_count <= 1:
         for i, task in enumerate(tasks):
             yield i, _block_task(*task)
@@ -424,8 +431,8 @@ def _run_results(tasks, worker_count):
                    for i, task in islice(todo, worker_count)}
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                yield pending.pop(future), future.result()
+            while done:
+                yield _take(pending, done.pop())
                 for i, task in islice(todo, 1):
                     pending[pool.submit(_block_task, *task)] = i
 
@@ -503,9 +510,9 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
             sums = {name: None if value is None else np.empty(
                         (n_blocks,) + value.shape[1:], dtype=value.dtype)
                     for name, value in run_sums.items()}
-        for name, value in run_sums.items():
-            if value is not None:
-                sums[name][first:stop] = value
+        for name in sums:
+            if run_sums[name] is not None:
+                sums[name][first:stop] = run_sums[name]
         blowups += blown
         positivity_skips += skipped
         del run_sums  # free before the next run: the memory gate counts one

@@ -68,8 +68,9 @@ def herm_deviation(m) -> float:
     entry gives NaN.
     """
     m = np.asarray(m)
-    scale = max(np.abs(m.real).max(initial=0.0),
-                np.abs(m.imag).max(initial=0.0))
+    # np.maximum, unlike max, carries a NaN in either part through
+    scale = np.maximum(np.abs(m.real).max(initial=0.0),
+                       np.abs(m.imag).max(initial=0.0))
     if scale == 0.0:
         return 0.0
     with np.errstate(invalid="ignore"):

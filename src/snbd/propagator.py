@@ -56,8 +56,7 @@ A density handed to eigvalsh is rebuilt as a matrix, exactly Hermitian
 arithmetic whose bits do not depend on which densities are formed, so
 every decision (divergence, positivity, the trace and Hermiticity
 readings, each block's minimum) is bit for bit the one a rebuild of
-every density would take.  The t = 0 monitors read the symmetrized
-initial densities (rho + rho^dag)/2 themselves.
+every density would take.
 
 ``propagate_block`` is the only code that advances densities: it steps a
 batch of trajectories in lockstep, with the particles of each dimension
@@ -415,11 +414,10 @@ class _DimGroup:
     maps: tuple          # (table, upper, lower), see _upper_map
     screen: np.ndarray   # (d (d + 1), d^2) the table as a left factor
     diagonal: list       # per diagonal plane, its (a, coefficient) terms
-    initial: np.ndarray  # (K, d, d) symmetrized initial densities
 
     @property
     def dim(self) -> int:
-        return self.initial.shape[-1]
+        return math.isqrt(self.coords.shape[1])
 
 
 def coordinate_rows(dims) -> list:
@@ -489,8 +487,7 @@ def _dim_groups(spec: SystemSpec, width: int, dt: float):
             maps=maps,
             screen=np.ascontiguousarray(table.T),
             diagonal=[[(a, table[a, r]) for a in np.flatnonzero(table[:, r])]
-                      for r in range(len(table[0]) - 2 * d, len(table[0]))],
-            initial=rho))
+                      for r in range(len(table[0]) - 2 * d, len(table[0]))]))
         lo += n_k
     mdtw = -dt * np.array([t.omega for t in spec.terms], dtype=float)[:, None]
     # the particles' blocks are disjoint, so sum - own is exactly the others'
@@ -553,12 +550,6 @@ def _assemble(planes: np.ndarray, maps: tuple) -> np.ndarray:
     rho[..., upper] = up
     rho[..., lower] = up[..., :len(lower)].conj()
     return rho.reshape(up.shape[:-1] + (d, d))
-
-
-def _upper_planes(rho: np.ndarray, maps: tuple) -> np.ndarray:
-    """The upper-entry planes (..., rows, B) of matrices (..., B, d, d)."""
-    up = rho.reshape(rho.shape[:-2] + (-1,))[..., maps[1]]
-    return np.swapaxes(np.ascontiguousarray(up).view(np.float64), -1, -2)
 
 
 def coordinate_densities(c: np.ndarray, d: int) -> np.ndarray:
@@ -804,13 +795,12 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     herm_dev = np.zeros(count)
     blowups, pos_skips = [], []
 
-    def check(t, initial=False):
+    def check(t):
         """The divergence check and the trace monitor; returns each
         group's diagonal planes (see ``_diagonal``) and its density norms
         (K, count).
 
-        At t = 0 the monitors read the symmetrized initial densities.  A
-        column whose coordinates have a 2-norm, which is
+        A column whose coordinates have a 2-norm, which is
         ||rho_k||_F >= max |rho_ij|, within ``NORM_SCREEN`` is healthy; any
         other active column, NaN included, is rebuilt and deactivated or
         aborts when an entry is NaN/Inf or beyond NORM_CAP, which only an
@@ -820,11 +810,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         diags, norms = [], []
         for g in groups:
             c = g.coords[:, :, live]
-            if initial:
-                planes = _upper_planes(g.initial[:, None], g.maps)
-                diag = list(planes[:, -2 * g.dim:].swapaxes(0, 1))
-            else:
-                diag = _diagonal(c, g.diagonal)
+            diag = _diagonal(c, g.diagonal)
             sq = (c * c).sum(axis=1)
             doubt = active & ~(sq <= NORM_SCREEN ** 2).all(axis=0)
             if doubt.any():
@@ -857,17 +843,11 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
             active[bad] = False
         return diags, norms
 
-    def sources(g, initial):
+    def sources(g):
         """Per particle of the group, ``matrices(index)`` (see ``_solve``)
         and its upper-entry planes (12, count) for a d = 3 group."""
-        d, c = g.dim, g.coords[:, :, live]
-        if initial:
-            planes = np.broadcast_to(_upper_planes(g.initial[:, None], g.maps),
-                                     (len(g.members), d * (d + 1), count))
-            return [(lambda index, rho=rho: np.broadcast_to(
-                rho, (len(index), d, d)), e)
-                for rho, e in zip(g.initial, planes)]
-        planes = np.matmul(g.screen, c) if d == 3 else [None] * len(c)
+        c = g.coords[:, :, live]
+        planes = np.matmul(g.screen, c) if g.dim == 3 else [None] * len(c)
         return [(lambda index, cj=cj: _assemble(
             _rebuild(cj[:, index], g.maps[0]), g.maps), e)
             for cj, e in zip(c, planes)]
@@ -899,9 +879,8 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         return vals, below
 
     def record(r_index, t):
-        diags, norms = check(t, initial=r_index == 0)
-        srcs = [None if g.dim == 2 else sources(g, r_index == 0)
-                for g in groups]
+        diags, norms = check(t)
+        srcs = [None if g.dim == 2 else sources(g) for g in groups]
         on = np.flatnonzero(active)
         found = [lowest(g, src, on, nm)
                  for g, src, nm in zip(groups, srcs, norms)]

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -188,12 +189,13 @@ class TestRecordSums:
             acc.rho_sum.sum(axis=0), spec.dims))
 
     def test_stacked_sums_are_each_block_alone(self, monkeypatch):
-        # the same run with two observables: every sum of every block at
-        # every record is bitwise the per-block reduction over the block's
-        # active rows written out below, for blocks of both widths while
-        # fully, partly and not active; a block with no active row keeps
-        # its zeros, and every block reads its minima as handed on (inf
-        # when it has no active row)
+        # the same run with two observables: every sum and minimum of every
+        # block at every record is bitwise the per-block reduction over the
+        # block's active rows written out below, for blocks of both widths
+        # while fully, partly and not active; a block with no active row
+        # keeps its zeros and reads inf minima.  The minima are those of
+        # each trajectory: the qutrit's eigvalsh of the density rebuilt
+        # from the coordinates, a spin-1/2's closed form in them
         spec = interleaved_system()
         rng = np.random.default_rng(5)
         refs = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -234,6 +236,13 @@ class TestRecordSums:
             vec = np.where(active[:, None], prods[6:].T, 0.0).copy().view(
                 complex)
             vecs = [vec[:, :2], vec[:, 2:5], vec[:, 5:]]
+            own = np.stack([
+                np.linalg.eigvalsh(rho).min(axis=1) if d == 3
+                else (x[0] - np.sqrt(x[1] ** 2 + x[2] ** 2 + x[3] ** 2))
+                / np.sqrt(2.0)
+                for rho, x, d in zip(densities(spec, coords),
+                                     [coords[k] for k in rows], spec.dims)],
+                axis=1)
             assert np.array_equal(acc.min_eig[:, r], mins)
             for j in range(acc.n_blocks):
                 sl = slice(acc.edges[j], acc.edges[j + 1])
@@ -250,6 +259,7 @@ class TestRecordSums:
                     assert np.isinf(mins[j]).all()
                     continue
                 states["full" if keep.all() else "partial"] += 1
+                assert np.array_equal(mins[j], own[sl][keep].min(axis=0))
                 kept = vals[sl][keep]
                 assert np.array_equal(acc.obs_sum[j, :, r], kept.sum(axis=0))
                 assert np.array_equal(acc.obs_sq[j, :, r],
@@ -379,19 +389,21 @@ class TestRunEnsemble:
         # six runs on two workers through a stand-in executor that starts
         # no process: the first run is held back until every other has
         # been submitted, so it completes last.  At every submission at
-        # most two runs have a result not yet taken by run_ensemble, and
-        # the accumulator is the serial run's, bit for bit
+        # most two results are still alive anywhere, the new one included
+        # (a result run_ensemble has copied is freed), and the
+        # accumulator is the serial run's, bit for bit
         held = []
 
         class SlowFirstPool(StandInPool):
             def submit(self, fn, *args):
                 future = super().submit(fn, *args)
-                held.append(len(self.futures) - self.taken)
-                if len(self.futures) == 1:
+                held.append(self.alive())
+                if len(self.results) == 1:
                     self.first = (future, future._result)
                     future._state = "PENDING"
-                elif len(self.futures) == 6:
+                elif len(self.results) == 6:
                     first, result = self.first
+                    del self.first
                     first._state = "PENDING"
                     first.set_result(result)
                 return future
@@ -423,11 +435,12 @@ class TestRunEnsemble:
 
 class StandInPool:
     """A stand-in for the process pool that starts no process: each
-    submitted task runs at once in this process.  It counts the futures
-    whose result has been taken."""
+    submitted task runs at once in this process.  It keeps only a weak
+    reference to each result's count array, so ``alive`` counts the
+    results that something still holds."""
 
     def __init__(self, max_workers):
-        self.futures, self.taken = [], 0
+        self.results = []
 
     def __enter__(self):
         return self
@@ -436,26 +449,13 @@ class StandInPool:
         return False
 
     def submit(self, fn, *args):
-        pool = self
-        future = TakenFuture(lambda: setattr(pool, "taken", pool.taken + 1))
+        future = concurrent.futures.Future()
         future.set_result(fn(*args))
-        self.futures.append(future)
+        self.results.append(weakref.ref(future.result()[0]["counts"]))
         return future
 
-    def map(self, fn, *iterables):
-        # as the process pool's map: every task is submitted at once
-        futures = [self.submit(fn, *args) for args in zip(*iterables)]
-        return (future.result() for future in futures)
-
-
-class TakenFuture(concurrent.futures.Future):
-    def __init__(self, on_take):
-        super().__init__()
-        self.on_take = on_take
-
-    def result(self, timeout=None):
-        self.on_take()
-        return super().result(timeout)
+    def alive(self) -> int:
+        return sum(ref() is not None for ref in self.results)
 
 
 class TestObservables:

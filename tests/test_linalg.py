@@ -117,17 +117,20 @@ class TestHermEig:
     def test_deviation_of_huge_entries_and_nan(self):
         # entries whose norms overflow are read scaled, so a matrix that is
         # plainly not Hermitian fails and a Hermitian one passes; a NaN
-        # entry gives a NaN deviation, which fails too
+        # entry, in the real or the imaginary part, gives a NaN deviation,
+        # which fails too
         big = np.array([[0.5, 0], [-1e308, -0.5]], dtype=complex)
         assert herm_deviation(big) == pytest.approx(np.sqrt(2.0))
         with pytest.raises(ContractViolationError):
             herm_eig(big)
         hermitian = np.array([[1e308, 1e308j], [-1e308j, 1e308]])
         assert herm_deviation(hermitian) == 0.0
-        nan = np.array([[0, np.nan], [np.nan, 0]], dtype=complex)
-        assert np.isnan(herm_deviation(nan))
-        with pytest.raises(ContractViolationError):
-            herm_eig(nan)
+        im_nan = complex(0.0, np.nan)
+        for nan in (np.array([[0, np.nan], [np.nan, 0]], dtype=complex),
+                    np.array([[0, im_nan], [im_nan, 0]])):
+            assert np.isnan(herm_deviation(nan))
+            with pytest.raises(ContractViolationError):
+                herm_eig(nan)
 
 
 class TestHsInner:
