@@ -126,6 +126,9 @@ def _write_observables(writer, cfg, acc, name="observables.csv"):
 def _write_positivity(writer, cfg, acc):
     if "csv" not in cfg.output.formats:
         return
+    if (acc.active_counts == 0).any():
+        # no block has a minimum there (each reads inf)
+        raise MissingDataError("no active trajectories at some recorded time")
     mins = acc.min_eig.min(axis=0)  # worst over blocks: (T, N)
     header = ["t"] + [f"min_eig_{k}" for k in range(len(cfg.system.particles))]
     writer.write_csv("positivity.csv", header,

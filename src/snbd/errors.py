@@ -73,6 +73,10 @@ class PositivityViolationError(SnbdError):
         )
 
 
+class NonFiniteOutputError(SnbdError):
+    """A result handed to the output writer holds NaN or inf."""
+
+
 class MissingDataError(SnbdError):
     """Requested data was not recorded during the run."""
 

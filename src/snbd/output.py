@@ -5,7 +5,8 @@ Density snapshots use a raw little-endian binary layout: a 16-byte header
 (magic ``SNBD``, version u32, dim u32, count u32) followed by ``count``
 square matrices as float64 re/im interleaved pairs in row-major order.
 Manifests are deterministic (no timestamps), so identical runs reproduce
-identical bytes.
+identical bytes.  The writer refuses NaN and inf, so a ``complete``
+manifest certifies finite outputs.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteOutputError, ShapeError
 
 MAGIC = b"SNBD"
 BINARY_VERSION = 1
@@ -71,13 +72,20 @@ def csv_bytes(header, columns) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _require_finite(name, values):
+    if not np.isfinite(np.asarray(values)).all():
+        raise NonFiniteOutputError(f"{name}: a value to be written is NaN or "
+                                   f"inf; the file was not written")
+
+
 class RunWriter:
     """Collects output files for one run and finalizes a manifest.
 
     Every file written through the writer is recorded (name, size,
     sha256) in ``manifest.json`` along with the config hash, master seed,
     code version and completion status; a run interrupted mid-way still
-    leaves a manifest with status ``incomplete``.
+    leaves a manifest with status ``incomplete``.  A NaN or inf in a file
+    or a diagnostic raises ``NonFiniteOutputError`` and is not written.
     """
 
     def __init__(self, directory, config_hash, master_seed, code_version,
@@ -102,13 +110,17 @@ class RunWriter:
         return path
 
     def write_csv(self, name, header, columns):
+        for column in columns:
+            _require_finite(name, column)
         return self._store(name, csv_bytes(header, columns))
 
     def write_density_bin(self, name, matrices):
+        _require_finite(name, matrices)
         return self._store(name, density_bin_bytes(matrices))
 
     def add_diagnostics(self, **kwargs):
         for key, value in kwargs.items():
+            _require_finite(f"diagnostics.{key}", value)
             self.diagnostics[key] = value
 
     def finalize(self, status: str):

@@ -11,9 +11,17 @@ particle pair {k,l}).  The Ito update for particle k over a step dt is
 
 with mean fields Obar_k^s = Tr{O_k^s rho_k} evaluated at the start of the
 step and W_k^s = sum_{l != k} dalpha_{k,l}^s.  The increment for (l, k)
-is the complex conjugate of the one stored for (k, l); each stored
-increment is (mu + i nu) sqrt(dt/2) with mu, nu standard normal, so that
-E[|dalpha|^2] = dt (each quadrature carries variance dt/2).
+is the complex conjugate of the one for (k, l), each (mu + i nu)
+sqrt(dt/2) with mu, nu standard normal, so E[|dalpha|^2] = dt.
+
+A particle sees the increments only through W^s, a complex Gaussian
+vector with E[W W^H] = (N - 1) dt I and E[W W^T] = dt (J - I) (J all
+ones), whose real covariance has rank r = 2N - 1 (2 at N = 2, 0 at
+N = 1).  So the step draws r standard normals x per term, not N (N - 1),
+and [Re W; Im W] = sqrt(dt/2) R x with the fixed factor of
+``_rank_factor``, which gives W exactly that covariance: the law of every
+trajectory is that of the pair increments, only the samples differ.  At
+N = 2, R is the pair map itself, (Re, Im) = (mu, nu), bit for bit.
 
 Each rho_k is held as its d^2 real coordinates c_a = Tr{B_a rho_k} in
 the orthonormal Hermitian basis of ``system.build_hermitian_basis``,
@@ -70,9 +78,9 @@ columns.  The rows u come from two GEMMs:
     Z A = [Re z_s W_k^s, Im z_s W_k^s],   z_s = sqrt(-i omega_s),
     L C = [Obar_k^s, -dt omega_s sum_{l != k} Obar_l^s],
 
-where A holds one step's stored increments, (2 p npairs, W), and the
-noise factor Z (one block per term) folds in the pairing, the conjugate
-read of the second particle and z_s.  Then Re coeff is a copy, Im coeff
+where A holds one step's normals, (p r, W), and the noise factor Z (one
+(2 N, r) block per term) is R times z_s, so the pairing and the
+conjugate read live in it alone.  Then Re coeff is a copy, Im coeff
 one addition and Re g0 one product summed over the terms.  Per group,
 M(u) = T^T U is one more GEMM with the operator tables as the left
 factor, and M(u) c an elementwise product summed over the d^2
@@ -84,20 +92,22 @@ GEMMs it rests on a measured property of BLAS: when the width is a
 multiple of 8, a column of the product depends only on that column, the
 left factor and the column's position modulo 8 (OpenBLAS 0.3.31 on an
 AVX-512 core, left factors from 1 x 4 to 1260 x 34, widths 8 to 1024;
-the noise-factor blocks and the mean-field factor of 8 spin-1/2 on all
-28 pairs, 16 x 56 and 48 x 32, pass the same test).  At other widths
+the noise-factor blocks of 2, 3 and 8 particles, 4 x 2, 6 x 5 and
+16 x 15, and the mean-field factor of 8 spin-1/2 on all 28 pairs,
+48 x 32, pass the same test).  At other widths
 the bits do change: the tail columns take other kernels, and a width of
 one takes the matrix-vector path.  So W is the batch rounded up to a
 multiple of ``COLUMN_ALIGN`` = 8, and trajectory j sits in column
 j - 8 floor(start / 8), always at position j mod 8.  (On the core measured the position did
 not matter at all once the width was aligned; the fixed position costs
 at most 7 columns and relies on nothing that was not measured.)  The
-padding columns hold the initial state and zero increments; the
+padding columns hold the initial state and zero normals; the
 ensemble's record products run over all W columns, for the same
 property, and drop them.  ``test_same_bits_at_any_width`` guards the property at
 every start modulo 8 and widths from 1 to ``LOCKSTEP_WIDTH``, on systems
 whose factors reach 4 x 2 (one term), an inner dimension of 16 (d = 4),
-mixed dimensions and 16 x 56 blocks (8 spins).
+mixed dimensions with 6 x 5 noise blocks (N = 3, an odd inner
+dimension) and 16 x 15 blocks (8 spins).
 
 Per-trajectory randomness comes from counter-based Philox streams keyed
 by (master seed, trajectory index), so any trajectory can be reproduced
@@ -181,39 +191,46 @@ BLOWUP_POLICIES = ("abort", "skip")
 
 
 # ---------------------------------------------------------------------------
-# pair bookkeeping and noise sampling
+# noise sampling
 # ---------------------------------------------------------------------------
 
-def pair_count(n_particles: int) -> int:
-    return n_particles * (n_particles - 1) // 2
+def _rank_factor(n: int) -> np.ndarray:
+    """R, (2 N, r): one term's [Re W; Im W] = sqrt(dt/2) R x from r
+    standard normals x = [h, g_1..g_{N-1}, f_1..f_{N-1}] (no g at N = 2),
+    with v_j = (1, .., 1, -j, 0, ..), j ones, the Helmert basis of 1^perp:
 
+        Re W = sqrt((2N-2)/N) h 1 + sum_j sqrt((N-2)/(j(j+1))) g_j v_j,
+        Im W = sum_j sqrt(N/(j(j+1))) f_j v_j.
 
-def pair_list(n_particles: int) -> list:
-    return [
-        (k, l)
-        for k in range(n_particles - 1)
-        for l in range(k + 1, n_particles)
-    ]
+    Then Cov(Re W) = (dt/2) (J + (N-2) I), Cov(Im W) = (dt/2) (N I - J)
+    and the two are uncorrelated: the pair sums' covariance.  At N = 2
+    the entries are exactly 0 and +-1 and (h, f) = (mu, nu).
+    """
+    if n < 2:
+        return np.zeros((2 * n, 0))
+    i, j = np.arange(n)[:, None], np.arange(1, n)
+    helmert = (i < j) - j * (i == j)        # column j - 1 is v_j
+    norm = j * (j + 1.0)
+    re = [np.full((n, 1), math.sqrt((2 * n - 2) / n))]
+    if n > 2:
+        re.append(helmert * np.sqrt((n - 2) / norm))
+    re = np.hstack(re)
+    im = helmert * np.sqrt(n / norm)
+    return np.block([[re, np.zeros_like(im)],
+                     [np.zeros_like(re), im]])
 
 
 def _noise_factor(z, order) -> np.ndarray:
-    """The left factor Z that takes one step's stored increments to
-    Re z_s W_k^s and Im z_s W_k^s, one (2 N, 2 npairs) block per term s.
-
-    Block s reads the float view of ``dal[s]``, columns (q, re | im), and
-    writes rows (Re | Im, particle), the particles in ``order``.  The one
-    place where the pairing is applied: a stored (k, l) increment a + i b
-    enters particle k as z_s (a + i b) and particle l conjugated, as
-    z_s (a - i b), and no other particle.
-    """
-    n, p, npairs = len(order), len(z), pair_count(len(order))
-    out = np.zeros((p, 2, n, npairs, 2))
-    row = {k: r for r, k in enumerate(order)}
-    for q, (k, l) in enumerate(pair_list(n)):
-        for r, sign in ((row[k], 1.0), (row[l], -1.0)):
-            out[:, 0, r, q] = np.stack([z.real, -sign * z.imag], axis=-1)
-            out[:, 1, r, q] = np.stack([z.imag, sign * z.real], axis=-1)
-    return out.reshape(p, 2 * n, 2 * npairs)
+    """The left factor Z that takes one step's normals to Re z_s W_k^s and
+    Im z_s W_k^s, one (2 N, r) block per term s: [[Re z_s, -Im z_s],
+    [Im z_s, Re z_s]] applied to ``_rank_factor``, rows (Re | Im,
+    particle), the particles in ``order``."""
+    n = len(order)
+    rank = _rank_factor(n)
+    rows = rank.reshape(2, n, rank.shape[1])[:, list(order)]
+    a, b = z.real[:, None, None], z.imag[:, None, None]
+    return np.concatenate([a * rows[0] - b * rows[1],
+                           b * rows[0] + a * rows[1]], axis=1)
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -221,29 +238,6 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     if master_seed < 0 or index < 0:
         raise ConfigError("master seed and trajectory index must be >= 0")
     return np.random.Generator(np.random.Philox(key=(int(master_seed) << 64) + int(index)))
-
-
-def _raw_to_increments(raw: np.ndarray, dt: float) -> np.ndarray:
-    """Map standard-normal draws (..., 2) to (mu + i nu) sqrt(dt/2)."""
-    return (raw[..., 0] + 1j * raw[..., 1]) * np.sqrt(dt / 2.0)
-
-
-def sample_increments(rng, p: int, n_particles: int, dt: float) -> np.ndarray:
-    """Draw one step's increments: p * N(N-1)/2 independent complex Gaussians.
-
-    Returns ``values[s, q]``, the increment of term s on pair q = {k, l}
-    with k < l; each is (mu + i nu) sqrt(dt/2) with mu, nu standard
-    normal, giving E[dalpha* dalpha] = dt and E[dalpha dalpha] = 0; the
-    generator advances deterministically.
-
-    The driver draws many steps at once (``_draw_noise_chunk``); this
-    one-step draw is kept as the literal reference that chunked draw is
-    tested against, bit for bit, and as the noise of the moment checks.
-    """
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    raw = rng.standard_normal(size=(p, pair_count(n_particles), 2))
-    return _raw_to_increments(raw, dt)
 
 
 def sqrt_noise_factors(terms) -> np.ndarray:
@@ -705,19 +699,17 @@ def _selection(on: np.ndarray, count: int):
     return slice(None) if len(on) == count else on
 
 
-def _draw_noise_chunk(rngs, n_steps, p, npairs, dt):
-    """``n_steps`` steps of increments per trajectory, (B, n_steps, p, npairs).
+def _draw_noise_chunk(rngs, n_steps, p, r, dt):
+    """``n_steps`` steps of r normals per term for each trajectory, times
+    sqrt(dt/2), (B, n_steps, p, r).
 
-    Each stream fills its trajectory's rows in place through the float
-    view of the complex chunk (real and imaginary parts interleaved, as
-    ``sample_increments`` pairs them), and one scaling by sqrt(dt/2)
+    Each stream fills its trajectory's rows in place and one scaling
     follows; the result is bitwise that of n_steps one-step draws.
     """
-    out = np.empty((len(rngs), n_steps, p, npairs), dtype=complex)
-    normals = out.view(np.float64)
-    for rng, rows in zip(rngs, normals):
+    out = np.empty((len(rngs), n_steps, p, r))
+    for rng, rows in zip(rngs, out):
         rng.standard_normal(out=rows)
-    normals *= np.sqrt(dt / 2.0)
+    out *= np.sqrt(dt / 2.0)
     return out
 
 
@@ -768,7 +760,6 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         positivity_tol = positivity_tolerance(dt, spec, t_final)
     n = spec.n_particles
     p = len(spec.terms)
-    npairs = pair_count(n)
     starts = (np.arange(count) if block_starts is None
               else np.asarray(block_starts, dtype=np.intp))
 
@@ -778,9 +769,10 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     groups, coords, mean_field = _dim_groups(spec, width, dt)
     noise_factor = _noise_factor(sqrt_noise_factors(spec.terms),
                                  [k for g in groups for k in g.members])
-    # one step's increments, rows (s; q, re | im) as Z reads them; the
-    # padding columns stay zero, so their noise rows do too
-    increments = np.zeros((p, 2 * npairs, width))
+    rank = noise_factor.shape[2]
+    # one step's normals, rows (s; r) as Z reads them; the padding
+    # columns stay zero, so their noise rows do too
+    normals = np.zeros((p, rank, width))
     noise = np.empty((p, 2, n, width))      # Re, Im of z_s W_k^s
     fields = np.empty((2, n, p, width))     # Obar, -dt omega_s sum_{l != k} Obar_l
     # u = [Re coeff, Im coeff, 1, Re g0] per particle, trajectories last
@@ -789,7 +781,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     re, im, g0 = u[:, :p], u[:, p:2 * p], u[:, 2 * p + 1]
 
     rngs = [trajectory_rng(master_seed, start + b) for b in range(count)]
-    chunk_steps = max(1, NOISE_CHUNK_BYTES // max(1, 16 * count * p * npairs))
+    chunk_steps = max(1, NOISE_CHUNK_BYTES // max(1, 8 * count * p * rank))
     active = np.ones(count, dtype=bool)
     trace_dev = np.zeros(count)
     herm_dev = np.zeros(count)
@@ -928,11 +920,10 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             chunk = min(chunk_steps, n_steps - step)
-            dal = _draw_noise_chunk(rngs, chunk, p, npairs, dt)
+            dal = _draw_noise_chunk(rngs, chunk, p, rank, dt)
             for i in range(chunk):
-                increments[..., live] = dal[:, i].view(np.float64).transpose(
-                    1, 2, 0)
-                np.matmul(noise_factor, increments,
+                normals[..., live] = dal[:, i].transpose(1, 2, 0)
+                np.matmul(noise_factor, normals,
                           out=noise.reshape(p, 2 * n, width))
                 np.matmul(mean_field, coords, out=fields.reshape(-1, width))
                 re[...] = noise[:, 0].swapaxes(0, 1)

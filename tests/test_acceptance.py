@@ -65,13 +65,11 @@ from snbd.linalg import herm_eig, hs_norm, trace_distances
 from snbd.oracle import exact_observable, initial_pure_vector, propagate_exact
 from snbd.propagator import (
     TimeGrid,
+    _draw_noise_chunk,
     _noise_factor,
-    _raw_to_increments,
-    pair_list,
     positivity_tolerance,
     propagate_block,
     propagate_trajectory,
-    sample_increments,
     trajectory_rng,
 )
 from snbd.recovery import (
@@ -88,6 +86,7 @@ from snbd.system import (
 )
 
 from conftest import SZ, two_spin_system
+from pair_map import moment_deviation, pair_noise_factor
 
 # benchmark 1: pinned parameters
 T_FINAL = 10.0
@@ -293,50 +292,26 @@ def test_criterion_06_decomposition_roundtrip():
 
 
 def test_criterion_07_noise_constraints():
+    # what the propagator draws, N = 3 and two terms, read through the
+    # step's noise factor with z = 1, so that it returns the pair sums W
+    # themselves: W has the moments of independent pair increments,
+    # E[W W^H] = (N - 1) dt I, E[W W^T] = dt (J - I) and E[W] = 0, each
+    # entry within 5 standard errors; and the factor's covariance is the
+    # pair map's (a (k, l) increment reaching particle k as is and l
+    # conjugated) to roundoff
     p, n_part, dt, n = 2, 3, 0.37, 100_000
-    rng = trajectory_rng(7, 0)
-    npairs = 3
-    raw = rng.standard_normal(size=(n, p, npairs, 2))
-    stored = _raw_to_increments(raw, dt)
-
-    # exact conjugate pairing where the propagator reads the increments,
-    # in the step's noise factor (here with z = 1, so that it returns the
-    # pair sums W themselves): a stored (k, l) increment reaches particle k
-    # as is, particle l conjugated, and no other particle
-    probe = sample_increments(trajectory_rng(7, 1), p, n_part, dt)
     factor = _noise_factor(np.ones(p, complex), range(n_part))
-    pairing = True
-    for s in range(p):
-        for q, (k, l) in enumerate(pair_list(n_part)):
-            single = np.zeros_like(probe)
-            single[s, q] = probe[s, q]
-            expected = np.zeros((n_part, p), dtype=complex)
-            expected[k, s] = probe[s, q]
-            expected[l, s] = np.conj(probe[s, q])
-            w = (factor @ single.view(np.float64).reshape(p, -1, 1)).reshape(
-                p, 2, n_part)
-            pairing = pairing and bool(
-                np.array_equal((w[:, 0] + 1j * w[:, 1]).T, expected))
-
-    # every ordered channel (s, k, l), k != l; (l, k) reads are conjugates
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    channels = np.empty((n, p, n_part, n_part), dtype=complex)
-    for s in range(p):
-        for q, (k, l) in enumerate(pairs):
-            channels[:, s, k, l] = stored[:, s, q]
-            channels[:, s, l, k] = np.conj(stored[:, s, q])
-    flat = channels.reshape(n, -1)
-    keep = [s * 9 + k * 3 + l for s in range(p) for k in range(3)
-            for l in range(3) if k != l]
-    flat = flat[:, keep]                      # (n, 12) ordered channels
-    moments = flat.conj().T @ flat / n
-    expected = np.eye(len(keep)) * dt
-    se = dt / np.sqrt(n)
-    worst = np.abs(moments - expected).max()
-    mean_ok = np.abs(flat.mean(axis=0)).max() <= 5 * np.sqrt(dt / n)
-    _report(7, "noise constraints", pairing and worst <= 5 * se and mean_ok,
-            f"worst moment deviation {worst:.2e} (5 se = {5 * se:.2e}), "
-            f"pairing exact: {pairing}")
+    drawn = _draw_noise_chunk([trajectory_rng(7, 0)], n, p, factor.shape[2],
+                              dt)[0]
+    w = np.einsum("sir,tsr->tsi", factor, drawn)
+    w = w[..., :n_part] + 1j * w[..., n_part:]
+    worst = max(moment_deviation(w[:, s], dt) for s in range(p))
+    pair = pair_noise_factor(np.ones(p, complex), range(n_part))
+    cov = np.abs(factor @ factor.transpose(0, 2, 1)
+                 - pair @ pair.transpose(0, 2, 1)).max()
+    _report(7, "noise constraints", worst <= 5.0 and cov <= 1e-14,
+            f"worst moment deviation {worst:.2f} se (bound 5), "
+            f"covariance of the pair map to {cov:.1e}")
 
 
 def test_criterion_08_state_recovery(flagship):

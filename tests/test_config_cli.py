@@ -12,7 +12,9 @@ import snbd.config
 import snbd.ensemble
 from snbd.cli import (
     EXIT_CONFIG,
+    EXIT_DATA,
     EXIT_DIMENSION,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_TRAJECTORY,
     execute,
@@ -26,9 +28,10 @@ from snbd.config import (
     serialize_config,
 )
 from snbd.ensemble import DEFAULT_MEMORY_LIMIT
-from snbd.errors import ConfigError
+from snbd.errors import ConfigError, NonFiniteOutputError
 from snbd.output import (
     MAGIC,
+    RunWriter,
     csv_bytes,
     density_bin_bytes,
     read_density_bin,
@@ -212,6 +215,23 @@ class TestBinaryFormat:
         text = blob.decode()
         assert text.splitlines()[0] == "t,x"
         assert "0.33333333333333331" in text
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writer_refuses_non_finite_values(self, tmp_path, bad):
+        # a NaN or inf anywhere in a file or a diagnostic is refused and
+        # nothing is written or recorded for it
+        writer = RunWriter(tmp_path, "hash", 1, "v", "run")
+        mats = np.zeros((2, 2, 2), dtype=complex)
+        mats[1, 0, 1] = complex(0.0, bad)
+        for write in (
+                lambda: writer.write_csv("a.csv", ["t", "x"],
+                                         [[0.0, 1.0], [2.0, bad]]),
+                lambda: writer.write_density_bin("d.bin", mats),
+                lambda: writer.add_diagnostics(worst=bad)):
+            with pytest.raises(NonFiniteOutputError):
+                write()
+        assert writer.files == {} and writer.diagnostics == {}
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCli:
@@ -416,6 +436,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_non_finite_output_exit7_incomplete(self, tmp_path, capsys):
+        # finite entries whose products overflow: the shipped config with
+        # an observable factor entry of 1e308 gives a mean of inf and a
+        # standard error of NaN; the file is refused and the manifest stays
+        # incomplete
+        data = json.loads(FIXTURE.read_text())
+        data["observables"][0]["factors"][0] = [[1e308, 0], [0, -1]]
+        data["ensemble"].update(M=40, n_blocks=4)
+        out = tmp_path / "out"
+        data["output"]["directory"] = str(out)
+        p = self._write(tmp_path, data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(p), "--quiet"]) == EXIT_NUMERIC
+        assert "observables.csv: a value to be written is NaN or inf" in \
+            capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert manifest["files"] == {}
+        assert not (out / "observables.csv").exists()
+
+    def test_no_active_trajectory_exit5(self, tmp_path):
+        # every trajectory skipped: no block has a minimum eigenvalue to
+        # report, so positivity.csv, the only file left to write, is a
+        # missing-data failure rather than a column of inf
+        out = tmp_path / "out"
+        data = tiny_config(out, t_final=2.0, full_density=False,
+                           recovery=False)
+        data["time"]["record_stride"] = 200
+        data["ensemble"]["positivity_tol"] = 0.04
+        data["observables"] = []
+        p = self._write(tmp_path, data)
+        assert main(["run", "--config", str(p), "--quiet"]) == EXIT_DATA
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert manifest["diagnostics"]["skipped_positivity"] == 16
 
     def test_env_dimension_limit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNBD_MAX_DIM", "2")

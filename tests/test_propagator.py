@@ -19,16 +19,14 @@ from snbd.errors import (
 from snbd.propagator import (
     COLUMN_ALIGN,
     BlockStats,
+    _draw_noise_chunk,
     _noise_factor,
-    _raw_to_increments,
+    _rank_factor,
     coordinate_densities,
     coordinate_rows,
-    pair_count,
-    pair_list,
     positivity_tolerance,
     propagate_block,
     propagate_trajectory,
-    sample_increments,
     sqrt_noise_factors,
     trajectory_rng,
 )
@@ -51,10 +49,17 @@ from conftest import (
     free_two_spin_system,
     heisenberg_pair_matrix,
     interleaved_system,
-    pair_index,
     random_density,
     random_hermitian,
     two_spin_system,
+)
+from pair_map import (
+    moment_deviation,
+    pair_count,
+    pair_index,
+    pair_list,
+    pair_noise_factor,
+    sample_increments,
 )
 
 
@@ -62,12 +67,9 @@ from conftest import (
 # independent reference: the module-docstring equation, written out literally
 # ---------------------------------------------------------------------------
 
-def reference_step(spec, rhos, dal, dt):
-    """One Ito step of every particle, term by term and pair by pair.
-
-    ``dal[s, q]`` is the stored increment of term s on pair q = {k, l},
-    k < l; particle l reads it complex conjugated.
-    """
+def reference_step(spec, rhos, w, dt):
+    """One Ito step of every particle, term by term: ``w[s, k]`` is the
+    pair sum W_k^s of term s."""
     n = spec.n_particles
     obar = [[np.trace(term.ops[k] @ rhos[k]).real for term in spec.terms]
             for k in range(n)]
@@ -80,30 +82,50 @@ def reference_step(spec, rhos, dal, dt):
             o = term.ops[k]
             field = sum(obar[l][s] for l in range(n) if l != k)
             drho = drho - 1j * term.omega * field * (o @ rho - rho @ o) * dt
-            w = 0j
-            for l in range(n):
-                if l > k:
-                    w += dal[s, pair_index(k, l, n)]
-                elif l < k:
-                    w += np.conj(dal[s, pair_index(l, k, n)])
             root = cmath.sqrt(-1j * term.omega)
             shifted = o - obar[k][s] * np.eye(len(rho))
-            drho = (drho + root * (shifted @ rho) * w
-                    + np.conj(root) * (rho @ shifted) * np.conj(w))
+            drho = (drho + root * (shifted @ rho) * w[s, k]
+                    + np.conj(root) * (rho @ shifted) * np.conj(w[s, k]))
         out.append(rho + drho)
     return out
+
+
+def noise_rank(n):
+    """Normals per term and step: the rank of W's real covariance."""
+    return 0 if n < 2 else 2 if n == 2 else 2 * n - 1
+
+
+def reference_pair_sums(x, n, dt):
+    """W_k^s, (p, N), from one step's normals x[s] = [h, g_1..g_{N-1},
+    f_1..f_{N-1}] (no g at N = 2), entry by entry from the formula in
+    ``_rank_factor``, with v_j = (1, .., 1, -j, 0, ..) (j ones)."""
+    w = np.zeros((len(x), n), dtype=complex)
+    if n < 2:
+        return w
+    for s, row in enumerate(x):
+        h, g, f = row[0], row[1:n] if n > 2 else [], row[-(n - 1):]
+        for k in range(n):
+            re = np.sqrt((2 * n - 2) / n) * h
+            im = 0.0
+            for j in range(1, n):
+                v = 1.0 if k < j else -j if k == j else 0.0
+                if n > 2:
+                    re += np.sqrt((n - 2) / (j * (j + 1))) * g[j - 1] * v
+                im += np.sqrt(n / (j * (j + 1))) * f[j - 1] * v
+            w[s, k] = np.sqrt(dt / 2) * (re + 1j * im)
+    return w
 
 
 def reference_trajectory(spec, master_seed, index, n_steps, dt, stride):
     """Densities of trajectory (master_seed, index) every ``stride`` steps,
     driven by the same Philox draws as the batched driver, one step at a time."""
     rng = trajectory_rng(master_seed, index)
-    p, npairs = len(spec.terms), pair_count(spec.n_particles)
+    n = spec.n_particles
     rhos = [0.5 * (r + r.conj().T) for r in spec.initial]
     frames = [rhos]
     for i in range(1, n_steps + 1):
-        dal = _raw_to_increments(rng.standard_normal((p, npairs, 2)), dt)
-        rhos = reference_step(spec, rhos, dal, dt)
+        x = rng.standard_normal((len(spec.terms), noise_rank(n)))
+        rhos = reference_step(spec, rhos, reference_pair_sums(x, n, dt), dt)
         if i % stride == 0:
             frames.append(rhos)
     return frames
@@ -140,7 +162,7 @@ def ising_system():
 def eight_spin_system():
     """8 spin-1/2 in random fields, one Heisenberg pair matrix on all 28
     pairs (three terms): the shapes of the spins8 benchmark, a noise factor
-    of three 16 x 56 blocks over 168 increments and a 48 x 32 mean-field
+    of three 16 x 15 blocks over 45 normals and a 48 x 32 mean-field
     factor."""
     rng = np.random.default_rng(8)
     particles = tuple(ParticleSpec(dim=2, h=random_hermitian(rng, 2))
@@ -177,9 +199,9 @@ def collect(spec, seed, start, count, t_final, dt, stride, coords=False,
     return frames, stats
 
 
-def zero_draw(rngs, n_steps, p, npairs, dt):
+def zero_draw(rngs, n_steps, p, r, dt):
     """Stand-in for the noise draw: exact zeros, the noise-free generator."""
-    return np.zeros((len(rngs), n_steps, p, npairs), dtype=complex)
+    return np.zeros((len(rngs), n_steps, p, r))
 
 
 @pytest.fixture
@@ -200,13 +222,11 @@ def record_noise_chunks(monkeypatch):
     return chunks
 
 
-def apply_noise_factor(factor, dal):
-    """z_s W_k^s, (N, p), from one step's stored increments ``dal[s, q]``,
-    read through the float view and the per-term blocks as the step reads
-    them."""
+def apply_noise_factor(factor, x):
+    """z_s W_k^s, (N, p), from one step's normals ``x``, (p, r), through
+    the per-term blocks as the step reads them."""
     p, rows, cols = factor.shape
-    w = (factor @ dal.view(np.float64).reshape(p, cols, 1)).reshape(
-        p, 2, rows // 2)
+    w = (factor @ x.reshape(p, cols, 1)).reshape(p, 2, rows // 2)
     return (w[:, 0] + 1j * w[:, 1]).T
 
 
@@ -214,76 +234,94 @@ class TestNoise:
     def test_pair_indexing(self):
         assert pair_count(4) == 6
         pairs = [(k, l) for k in range(3) for l in range(k + 1, 4)]
+        assert pair_list(4) == pairs
         for q, (k, l) in enumerate(pairs):
             assert pair_index(k, l, 4) == q
         with pytest.raises(ShapeError):
             pair_index(2, 1, 4)
 
+    def test_rank_factor_has_the_pair_covariance(self):
+        # R R^T is the covariance of the pair map's [Re W; Im W] in units of
+        # dt/2, to roundoff, at the rank 2N - 1 (2 at N = 2, 0 at N = 1);
+        # with z_s and in any row order, so is each noise-factor block's
+        rng = np.random.default_rng(19)
+        assert _rank_factor(1).shape == (2, noise_rank(1)) == (2, 0)
+        for n in range(2, 11):
+            rank = _rank_factor(n)
+            pair = pair_noise_factor(np.ones(1, complex), range(n))[0]
+            assert rank.shape == (2 * n, noise_rank(n))
+            assert np.linalg.matrix_rank(pair @ pair.T) == rank.shape[1]
+            assert np.abs(rank @ rank.T - pair @ pair.T).max() <= 1e-14
+            z = sqrt_noise_factors(random_terms(rng, (2,) * n, 3))
+            order = rng.permutation(n)
+            ours = _noise_factor(z, order)
+            ref = pair_noise_factor(z, order)
+            assert np.abs(ours @ ours.transpose(0, 2, 1)
+                          - ref @ ref.transpose(0, 2, 1)).max() <= 1e-14
+
     def test_conjugate_pairing_exact(self):
-        # through the noise factor of the step, each stored increment
-        # reaches its first particle as is and its second particle exactly
-        # conjugated, times z_s, and no other particle: the real and the
-        # imaginary part of one increment, probed alone, land in rows k and
-        # l only, with the +- pattern of the conjugation
-        n, p = 3, 2
-        values = sample_increments(trajectory_rng(3, 0), p, n, dt=0.01)
-        terms = random_terms(np.random.default_rng(0), (2,) * n, p)
+        # at N = 2 the noise factor is the pair map's, bit for bit, and so
+        # is the draw, (h, f) = (mu, nu): the stored increment reaches
+        # particle 0 as is and particle 1 conjugated, times z_s.  At N = 3
+        # each normal, probed alone, reaches each particle as z_s times its
+        # entry of R, and no other term
+        terms = random_terms(np.random.default_rng(0), (2, 2), 2)
         assert terms[0].omega > 0 > terms[1].omega
         z = sqrt_noise_factors(terms)
+        assert np.array_equal(_noise_factor(z, [0, 1]),
+                              pair_noise_factor(z, [0, 1]))
+        drawn = _draw_noise_chunk([trajectory_rng(3, 0)], 1, 2, 2, 0.01)
+        stored = sample_increments(trajectory_rng(3, 0), 2, 2, 0.01)
+        assert np.array_equal(drawn[0, 0], stored.view(np.float64))
+        n, p = 3, 2
+        z = sqrt_noise_factors(random_terms(np.random.default_rng(1),
+                                            (2,) * n, p))
+        rank = _rank_factor(n)
         factor = _noise_factor(z, range(n))
+        x = _draw_noise_chunk([trajectory_rng(3, 1)], 1, p, 5, 0.01)[0, 0]
         for s in range(p):
-            for q, (k, l) in enumerate(pair_list(n)):
-                for part in (values[s, q].real, 1j * values[s, q].imag):
-                    single = np.zeros_like(values)
-                    single[s, q] = part
-                    expected = np.zeros((n, p), dtype=complex)
-                    expected[k, s] = z[s] * part
-                    expected[l, s] = z[s] * np.conj(part)
-                    w = apply_noise_factor(factor, single)
-                    assert np.array_equal(w, expected)
+            for c in range(rank.shape[1]):
+                single = np.zeros_like(x)
+                single[s, c] = x[s, c]
+                expected = np.zeros((n, p), dtype=complex)
+                expected[:, s] = z[s] * (rank[:n, c] + 1j * rank[n:, c]) \
+                    * x[s, c]
+                w = apply_noise_factor(factor, single)
+                assert np.abs(w - expected).max() <= 1e-16
 
     def test_particle_sums_match_direct(self):
         # with z = 1 the noise factor returns W_k^s itself, here with the
-        # particles in another row order
+        # particles in another row order, as the formula reads it entry by
+        # entry
         n = 4
-        values = sample_increments(trajectory_rng(4, 1), p=2, n_particles=n,
-                                   dt=0.02)
+        x = _draw_noise_chunk([trajectory_rng(4, 1)], 1, 2, 7, 1.0)[0, 0]
         order = [2, 0, 3, 1]
-        w = apply_noise_factor(_noise_factor(np.ones(2, complex), order),
-                               values)
-
-        def read(s, k, l):
-            if k < l:
-                return values[s, pair_index(k, l, n)]
-            return np.conj(values[s, pair_index(l, k, n)])
-
+        w = apply_noise_factor(_noise_factor(np.ones(2, complex), order), x)
+        # x already carries sqrt(dt/2); the formula reads it at dt = 2
+        direct = reference_pair_sums(x, n, 2.0)
         for r, k in enumerate(order):
-            for s in range(2):
-                direct = sum(read(s, k, l) for l in range(n) if l != k)
-                assert w[r, s] == pytest.approx(direct, abs=1e-15)
+            assert np.abs(w[r] - direct[:, k]).max() <= 1e-15
 
     def test_second_moments(self):
-        # E[da* da'] = delta dt and E[da da'] = 0 within sampling error
-        rng = trajectory_rng(5, 0)
-        n = 100_000
-        dt = 0.5
-        raw = rng.standard_normal(size=(n, 2, 3, 2))
-        vals = _raw_to_increments(raw, dt).reshape(n, 6)
-        conj_mom = vals.conj().T @ vals / n
-        plain_mom = vals.T @ vals / n
-        se = dt / np.sqrt(n)
-        assert np.abs(np.diag(conj_mom) - dt).max() <= 5 * se
-        off = conj_mom - np.diag(np.diag(conj_mom))
-        assert np.abs(off).max() <= 5 * se
-        assert np.abs(plain_mom).max() <= 5 * se
-        assert np.abs(vals.mean(axis=0)).max() <= 5 * np.sqrt(dt / 2 / n) * 2
+        # the pair sums the step reads (its noise factor with z = 1) from
+        # what the propagator draws, 100,000 steps of N = 4 and two terms:
+        # E[W W^H] = (N - 1) dt I, E[W W^T] = dt (J - I) and E[W] = 0,
+        # each entry within 5 standard errors
+        n, p, dt = 4, 2, 0.5
+        x = _draw_noise_chunk([trajectory_rng(5, 0)], 100_000, p,
+                              noise_rank(n), dt)[0]
+        w = np.einsum("sir,tsr->tsi", _noise_factor(np.ones(p, complex),
+                                                    range(n)), x)
+        w = w[..., :n] + 1j * w[..., n:]
+        for s in range(p):
+            assert moment_deviation(w[:, s], dt) <= 5.0
 
     def test_chunked_draw_matches_per_step(self, monkeypatch):
         # the noise the driver draws, in budget-limited chunks with a
         # partial last one, is bitwise each trajectory's one-step draws
         spec = interleaved_system()
-        p, npairs, count, n_steps, dt = 2, 3, 3, 10, 1e-3
-        step_bytes = 16 * count * p * npairs
+        p, r, count, n_steps, dt = 2, 5, 3, 10, 1e-3
+        step_bytes = 8 * count * p * r
         monkeypatch.setattr(propagator, "NOISE_CHUNK_BYTES", 4 * step_bytes + 8)
         chunks = record_noise_chunks(monkeypatch)
         propagate_block(spec, 9, 2, count, n_steps * dt, dt, n_steps,
@@ -292,8 +330,8 @@ class TestNoise:
         drawn = np.concatenate(chunks, axis=1)
         for j in range(count):
             rng = trajectory_rng(9, 2 + j)
-            per_step = np.stack([sample_increments(rng, p, 3, dt)
-                                 for _ in range(n_steps)])
+            per_step = np.stack([rng.standard_normal((p, r))
+                                 * np.sqrt(dt / 2.0) for _ in range(n_steps)])
             assert np.array_equal(drawn[j], per_step)
 
     def test_wide_block_chunks_stay_within_budget(self, benchmark_system,
@@ -306,15 +344,19 @@ class TestNoise:
         assert max(c.nbytes for c in chunks) <= propagator.NOISE_CHUNK_BYTES
 
     def test_determinism(self):
-        x = sample_increments(trajectory_rng(1, 2), 2, 2, 0.1)
-        y = sample_increments(trajectory_rng(1, 2), 2, 2, 0.1)
-        assert np.array_equal(x, y)
-        z = sample_increments(trajectory_rng(1, 3), 2, 2, 0.1)
-        assert not np.array_equal(x, z)
+        def draw(index):
+            return _draw_noise_chunk([trajectory_rng(1, index)], 3, 2, 5, 0.1)
 
-    def test_rejects_bad_dt(self):
+        assert np.array_equal(draw(2), draw(2))
+        assert not np.array_equal(draw(2), draw(3))
+
+    def test_rejects_bad_dt(self, monkeypatch):
+        # a step that is not positive is refused before any noise is drawn
+        chunks = record_noise_chunks(monkeypatch)
         with pytest.raises(ConfigError):
-            sample_increments(trajectory_rng(0, 0), 1, 2, 0.0)
+            propagate_block(two_spin_system(), 0, 0, 1, 1.0, 0.0, 1,
+                            lambda *_: None)
+        assert chunks == []
 
 
 class TestStepCoefficients:
@@ -392,7 +434,7 @@ class TestEmStep:
             assert np.abs(mean[k] - drift.rhos[k]).max() <= 3 * se
 
     def test_blowup_detection(self, benchmark_system, monkeypatch):
-        # a non-finite increment poisons the densities within one step
+        # a non-finite normal poisons the densities within one step
         monkeypatch.setattr(
             propagator, "_draw_noise_chunk",
             lambda *args: np.full_like(zero_draw(*args), np.nan))
@@ -460,10 +502,12 @@ def exchange_system(seed):
 class TestGenerator:
     """One step's mean of the N-fold product is the exact N-body generator.
 
-    Each real noise coordinate enters each rho_k' affinely and reaches
-    two particles, so it enters the product rho_1' (x) ... (x) rho_N' at
-    most quadratically: the full +-1 factorial design over the
-    2 p N(N-1)/2 coordinates reproduces the Gaussian average exactly.
+    Each rho_k' is affine in the step's p r normals, so the product
+    rho_1' (x) ... (x) rho_N' is a polynomial of degree N in them, and
+    for N <= 3 its Gaussian average needs only their moments up to order
+    three: zero means, unit covariance, zero third moments.  The full +-1
+    factorial design over the p r normals has the same, so it reproduces
+    the Gaussian average exactly.
     The design's nodes run through propagate_block as trajectories, one
     per node, and propagate_block's own draw scales them by sqrt(dt/2).
     The mean minus rho_N is then a polynomial of degree N in dt without
@@ -471,7 +515,7 @@ class TestGenerator:
     coefficient must be -i [H, rho_N] with H the full Hamiltonian.
 
     The bound is roundoff: entries of order 1, mean products summed
-    pairwise over at most 2^12 nodes (about 64 eps each), divided by
+    pairwise over at most 2^10 nodes (about 64 eps each), divided by
     step sizes of order 0.1 through fit weights whose absolute sum is at
     most 50 (N = 3): about 7e-13 on a generator of order 1.
     """
@@ -483,7 +527,7 @@ class TestGenerator:
         monkeypatch.setattr(propagator, "trajectory_rng",
                             lambda seed, index: NodeStream(index))
         n = spec.n_particles
-        nodes = 2 ** (2 * len(spec.terms) * pair_count(n))
+        nodes = 2 ** (len(spec.terms) * noise_rank(n))
         hs = self.STEPS[:n]
         lifts = []
         for h in hs:
@@ -581,9 +625,13 @@ class TestPropagateTrajectory:
         # propagate_trajectory; the wide block's minima over blocks of 8
         # are those of its trajectories.  The systems reach noise and
         # mean-field factors of 4 x 2 and 4 x 8 (one term), k = 16
-        # (d = 4), two dimension groups, and three noise blocks of 16 x 56
-        # and a mean-field factor of 48 x 32 (8 spins, 28 pairs).
+        # (d = 4), two dimension groups with noise blocks of 6 x 5 (N = 3,
+        # an odd inner dimension), and three noise blocks of 16 x 15 and a
+        # mean-field factor of 48 x 32 (8 spins, 28 pairs).
         spec = make()
+        n = spec.n_particles
+        assert _noise_factor(sqrt_noise_factors(spec.terms), range(n)).shape \
+            == (len(spec.terms),) + {2: (4, 2), 3: (6, 5), 8: (16, 15)}[n]
         grid = (0.02, 1e-3, 10)
         wide = 17 + LOCKSTEP_WIDTH
         ref, ref_stats = collect(spec, 6, 0, wide, *grid, coords=True,
