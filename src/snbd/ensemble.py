@@ -30,7 +30,7 @@ prod_{k>=2} d_k^2 reals per trajectory of the batch, which the memory
 gate counts with the record sums.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby, islice
 
 import numpy as np
@@ -40,13 +40,13 @@ from .errors import (
     DimensionLimitError,
     MissingDataError,
     ShapeError,
+    WorkerLostError,
 )
 from .linalg import frozen_cmatrix, require_hermitian
 from .propagator import (
     COLUMN_ALIGN,
     TimeGrid,
     coordinate_rows,
-    positivity_tolerance,
     propagate_block,
 )
 from .system import (
@@ -169,7 +169,6 @@ class EnsembleAccumulator:
     vec_sum: np.ndarray              # (n_blocks, T, D) complex, or None
     min_eig: np.ndarray              # (n_blocks, T, N)
     trace_dev: np.ndarray            # (n_blocks,) max |Tr rho_k - 1|
-    herm_dev: np.ndarray             # (n_blocks,) max |rho_k - rho_k^dag|
 
     @property
     def n_blocks(self) -> int:
@@ -185,13 +184,17 @@ class EnsembleAccumulator:
         return float(self.trace_dev.max())
 
     @property
-    def max_herm_dev(self) -> float:
-        return float(self.herm_dev.max())
-
-    @property
     def active_counts(self) -> np.ndarray:
         """(T,) trajectories contributing at each recorded time."""
         return self.counts.sum(axis=0)
+
+    def estimate_counts(self) -> np.ndarray:
+        """(T,) ``active_counts`` as floats, the divisor of every estimate,
+        which needs an active trajectory at every recorded time."""
+        m = self.active_counts.astype(float)
+        if (m == 0).any():
+            raise MissingDataError("no active trajectories at some recorded time")
+        return m
 
     @property
     def sum_rhoN(self) -> np.ndarray:
@@ -308,9 +311,9 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     """Propagate the trajectories of a run of consecutive blocks, whose
     boundaries are ``edges``, as one batch (worker-safe).
 
-    ``ensemble.positivity_tol`` must be resolved.  Returns the run's rows
-    of the accumulator's per-block arrays by name, block axis first (None
-    for a sum the run does not keep), and its two skip lists.
+    Returns the run's rows of the accumulator's per-block arrays by name,
+    block axis first (None for a sum the run does not keep), and its two
+    skip lists.
     """
     n = spec.n_particles
     n_obs = obs_stacks[0].shape[0] if obs_stacks else 0
@@ -401,8 +404,7 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     sums = dict(counts=counts, obs_sum=obs_sum,
                 obs_sq=obs_sq, rho_sum=rho_sum, vec_sum=vec_sum,
                 min_eig=min_eig,
-                trace_dev=np.maximum.reduceat(stats.trace_dev, firsts),
-                herm_dev=np.maximum.reduceat(stats.herm_dev, firsts))
+                trace_dev=np.maximum.reduceat(stats.trace_dev, firsts))
     return sums, stats.blowups, stats.positivity_skips
 
 
@@ -417,24 +419,30 @@ def _run_results(tasks, worker_count):
     taken, so at most ``worker_count`` results exist at a time, finished
     or not, the one the caller holds included (no reference to a taken
     future or result stays here); they arrive in the order they
-    complete."""
+    complete.  A worker that dies (killed, or out of memory) breaks the
+    pool: that raises WorkerLostError."""
     if worker_count <= 1:
         for i, task in enumerate(tasks):
             yield i, _block_task(*task)
         return
     # imported here, so that a serial run and ``snbd validate`` skip it
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
     todo = enumerate(tasks)
-    with ProcessPoolExecutor(max_workers=min(worker_count,
-                                             len(tasks))) as pool:
-        pending = {pool.submit(_block_task, *task): i
-                   for i, task in islice(todo, worker_count)}
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            while done:
-                yield _take(pending, done.pop())
-                for i, task in islice(todo, 1):
-                    pending[pool.submit(_block_task, *task)] = i
+    try:
+        with ProcessPoolExecutor(max_workers=min(worker_count,
+                                                 len(tasks))) as pool:
+            pending = {pool.submit(_block_task, *task): i
+                       for i, task in islice(todo, worker_count)}
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                while done:
+                    yield _take(pending, done.pop())
+                    for i, task in islice(todo, 1):
+                        pending[pool.submit(_block_task, *task)] = i
+    except BrokenProcessPool as exc:
+        raise WorkerLostError(
+            f"a worker process ended before its run finished ({exc})") from exc
 
 
 def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
@@ -494,11 +502,7 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
             for k in range(spec.n_particles)
         ]
 
-    positivity_tol = ensemble.positivity_tol
-    if positivity_tol is None:
-        positivity_tol = positivity_tolerance(time.dt, spec, time.t_final)
-    resolved = replace(ensemble, positivity_tol=float(positivity_tol))
-    tasks = [(spec, time, resolved, edges[first:stop + 1], obs_stacks, refs)
+    tasks = [(spec, time, ensemble, edges[first:stop + 1], obs_stacks, refs)
              for first, stop in runs]
     sums, blowups, positivity_skips = None, (), ()
     for i, (run_sums, blown, skipped) in _run_results(
@@ -532,10 +536,7 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
 def estimate_density(acc: EnsembleAccumulator) -> np.ndarray:
     """Monte Carlo estimate of the full density at every recorded time."""
     total = acc.sum_rhoN
-    m = acc.active_counts
-    if (m == 0).any():
-        raise MissingDataError("no active trajectories at some recorded time")
-    return total / m[:, None, None]
+    return total / acc.estimate_counts()[:, None, None]
 
 
 @dataclass
@@ -558,9 +559,7 @@ def estimate_product_observable(acc: EnsembleAccumulator,
     a = acc._obs_index(name)
     tot = acc.obs_sum[:, a].sum(axis=0)
     ssq = acc.obs_sq[:, a].sum(axis=0)
-    m = acc.active_counts.astype(float)
-    if (m == 0).any():
-        raise MissingDataError("no active trajectories at some recorded time")
+    m = acc.estimate_counts()
     var = np.zeros_like(ssq)
     many = m > 1
     resid = ssq[many] - tot[many] ** 2 / m[many]
@@ -580,9 +579,7 @@ def jackknife_blocks(acc: EnsembleAccumulator, sums, statistic, values=None):
     (values, standard errors).
     """
     total = sums.sum(axis=0)
-    m = acc.counts.sum(axis=0).astype(float)
-    if (m == 0).any():
-        raise MissingDataError("no active trajectories at some recorded time")
+    m = acc.estimate_counts()
     if values is None:
         values = statistic(total, m)
     values = np.asarray(values, dtype=float)

@@ -81,6 +81,10 @@ class MissingDataError(SnbdError):
     """Requested data was not recorded during the run."""
 
 
+class WorkerLostError(SnbdError):
+    """A pool worker process ended before its run finished."""
+
+
 class DegenerateReferenceError(SnbdError):
     """The recovery reference vector is nearly orthogonal to the state."""
 

@@ -72,6 +72,21 @@ def csv_bytes(header, columns) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _listed_files(directory: Path) -> list:
+    """The files the manifest in ``directory`` lists, by plain name: not
+    a path, a directory, ``.``, ``..`` or ``manifest.json``.  A missing or
+    unreadable manifest lists nothing."""
+    try:
+        files = json.loads((directory / "manifest.json").read_bytes())["files"]
+        names = list(files) if isinstance(files, dict) else []
+    except (OSError, ValueError, TypeError, KeyError):
+        return []
+    return [name for name in names
+            if name not in ("", ".", "..", "manifest.json")
+            and "/" not in name and "\\" not in name
+            and not (directory / name).is_dir()]
+
+
 def _require_finite(name, values):
     if not np.isfinite(np.asarray(values)).all():
         raise NonFiniteOutputError(f"{name}: a value to be written is NaN or "
@@ -86,12 +101,17 @@ class RunWriter:
     code version and completion status; a run interrupted mid-way still
     leaves a manifest with status ``incomplete``.  A NaN or inf in a file
     or a diagnostic raises ``NonFiniteOutputError`` and is not written.
+    Before anything is written, the files of the manifest the run
+    replaces are removed, so no file of an earlier run survives beside a
+    manifest that does not list it.
     """
 
     def __init__(self, directory, config_hash, master_seed, code_version,
                  subcommand):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        for name in _listed_files(self.directory):
+            (self.directory / name).unlink(missing_ok=True)
         self.config_hash = config_hash
         self.master_seed = master_seed
         self.code_version = code_version

@@ -48,8 +48,9 @@ notes).  The monitors read as little as they must:
 
 - the divergence check reads ||c_k||_2 = ||rho_k||_F >= max |rho_ij|, and
   rebuilds only a column too large for that bound to settle;
-- the trace and Hermiticity readings add the diagonal entries of the
-  rebuilt density, in the rebuild's own order, so they are its bits;
+- the trace reading adds the diagonal entries of the rebuilt density,
+  in the rebuild's own order, so it is its bits (Hermiticity needs no
+  reading: it holds by construction, see ``_upper_map``);
 - a spin-1/2's smallest eigenvalue is closed-form in its coordinates;
   a d = 3 density's is eigvalsh's, but a certified screen hands eigvalsh
   only the few densities that can decide a block's minimum or the
@@ -62,9 +63,8 @@ notes).  The monitors read as little as they must:
 A density handed to eigvalsh is rebuilt as a matrix, exactly Hermitian
 (the lower triangle the conjugate of the upper), by term-by-term
 arithmetic whose bits do not depend on which densities are formed, so
-every decision (divergence, positivity, the trace and Hermiticity
-readings, each block's minimum) is bit for bit the one a rebuild of
-every density would take.
+every decision (divergence, positivity, the trace reading, each block's
+minimum) is bit for bit the one a rebuild of every density would take.
 
 ``propagate_block`` is the only code that advances densities: it steps a
 batch of trajectories in lockstep, with the particles of each dimension
@@ -139,6 +139,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    ContractViolationError,
     PositivityViolationError,
     TrajectoryBlowupError,
 )
@@ -369,24 +370,17 @@ def propagate_trajectory(spec: SystemSpec, t_final: float, dt: float,
 class BlockStats:
     """Diagnostics from one propagated block of trajectories.
 
-    ``trace_dev`` and ``herm_dev`` hold each trajectory's largest
-    |Tr rho_k - 1| and |rho_k - rho_k^dag| while it was active; a skipped
-    trajectory reads 0.  The latter is 2 max |Im (rho_k)_ii| over the
-    diagonal, the only entries a rebuilt density does not mirror.
+    ``trace_dev`` holds each trajectory's largest |Tr rho_k - 1| while it
+    was active; a skipped trajectory reads 0.
     """
 
     trace_dev: np.ndarray   # (count,)
-    herm_dev: np.ndarray    # (count,)
     blowups: tuple
     positivity_skips: tuple
 
     @property
     def max_trace_dev(self) -> float:
         return float(self.trace_dev.max(initial=0.0))
-
-    @property
-    def max_herm_dev(self) -> float:
-        return float(self.herm_dev.max(initial=0.0))
 
 
 @dataclass
@@ -397,8 +391,7 @@ class _DimGroup:
     ``maps`` rebuilds the densities (``_upper_map``).  ``screen`` is its
     table as one left factor, whose product with the coordinates the d = 3
     screen reads, and ``diagonal`` lists the nonzero terms of each
-    diagonal entry's (re, im) plane, which the trace and Hermiticity
-    monitors read.
+    diagonal entry's real plane, which the trace monitor reads.
     """
 
     members: list        # particle indices, ascending
@@ -407,7 +400,7 @@ class _DimGroup:
     coords: np.ndarray   # (K, d^2, W) current coordinates, a view of C
     maps: tuple          # (table, upper, lower), see _upper_map
     screen: np.ndarray   # (d (d + 1), d^2) the table as a left factor
-    diagonal: list       # per diagonal plane, its (a, coefficient) terms
+    diagonal: list       # per real diagonal plane, its (a, coefficient) terms
 
     @property
     def dim(self) -> int:
@@ -481,7 +474,7 @@ def _dim_groups(spec: SystemSpec, width: int, dt: float):
             maps=maps,
             screen=np.ascontiguousarray(table.T),
             diagonal=[[(a, table[a, r]) for a in np.flatnonzero(table[:, r])]
-                      for r in range(len(table[0]) - 2 * d, len(table[0]))]))
+                      for r in range(len(table[0]) - 2 * d, len(table[0]), 2)]))
         lo += n_k
     mdtw = -dt * np.array([t.omega for t in spec.terms], dtype=float)[:, None]
     # the particles' blocks are disjoint, so sum - own is exactly the others'
@@ -493,11 +486,15 @@ def _upper_map(d: int) -> tuple:
     """The rebuild of a d x d density from its coordinates: a table
     (d^2, d (d + 1), 1) whose rows (re, im) per entry are the basis
     entries at the flat indices ``upper`` (the off-diagonal ones first,
-    mirrored to ``lower``, then the diagonal), and those indices."""
+    mirrored to ``lower``, then the diagonal), and those indices.  A
+    rebuilt density is exactly Hermitian, as no diagonal entry has an
+    imaginary row, which is checked here (``ContractViolationError``)."""
     iu, ju = np.triu_indices(d, 1)
     iu, ju = np.r_[iu, np.arange(d)], np.r_[ju, np.arange(d)]
     basis = np.array(build_hermitian_basis(d))
     table = np.ascontiguousarray(basis[:, iu, ju]).view(np.float64)
+    if table[:, 1 - 2 * d::2].any():
+        raise ContractViolationError(f"the d = {d} basis has an imaginary diagonal")
     return table[:, :, None], iu * d + ju, (ju * d + iu)[:-d]
 
 
@@ -516,20 +513,17 @@ def _rebuild(c: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _diagonal(c: np.ndarray, terms: list) -> list:
-    """The diagonal planes (..., B) of ``_rebuild``, each summed over its
-    nonzero terms only, None for a plane without any.  Dropping c_a * 0
-    changes no value, only, at most, the sign of a zero; so the trace and
-    the Hermiticity reading, which take absolute values, keep their bits
+    """The real diagonal planes (..., B) of ``_rebuild``, each summed over
+    its nonzero terms only, the first of which is always the identity's.
+    Dropping c_a * 0 changes no value, only, at most, the sign of a zero;
+    so the trace reading, which takes an absolute value, keeps its bits
     (a coordinate that is NaN or inf is caught by the divergence check
     before any reading is kept)."""
     planes = []
-    for row in terms:
-        out = None
-        for a, coefficient in row:
-            if out is None:
-                out = c[..., a, :] * coefficient
-            else:
-                out += c[..., a, :] * coefficient
+    for (a, coefficient), *rest in terms:
+        out = c[..., a, :] * coefficient
+        for a, coefficient in rest:
+            out += c[..., a, :] * coefficient
         planes.append(out)
     return planes
 
@@ -784,13 +778,11 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     chunk_steps = max(1, NOISE_CHUNK_BYTES // max(1, 8 * count * p * rank))
     active = np.ones(count, dtype=bool)
     trace_dev = np.zeros(count)
-    herm_dev = np.zeros(count)
     blowups, pos_skips = [], []
 
     def check(t):
         """The divergence check and the trace monitor; returns each
-        group's diagonal planes (see ``_diagonal``) and its density norms
-        (K, count).
+        group's density norms (K, count).
 
         A column whose coordinates have a 2-norm, which is
         ||rho_k||_F >= max |rho_ij|, within ``NORM_SCREEN`` is healthy; any
@@ -799,7 +791,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         unstable path can reach (NaN <= NORM_CAP is false).
         """
         healthy = np.ones(count, dtype=bool)
-        diags, norms = [], []
+        norms = []
         for g in groups:
             c = g.coords[:, :, live]
             diag = _diagonal(c, g.diagonal)
@@ -811,20 +803,10 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 healthy[cols] &= (np.abs(rho).reshape(
                     len(g.members), len(cols), -1).max(axis=2)
                     <= NORM_CAP).all(axis=0)
-            # the trace's real and imaginary parts, added in entry order
-            tr_re = diag[0]
-            for x in diag[2::2]:
-                tr_re = tr_re + x
-            dev = np.abs(tr_re - 1.0)
-            ims = [x for x in diag[1::2] if x is not None]
-            if ims:
-                tr_im = ims[0]
-                for x in ims[1:]:
-                    tr_im = tr_im + x
-                dev = dev + np.abs(tr_im)
+            # the trace, added in entry order
+            dev = np.abs(sum(diag[1:], diag[0]) - 1.0)
             np.fmax(trace_dev, np.where(active, dev.max(axis=0), 0.0),
                     out=trace_dev)
-            diags.append(ims)
             norms.append(np.sqrt(sq))
         bad = active & ~healthy
         if bad.any():
@@ -833,7 +815,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 raise TrajectoryBlowupError(t=t, trajectory=start + first)
             blowups.extend((start + int(b)) for b in np.nonzero(bad)[0])
             active[bad] = False
-        return diags, norms
+        return norms
 
     def sources(g):
         """Per particle of the group, ``matrices(index)`` (see ``_solve``)
@@ -871,7 +853,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         return vals, below
 
     def record(r_index, t):
-        diags, norms = check(t)
+        norms = check(t)
         srcs = [None if g.dim == 2 else sources(g) for g in groups]
         on = np.flatnonzero(active)
         found = [lowest(g, src, on, nm)
@@ -904,12 +886,6 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 min_eigs[:, k] = _screened_minima(
                     e[:, sel], nm[j, sel], seg, vals[j, sel],
                     lambda index, m=matrices: m(on[index]))
-        # a rebuilt density's lower triangle is the conjugate of its upper
-        # one, so only an imaginary diagonal entry can break Hermiticity
-        for ims in diags:
-            if ims:
-                hd = 2.0 * np.abs(ims).max(axis=(0, 1))
-                np.fmax(herm_dev, np.where(active, hd, 0.0), out=herm_dev)
         on_record(r_index, t, coords, active.copy(), min_eigs)
 
     record(0, times[0])
@@ -947,9 +923,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
             del dal  # the next chunk is drawn without this one alive
 
     trace_dev[~active] = 0.0
-    herm_dev[~active] = 0.0
-    stats = BlockStats(trace_dev=trace_dev, herm_dev=herm_dev,
-                       blowups=tuple(blowups),
+    stats = BlockStats(trace_dev=trace_dev, blowups=tuple(blowups),
                        positivity_skips=tuple(pos_skips))
     if not stats.max_trace_dev <= TRACE_TRIPWIRE:
         raise TrajectoryBlowupError(

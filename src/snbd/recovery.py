@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     DegenerateReferenceError,
     GridError,
-    MissingDataError,
     PhaseSingularityError,
     ShapeError,
 )
@@ -76,11 +75,7 @@ def recover_raw_vector(acc: EnsembleAccumulator) -> np.ndarray:
 
     Requires reference vectors to have been registered before the run.
     """
-    total = acc.sum_vec
-    m = acc.active_counts.astype(float)
-    if (m == 0).any():
-        raise MissingDataError("no active trajectories at some recorded time")
-    return _mean_vector(acc.times, total, m)
+    return _mean_vector(acc.times, acc.sum_vec, acc.estimate_counts())
 
 
 def _mean_vector(times, vec_total, m) -> np.ndarray:

@@ -1,7 +1,9 @@
+import concurrent.futures
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from snbd.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_TRAJECTORY,
+    EXIT_WORKER_LOST,
     execute,
     main,
 )
@@ -233,6 +236,32 @@ class TestBinaryFormat:
         assert writer.files == {} and writer.diagnostics == {}
         assert list(tmp_path.iterdir()) == []
 
+    def test_writer_removes_only_plain_listed_files(self, tmp_path):
+        # the files of the manifest a run replaces go before anything is
+        # written; a name that is a path, a directory or the manifest is
+        # kept, and so is every file the manifest does not list
+        for name in ("a.csv", "b.bin", "kept.txt", "manifest.json"):
+            (tmp_path / name).write_text(name)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "x").write_text("x")
+        listed = ["a.csv", "b.bin", "missing.csv", "..", ".", "sub",
+                  "sub/x", "../a.csv", "manifest.json", ""]
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"files": {name: {} for name in listed}}))
+        RunWriter(tmp_path, "hash", 1, "v", "run")
+        assert sorted(q.name for q in tmp_path.iterdir()) == [
+            "kept.txt", "manifest.json", "sub"]
+        assert (tmp_path / "sub" / "x").exists()
+
+    @pytest.mark.parametrize("text", [
+        "{", "[]", '{"files": ["kept.txt"]}', '{"files": 3}', '"kept.txt"'],
+        ids=["truncated", "list", "files-list", "files-number", "string"])
+    def test_unreadable_manifest_lists_nothing(self, tmp_path, text):
+        (tmp_path / "kept.txt").write_text("kept")
+        (tmp_path / "manifest.json").write_text(text)
+        RunWriter(tmp_path, "hash", 1, "v", "run")
+        assert (tmp_path / "kept.txt").exists()
+
 
 class TestCli:
     def _write(self, tmp_path, data):
@@ -323,6 +352,22 @@ class TestCli:
         header = (out / "compare.csv").read_text().splitlines()[0].split(",")
         assert header[:3] == ["t", "trace_distance", "trace_distance_se"]
         assert "fidelity" in header
+
+    def test_manifest_diagnostics_keys(self, tmp_path):
+        # the keys README documents; perfbench's gate reads two of them
+        # with defaults, so a dropped key would not fail it
+        keys = {"trajectories", "max_trace_deviation",
+                "max_hermiticity_deviation", "skipped_blowups",
+                "skipped_positivity"}
+        for sub, extra in (("run", set()),
+                           ("compare", {"worst_trace_distance"})):
+            out = tmp_path / sub
+            p = self._write(tmp_path, tiny_config(out))
+            assert main([sub, "--config", str(p), "--quiet"]) == EXIT_OK
+            diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+            assert set(diag) == keys | extra
+            assert diag["max_hermiticity_deviation"] == 0.0
+            assert diag["trajectories"] == 16
 
     def test_compare_requires_full_density(self, tmp_path):
         data = tiny_config(tmp_path / "out", full_density=False)
@@ -456,6 +501,61 @@ class TestCli:
         assert manifest["status"] == "incomplete"
         assert manifest["files"] == {}
         assert not (out / "observables.csv").exists()
+
+    def test_rerun_removes_the_files_it_replaces(self, tmp_path, capsys):
+        # a complete run, then the 1e308 observable probe (above) into the
+        # same directory: the refused run leaves none of the first run's
+        # files beside its incomplete manifest, only a file that manifest
+        # did not list
+        data = json.loads(FIXTURE.read_text())
+        data["ensemble"].update(M=40, n_blocks=4)
+        out = tmp_path / "out"
+        data["output"]["directory"] = str(out)
+        p = self._write(tmp_path, data)
+        assert main(["run", "--config", str(p), "--quiet"]) == EXIT_OK
+        first = json.loads((out / "manifest.json").read_text())
+        assert "observables.csv" in first["files"]
+        (out / "notes.txt").write_text("not listed")
+        data["observables"][0]["factors"][0] = [[1e308, 0], [0, -1]]
+        p = self._write(tmp_path, data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(p), "--quiet"]) == EXIT_NUMERIC
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert sorted(q.name for q in out.iterdir()) == [
+            "manifest.json", "notes.txt"]
+
+    def test_lost_worker_exit8_incomplete(self, tmp_path, capsys,
+                                          monkeypatch):
+        # a stand-in pool that starts no process and whose every future
+        # raises BrokenProcessPool, as a killed worker's does: one error
+        # line, no traceback, an incomplete manifest
+        class LostWorkerPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_exception(BrokenProcessPool("worker killed"))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            LostWorkerPool)
+        out = tmp_path / "out"
+        p = self._write(tmp_path, tiny_config(out, workers=2))
+        assert main(["run", "--config", str(p), "--quiet"]) == EXIT_WORKER_LOST
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process ended")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert manifest["files"] == {}
 
     def test_no_active_trajectory_exit5(self, tmp_path):
         # every trajectory skipped: no block has a minimum eigenvalue to

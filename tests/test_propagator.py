@@ -12,6 +12,7 @@ import snbd.propagator as propagator
 from snbd.ensemble import LOCKSTEP_WIDTH
 from snbd.errors import (
     ConfigError,
+    ContractViolationError,
     PositivityViolationError,
     ShapeError,
     TrajectoryBlowupError,
@@ -621,7 +622,7 @@ class TestPropagateTrajectory:
         # 8, with and without leading padding) and of widths 1 to
         # LOCKSTEP_WIDTH: each of their trajectories is bitwise that
         # trajectory of one wide block, in every record's coordinates,
-        # minimum eigenvalue and both deviations, and so is
+        # minimum eigenvalue and trace deviation, and so is
         # propagate_trajectory; the wide block's minima over blocks of 8
         # are those of its trajectories.  The systems reach noise and
         # mean-field factors of 4 x 2 and 4 x 8 (one term), k = 16
@@ -654,7 +655,6 @@ class TestPropagateTrajectory:
                                for x, y in zip(cs, ref_cs, strict=True))
                     assert np.array_equal(mins, ref_mins[cols])
                 assert np.array_equal(stats.trace_dev, ref_stats.trace_dev[cols])
-                assert np.array_equal(stats.herm_dev, ref_stats.herm_dev[cols])
         for j in (0, 7, 13, wide - 1):
             snaps = propagate_trajectory(spec, *grid, rng_seed=(6, j),
                                          positivity_tol=np.inf)
@@ -663,6 +663,29 @@ class TestPropagateTrajectory:
                 assert all(np.array_equal(x, coordinate_densities(
                     y[:, j:j + 1], d)[0]) for x, y, d in zip(
                         snap.rhos, ref_cs, spec.dims, strict=True))
+
+    @pytest.mark.parametrize("make, seed, count, grid", [
+        (two_spin_system, 6, 21, (0.05, 1e-3, 5)),
+        (interleaved_system, 6, 21, (0.05, 1e-3, 5)),
+        (lambda: random_system(7, (4, 2), 2), 6, 21, (0.05, 1e-3, 5)),
+        (two_spin_system, 1, 64, (2.0, 1e-2, 10))],
+        ids=["(2,2)", "(2,3,2)", "(4,2)", "(2,2) blow-ups"])
+    def test_trace_coordinate_is_never_written(self, make, seed, count, grid):
+        # each particle's coordinate 0 carries its trace; at every record
+        # it is bitwise its t = 0 value in every column, padding and
+        # skipped trajectories included, while the other coordinates move.
+        # In the last run trajectories diverge: their columns hold NaN or inf
+        spec = make()
+        firsts = [r.start for r in coordinate_rows(spec.dims)]
+        seen = []
+        stats = propagate_block(spec, seed, 3, count, *grid,
+                                lambda r, t, c, a, m: seen.append(c.copy()),
+                                positivity_tol=np.inf, policy="skip")
+        for coords in seen[1:]:
+            assert np.array_equal(coords[firsts], seen[0][firsts])
+        assert not np.array_equal(seen[-1], seen[0])
+        assert bool(stats.blowups) == (count == 64)
+        assert np.isfinite(seen[-1]).all() == (count != 64)
 
     def test_t0_record_is_the_symmetrized_initial_state(self):
         # the first record hands on the coordinates of (rho + rho^dag)/2 of
@@ -795,9 +818,10 @@ class TestBatchedDriver:
 
     def test_hermiticity_check_sees_an_imaginary_diagonal(
             self, benchmark_system, monkeypatch):
-        # rebuild densities with a traceless imaginary part on the diagonal
-        # (the sigma_z coordinate of |up> and |down> is nonzero), which the
-        # coordinates cannot carry; the record-time check must report it
+        # a basis whose rebuild would put a traceless imaginary part on the
+        # diagonal (the sigma_z coordinate of |up> and |down> is nonzero),
+        # which the coordinates cannot carry: the rebuild table's check
+        # refuses it before the first record
         basis = propagator.build_hermitian_basis
 
         def skewed(d):
@@ -806,15 +830,32 @@ class TestBatchedDriver:
             return out
 
         monkeypatch.setattr(propagator, "build_hermitian_basis", skewed)
-        _, stats = collect(benchmark_system, 5, 0, 4, 2e-3, 1e-3, 1,
-                           positivity_tol=1e9)
-        assert stats.max_herm_dev > 1e-4
+        calls = []
+        with pytest.raises(ContractViolationError):
+            propagate_block(benchmark_system, 5, 0, 4, 2e-3, 1e-3, 1,
+                            lambda *args: calls.append(args),
+                            positivity_tol=1e9)
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_rebuilt_densities_are_exactly_hermitian(self, d):
+        # random coordinates, entries from 1e-16 NORM_CAP to NORM_CAP, with
+        # a leading axis: every rebuilt density equals its conjugate
+        # transpose, bit for bit
+        rng = np.random.default_rng(d)
+        shape = (3, d * d, 64)
+        c = (rng.uniform(-1.0, 1.0, shape) * propagator.NORM_CAP
+             * 10.0 ** rng.integers(-16, 1, shape))
+        rho = coordinate_densities(c, d)
+        assert rho.shape == (3, 64, d, d)
+        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
 
     def test_noise_free_block(self):
         spec = free_two_spin_system()
         frames, stats = collect(spec, 0, 0, 2, 0.5, 1e-3, 500)
         assert stats.max_trace_dev <= 1e-13
-        assert stats.max_herm_dev == 0.0
+        assert all(np.array_equal(rho, rho.conj().swapaxes(1, 2))
+                   for _, rhos, _, _ in frames for rho in rhos)
         # both trajectories identical (no noise channels)
         t, rhos, active, _ = frames[-1]
         assert np.array_equal(rhos[0][0], rhos[0][1])
