@@ -50,6 +50,7 @@ from .errors import (
 from .linalg import trace_distances
 from .oracle import exact_observable, propagate_exact
 from .output import RunWriter
+from .propagator import carried_trace_deviation
 from .recovery import (
     autocorrelation_spectrum,
     default_reference_vectors,
@@ -147,10 +148,10 @@ def _write_recovery(writer, cfg, record):
          record.autocorr.imag, np.linalg.norm(record.phi_tilde, axis=1)])
 
 
-def _run_diagnostics(writer, acc):
+def _run_diagnostics(writer, cfg, acc):
     writer.add_diagnostics(
         trajectories=acc.count,
-        max_trace_deviation=acc.max_trace_dev,
+        max_trace_deviation=carried_trace_deviation(cfg.system),
         max_hermiticity_deviation=0.0,   # by construction: propagator._upper_map
         skipped_blowups=len(acc.blowups),
         skipped_positivity=len(acc.positivity_skips),
@@ -159,7 +160,7 @@ def _run_diagnostics(writer, acc):
 
 def cmd_run(cfg, writer, reporter):
     acc = _run_ensemble_from_config(cfg, reporter)
-    _run_diagnostics(writer, acc)
+    _run_diagnostics(writer, cfg, acc)
     _write_observables(writer, cfg, acc)
     _write_positivity(writer, cfg, acc)
     if cfg.ensemble.full_density and "bin" in cfg.output.formats:
@@ -200,7 +201,7 @@ def cmd_compare(cfg, writer, reporter):
             "compare needs ensemble.full_density=true for the trace-distance "
             "metric", path="ensemble.full_density")
     acc = _run_ensemble_from_config(cfg, reporter)
-    _run_diagnostics(writer, acc)
+    _run_diagnostics(writer, cfg, acc)
     _write_observables(writer, cfg, acc)
     _write_positivity(writer, cfg, acc)
     pure = cfg.recovery.enabled
@@ -248,7 +249,7 @@ def cmd_spectrum(cfg, writer, reporter):
                 "spectrum with spectrum_source='recovery' needs "
                 "recovery.enabled=true", path="recovery.enabled")
         acc = _run_ensemble_from_config(cfg, reporter)
-        _run_diagnostics(writer, acc)
+        _run_diagnostics(writer, cfg, acc)
         record = recover(acc, cfg.system)
         _write_recovery(writer, cfg, record)
         times, psi = record.t_grid, record.psi
@@ -339,9 +340,8 @@ def main(argv=None) -> int:
     args, extras = parser.parse_known_args(argv)
     verbosity = (1 if args.verbose else 0) - (1 if args.quiet else 0)
 
-    previous = signal.getsignal(signal.SIGTERM)
-    signal.signal(signal.SIGTERM, lambda *_: (_ for _ in ()).throw(
-        KeyboardInterrupt("terminated")))
+    # SIGTERM takes SIGINT's path: KeyboardInterrupt, exit 130
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         overrides = _collect_overrides(extras)
         cfg = parse_config(args.config)

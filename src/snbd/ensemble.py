@@ -164,11 +164,11 @@ class EnsembleAccumulator:
     positivity_skips: tuple
     counts: np.ndarray               # (n_blocks, T) active trajectories
     obs_sum: np.ndarray              # (n_blocks, n_obs, T) sum of products
-    obs_sq: np.ndarray               # (n_blocks, n_obs, T) sum of their squares
+    obs_m2: np.ndarray               # (n_blocks, n_obs, T) their squared
+                                     # deviations from the block's mean, summed
     rho_sum: np.ndarray              # (n_blocks, T, D^2) coordinates, or None
     vec_sum: np.ndarray              # (n_blocks, T, D) complex, or None
     min_eig: np.ndarray              # (n_blocks, T, N)
-    trace_dev: np.ndarray            # (n_blocks,) max |Tr rho_k - 1|
 
     @property
     def n_blocks(self) -> int:
@@ -178,10 +178,6 @@ class EnsembleAccumulator:
     def count(self) -> int:
         """Trajectories run."""
         return int(self.edges[-1])
-
-    @property
-    def max_trace_dev(self) -> float:
-        return float(self.trace_dev.max())
 
     @property
     def active_counts(self) -> np.ndarray:
@@ -346,7 +342,7 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
 
     counts = np.zeros((rows, n_times), dtype=np.int64)
     obs_sum = np.zeros((rows, n_obs, n_times))
-    obs_sq = np.zeros((rows, n_obs, n_times))
+    obs_m2 = np.zeros((rows, n_obs, n_times))
     rho_sum = (np.zeros((rows, n_times, spec.full_dim ** 2))
                if ensemble.full_density else None)
     vec_sum = (np.zeros((rows, n_times, spec.full_dim), dtype=complex)
@@ -373,6 +369,8 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
         # an exact identity: -0.0 in the observable sums, zero coordinates
         # in the tensor products X^T @ Y (see _first_and_rest; no (B, D, D)
         # array is formed).  A block with no active row keeps its zeros.
+        # The spread is summed about the block's own mean, an inactive row
+        # entering as +0.0, so it does not cancel (estimate_product_observable).
         with np.errstate(over="ignore", invalid="ignore"):
             # one product over every column: a column's bits rest on the
             # column property (propagator notes)
@@ -384,10 +382,13 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
                 for k in range(1, n):
                     vals = vals * v[k]
                 blocks = by_block(np.where(active[:, None], vals.T, -0.0))
-                obs_sum[filled, :, r] = per_block(
-                    [b.sum(axis=1) for b in blocks])[filled]
-                obs_sq[filled, :, r] = per_block(
-                    [(b * b).sum(axis=1) for b in blocks])[filled]
+                sums = per_block([b.sum(axis=1) for b in blocks])
+                obs_sum[filled, :, r] = sums[filled]
+                mean = sums / np.maximum(counts[:, r], 1)[:, None]
+                dev = np.where(active[:, None],
+                               vals.T - np.repeat(mean, widths, axis=0), 0.0)
+                obs_m2[filled, :, r] = per_block(
+                    [(b * b).sum(axis=1) for b in by_block(dev)])[filled]
             if rho_sum is not None:
                 c = _live_rows(coords[:, live], active)
                 rho_sum[filled, r] = xty(_batched_kron(
@@ -402,9 +403,8 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
         positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy,
         block_starts=firsts)
     sums = dict(counts=counts, obs_sum=obs_sum,
-                obs_sq=obs_sq, rho_sum=rho_sum, vec_sum=vec_sum,
-                min_eig=min_eig,
-                trace_dev=np.maximum.reduceat(stats.trace_dev, firsts))
+                obs_m2=obs_m2, rho_sum=rho_sum, vec_sum=vec_sum,
+                min_eig=min_eig)
     return sums, stats.blowups, stats.positivity_skips
 
 
@@ -466,7 +466,7 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     # the accumulator's record sums, plus, for each run in flight (one per
     # worker), the rows it fills and, for the full density, the Y factor
     # each of its records forms over the run's width.  A block's row per
-    # record: its count, each observable's sum and square sum, each
+    # record: its count, each observable's sum and spread, each
     # particle's minimum eigenvalue, and the density's coordinate sums and
     # the complex reference-vector sums when kept
     d = spec.full_dim
@@ -554,17 +554,22 @@ def estimate_product_observable(acc: EnsembleAccumulator,
 
     Per trajectory the observable is the product over particles of
     Tr{A_k rho_k}, which is real (both factors are Hermitian); the
-    standard error comes from the sample variance of those products.
+    standard error comes from the sample variance of those products.  Its
+    sum of squared deviations is each block's about its own mean plus
+    n_b (block mean - mean)^2 per block, the combination of Chan, Golub &
+    LeVeque over all blocks, so no sum of squares cancels against the
+    squared sum; a block with no active trajectory adds exactly nothing.
     """
     a = acc._obs_index(name)
-    tot = acc.obs_sum[:, a].sum(axis=0)
-    ssq = acc.obs_sq[:, a].sum(axis=0)
+    sums, counts = acc.obs_sum[:, a], acc.counts
     m = acc.estimate_counts()
-    var = np.zeros_like(ssq)
+    mean = sums.sum(axis=0) / m
+    own = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    ssd = (acc.obs_m2[:, a] + counts * (own - mean) ** 2).sum(axis=0)
+    var = np.zeros_like(ssd)
     many = m > 1
-    resid = ssq[many] - tot[many] ** 2 / m[many]
-    var[many] = np.maximum(resid, 0.0) / (m[many] - 1.0)
-    return ObservableEstimate(times=acc.times, mean=tot / m,
+    var[many] = ssd[many] / (m[many] - 1.0)
+    return ObservableEstimate(times=acc.times, mean=mean,
                               stderr=np.sqrt(var / m))
 
 

@@ -50,11 +50,11 @@ class ConfigError(SnbdError):
 class TrajectoryBlowupError(SnbdError):
     """A stochastic trajectory produced NaN/Inf entries."""
 
-    def __init__(self, t, trajectory=None, detail="non-finite density entries"):
+    def __init__(self, t, trajectory=None):
         self.t = t
         self.trajectory = trajectory
         where = f"trajectory {trajectory}, " if trajectory is not None else ""
-        super().__init__(f"{where}t={t:.6g}: {detail}")
+        super().__init__(f"{where}t={t:.6g}: non-finite density entries")
 
 
 class PositivityViolationError(SnbdError):

@@ -47,10 +47,8 @@ itself, and everything the ensemble sums is linear in it (ensemble
 notes).  The monitors read as little as they must:
 
 - the divergence check reads ||c_k||_2 = ||rho_k||_F >= max |rho_ij|, and
-  rebuilds only a column too large for that bound to settle;
-- the trace reading adds the diagonal entries of the rebuilt density,
-  in the rebuild's own order, so it is its bits (Hermiticity needs no
-  reading: it holds by construction, see ``_upper_map``);
+  rebuilds only a column too large for that bound to settle (the trace
+  and Hermiticity need no reading, see above and ``_upper_map``);
 - a spin-1/2's smallest eigenvalue is closed-form in its coordinates;
   a d = 3 density's is eigvalsh's, but a certified screen hands eigvalsh
   only the few densities that can decide a block's minimum or the
@@ -63,8 +61,8 @@ notes).  The monitors read as little as they must:
 A density handed to eigvalsh is rebuilt as a matrix, exactly Hermitian
 (the lower triangle the conjugate of the upper), by term-by-term
 arithmetic whose bits do not depend on which densities are formed, so
-every decision (divergence, positivity, the trace reading, each block's
-minimum) is bit for bit the one a rebuild of every density would take.
+every decision (divergence, positivity, each block's minimum) is bit for
+bit the one a rebuild of every density would take.
 
 ``propagate_block`` is the only code that advances densities: it steps a
 batch of trajectories in lockstep, with the particles of each dimension
@@ -175,7 +173,8 @@ NORM_CAP = 1e4
 #: every entry within NORM_CAP, with room for the rebuild's roundoff.
 NORM_SCREEN = NORM_CAP * (1.0 - 1e-12)
 
-#: Runtime trip-wire; far above roundoff, far below physical scales.
+#: Largest |Tr rho_k - 1| a run may report, far above roundoff (perfbench's
+#: gate holds the manifest's max_trace_deviation to it).
 TRACE_TRIPWIRE = 1e-8
 
 #: sigma, the d = 3 certificate's allowance relative to ||rho||_F + |shift|
@@ -368,19 +367,11 @@ def propagate_trajectory(spec: SystemSpec, t_final: float, dt: float,
 
 @dataclass
 class BlockStats:
-    """Diagnostics from one propagated block of trajectories.
+    """The trajectories of one propagated block that the skip policy
+    dropped, as diverged or as non-positive."""
 
-    ``trace_dev`` holds each trajectory's largest |Tr rho_k - 1| while it
-    was active; a skipped trajectory reads 0.
-    """
-
-    trace_dev: np.ndarray   # (count,)
     blowups: tuple
     positivity_skips: tuple
-
-    @property
-    def max_trace_dev(self) -> float:
-        return float(self.trace_dev.max(initial=0.0))
 
 
 @dataclass
@@ -390,8 +381,7 @@ class _DimGroup:
 
     ``maps`` rebuilds the densities (``_upper_map``).  ``screen`` is its
     table as one left factor, whose product with the coordinates the d = 3
-    screen reads, and ``diagonal`` lists the nonzero terms of each
-    diagonal entry's real plane, which the trace monitor reads.
+    screen reads.
     """
 
     members: list        # particle indices, ascending
@@ -400,7 +390,6 @@ class _DimGroup:
     coords: np.ndarray   # (K, d^2, W) current coordinates, a view of C
     maps: tuple          # (table, upper, lower), see _upper_map
     screen: np.ndarray   # (d (d + 1), d^2) the table as a left factor
-    diagonal: list       # per real diagonal plane, its (a, coefficient) terms
 
     @property
     def dim(self) -> int:
@@ -421,6 +410,24 @@ def coordinate_rows(dims) -> list:
     return rows
 
 
+def _initial_coordinates(spec: SystemSpec) -> np.ndarray:
+    """The column C every trajectory starts from, (sum_k d_k^2,): each
+    initial density made exactly Hermitian, (rho + rho^dag) / 2, in
+    coordinates at its ``coordinate_rows``."""
+    out = np.empty(sum(d * d for d in spec.dims))
+    for rho, rows in zip(spec.initial, coordinate_rows(spec.dims)):
+        out[rows] = hermitian_coordinates(_symmetrize(rho.astype(complex)))
+    return out
+
+
+def carried_trace_deviation(spec: SystemSpec) -> float:
+    """max_k |Tr rho_k - 1| = |sqrt(d_k) c_{k,0} - 1| of every trajectory at
+    every step: coordinate 0 is never written after t = 0."""
+    c = _initial_coordinates(spec)
+    return max(abs(math.sqrt(d) * float(c[rows.start]) - 1.0)
+               for d, rows in zip(spec.dims, coordinate_rows(spec.dims)))
+
+
 def _dim_groups(spec: SystemSpec, width: int, dt: float):
     """Group the particles by dimension, groups in order of first appearance.
 
@@ -433,11 +440,11 @@ def _dim_groups(spec: SystemSpec, width: int, dt: float):
     i[O_k^s, .], -i dt [H_k, .] and -2 times the identity, in coordinates,
     for u = [Re coeff, Im coeff, 1, Re g0].  Row 0 (the trace coordinate)
     of every part is dropped: it is never updated.  Every one of the
-    ``width`` columns starts at the initial state.
+    ``width`` columns starts at ``_initial_coordinates``.
     """
     dims = spec.dims
     rows = coordinate_rows(dims)
-    coords = np.empty((sum(d * d for d in dims), width))
+    coords = np.repeat(_initial_coordinates(spec)[:, None], width, axis=1)
     # fields[i, s] is o_k^s on the coordinates of the i-th particle k in
     # group order, zero elsewhere
     fields = np.zeros((spec.n_particles, len(spec.terms), len(coords)))
@@ -456,15 +463,11 @@ def _dim_groups(spec: SystemSpec, width: int, dt: float):
             (-dt) * np.einsum("ke,eab->kab", h, comm)[:, None],
             np.broadcast_to(-2.0 * np.eye(n_c), (n_k, 1, n_c, n_c)),
         ], axis=1)
-        rho = np.stack([_symmetrize(spec.initial[k].astype(complex))
-                        for k in members])
         top = rows[members[0]].start
         group = coords[top:top + n_k * n_c].reshape(n_k, n_c, width)
-        group[...] = hermitian_coordinates(rho)[:, :, None]
         for j, k in enumerate(members):
             fields[lo + j, :, rows[k]] = ops[j]
         maps = _upper_map(d)
-        table = maps[0][:, :, 0]
         groups.append(_DimGroup(
             members=members, rows=slice(lo, lo + n_k),
             tables=np.ascontiguousarray(
@@ -472,9 +475,7 @@ def _dim_groups(spec: SystemSpec, width: int, dt: float):
                 .transpose(0, 2, 1)),
             coords=group,
             maps=maps,
-            screen=np.ascontiguousarray(table.T),
-            diagonal=[[(a, table[a, r]) for a in np.flatnonzero(table[:, r])]
-                      for r in range(len(table[0]) - 2 * d, len(table[0]), 2)]))
+            screen=np.ascontiguousarray(maps[0][:, :, 0].T)))
         lo += n_k
     mdtw = -dt * np.array([t.omega for t in spec.terms], dtype=float)[:, None]
     # the particles' blocks are disjoint, so sum - own is exactly the others'
@@ -510,22 +511,6 @@ def _rebuild(c: np.ndarray, table: np.ndarray) -> np.ndarray:
     for a in range(1, len(table)):
         out += terms[..., a, :, :]
     return out
-
-
-def _diagonal(c: np.ndarray, terms: list) -> list:
-    """The real diagonal planes (..., B) of ``_rebuild``, each summed over
-    its nonzero terms only, the first of which is always the identity's.
-    Dropping c_a * 0 changes no value, only, at most, the sign of a zero;
-    so the trace reading, which takes an absolute value, keeps its bits
-    (a coordinate that is NaN or inf is caught by the divergence check
-    before any reading is kept)."""
-    planes = []
-    for (a, coefficient), *rest in terms:
-        out = c[..., a, :] * coefficient
-        for a, coefficient in rest:
-            out += c[..., a, :] * coefficient
-        planes.append(out)
-    return planes
 
 
 def _assemble(planes: np.ndarray, maps: tuple) -> np.ndarray:
@@ -777,12 +762,11 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     rngs = [trajectory_rng(master_seed, start + b) for b in range(count)]
     chunk_steps = max(1, NOISE_CHUNK_BYTES // max(1, 8 * count * p * rank))
     active = np.ones(count, dtype=bool)
-    trace_dev = np.zeros(count)
     blowups, pos_skips = [], []
 
     def check(t):
-        """The divergence check and the trace monitor; returns each
-        group's density norms (K, count).
+        """The divergence check; returns each group's density norms
+        (K, count).
 
         A column whose coordinates have a 2-norm, which is
         ||rho_k||_F >= max |rho_ij|, within ``NORM_SCREEN`` is healthy; any
@@ -794,7 +778,6 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         norms = []
         for g in groups:
             c = g.coords[:, :, live]
-            diag = _diagonal(c, g.diagonal)
             sq = (c * c).sum(axis=1)
             doubt = active & ~(sq <= NORM_SCREEN ** 2).all(axis=0)
             if doubt.any():
@@ -803,10 +786,6 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 healthy[cols] &= (np.abs(rho).reshape(
                     len(g.members), len(cols), -1).max(axis=2)
                     <= NORM_CAP).all(axis=0)
-            # the trace, added in entry order
-            dev = np.abs(sum(diag[1:], diag[0]) - 1.0)
-            np.fmax(trace_dev, np.where(active, dev.max(axis=0), 0.0),
-                    out=trace_dev)
             norms.append(np.sqrt(sq))
         bad = active & ~healthy
         if bad.any():
@@ -922,11 +901,5 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                     check(step * dt)
             del dal  # the next chunk is drawn without this one alive
 
-    trace_dev[~active] = 0.0
-    stats = BlockStats(trace_dev=trace_dev, blowups=tuple(blowups),
-                       positivity_skips=tuple(pos_skips))
-    if not stats.max_trace_dev <= TRACE_TRIPWIRE:
-        raise TrajectoryBlowupError(
-            t=t_final,
-            detail=f"trace drift {stats.max_trace_dev:.3e} above trip-wire")
-    return stats
+    return BlockStats(blowups=tuple(blowups),
+                      positivity_skips=tuple(pos_skips))

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import signal
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -556,6 +557,30 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
         assert manifest["files"] == {}
+
+    def test_sigterm_exit130_incomplete(self, tmp_path):
+        # a real child on a run of about 4e7 trajectory-steps, sent SIGTERM
+        # once it reports the run: the interrupt path, exit 130, one
+        # "interrupted" line and no traceback, an incomplete manifest
+        out = tmp_path / "out"
+        p = self._write(tmp_path, tiny_config(
+            out, m=20_000, t_final=2.0, full_density=False, recovery=False))
+        src = str(Path(snbd.cli.__file__).parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "snbd", "run", "--config", str(p),
+             "--verbose"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=dict(os.environ, PYTHONPATH=src))
+        try:
+            assert child.stderr.readline().startswith("running M=20000")
+            child.send_signal(signal.SIGTERM)
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 130
+        assert err == "interrupted\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
 
     def test_no_active_trajectory_exit5(self, tmp_path):
         # every trajectory skipped: no block has a minimum eigenvalue to

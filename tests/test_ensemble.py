@@ -26,11 +26,11 @@ from snbd.errors import (
 )
 from snbd.linalg import trace_distance, trace_distances
 from snbd.oracle import propagate_exact
+from snbd.system import InteractionTerm, ParticleSpec, SystemSpec
 from snbd.propagator import (
     TimeGrid,
     coordinate_densities,
     coordinate_rows,
-    propagate_block,
     propagate_trajectory,
 )
 
@@ -108,7 +108,8 @@ class TestLockstep:
         single = self._run(workers)
         arrays = [f.name for f in dataclasses.fields(lockstep)
                   if isinstance(getattr(lockstep, f.name), np.ndarray)]
-        assert {"counts", "rho_sum", "vec_sum", "trace_dev"} <= set(arrays)
+        assert {"counts", "obs_sum", "rho_sum", "vec_sum",
+                "min_eig"} <= set(arrays)
         for name in arrays:
             assert np.array_equal(getattr(lockstep, name),
                                   getattr(single, name)), name
@@ -253,7 +254,7 @@ class TestRecordSums:
                     sums = acc.obs_sum[j, :, r]
                     assert not np.signbit(sums).any()
                     assert not sums.any()
-                    assert not acc.obs_sq[j, :, r].any()
+                    assert not acc.obs_m2[j, :, r].any()
                     assert not acc.rho_sum[j, r].any()
                     assert not acc.vec_sum[j, r].any()
                     assert np.isinf(mins[j]).all()
@@ -262,13 +263,53 @@ class TestRecordSums:
                 assert np.array_equal(mins[j], own[sl][keep].min(axis=0))
                 kept = vals[sl][keep]
                 assert np.array_equal(acc.obs_sum[j, :, r], kept.sum(axis=0))
-                assert np.array_equal(acc.obs_sq[j, :, r],
-                                      (kept * kept).sum(axis=0))
+                dev = kept - kept.sum(axis=0) / len(kept)
+                assert np.array_equal(acc.obs_m2[j, :, r],
+                                      (dev * dev).sum(axis=0))
                 rho = xty([c[:, k] for k in rows], sl)
                 assert np.array_equal(acc.rho_sum[j, r], rho.reshape(-1))
                 vec = xty(vecs, sl)
                 assert np.array_equal(acc.vec_sum[j, r], vec.reshape(-1))
         assert all(n >= 5 for n in states.values()), states
+
+
+class TestStandardError:
+    def test_standard_error_is_the_two_pass_spread(self, monkeypatch):
+        # dims (3, 2, 2) from pure product states, with trajectories
+        # skipped from the 5th record on, down to 20 of 400 and two empty
+        # blocks at the last: at t = 0 every trajectory
+        # holds the same products to an ulp and the standard error reads
+        # no cancellation noise; at every later record it is the two-pass
+        # sample deviation of the products of the densities on_record was
+        # handed, over the active trajectories, divided by sqrt(m)
+        rng = np.random.default_rng(8)
+        dims = (3, 2, 2)
+        spec = SystemSpec(
+            particles=tuple(ParticleSpec(dim=d, h=random_hermitian(rng, d))
+                            for d in dims),
+            terms=tuple(InteractionTerm(omega=omega, ops=tuple(
+                random_hermitian(rng, d, 0.5) for d in dims))
+                for omega in (0.3, -0.2)),
+            initial=(np.diag([1.0, 0.0, 0.0]).astype(complex), DOWN, UP))
+        obs = (ObservableSpec("sz_1", (None, SZ, None)),
+               ObservableSpec("szsz_12", (None, SZ, SZ)))
+        seen = recorded_records(monkeypatch)
+        acc = run_ensemble(spec, TimeGrid(0.4, 1e-3, 20),
+                           EnsembleParams(m=400, master_seed=1, n_blocks=8,
+                                          blowup_policy="skip",
+                                          positivity_tol=0.1),
+                           observables=obs)
+        assert acc.active_counts[-1] == 20 and not acc.counts[:, -1].all()
+        for o in obs:
+            est = estimate_product_observable(acc, o.name)
+            assert est.stderr[0] <= 1e-15
+            for r, (coords, active, _) in enumerate(seen[1:], 1):
+                vals = np.prod([
+                    np.trace(a @ rho, axis1=1, axis2=2).real
+                    for a, rho in zip(o.materialize(dims),
+                                      densities(spec, coords))], axis=0)
+                se = np.std(vals[active], ddof=1) / np.sqrt(active.sum())
+                assert abs(est.stderr[r] - se) <= 1e-12 * se
 
 
 class TestRunEnsemble:
@@ -306,16 +347,18 @@ class TestRunEnsemble:
             assert abs(np.trace(rho) - 1.0) <= 1e-10
 
     def test_monitors(self, benchmark_system, monkeypatch):
-        # the trace monitor reads roundoff, and every density rebuilt from
-        # a record's coordinates is exactly Hermitian
+        # every density rebuilt from a record's coordinates has unit trace
+        # to roundoff and is exactly Hermitian
         seen = recorded_records(monkeypatch)
         acc = run_ensemble(benchmark_system, TimeGrid(0.2, 1e-3, 50),
                            loose(m=16, n_blocks=4))
-        assert acc.max_trace_dev <= 1e-12
         assert len(seen) == len(acc.times)
+        rhos = [rho for coords, _, _ in seen
+                for rho in densities(benchmark_system, coords)]
+        assert max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max()
+                   for rho in rhos) <= 1e-12
         assert all(np.array_equal(rho, rho.conj().swapaxes(1, 2))
-                   for coords, _, _ in seen
-                   for rho in densities(benchmark_system, coords))
+                   for rho in rhos)
         assert acc.count == 16
         assert acc.active_counts[-1] == 16
 
@@ -519,15 +562,6 @@ class TestMergeAndDeterminism:
             loose(m=m, master_seed=seed, full_density=True, n_blocks=8,
                   worker_count=workers),
             obs, (np.array([1, 0], complex), np.array([0, 1], complex)))
-
-    def test_parts_report_their_own_deviations(self):
-        acc = self._run(32)
-        spec = two_spin_system()
-        for b in range(acc.n_blocks):
-            start, stop = int(acc.edges[b]), int(acc.edges[b + 1])
-            stats = propagate_block(spec, 3, start, stop - start, 0.2, 1e-3,
-                                    50, lambda *_: None, positivity_tol=1e9)
-            assert acc.trace_dev[b] == stats.max_trace_dev
 
     def test_worker_count_invariance(self):
         serial = self._run(32, workers=1)
