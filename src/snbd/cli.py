@@ -130,12 +130,10 @@ def _write_observables(writer, cfg, acc, name="observables.csv"):
 def _write_positivity(writer, cfg, acc):
     if "csv" not in cfg.output.formats:
         return
-    # without an active trajectory no block has a minimum (each reads inf)
+    # without an active trajectory there is no minimum (it reads inf)
     acc.estimate_counts()
-    mins = acc.min_eig.min(axis=0)  # worst over blocks: (T, N)
     header = ["t"] + [f"min_eig_{k}" for k in range(len(cfg.system.particles))]
-    writer.write_csv("positivity.csv", header,
-                     [acc.times] + [mins[:, k] for k in range(mins.shape[1])])
+    writer.write_csv("positivity.csv", header, [acc.times] + list(acc.min_eig.T))
 
 
 def _write_recovery(writer, cfg, record):

@@ -339,7 +339,7 @@ def _parse_interaction(data, particles) -> tuple:
     return tuple(terms)
 
 
-def _parse_observables(data, n_particles) -> tuple:
+def _parse_observables(data) -> tuple:
     if data is None:
         return ()
     raw = _expect(data, "observables", list, "a list of observables")
@@ -354,9 +354,6 @@ def _parse_observables(data, n_particles) -> tuple:
         names.add(name)
         raw_factors = _expect(o["factors"], f"{path}.factors", list,
                               "a list of matrices (null = identity)")
-        if len(raw_factors) != n_particles:
-            _fail(f"{path}.factors",
-                  f"{len(raw_factors)} factors for {n_particles} particles")
         factors = tuple(
             None if f is None else _read_matrix(f, f"{path}.factors[{k}]")
             for k, f in enumerate(raw_factors))
@@ -380,13 +377,17 @@ def parse_config_dict(data, source="<config>") -> RunConfig:
                             required=("t_final", "dt")),
         ensemble=_parse_section(data.get("ensemble"), "ensemble",
                                 EnsembleParams, _ENSEMBLE_KEYS),
-        observables=_parse_observables(data.get("observables"),
-                                       system.n_particles),
+        observables=_parse_observables(data.get("observables")),
         recovery=_parse_section(data.get("recovery"), "recovery",
                                 RecoveryParams, _RECOVERY_KEYS),
         output=_parse_section(data.get("output"), "output", OutputParams,
                               _OUTPUT_KEYS),
     )
+    for i, obs in enumerate(cfg.observables):
+        try:
+            obs.materialize(system.dims)
+        except ShapeError as exc:
+            _fail(f"observables[{i}]", str(exc))
     all_refs = cfg.recovery.reference_vectors
     if all_refs is not None and len(all_refs) != system.n_particles:
         _fail("recovery.reference_vectors",

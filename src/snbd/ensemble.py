@@ -10,7 +10,8 @@ jackknife error bars; block boundaries depend only on (M, n_blocks).
 Consecutive blocks are propagated together, as one lockstep batch of up
 to ``LOCKSTEP_WIDTH`` trajectories, and each block's sums are reduced
 from its own slice of the batch, so results are bitwise independent of
-that grouping and of the worker count.
+that grouping and of the worker count.  Each run's minimum eigenvalues
+are merged with ``np.minimum``, which no split of the runs can change.
 
 Every record sum is read from the coordinates propagate_block steps,
 c_k with rho_k = sum_a c_{k,a} B_a in an orthonormal Hermitian basis,
@@ -168,7 +169,7 @@ class EnsembleAccumulator:
                                      # deviations from the block's mean, summed
     rho_sum: np.ndarray              # (n_blocks, T, D^2) coordinates, or None
     vec_sum: np.ndarray              # (n_blocks, T, D) complex, or None
-    min_eig: np.ndarray              # (n_blocks, T, N)
+    min_eig: np.ndarray              # (T, N) over every active trajectory
 
     @property
     def n_blocks(self) -> int:
@@ -308,8 +309,8 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     boundaries are ``edges``, as one batch (worker-safe).
 
     Returns the run's rows of the accumulator's per-block arrays by name,
-    block axis first (None for a sum the run does not keep), and its two
-    skip lists.
+    block axis first (None for a sum the run does not keep), the run's
+    (T, N) minimum eigenvalues, and its two skip lists.
     """
     n = spec.n_particles
     n_obs = obs_stacks[0].shape[0] if obs_stacks else 0
@@ -347,7 +348,7 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
                if ensemble.full_density else None)
     vec_sum = (np.zeros((rows, n_times, spec.full_dim), dtype=complex)
                if refs is not None else None)
-    min_eig = np.full((rows, n_times, n), np.inf)
+    min_eig = np.empty((n_times, n))
 
     def xty(factors):
         """Each block's X^T @ Y, (rows, a * b), one stacked product per
@@ -358,7 +359,7 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
 
     def on_record(r, t, coords, active, mins):
         counts[:, r] = np.add.reduceat(active, firsts, dtype=np.int64)
-        min_eig[:, r] = mins
+        min_eig[r] = mins
         filled = counts[:, r] > 0
         if not filled.any():
             return
@@ -400,12 +401,10 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     stats = propagate_block(
         spec, ensemble.master_seed, start, count, time.t_final, time.dt,
         time.record_stride, on_record,
-        positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy,
-        block_starts=firsts)
+        positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy)
     sums = dict(counts=counts, obs_sum=obs_sum,
-                obs_m2=obs_m2, rho_sum=rho_sum, vec_sum=vec_sum,
-                min_eig=min_eig)
-    return sums, stats.blowups, stats.positivity_skips
+                obs_m2=obs_m2, rho_sum=rho_sum, vec_sum=vec_sum)
+    return sums, min_eig, stats.blowups, stats.positivity_skips
 
 
 def _take(pending: dict, future) -> tuple:
@@ -463,22 +462,24 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     edges = block_edges(ensemble.m, ensemble.n_blocks)
     n_blocks = len(edges) - 1
     runs = block_runs(edges, ensemble.worker_count)
-    # the accumulator's record sums, plus, for each run in flight (one per
-    # worker), the rows it fills and, for the full density, the Y factor
-    # each of its records forms over the run's width.  A block's row per
-    # record: its count, each observable's sum and spread, each
-    # particle's minimum eigenvalue, and the density's coordinate sums and
-    # the complex reference-vector sums when kept
+    # the accumulator's record sums and minima, plus, for each run in
+    # flight (one per worker), the rows it fills, its own minima and, for
+    # the full density, the Y factor each of its records forms over the
+    # run's width.  A block's row per record: its count, each observable's
+    # sum and spread, and the density's coordinate sums and the complex
+    # reference-vector sums when kept; the minima, (T, N), are per run
     d = spec.full_dim
     per_row = len(times) * (
-        8 + 16 * len(observables) + 8 * spec.n_particles
+        8 + 16 * len(observables)
         + (8 * d * d if ensemble.full_density else 0)
         + (16 * d if refs is not None else 0))
+    minima = len(times) * 8 * spec.n_particles
     in_flight = min(ensemble.worker_count, len(runs))
     rows = max(stop - first for first, stop in runs)
     width = max(int(edges[stop] - edges[first]) for first, stop in runs)
     y = width * 8 * d * d // spec.dims[0] ** 2 if ensemble.full_density else 0
-    total = per_row * n_blocks + in_flight * (per_row * rows + y)
+    total = (per_row * n_blocks + minima
+             + in_flight * (per_row * rows + minima + y))
     if total > DEFAULT_MEMORY_LIMIT:
         raise DimensionLimitError(
             f"the record sums need ~{total // (1 << 20)} MiB, "
@@ -505,7 +506,8 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     tasks = [(spec, time, ensemble, edges[first:stop + 1], obs_stacks, refs)
              for first, stop in runs]
     sums, blowups, positivity_skips = None, (), ()
-    for i, (run_sums, blown, skipped) in _run_results(
+    min_eig = np.full((len(times), spec.n_particles), np.inf)
+    for i, (run_sums, run_min, blown, skipped) in _run_results(
             tasks, ensemble.worker_count):
         # the runs tile the blocks, so every row is written by one run, in
         # whatever order the runs arrive
@@ -517,9 +519,10 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
         for name in sums:
             if run_sums[name] is not None:
                 sums[name][first:stop] = run_sums[name]
+        np.minimum(min_eig, run_min, out=min_eig)
         blowups += blown
         positivity_skips += skipped
-        del run_sums  # free before the next run: the memory gate counts one
+        del run_sums, run_min  # free before the next run: the gate counts one
 
     return EnsembleAccumulator(
         times=times,
@@ -529,6 +532,7 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
         recovery_refs=refs,
         blowups=tuple(sorted(blowups)),
         positivity_skips=tuple(sorted(positivity_skips)),
+        min_eig=min_eig,
         **sums,
     )
 

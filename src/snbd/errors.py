@@ -48,13 +48,14 @@ class ConfigError(SnbdError):
 
 
 class TrajectoryBlowupError(SnbdError):
-    """A stochastic trajectory produced NaN/Inf entries."""
+    """A trajectory diverged: a density entry NaN, inf or beyond NORM_CAP."""
 
     def __init__(self, t, trajectory=None):
         self.t = t
         self.trajectory = trajectory
         where = f"trajectory {trajectory}, " if trajectory is not None else ""
-        super().__init__(f"{where}t={t:.6g}: non-finite density entries")
+        super().__init__(f"{where}t={t:.6g}: diverged: a density entry is "
+                         f"NaN, inf or beyond NORM_CAP (1e4)")
 
 
 class PositivityViolationError(SnbdError):

@@ -51,7 +51,7 @@ notes).  The monitors read as little as they must:
   and Hermiticity need no reading, see above and ``_upper_map``);
 - a spin-1/2's smallest eigenvalue is closed-form in its coordinates;
   a d = 3 density's is eigvalsh's, but a certified screen hands eigvalsh
-  only the few densities that can decide a block's minimum or the
+  only the few densities that can decide the batch's minimum or the
   positivity test (``_screened_minima``, ``_below``): a floating-point
   LDL^H of rho - (s + sigma) I with positive pivots proves that eigvalsh
   reads more than s, where the allowance sigma = 2^-40 (||rho||_F + |s|)
@@ -61,7 +61,7 @@ notes).  The monitors read as little as they must:
 A density handed to eigvalsh is rebuilt as a matrix, exactly Hermitian
 (the lower triangle the conjugate of the upper), by term-by-term
 arithmetic whose bits do not depend on which densities are formed, so
-every decision (divergence, positivity, each block's minimum) is bit for
+every decision (divergence, positivity, the batch's minimum) is bit for
 bit the one a rebuild of every density would take.
 
 ``propagate_block`` is the only code that advances densities: it steps a
@@ -181,9 +181,9 @@ TRACE_TRIPWIRE = 1e-8
 #: (the bound it rests on is in ``_ldl_positive``).
 CERTIFICATE_ALLOWANCE = 2.0 ** -40
 
-#: The d = 3 screen's margin on a block's least closed-form estimate,
+#: The d = 3 screen's margin on the batch's least closed-form estimate,
 #: relative to 1 + |estimate|; it sets how many matrices reach eigvalsh,
-#: not the value a block reads.
+#: not the value the batch reads.
 ESTIMATE_MARGIN = 2.0 ** -20
 
 #: What propagate_block does with a diverged or non-positive trajectory.
@@ -631,45 +631,31 @@ def _below(e: np.ndarray, norms: np.ndarray, tol: float, exact: np.ndarray,
     return need & ~(exact >= -tol)
 
 
-def _segment_min(x: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """The minimum of x over each segment [seg[i], seg[i + 1]), the last
-    one to the end; inf for an empty segment."""
-    out = np.full(len(seg), np.inf)
-    filled = seg < np.append(seg[1:], len(x))
-    if filled.any():
-        out[filled] = np.minimum.reduceat(x, seg[filled])
-    return out
+def _screened_minima(e: np.ndarray, norms: np.ndarray, exact: np.ndarray,
+                     matrices) -> float:
+    """The smallest eigvalsh eigenvalue of 3 x 3 densities, bit for bit,
+    from their planes e (12, M) and Frobenius norms, with eigvalsh run on
+    few of them (through ``matrices``, see ``_solve``); inf when M = 0.
 
-
-def _screened_minima(e: np.ndarray, norms: np.ndarray, seg: np.ndarray,
-                     exact: np.ndarray, matrices) -> np.ndarray:
-    """Each segment's smallest eigvalsh eigenvalue of 3 x 3 densities, bit
-    for bit, from their planes e (12, M) and Frobenius norms, with
-    eigvalsh run on few of them (through ``matrices``, see ``_solve``).
-
-    ``seg`` holds the segments' first indices (a block's trajectories) and
-    ``exact`` eigvalsh's values where known, NaN elsewhere; it takes the
-    values computed here.  Per segment, m is the least closed-form
+    ``exact`` holds eigvalsh's values where known, NaN elsewhere; it takes
+    the values computed here.  The bound m is the least closed-form
     estimate plus a margin.  A density whose LDL^H of rho - (m + sigma) I
     passes has an eigvalsh value > m and is ruled out; the rest are
     solved.  If their least value mu is at most m, every ruled-out value
-    is above it and mu is the minimum; otherwise the whole segment is
-    solved.  So the estimate's accuracy sets only how many are solved.
+    is above it and mu is the minimum; otherwise every density is solved.
+    So the estimate's accuracy sets only how many are solved.
     """
     if not len(norms):
-        return np.full(len(seg), np.inf)
-    owner = np.repeat(np.arange(len(seg)), np.diff(np.append(seg, len(norms))))
-    low = _segment_min(_trig_min_estimate(e), seg)
-    bound = low + ESTIMATE_MARGIN * (1.0 + np.abs(low))
-    m = bound[owner]
-    _solve(matrices, ~_ldl_positive(e, m + _allowance(norms, m))
+        return np.inf
+    low = _trig_min_estimate(e).min()
+    bound = low + ESTIMATE_MARGIN * (1.0 + abs(low))
+    _solve(matrices, ~_ldl_positive(e, bound + _allowance(norms, bound))
            & np.isnan(exact), exact)
-    mins = _segment_min(np.where(np.isnan(exact), np.inf, exact), seg)
-    redo = mins > bound
-    if redo.any():
-        _solve(matrices, redo[owner] & np.isnan(exact), exact)
-        mins[redo] = _segment_min(exact, seg)[redo]
-    return mins
+    least = np.where(np.isnan(exact), np.inf, exact).min()
+    if least > bound:
+        _solve(matrices, np.isnan(exact), exact)
+        least = exact.min()
+    return least
 
 
 def _selection(on: np.ndarray, count: int):
@@ -695,7 +681,7 @@ def _draw_noise_chunk(rngs, n_steps, p, r, dt):
 def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                     t_final: float, dt: float, record_stride: int,
                     on_record, *, positivity_tol: float = None,
-                    policy: str = "abort", block_starts=None) -> BlockStats:
+                    policy: str = "abort") -> BlockStats:
     """Propagate trajectories [start, start + count) in lockstep.
 
     ``on_record(record_index, t, coords, active, min_eigs)`` is called at
@@ -705,14 +691,14 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     start % COLUMN_ALIGN + j (the other columns are padding).  C is the
     propagator's own array, valid during the call only.  ``active`` is
     the mask of trajectories still active after this record's checks and
-    ``min_eigs`` (n_blocks, N) each block's smallest eigenvalue of each
-    particle over those trajectories, inf for a block with none.  The
-    blocks start at ``block_starts`` (ascending offsets into the batch,
-    the first 0); by default each trajectory is a block of its own.
+    ``min_eigs`` (N,) each particle's smallest eigenvalue over those
+    trajectories, inf when there are none.  A minimum is exact, so the
+    minima of any split of the trajectories, merged with ``np.minimum``,
+    are the batch's.
 
     A spin-1/2 reads its smallest eigenvalue in closed form from its
     coordinates; a larger particle reads ``eigvalsh`` of its rebuilt
-    density, bit for bit, although a d = 3 block solves only the few
+    density, bit for bit, although a d = 3 particle solves only the few
     matrices a certified screen cannot rule out (``_screened_minima``),
     and the positivity test solves only those it cannot clear.  Each
     trajectory consumes its own Philox stream, so results are independent
@@ -721,8 +707,9 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     ``NOISE_CHUNK_BYTES`` (one step when a single step of the batch is
     larger).
 
-    ``policy`` is "abort" (raise on the first NaN/Inf or positivity
-    violation, at the recording time where it is detected) or "skip"
+    ``policy`` is "abort" (raise on the first divergence, an entry NaN,
+    inf or beyond ``NORM_CAP``, or positivity violation, at the check or
+    recording time where it is detected) or "skip"
     (deactivate the offending trajectories and keep going; skipped
     indices are reported in the returned stats).
 
@@ -739,8 +726,6 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         positivity_tol = positivity_tolerance(dt, spec, t_final)
     n = spec.n_particles
     p = len(spec.terms)
-    starts = (np.arange(count) if block_starts is None
-              else np.asarray(block_starts, dtype=np.intp))
 
     # trajectory j in column j - COLUMN_ALIGN * (start // COLUMN_ALIGN)
     live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
@@ -853,17 +838,16 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                     tol=positivity_tol, trajectory=start + first)
             pos_skips.extend((start + int(b)) for b in np.nonzero(viol)[0])
             active[viol] = False
-        min_eigs = np.full((len(starts), n), np.inf)
+        min_eigs = np.empty(n)
         on = np.flatnonzero(active)
-        sel, seg = _selection(on, count), np.searchsorted(on, starts)
+        sel = _selection(on, count)
         for g, src, nm, (vals, _) in zip(groups, srcs, norms, found):
             if g.dim != 3:
-                min_eigs[:, g.members] = np.minimum.reduceat(
-                    np.where(active, vals, np.inf), starts, axis=1).T
+                min_eigs[g.members] = np.where(active, vals, np.inf).min(axis=1)
                 continue
             for j, (k, (matrices, e)) in enumerate(zip(g.members, src)):
-                min_eigs[:, k] = _screened_minima(
-                    e[:, sel], nm[j, sel], seg, vals[j, sel],
+                min_eigs[k] = _screened_minima(
+                    e[:, sel], nm[j, sel], vals[j, sel],
                     lambda index, m=matrices: m(on[index]))
         on_record(r_index, t, coords, active.copy(), min_eigs)
 

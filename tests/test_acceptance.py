@@ -144,7 +144,7 @@ def _window(acc):
         acc, times=acc.times[:n], counts=acc.counts[:, :n],
         obs_sum=acc.obs_sum[..., :n], obs_m2=acc.obs_m2[..., :n],
         rho_sum=acc.rho_sum[:, :n], vec_sum=acc.vec_sum[:, :n],
-        min_eig=acc.min_eig[:, :n])
+        min_eig=acc.min_eig[:n])
 
 
 def test_criterion_01_exactness_benchmark(flagship):
@@ -219,7 +219,7 @@ def _worst_violation(spec, dt, t_final, m, seed):
 
     def on_record(r, t, rhos, active, mins):
         if active.any():
-            worst[0] = max(worst[0], float(max(0.0, -mins[active].min())))
+            worst[0] = max(worst[0], float(max(0.0, -mins.min())))
 
     propagate_block(spec, seed, 0, m, t_final, dt, 1, on_record,
                     positivity_tol=1e9, policy="skip")

@@ -323,6 +323,55 @@ class TestCli:
         for name in ("manifest.json", "observables.csv", "density.bin"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_mixed_dimensions_same_bytes_at_any_worker_count(self, tmp_path):
+        # dims (3, 2, 2) shaped like the mixed-dimension benchmark: 40
+        # trajectories in 4 blocks, one run at one worker, two at two and
+        # four at three.  The tolerance skips some trajectories and keeps
+        # others, so each run's minima, the spin-1's from the certified
+        # screen, are merged over different splits; every file,
+        # positivity.csv included, is the same bytes
+        r = 1 / np.sqrt(2)
+        s1x = [[0, r, 0], [r, 0, r], [0, r, 0]]
+        s1y = [[0, [0, -r], 0], [[0, r], 0, [0, -r]], [0, [0, r], 0]]
+        s1z = [[1, 0, 0], [0, 0, 0], [0, 0, -1]]
+        sx, sy, sz = ([[0, 0.5], [0.5, 0]], [[0, [0, -0.5]], [[0, 0.5], 0]],
+                      [[0.5, 0], [0, -0.5]])
+        data = {
+            "system": {
+                "particles": [{"dim": 3, "h": [[0.5, 0, 0], [0, 0, 0],
+                                               [0, 0, -0.5]]},
+                              {"dim": 2, "h": sz}, {"dim": 2, "h": sz}],
+                "interaction": {"terms": [
+                    {"omega": 0.2, "ops": [s1x, sx, sx]},
+                    {"omega": 0.2, "ops": [s1y, sy, sy]},
+                    {"omega": 0.2, "ops": [s1z, sz, sz]}]},
+                "initial": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                            [[0, 0], [0, 1]], [[1, 0], [0, 0]]],
+            },
+            "time": {"t_final": 0.2, "dt": 0.001, "record_stride": 2},
+            "ensemble": {"M": 40, "master_seed": 5, "n_blocks": 4,
+                         "full_density": True, "blowup_policy": "skip",
+                         "positivity_tol": 0.1},
+            "observables": [{"name": "Sz_0", "factors": [s1z, None, None]}],
+            "recovery": {"enabled": True},
+            "output": {"directory": str(tmp_path / "w1"),
+                       "formats": ["csv", "bin"]},
+        }
+        p = self._write(tmp_path, data)
+        outs = [tmp_path / f"w{workers}" for workers in (1, 2, 3)]
+        for workers, out in zip((1, 2, 3), outs):
+            assert main(["compare", "--config", str(p), "--quiet", "--out",
+                         str(out), "--workers", str(workers)]) == EXIT_OK
+        diag = json.loads((outs[0] / "manifest.json").read_text())["diagnostics"]
+        assert diag["skipped_positivity"] > 0
+        names = sorted(q.name for q in outs[0].iterdir())
+        assert "positivity.csv" in names
+        for out in outs[1:]:
+            assert sorted(q.name for q in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == \
+                    (outs[0] / name).read_bytes(), name
+
     def test_seed_override_changes_data(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         p = self._write(tmp_path, tiny_config(out1))
@@ -483,6 +532,22 @@ class TestCli:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sub", ["validate", "run"])
+    def test_observable_factor_of_wrong_dimension_exit2(self, tmp_path,
+                                                        capsys, sub):
+        # the shipped config with a 3 x 3 factor on a spin-1/2: refused
+        # while parsing, before any output is written
+        data = json.loads(FIXTURE.read_text())
+        data["observables"][0]["factors"][0] = [[1, 0, 0], [0, 0, 0],
+                                                [0, 0, -1]]
+        out = tmp_path / "out"
+        data["output"]["directory"] = str(out)
+        p = self._write(tmp_path, data)
+        assert main([sub, "--config", str(p), "--quiet"]) == EXIT_CONFIG
+        assert ("observables[0]: observable 'sz_0', factor 0: dim 3 != "
+                "particle dim 2") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_output_exit7_incomplete(self, tmp_path, capsys):
         # finite entries whose products overflow: the shipped config with
         # an observable factor entry of 1e308 gives a mean of inf and a
@@ -583,7 +648,7 @@ class TestCli:
         assert manifest["status"] == "incomplete"
 
     def test_no_active_trajectory_exit5(self, tmp_path):
-        # every trajectory skipped: no block has a minimum eigenvalue to
+        # every trajectory skipped: there is no minimum eigenvalue to
         # report, so positivity.csv, the only file left to write, is a
         # missing-data failure rather than a column of inf
         out = tmp_path / "out"

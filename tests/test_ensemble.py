@@ -118,7 +118,7 @@ class TestLockstep:
 
 
 def recorded_records(monkeypatch):
-    """Keep the (live coordinate columns, active mask, block minima) of
+    """Keep the (live coordinate columns, active mask, batch minima) of
     every record the ensemble's propagate_block hands on_record, in order,
     in the list returned (one run, starting at trajectory 0)."""
     seen = []
@@ -190,13 +190,14 @@ class TestRecordSums:
             acc.rho_sum.sum(axis=0), spec.dims))
 
     def test_stacked_sums_are_each_block_alone(self, monkeypatch):
-        # the same run with two observables: every sum and minimum of every
-        # block at every record is bitwise the per-block reduction over the
-        # block's active rows written out below, for blocks of both widths
-        # while fully, partly and not active; a block with no active row
-        # keeps its zeros and reads inf minima.  The minima are those of
-        # each trajectory: the qutrit's eigvalsh of the density rebuilt
-        # from the coordinates, a spin-1/2's closed form in them
+        # the same run with two observables: every sum of every block at
+        # every record is bitwise the per-block reduction over the block's
+        # active rows written out below, for blocks of both widths while
+        # fully, partly and not active; a block with no active row keeps
+        # its zeros.  The minima at every record are the least over every
+        # active trajectory of each one's own: the qutrit's eigvalsh of the
+        # density rebuilt from the coordinates, a spin-1/2's closed form in
+        # them (inf once none is active)
         spec = interleaved_system()
         rng = np.random.default_rng(5)
         refs = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -244,7 +245,9 @@ class TestRecordSums:
                 for rho, x, d in zip(densities(spec, coords),
                                      [coords[k] for k in rows], spec.dims)],
                 axis=1)
-            assert np.array_equal(acc.min_eig[:, r], mins)
+            assert np.array_equal(acc.min_eig[r], mins)
+            assert np.array_equal(mins, np.where(
+                active[:, None], own, np.inf).min(axis=0))
             for j in range(acc.n_blocks):
                 sl = slice(acc.edges[j], acc.edges[j + 1])
                 keep = active[sl]
@@ -257,10 +260,8 @@ class TestRecordSums:
                     assert not acc.obs_m2[j, :, r].any()
                     assert not acc.rho_sum[j, r].any()
                     assert not acc.vec_sum[j, r].any()
-                    assert np.isinf(mins[j]).all()
                     continue
                 states["full" if keep.all() else "partial"] += 1
-                assert np.array_equal(mins[j], own[sl][keep].min(axis=0))
                 kept = vals[sl][keep]
                 assert np.array_equal(acc.obs_sum[j, :, r], kept.sum(axis=0))
                 dev = kept - kept.sum(axis=0) / len(kept)
@@ -376,10 +377,11 @@ class TestRunEnsemble:
     def test_memory_gate_counts_every_run_in_flight(self, benchmark_system,
                                                     monkeypatch):
         # D = 4, N = 2, 2 records, 4 blocks of 2 in 4 runs of one block: a
-        # block's record sums take 2 * (128 + 8 + 16) B = 304 B (density
-        # coordinates, count, minimum eigenvalues), so the accumulator takes
-        # 1216 B, and each run in flight its 304 B row and its real Y
-        # factor, 2 * 4 * 8 B: 1584 B at one worker, 1952 B at two
+        # block's record sums take 2 * (128 + 8) B = 272 B (density
+        # coordinates, count) and the minimum eigenvalues 2 * 2 * 8 B =
+        # 32 B, so the accumulator takes 4 * 272 + 32 = 1120 B, and each
+        # run in flight its 272 B row, its 32 B of minima and its real Y
+        # factor, 2 * 4 * 8 B: 1488 B at one worker, 1856 B at two
         monkeypatch.setattr(snbd.ensemble, "LOCKSTEP_WIDTH", 2)
         monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 1800)
         grid = TimeGrid(0.1, 1e-3, 100)
@@ -398,8 +400,9 @@ class TestRunEnsemble:
     def test_memory_gate_counts_the_reference_vector_sums(
             self, benchmark_system, monkeypatch):
         # 4 blocks of 2 in one run, 11 records: without reference vectors
-        # the accumulator and the run each take 4 * 11 * 24 B = 1056 B of
-        # record sums; vec_sum alone takes 4 * 11 * 4 * 16 B = 2816 B
+        # the accumulator and the run each take 4 * 11 * 8 B = 352 B of
+        # counts and 11 * 2 * 8 B = 176 B of minimum eigenvalues, 1056 B in
+        # all; vec_sum alone takes 4 * 11 * 4 * 16 B = 2816 B
         monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 2800)
         grid = TimeGrid(0.01, 1e-3, 1)
         assert run_ensemble(benchmark_system, grid,

@@ -200,6 +200,18 @@ def collect(spec, seed, start, count, t_final, dt, stride, coords=False,
     return frames, stats
 
 
+def trajectory_minima(spec, coords):
+    """(B, N) each trajectory's smallest eigenvalue per particle from the
+    coordinates (d^2, B) of each particle: a spin-1/2's closed form,
+    written as the propagator writes it, and eigvalsh of the rebuilt
+    density otherwise."""
+    return np.stack([
+        (c[0] - np.sqrt(c[1] ** 2 + c[2] ** 2 + c[3] ** 2)) / np.sqrt(2.0)
+        if d == 2
+        else np.linalg.eigvalsh(coordinate_densities(c, d)).min(axis=1)
+        for c, d in zip(coords, spec.dims)], axis=1)
+
+
 def zero_draw(rngs, n_steps, p, r, dt):
     """Stand-in for the noise draw: exact zeros, the noise-free generator."""
     return np.zeros((len(rngs), n_steps, p, r))
@@ -443,6 +455,26 @@ class TestEmStep:
             propagate_trajectory(benchmark_system, 1e-3, 1e-3, 1,
                                  rng_seed=(0, 0), positivity_tol=np.inf)
 
+    def test_blowup_message_says_what_the_check_found(
+            self, benchmark_system, monkeypatch):
+        # the divergence check raises for an entry beyond NORM_CAP as well
+        # as for NaN and inf: in this run the one density it rebuilds
+        # before it aborts is finite, its largest entry 1.2e7
+        rebuilt = []
+        rebuild = propagator.coordinate_densities
+        monkeypatch.setattr(propagator, "coordinate_densities",
+                            lambda c, d: rebuilt.append(rebuild(c, d))
+                            or rebuilt[-1])
+        with pytest.raises(TrajectoryBlowupError) as caught:
+            propagate_block(benchmark_system, 1, 0, 64, 2.0, 1e-2, 10,
+                            lambda *args: None, positivity_tol=np.inf)
+        assert str(caught.value) == (
+            "trajectory 55, t=0.8: diverged: a density entry is NaN, inf "
+            "or beyond NORM_CAP (1e4)")
+        assert propagator.NORM_CAP == 1e4
+        assert np.isfinite(rebuilt[-1]).all()
+        assert np.abs(rebuilt[-1]).max() > propagator.NORM_CAP
+
 
 # ---------------------------------------------------------------------------
 # the mean step, averaged exactly over the noise
@@ -622,9 +654,10 @@ class TestPropagateTrajectory:
         # 8, with and without leading padding) and of widths 1 to
         # LOCKSTEP_WIDTH: each of their trajectories is bitwise that
         # trajectory of one wide block, in every record's coordinates
-        # (coordinate 0 carries the trace) and minimum eigenvalue, and so is
-        # propagate_trajectory; the wide block's minima over blocks of 8
-        # are those of its trajectories.  The systems reach noise and
+        # (coordinate 0 carries the trace), and so is propagate_trajectory;
+        # every block's minima are bitwise the least, over its columns, of
+        # the per-trajectory values computed from the wide block's
+        # coordinates (trajectory_minima).  The systems reach noise and
         # mean-field factors of 4 x 2 and 4 x 8 (one term), k = 16
         # (d = 4), two dimension groups with noise blocks of 6 x 5 (N = 3,
         # an odd inner dimension), and three noise blocks of 16 x 15 and a
@@ -637,23 +670,19 @@ class TestPropagateTrajectory:
         wide = 17 + LOCKSTEP_WIDTH
         ref, _ = collect(spec, 6, 0, wide, *grid, coords=True,
                          positivity_tol=np.inf)
-        starts = np.arange(0, wide, 8)
-        blocked, _ = collect(spec, 6, 0, wide, *grid, coords=True,
-                             positivity_tol=np.inf, block_starts=starts)
-        for (_, _, _, mins), (_, _, _, ref_mins) in zip(blocked, ref,
-                                                         strict=True):
-            assert np.array_equal(
-                mins, np.minimum.reduceat(ref_mins, starts, axis=0))
+        own = [trajectory_minima(spec, cs) for _, cs, _, _ in ref]
+        for (_, _, _, mins), values in zip(ref, own, strict=True):
+            assert np.array_equal(mins, values.min(axis=0))
         for width in (1, 2, 7, 8, 9, 17, 64, LOCKSTEP_WIDTH):
             for start in range(18):
                 frames, _ = collect(spec, 6, start, width, *grid,
                                     coords=True, positivity_tol=np.inf)
                 cols = slice(start, start + width)
-                for (_, cs, _, mins), (_, ref_cs, _, ref_mins) in zip(
-                        frames, ref, strict=True):
+                for (_, cs, _, mins), (_, ref_cs, _, _), values in zip(
+                        frames, ref, own, strict=True):
                     assert all(np.array_equal(x, y[:, cols])
                                for x, y in zip(cs, ref_cs, strict=True))
-                    assert np.array_equal(mins, ref_mins[cols])
+                    assert np.array_equal(mins, values[cols].min(axis=0))
         for j in (0, 7, 13, wide - 1):
             snaps = propagate_trajectory(spec, *grid, rng_seed=(6, j),
                                          positivity_tol=np.inf)
@@ -706,8 +735,8 @@ class TestPropagateTrajectory:
             assert np.abs(first[k][:, 0]
                           - hermitian_coordinates(expected)).max() <= 1e-15
             if rho.shape[0] == 3:
-                assert np.abs(mins[:, k] - np.linalg.eigvalsh(
-                    expected).min()).max() <= 1e-15
+                assert abs(mins[k] - np.linalg.eigvalsh(
+                    expected).min()) <= 1e-15
 
 
 class TestPositivityReport:
@@ -716,7 +745,7 @@ class TestPositivityReport:
     def test_free_evolution_is_isospectral(self):
         spec = free_two_spin_system(initial=(UP, DOWN))
         frames, _ = collect(spec, 0, 0, 1, 1.0, 1e-3, 100)
-        min_eigs = np.stack([mins[0] for _, _, _, mins in frames])
+        min_eigs = np.stack([mins for _, _, _, mins in frames])
         assert min_eigs.shape == (11, 2)
         assert np.abs(min_eigs).max() <= 1e-12
         assert max(0.0, -min_eigs.min()) <= 1e-12
@@ -736,17 +765,22 @@ class TestPositivityReport:
     def test_min_eigs_are_those_of_the_densities(self, make):
         # a spin-1/2 reads its closed form to within 1e-15 of eigvalsh of
         # the density rebuilt from the coordinates handed on; a qutrit reads
-        # eigvalsh of that density itself, bit for bit
-        frames, _ = collect(make(), 3, 0, 16, 0.2, 1e-3, 20,
-                            positivity_tol=np.inf)
-        for _, rhos, active, mins in frames:
-            assert active.all()
-            for k, rho in enumerate(rhos):
-                exact = np.linalg.eigvalsh(rho).min(axis=1)
-                if rho.shape[-1] == 2:
-                    assert np.abs(mins[:, k] - exact).max() <= 1e-15
-                else:
-                    assert np.array_equal(mins[:, k], exact)
+        # eigvalsh of that density itself, bit for bit: the least over a
+        # batch of 16, and each of its trajectories in a run of its own
+        spec = make()
+        runs = [collect(spec, 3, j, 1, 0.2, 1e-3, 20,
+                        positivity_tol=np.inf)[0] for j in range(16)]
+        batch, _ = collect(spec, 3, 0, 16, 0.2, 1e-3, 20,
+                           positivity_tol=np.inf)
+        for frames in runs + [batch]:
+            for _, rhos, active, mins in frames:
+                assert active.all()
+                for k, rho in enumerate(rhos):
+                    exact = np.linalg.eigvalsh(rho).min()
+                    if rho.shape[-1] == 2:
+                        assert abs(mins[k] - exact) <= 1e-15
+                    else:
+                        assert mins[k] == exact
 
     def test_pure_spins_read_nonnegative(self):
         # random pure spin-1/2 states read >= -1e-15 at t = 0, and their
@@ -768,7 +802,7 @@ class TestPositivityReport:
         dt = 5e-6
         frames, _ = collect(benchmark_system, 123, 0, 1, 0.02, dt, 4000,
                             positivity_tol=np.inf)
-        worst = frames[-1][3][0].min()
+        worst = frames[-1][3].min()
         assert -0.4 * 0.02 * 1.6 <= worst <= -0.4 * 0.02 * 0.6
 
 
@@ -906,7 +940,7 @@ def screen_stack(seed, kind, gap, scale, n):
 
 class TestMinimumScreen:
     """The d = 3 screen reads, bit for bit, what eigvalsh over every
-    matrix reads: each block's smallest eigenvalue and each matrix's
+    matrix reads: a batch's smallest eigenvalue and each matrix's
     positivity verdict, whatever its estimate of the minima."""
 
     @settings(max_examples=200, deadline=None)
@@ -923,8 +957,8 @@ class TestMinimumScreen:
                                               widths, estimate, pick, nudge):
         # ``estimate`` None runs the closed form and its margin; a number
         # replaces them by eigvalsh's own minima that far off (times the
-        # scale), with no margin, so that a block's bound sits at or next
-        # to its minimum
+        # scale), with no margin, so that a batch's bound sits at or next
+        # to its minimum.  Each drawn width is a batch of its own
         n = sum(widths)
         rho, e = screen_stack(seed, kind, gap, scale, n)
         norms = np.sqrt((np.abs(rho) ** 2).sum(axis=(1, 2)))
@@ -942,10 +976,11 @@ class TestMinimumScreen:
                     propagator, "_trig_min_estimate", off))
                 patches.enter_context(mock.patch.object(
                     propagator, "ESTIMATE_MARGIN", 0.0))
-            mins = propagator._screened_minima(
-                e, norms, seg, np.full(n, np.nan), rho.__getitem__)
-        assert np.array_equal(mins, [exact[a:a + w].min()
-                                     for a, w in zip(seg, widths)])
+            for a, w in zip(seg, widths):
+                batch = slice(a, a + w)
+                assert propagator._screened_minima(
+                    e[:, batch], norms[batch], np.full(w, np.nan),
+                    rho[batch].__getitem__) == exact[batch].min()
         # thresholds at a matrix's own value, one ulp either side of it,
         # or 1e-13 of the scale away
         value = exact[pick % n]
@@ -956,9 +991,9 @@ class TestMinimumScreen:
         assert np.array_equal(below, ~(exact >= -tol))
 
     def test_screen_solves_few_of_many(self):
-        # 400 conjugated random spectra in 8 blocks of 50: the screen
-        # solves about one matrix per block, and none for a threshold that
-        # clears every matrix by its norm
+        # one batch of 400 conjugated random spectra: the screen solves
+        # about one matrix, and none for a threshold that clears every
+        # matrix by its norm
         rho, e = screen_stack(3, "random", 0.0, 1.0, 400)
         norms = np.sqrt((np.abs(rho) ** 2).sum(axis=(1, 2)))
         solved = []
@@ -967,10 +1002,8 @@ class TestMinimumScreen:
             solved.append(len(index))
             return rho[index]
 
-        seg = np.arange(0, 400, 50)
-        propagator._screened_minima(e, norms, seg, np.full(400, np.nan),
-                                    matrices)
-        assert sum(solved) <= 16
+        propagator._screened_minima(e, norms, np.full(400, np.nan), matrices)
+        assert sum(solved) <= 2
         solved.clear()
         assert not propagator._below(e, norms, 10.0, np.full(400, np.nan),
                                      matrices).any()
