@@ -266,20 +266,8 @@ def _parse_system(data) -> SystemSpec:
 
     raw_initial = _expect(data["initial"], "system.initial", list,
                           "a list of one-body densities")
-    if len(raw_initial) != len(particles):
-        _fail("system.initial",
-              f"{len(raw_initial)} densities for {len(particles)} particles")
-    initial = []
-    for k, m in enumerate(raw_initial):
-        path = f"system.initial[{k}]"
-        rho = _read_matrix(m, path)
-        if rho.shape[0] != particles[k].dim:
-            _fail(path, f"dim {rho.shape[0]} != particle dim {particles[k].dim}")
-        tr = complex(np.trace(rho))
-        if not abs(tr - 1.0) <= 1e-12:
-            _fail(path, f"particle {k} initial density has trace "
-                        f"{tr.real:.15g}, expected 1 within 1e-12")
-        initial.append(rho)
+    initial = [_read_matrix(m, f"system.initial[{k}]")
+               for k, m in enumerate(raw_initial)]
 
     terms = _parse_interaction(data.get("interaction"), particles)
     try:
@@ -327,9 +315,6 @@ def _parse_interaction(data, particles) -> tuple:
         else:
             raw_ops = _expect(term["ops"], f"{path}.ops", list,
                               "a list of matrices")
-            if len(raw_ops) != n:
-                _fail(f"{path}.ops",
-                      f"{len(raw_ops)} operators for {n} particles")
             ops = tuple(_read_matrix(o, f"{path}.ops[{k}]")
                         for k, o in enumerate(raw_ops))
         try:

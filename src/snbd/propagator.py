@@ -51,12 +51,16 @@ notes).  The monitors read as little as they must:
   and Hermiticity need no reading, see above and ``_upper_map``);
 - a spin-1/2's smallest eigenvalue is closed-form in its coordinates;
   a d = 3 density's is eigvalsh's, but a certified screen hands eigvalsh
-  only the few densities that can decide the batch's minimum or the
-  positivity test (``_screened_minima``, ``_below``): a floating-point
-  LDL^H of rho - (s + sigma) I with positive pivots proves that eigvalsh
-  reads more than s, where the allowance sigma = 2^-40 (||rho||_F + |s|)
-  is over 30 times the error bound it must cover (``_ldl_positive``);
-- a larger particle takes eigvalsh over its group.
+  only the few densities that can decide the batch's minimum
+  (``_screened_minima``): a floating-point LDL^H of rho - (s + sigma) I
+  with positive pivots proves that eigvalsh reads more than s, where the
+  allowance sigma = 2^-40 (||rho||_F + |s|) is over 30 times the error
+  bound it must cover (``_ldl_positive``);
+- a larger particle takes eigvalsh over its group;
+- the positivity test reads those minima: only when one is below -tol
+  does each active trajectory get a verdict, a d = 3 density by the same
+  certificate at s = -tol and eigvalsh where it cannot clear it
+  (``_verdicts``).
 
 A density handed to eigvalsh is rebuilt as a matrix, exactly Hermitian
 (the lower triangle the conjugate of the upper), by term-by-term
@@ -395,6 +399,21 @@ class _DimGroup:
     def dim(self) -> int:
         return math.isqrt(self.coords.shape[1])
 
+    def densities(self, c: np.ndarray) -> np.ndarray:
+        """(..., B, d, d) the matrices eigvalsh reads, from coordinates
+        (..., d^2, B) (``coordinate_densities``)."""
+        return _assemble(_rebuild(c, self.maps[0]), self.maps)
+
+    def lowest(self, c: np.ndarray) -> np.ndarray:
+        """(K, B) each density's smallest eigenvalue from coordinates
+        (K, d^2, B): a spin-1/2's in closed form, eigvalsh's otherwise."""
+        if self.dim > 2:
+            return _min_eigvalsh(self.densities(c))
+        # rho = (c_0 + c . sigma) / sqrt(2): eigenvalues
+        # (c_0 +- |(c_1, c_2, c_3)|) / sqrt(2)
+        norm = np.sqrt(c[:, 1] ** 2 + c[:, 2] ** 2 + c[:, 3] ** 2)
+        return (c[:, 0] - norm) / np.sqrt(2.0)
+
 
 def coordinate_rows(dims) -> list:
     """Particle k's rows of the coordinates C that ``propagate_block``
@@ -606,41 +625,29 @@ def _allowance(norms, shift):
     return CERTIFICATE_ALLOWANCE * (norms + np.abs(shift))
 
 
-def _solve(matrices, need: np.ndarray, exact: np.ndarray):
-    """Fill ``exact`` with eigvalsh's smallest eigenvalue where ``need``;
-    ``matrices(index)`` gives the matrices eigvalsh reads."""
-    if need.any():
-        index = np.flatnonzero(need)
-        exact[index] = _min_eigvalsh(matrices(index))
+def _verdicts(e: np.ndarray, norms: np.ndarray, tol: float,
+              matrices) -> np.ndarray:
+    """Each 3 x 3 density's smallest eigvalsh eigenvalue, or +inf where a
+    certificate proves it above -tol, from their planes e (12, M) and
+    Frobenius norms: an LDL^H of rho + (tol - sigma) I that passes.  Only
+    the rest reach eigvalsh; ``matrices(index)`` gives the matrices it
+    reads.  So a value is below -tol exactly where eigvalsh's is, and a
+    cleared one is never the least (+inf, not NaN, which argmin picks)."""
+    out = np.full(len(norms), np.inf)
+    index = np.flatnonzero(~_ldl_positive(e, _allowance(norms, tol) - tol))
+    if len(index):
+        out[index] = _min_eigvalsh(matrices(index))
+    return out
 
 
-def _below(e: np.ndarray, norms: np.ndarray, tol: float, exact: np.ndarray,
-           matrices) -> np.ndarray:
-    """Where the smallest eigvalsh eigenvalue of 3 x 3 densities is below
-    -tol, bit for bit the comparison of eigvalsh's values, from their
-    planes e (12, M) and Frobenius norms.  A density is cleared (its
-    eigvalsh value is > -tol) when ||rho||_F + sigma < tol, or else when
-    its LDL^H of rho + (tol - sigma) I passes; only the rest reach
-    eigvalsh, through ``matrices`` (see ``_solve``).  ``exact``, (M,) and
-    NaN where unknown, takes the values eigvalsh gave."""
-    need = ~(norms + _allowance(norms, 0.0) < tol)
-    if need.any():
-        need[need] = ~_ldl_positive(
-            e[:, need], _allowance(norms[need], tol) - tol)
-    _solve(matrices, need, exact)
-    return need & ~(exact >= -tol)
-
-
-def _screened_minima(e: np.ndarray, norms: np.ndarray, exact: np.ndarray,
-                     matrices) -> float:
+def _screened_minima(e: np.ndarray, norms: np.ndarray, matrices) -> float:
     """The smallest eigvalsh eigenvalue of 3 x 3 densities, bit for bit,
     from their planes e (12, M) and Frobenius norms, with eigvalsh run on
-    few of them (through ``matrices``, see ``_solve``); inf when M = 0.
+    few of them (``matrices``, see ``_verdicts``); inf when M = 0.
 
-    ``exact`` holds eigvalsh's values where known, NaN elsewhere; it takes
-    the values computed here.  The bound m is the least closed-form
-    estimate plus a margin.  A density whose LDL^H of rho - (m + sigma) I
-    passes has an eigvalsh value > m and is ruled out; the rest are
+    The bound m is the least closed-form estimate plus a margin.  A
+    density whose LDL^H of rho - (m + sigma) I passes has an eigvalsh
+    value > m and is ruled out (``_verdicts`` at tol = -m); the rest are
     solved.  If their least value mu is at most m, every ruled-out value
     is above it and mu is the minimum; otherwise every density is solved.
     So the estimate's accuracy sets only how many are solved.
@@ -649,12 +656,9 @@ def _screened_minima(e: np.ndarray, norms: np.ndarray, exact: np.ndarray,
         return np.inf
     low = _trig_min_estimate(e).min()
     bound = low + ESTIMATE_MARGIN * (1.0 + abs(low))
-    _solve(matrices, ~_ldl_positive(e, bound + _allowance(norms, bound))
-           & np.isnan(exact), exact)
-    least = np.where(np.isnan(exact), np.inf, exact).min()
+    least = _verdicts(e, norms, -bound, matrices).min()
     if least > bound:
-        _solve(matrices, np.isnan(exact), exact)
-        least = exact.min()
+        least = _min_eigvalsh(matrices(np.arange(len(norms)))).min()
     return least
 
 
@@ -699,8 +703,10 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     A spin-1/2 reads its smallest eigenvalue in closed form from its
     coordinates; a larger particle reads ``eigvalsh`` of its rebuilt
     density, bit for bit, although a d = 3 particle solves only the few
-    matrices a certified screen cannot rule out (``_screened_minima``),
-    and the positivity test solves only those it cannot clear.  Each
+    matrices a certified screen cannot rule out (``_screened_minima``).
+    The positivity test reads the minima over the active trajectories;
+    only when one is below -positivity_tol does it take each active
+    trajectory's verdict, to name the violators (``_verdicts``).  Each
     trajectory consumes its own Philox stream, so results are independent
     of how trajectories are grouped into blocks or distributed over
     workers.  The noise is drawn in chunks of at most
@@ -781,74 +787,51 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
             active[bad] = False
         return norms
 
-    def sources(g):
-        """Per particle of the group, ``matrices(index)`` (see ``_solve``)
-        and its upper-entry planes (12, count) for a d = 3 group."""
-        c = g.coords[:, :, live]
-        planes = np.matmul(g.screen, c) if g.dim == 3 else [None] * len(c)
-        return [(lambda index, cj=cj: _assemble(
-            _rebuild(cj[:, index], g.maps[0]), g.maps), e)
-            for cj, e in zip(c, planes)]
-
-    def lowest(g, src, on, norms):
-        """(K, count) smallest eigenvalues of the group's trajectories
-        ``on`` where known (NaN where the d = 3 screen left them unsolved;
-        inf off ``on``), and the mask of those below -positivity_tol."""
-        sel = _selection(on, count)
-        vals = np.full((len(g.members), count), np.inf)
-        if g.dim == 2:
-            # rho = (c_0 + c . sigma) / sqrt(2): eigenvalues
-            # (c_0 +- |(c_1, c_2, c_3)|) / sqrt(2)
-            c = g.coords[:, :, live][:, :, sel]
-            norm = np.sqrt(c[:, 1] ** 2 + c[:, 2] ** 2 + c[:, 3] ** 2)
-            vals[:, sel] = (c[:, 0] - norm) / np.sqrt(2.0)
-            return vals, ~(vals >= -positivity_tol).all(axis=0)
-        below = np.zeros(count, dtype=bool)
-        for j, (matrices, e) in enumerate(src):
-            exact = np.full(len(on), np.nan)
-            if g.dim > 3:
-                exact[:] = _min_eigvalsh(matrices(on))
-                below[sel] |= ~(exact >= -positivity_tol)
-            else:
-                below[sel] |= _below(e[:, sel], norms[j, sel],
-                                     positivity_tol, exact,
-                                     lambda index, m=matrices: m(on[index]))
-            vals[j, sel] = exact
-        return vals, below
-
     def record(r_index, t):
         norms = check(t)
-        srcs = [None if g.dim == 2 else sources(g) for g in groups]
         on = np.flatnonzero(active)
-        found = [lowest(g, src, on, nm)
-                 for g, src, nm in zip(groups, srcs, norms)]
-        viol = active & np.logical_or.reduce([below for _, below in found])
-        if viol.any():
-            first = int(np.nonzero(viol)[0][0])
-            if policy == "abort":
-                eig = np.empty(n)
-                for g, src, (vals, _) in zip(groups, srcs, found):
-                    for j, k in enumerate(g.members):
-                        eig[k] = vals[j, first]
-                        if np.isnan(eig[k]):
-                            eig[k] = _min_eigvalsh(src[j][0]([first]))[0]
-                pk = int(np.argmin(eig))
-                raise PositivityViolationError(
-                    t=t, particle=pk, min_eig=float(eig[pk]),
-                    tol=positivity_tol, trajectory=start + first)
-            pos_skips.extend((start + int(b)) for b in np.nonzero(viol)[0])
-            active[viol] = False
-        min_eigs = np.empty(n)
-        on = np.flatnonzero(active)
-        sel = _selection(on, count)
-        for g, src, nm, (vals, _) in zip(groups, srcs, norms, found):
-            if g.dim != 3:
-                min_eigs[g.members] = np.where(active, vals, np.inf).min(axis=1)
+        # each active trajectory's smallest eigenvalue per particle, +inf
+        # off them; a d = 3 particle's only once a minimum is below -tol
+        eig = np.full((n, count), np.inf)
+        trios = []      # per d = 3 particle: index, planes, norms, coords, group
+        for g, nm in zip(groups, norms):
+            c = g.coords[:, :, live]
+            if g.dim == 3:
+                trios += zip(g.members, np.matmul(g.screen, c), nm, c,
+                             [g] * len(c))
                 continue
-            for j, (k, (matrices, e)) in enumerate(zip(g.members, src)):
-                min_eigs[k] = _screened_minima(
-                    e[:, sel], nm[j, sel], vals[j, sel],
-                    lambda index, m=matrices: m(on[index]))
+            sel = _selection(on, count)
+            for k, vals in zip(g.members, g.lowest(c[:, :, sel])):
+                eig[k, sel] = vals
+
+        def screen(method, on, *tol):
+            """``method`` (``_screened_minima`` or ``_verdicts``) of each
+            d = 3 particle over the trajectories ``on``."""
+            sel = _selection(on, count)
+            for k, e, nm, c, g in trios:
+                yield k, method(e[:, sel], nm[sel], *tol,
+                                lambda index: g.densities(c[:, on[index]]))
+
+        def minima():
+            out = np.where(active, eig, np.inf).min(axis=1)
+            for k, least in screen(_screened_minima, np.flatnonzero(active)):
+                out[k] = least
+            return out
+
+        min_eigs = minima()
+        if not (min_eigs >= -positivity_tol).all():
+            for k, verdicts in screen(_verdicts, on, positivity_tol):
+                eig[k, on] = verdicts
+            viol = active & ~(eig >= -positivity_tol).all(axis=0)
+            if policy == "abort":
+                first = int(np.argmax(viol))
+                pk = int(np.argmin(eig[:, first]))
+                raise PositivityViolationError(
+                    t=t, particle=pk, min_eig=float(eig[pk, first]),
+                    tol=positivity_tol, trajectory=start + first)
+            pos_skips.extend((start + int(b)) for b in np.flatnonzero(viol))
+            active[viol] = False
+            min_eigs = minima()
         on_record(r_index, t, coords, active.copy(), min_eigs)
 
     record(0, times[0])

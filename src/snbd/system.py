@@ -124,21 +124,21 @@ class SystemSpec:
             )
         checked = []
         for k, (rho, part) in enumerate(zip(initial, particles)):
-            rho = frozen_cmatrix(require_hermitian(rho, f"initial density {k}"))
+            rho = frozen_cmatrix(require_hermitian(rho, f"initial[{k}]"))
             if rho.shape[0] != part.dim:
                 raise ShapeError(
-                    f"initial density {k}: dim {rho.shape[0]} != particle "
+                    f"initial[{k}]: dim {rho.shape[0]} != particle "
                     f"dim {part.dim}"
                 )
             tr = complex(np.trace(rho))
             if not abs(tr - 1.0) <= 1e-12:
                 raise ContractViolationError(
-                    f"initial density {k}: trace {tr.real:.15g} not 1 within 1e-12"
+                    f"initial[{k}]: trace {tr.real:.15g} not 1 within 1e-12"
                 )
             lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
             if not lo >= -1e-12:
                 raise ContractViolationError(
-                    f"initial density {k}: negative eigenvalue {lo:.3e}"
+                    f"initial[{k}]: negative eigenvalue {lo:.3e}"
                 )
             checked.append(rho)
         object.__setattr__(self, "initial", tuple(checked))

@@ -548,6 +548,33 @@ class TestCli:
                 "particle dim 2") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["system"]["initial"][0][0].__setitem__(0, 0.9),
+         "system: initial[0]: trace 0.9 not 1 within 1e-12"),
+        (lambda d: d["system"]["initial"].__setitem__(
+            0, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+         "system: initial[0]: dim 3 != particle dim 2"),
+        (lambda d: d["system"]["initial"].append([[1, 0], [0, 0]]),
+         "system: 3 initial densities for 2 particles"),
+        (lambda d: d["system"].update(interaction={"terms": [
+            {"omega": 0.2, "ops": [[[1, 0], [0, -1]]]}]}),
+         "system: interaction term 0 has 1 factors for 2 particles"),
+    ], ids=["trace", "dim", "extra-density", "few-ops"])
+    def test_system_shape_and_trace_exit2(self, tmp_path, capsys, edit,
+                                          message):
+        # the system's own checks, reported at ``system`` while parsing:
+        # one error line naming the density or term, no output written
+        data = json.loads(FIXTURE.read_text())
+        edit(data)
+        out = tmp_path / "out"
+        data["output"]["directory"] = str(out)
+        p = self._write(tmp_path, data)
+        assert main(["validate", "--config", str(p)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [f"error: {message}"]
+        assert not out.exists()
+
     def test_non_finite_output_exit7_incomplete(self, tmp_path, capsys):
         # finite entries whose products overflow: the shipped config with
         # an observable factor entry of 1e308 gives a mean of inf and a

@@ -197,7 +197,9 @@ class TestRecordSums:
         # its zeros.  The minima at every record are the least over every
         # active trajectory of each one's own: the qutrit's eigvalsh of the
         # density rebuilt from the coordinates, a spin-1/2's closed form in
-        # them (inf once none is active)
+        # them (inf once none is active).  A record drops exactly the
+        # trajectories active before it whose own value of some particle
+        # is below -tol, and no trajectory diverges
         spec = interleaved_system()
         rng = np.random.default_rng(5)
         refs = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -226,6 +228,7 @@ class TestRecordSums:
             return rows[0][sl].T @ y[sl]
 
         states = {"full": 0, "partial": 0, "empty": 0}
+        before = np.ones(23, dtype=bool)
         for r, (coords, active, mins) in enumerate(seen):
             # the rows as on_record forms them, from its products over the
             # 24 aligned columns; what is checked is each block's reduction
@@ -248,6 +251,9 @@ class TestRecordSums:
             assert np.array_equal(acc.min_eig[r], mins)
             assert np.array_equal(mins, np.where(
                 active[:, None], own, np.inf).min(axis=0))
+            assert np.array_equal(before & ~active,
+                                  before & (own < -0.03).any(axis=1))
+            before = active
             for j in range(acc.n_blocks):
                 sl = slice(acc.edges[j], acc.edges[j + 1])
                 keep = active[sl]
@@ -272,6 +278,8 @@ class TestRecordSums:
                 vec = xty(vecs, sl)
                 assert np.array_equal(acc.vec_sum[j, r], vec.reshape(-1))
         assert all(n >= 5 for n in states.values()), states
+        assert acc.blowups == ()
+        assert acc.positivity_skips == tuple(np.flatnonzero(~before))
 
 
 class TestStandardError:

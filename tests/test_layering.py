@@ -53,3 +53,32 @@ def test_every_error_class_has_a_raiser():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(defined - raised) == []
+
+
+def test_every_private_name_has_a_caller():
+    # a module-level private function, class or constant that nothing in
+    # the package reads outside its own definition is dead code
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = [(path, node.lineno,
+             node.id if isinstance(node, ast.Name) else node.attr)
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    orphans = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            orphans += [
+                f"{path.name}:{node.lineno} {name}" for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and not any(n == name and not (
+                    p == path and node.lineno <= line <= node.end_lineno)
+                    for p, line, n in used)]
+    assert orphans == []

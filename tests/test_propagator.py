@@ -45,6 +45,7 @@ from snbd.system import (
 from conftest import (
     DOWN,
     SX,
+    SY,
     SZ,
     UP,
     free_two_spin_system,
@@ -174,6 +175,25 @@ def eight_spin_system():
             decompose_pair_interaction(heisenberg_pair_matrix(0.05), 2),
             particles),
         initial=tuple(random_density(rng, 2) for _ in range(8)))
+
+
+def spin1_pair_system():
+    """The mixed-dimension benchmark system: a spin-1 and two spin-1/2,
+    dims (3, 2, 2), in fields S_z and s_z, coupled by three terms of
+    omega 0.2 (S_x s_x s_x, S_y s_y s_y, S_z s_z s_z, s = sigma / 2),
+    from |+1>, down and up; the spin-1's Hamiltonian is S_z / 2."""
+    r = 1 / np.sqrt(2)
+    s1 = (np.array([[0, r, 0], [r, 0, r], [0, r, 0]], complex),
+          np.array([[0, -1j * r, 0], [1j * r, 0, -1j * r], [0, 1j * r, 0]]),
+          np.diag([1.0, 0.0, -1.0]).astype(complex))
+    halves = (0.5 * SX, 0.5 * SY, 0.5 * SZ)
+    return SystemSpec(
+        particles=(ParticleSpec(dim=3, h=0.5 * s1[2]),
+                   ParticleSpec(dim=2, h=halves[2]),
+                   ParticleSpec(dim=2, h=halves[2])),
+        terms=tuple(InteractionTerm(omega=0.2, ops=(a, b, b))
+                    for a, b in zip(s1, halves)),
+        initial=(np.diag([1.0, 0.0, 0.0]).astype(complex), DOWN, UP))
 
 
 def with_initial(spec, rhos):
@@ -795,6 +815,25 @@ class TestPositivityReport:
             assert frames[0][3].min() >= -1e-15
             assert frames[-1][2].all() and not stats.positivity_skips
 
+    def test_spin1_abort_names_its_least_particle(self):
+        # the mixed-dimension benchmark system at tol 0.3 under abort: a
+        # spin-1 density is the first to fall below, and the error reads
+        # eigvalsh of that trajectory's density at that record, rebuilt
+        # from a run of the trajectory alone
+        spec = spin1_pair_system()
+        with pytest.raises(PositivityViolationError) as caught:
+            propagate_block(spec, 1, 3, 400, 0.5, 5e-4, 2,
+                            lambda *args: None, positivity_tol=0.3,
+                            policy="abort")
+        assert str(caught.value) == (
+            "trajectory 129, t=0.24, particle 0: min eigenvalue -3.009e-01 "
+            "below -3.000e-01")
+        frames, _ = collect(spec, 1, 129, 1, 0.24, 5e-4, 2,
+                            positivity_tol=np.inf)
+        assert frames[-1][0] == caught.value.t
+        assert caught.value.min_eig == np.linalg.eigvalsh(
+            frames[-1][1][0][0]).min()
+
     def test_min_eig_decay_law(self, benchmark_system):
         """The smallest eigenvalue leaves zero at the second-order rate
         sum_s |omega_s| (N-1) |<2|(O_s - Obar_s)|1>|^2 = 0.4 for this system;
@@ -979,21 +1018,24 @@ class TestMinimumScreen:
             for a, w in zip(seg, widths):
                 batch = slice(a, a + w)
                 assert propagator._screened_minima(
-                    e[:, batch], norms[batch], np.full(w, np.nan),
+                    e[:, batch], norms[batch],
                     rho[batch].__getitem__) == exact[batch].min()
         # thresholds at a matrix's own value, one ulp either side of it,
-        # or 1e-13 of the scale away
+        # or 1e-13 of the scale away: a verdict is eigvalsh's own value,
+        # or +inf where the certificate clears it above -tol
         value = exact[pick % n]
         tol = -(np.nextafter(value, np.inf * nudge) if nudge in (1, -1)
                 else value + nudge * scale)
-        below = propagator._below(e, norms, tol, np.full(n, np.nan),
-                                  rho.__getitem__)
-        assert np.array_equal(below, ~(exact >= -tol))
+        verdicts = propagator._verdicts(e, norms, tol, rho.__getitem__)
+        assert np.array_equal(~(verdicts >= -tol), ~(exact >= -tol))
+        solved = np.isfinite(verdicts)
+        assert np.array_equal(verdicts[solved], exact[solved])
+        assert np.isposinf(verdicts[~solved]).all()
 
     def test_screen_solves_few_of_many(self):
         # one batch of 400 conjugated random spectra: the screen solves
-        # about one matrix, and none for a threshold that clears every
-        # matrix by its norm
+        # about one matrix, and the verdicts none for a threshold that
+        # the certificate clears for every matrix
         rho, e = screen_stack(3, "random", 0.0, 1.0, 400)
         norms = np.sqrt((np.abs(rho) ** 2).sum(axis=(1, 2)))
         solved = []
@@ -1002,9 +1044,9 @@ class TestMinimumScreen:
             solved.append(len(index))
             return rho[index]
 
-        propagator._screened_minima(e, norms, np.full(400, np.nan), matrices)
+        propagator._screened_minima(e, norms, matrices)
         assert sum(solved) <= 2
         solved.clear()
-        assert not propagator._below(e, norms, 10.0, np.full(400, np.nan),
-                                     matrices).any()
+        assert np.isposinf(propagator._verdicts(e, norms, 10.0,
+                                                matrices)).all()
         assert solved == []
