@@ -27,8 +27,15 @@ trajectory no longer active enters both as zero.  ``coordinate_density``
 turns such sums into (D, D) matrices, one particle mode at a time, where
 ``estimate_density`` and the jackknife read them.  No per-trajectory
 (D, D) product is formed; the largest record-time array is Y,
-prod_{k>=2} d_k^2 reals per trajectory of the batch, which the memory
-gate counts with the record sums.
+prod_{k>=2} d_k^2 reals per trajectory of the batch and record summed
+together, which the memory gate counts with the record sums.
+
+on_record copies each record it is handed and sums ``RECORD_BATCH`` of
+them at a time, the last ones when the final record arrives.  Every sum
+keeps its per-record shape along a leading record axis: the products are
+stacked matmuls, one GEMM per record as before, and every reduction runs
+along the same axis in the same order, so the sums are bitwise those of
+one record at a time.
 """
 
 from dataclasses import dataclass
@@ -46,8 +53,10 @@ from .errors import (
 from .linalg import frozen_cmatrix, require_hermitian
 from .propagator import (
     COLUMN_ALIGN,
+    RECORD_BATCH,
     TimeGrid,
     coordinate_rows,
+    padded_width,
     propagate_block,
 )
 from .system import (
@@ -234,48 +243,52 @@ def coordinate_density(sums: np.ndarray, dims) -> np.ndarray:
 
 
 def _first_and_rest(rows):
-    """(X, Y) from per-particle rows (B, n_k): X is particle 1's rows and Y
-    the per-trajectory Kronecker product of the others', (B, prod n_k), so
-    that the sum over any set of trajectories b of kron_k rows_k[b] is
-    (X_set^T @ Y_set) flattened.  Y is a column of ones for one particle.
+    """(X, Y) from per-particle rows (..., B, n_k): X is particle 1's rows
+    and Y the per-trajectory Kronecker product of the others', (..., B,
+    prod n_k), so that the sum over any set of trajectories b of
+    kron_k rows_k[b] is (X_set^T @ Y_set) flattened.  Y is a column of ones for one particle.
     Each entry of Y is a product formed elementwise in a fixed order, so
     its bits do not depend on the batch."""
     first = rows[0]
-    rest = rows[1] if len(rows) > 1 else np.ones((len(first), 1), first.dtype)
+    lead = first.shape[:-1]
+    rest = rows[1] if len(rows) > 1 else np.ones(lead + (1,), first.dtype)
     for nxt in rows[2:]:
-        rest = (rest[:, :, None] * nxt[:, None, :]).reshape(len(first), -1)
+        rest = (rest[..., :, None] * nxt[..., None, :]).reshape(lead + (-1,))
     return first, rest
 
 
 def _live_rows(columns, active):
-    """(B, n) rows, trajectory-major, from (n, B) columns, an inactive
-    trajectory's row as zeros."""
-    out = np.zeros(columns.shape[::-1])
-    np.copyto(out, columns.T, where=active[:, None])
+    """(..., B, n) rows, trajectory-major, from (..., n, B) columns, an
+    inactive trajectory's row as zeros (``active`` (..., B))."""
+    rows = np.swapaxes(columns, -1, -2)
+    out = np.zeros(rows.shape)
+    np.copyto(out, rows, where=active[..., None])
     return out
 
 
 def _batched_kron(coord_rows):
-    """The (X, Y) factors of the record's density sums from each particle's
-    coordinate rows (B, d_k^2): X is particle 1's and Y the per-trajectory
-    Kronecker product of the others', (B, prod_{k>=2} d_k^2).  The sum
-    over a set of trajectories of kron_k c_k, the coordinates of
-    sum kron_k rho_k, is X_set^T @ Y_set flattened."""
+    """The (X, Y) factors of the records' density sums from each particle's
+    coordinate rows (R, B, d_k^2): X is particle 1's and Y the
+    per-trajectory Kronecker product of the others', (R, B, prod_{k>=2}
+    d_k^2).  The sum over a set of trajectories of kron_k c_k, the
+    coordinates of sum kron_k rho_k, is X_set^T @ Y_set flattened, per
+    record."""
     return _first_and_rest(coord_rows)
 
 
 def _batched_refvec(rows, dims, active):
-    """The (X, Y) factors of the record's reference-vector sums, from the
-    per-trajectory v_k = rho_k |i_k>: X is v_1, (B, d_1), and Y the
+    """The (X, Y) factors of the records' reference-vector sums, from the
+    per-trajectory v_k = rho_k |i_k>: X is v_1, (R, B, d_1), and Y the
     per-trajectory Kronecker product of v_2 ... v_N; the sum over a set of
-    trajectories of kron_k v_k is X_set^T @ Y_set flattened.
+    trajectories of kron_k v_k is X_set^T @ Y_set flattened, per record.
 
-    ``rows`` (sum_k 2 d_k, B) holds each particle's v_k with Re and Im
+    ``rows`` (R, sum_k 2 d_k, B) holds each particle's v_k with Re and Im
     interleaved, as its rows of the record factor (``_record_factor``)
-    give them; an inactive trajectory enters as zero."""
+    give them; an inactive trajectory (``active`` (R, B)) enters as
+    zero."""
     v = _live_rows(rows, active).view(complex)
     edges = np.cumsum((0,) + tuple(dims))
-    return _first_and_rest([v[:, a:b] for a, b in zip(edges, edges[1:])])
+    return _first_and_rest([v[..., a:b] for a, b in zip(edges, edges[1:])])
 
 
 def _record_factor(spec, obs_stacks, refs):
@@ -332,14 +345,14 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
         lo += k * w
 
     def by_block(x):
-        """x's rows as (blocks, width, ...) views, one per run of equal
-        widths, so each block reduces its own rows."""
-        return [x[lo:lo + k * w].reshape((k, w) + x.shape[1:])
+        """x's trajectory rows, axis 1, as (R, blocks, width, ...) views,
+        one per run of equal widths, so each block reduces its own rows."""
+        return [x[:, lo:lo + k * w].reshape((len(x), k, w) + x.shape[2:])
                 for lo, k, w in same_width]
 
     def per_block(parts):
-        """Per-block results of the runs of equal widths, block axis first."""
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        """Per-block results of the runs of equal widths, (R, blocks, ...)."""
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     counts = np.zeros((rows, n_times), dtype=np.int64)
     obs_sum = np.zeros((rows, n_obs, n_times))
@@ -351,19 +364,44 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     min_eig = np.empty((n_times, n))
 
     def xty(factors):
-        """Each block's X^T @ Y, (rows, a * b), one stacked product per
-        run of equal widths."""
+        """Each record's and block's X^T @ Y, (R, rows, a * b), one stacked
+        product per run of equal widths."""
         x, y = factors
-        return per_block([(xb.swapaxes(1, 2) @ yb).reshape(len(xb), -1)
-                          for xb, yb in zip(by_block(x), by_block(y))])
+        return per_block([(xb.swapaxes(-1, -2) @ yb).reshape(
+            xb.shape[:2] + (-1,)) for xb, yb in zip(by_block(x), by_block(y))])
+
+    # the records on_record has copied and not yet summed
+    depth = min(RECORD_BATCH, n_times)
+    held_coords = np.empty((depth, factor.shape[1],
+                            padded_width(start, count)))
+    held_active = np.empty((depth, count), dtype=bool)
+    held = []
 
     def on_record(r, t, coords, active, mins):
-        counts[:, r] = np.add.reduceat(active, firsts, dtype=np.int64)
         min_eig[r] = mins
-        filled = counts[:, r] > 0
+        held_coords[len(held)] = coords
+        held_active[len(held)] = active
+        held.append(r)
+        if len(held) == depth or r == n_times - 1:
+            add_records(slice(held[0], r + 1), len(held))
+            held.clear()
+
+    def add_records(times, k):
+        """Sum the k held records, at ``times``, into each block's rows."""
+        coords, active = held_coords[:k], held_active[:k]
+        counts[:, times] = np.add.reduceat(active, firsts, axis=1,
+                                           dtype=np.int64).T
+        filled = counts[:, times].T > 0         # (R, blocks)
         if not filled.any():
             return
-        filled = slice(None) if filled.all() else filled
+
+        def put(out, sums):
+            """out (blocks, n, T) at ``times`` from sums (R, blocks, n)
+            where the block has an active row; the rest keep their
+            zeros."""
+            out[..., times] = np.moveaxis(
+                np.where(filled[..., None], sums, 0.0), 0, -1)
+
         # inactive (diverged) trajectories still sit in the batch; their
         # entries may overflow but never reach a sum.  Each block reduces
         # its own rows, as it would alone, with an inactive row entering as
@@ -372,31 +410,34 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
         # array is formed).  A block with no active row keeps its zeros.
         # The spread is summed about the block's own mean, an inactive row
         # entering as +0.0, so it does not cancel (estimate_product_observable).
+        # Every product and sum keeps its per-record shape: a stacked
+        # product over the leading record axis makes one per record.
         with np.errstate(over="ignore", invalid="ignore"):
             # one product over every column: a column's bits rest on the
             # column property (propagator notes)
-            prods = (factor @ coords)[:, live]
+            prods = np.matmul(factor, coords)[..., live]
             if n_obs:
                 # Tr{A_k rho_k} per particle, then their product in order
-                v = prods[:n_prod].reshape(n, n_obs, count)
-                vals = v[0]
-                for k in range(1, n):
-                    vals = vals * v[k]
-                blocks = by_block(np.where(active[:, None], vals.T, -0.0))
-                sums = per_block([b.sum(axis=1) for b in blocks])
-                obs_sum[filled, :, r] = sums[filled]
-                mean = sums / np.maximum(counts[:, r], 1)[:, None]
-                dev = np.where(active[:, None],
-                               vals.T - np.repeat(mean, widths, axis=0), 0.0)
-                obs_m2[filled, :, r] = per_block(
-                    [(b * b).sum(axis=1) for b in by_block(dev)])[filled]
+                v = prods[:, :n_prod].reshape(k, n, n_obs, count)
+                vals = v[:, 0]
+                for j in range(1, n):
+                    vals = vals * v[:, j]
+                vals = vals.swapaxes(1, 2)
+                on = active[..., None]
+                sums = per_block([b.sum(axis=2) for b in
+                                  by_block(np.where(on, vals, -0.0))])
+                put(obs_sum, sums)
+                mean = sums / np.maximum(counts[:, times].T, 1)[..., None]
+                dev = np.where(on, vals - np.repeat(mean, widths, axis=1), 0.0)
+                put(obs_m2, per_block([(b * b).sum(axis=2)
+                                       for b in by_block(dev)]))
             if rho_sum is not None:
-                c = _live_rows(coords[:, live], active)
-                rho_sum[filled, r] = xty(_batched_kron(
-                    [c[:, k] for k in particle_rows]))[filled]
+                c = _live_rows(coords[..., live], active)
+                put(rho_sum.swapaxes(1, 2), xty(_batched_kron(
+                    [c[..., rs] for rs in particle_rows])))
             if vec_sum is not None:
-                vec_sum[filled, r] = xty(_batched_refvec(
-                    prods[n_prod:], spec.dims, active))[filled]
+                put(vec_sum.swapaxes(1, 2), xty(_batched_refvec(
+                    prods[:, n_prod:], spec.dims, active)))
 
     stats = propagate_block(
         spec, ensemble.master_seed, start, count, time.t_final, time.dt,
@@ -463,10 +504,12 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     n_blocks = len(edges) - 1
     runs = block_runs(edges, ensemble.worker_count)
     # the accumulator's record sums and minima, plus, for each run in
-    # flight (one per worker), the rows it fills, its own minima and, for
-    # the full density, the Y factor each of its records forms over the
-    # run's width.  A block's row per record: its count, each observable's
-    # sum and spread, and the density's coordinate sums and the complex
+    # flight (one per worker), the rows it fills, its own minima, the two
+    # snapshot buffers of its records (the propagator's and on_record's,
+    # RECORD_BATCH records of its padded width each) and, for the full
+    # density, the Y factor it forms over the run's width for as many
+    # records.  A block's row per record: its count, each observable's sum
+    # and spread, and the density's coordinate sums and the complex
     # reference-vector sums when kept; the minima, (T, N), are per run
     d = spec.full_dim
     per_row = len(times) * (
@@ -477,9 +520,14 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     in_flight = min(ensemble.worker_count, len(runs))
     rows = max(stop - first for first, stop in runs)
     width = max(int(edges[stop] - edges[first]) for first, stop in runs)
-    y = width * 8 * d * d // spec.dims[0] ** 2 if ensemble.full_density else 0
+    depth = min(RECORD_BATCH, len(times))
+    snapshots = 2 * depth * 8 * sum(k * k for k in spec.dims) * max(
+        padded_width(int(edges[first]), int(edges[stop] - edges[first]))
+        for first, stop in runs)
+    y = (depth * width * 8 * d * d // spec.dims[0] ** 2
+         if ensemble.full_density else 0)
     total = (per_row * n_blocks + minima
-             + in_flight * (per_row * rows + minima + y))
+             + in_flight * (per_row * rows + minima + snapshots + y))
     if total > DEFAULT_MEMORY_LIMIT:
         raise DimensionLimitError(
             f"the record sums need ~{total // (1 << 20)} MiB, "

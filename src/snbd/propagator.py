@@ -42,9 +42,19 @@ Obar_k^s = o_k^s . c_k.  Every coordinate vector is a Hermitian matrix,
 and coordinate 0 is never written after t = 0, so Hermiticity and the
 trace hold by construction, not to roundoff.
 
-The record path stays on the coordinates.  ``on_record`` is handed C
-itself, and everything the ensemble sums is linear in it (ensemble
-notes).  The monitors read as little as they must:
+The record path stays on the coordinates, and runs ``RECORD_BATCH`` = 8
+records at a time.  At each record the step loop copies C into a
+snapshot buffer; the pending snapshots are processed together when the
+buffer is full, when a divergence check between records finds a diverged
+column (the pending records first, so every abort and skip happens in
+time order) and after the last step.  Each monitor then runs once over
+every pending record that shares an active mask, and a drop splits them;
+``on_record`` is called once per record, in order, with its snapshot,
+and everything the ensemble sums is linear in it (ensemble notes).  The
+steps never read the mask, so deferring the monitors changes no step,
+and every product keeps its per-record shape (stacked matmuls, the
+reductions along the same axes), so it changes no bit either.  The
+monitors read as little as they must:
 
 - the divergence check reads ||c_k||_2 = ||rho_k||_F >= max |rho_ij|, and
   rebuilds only a column too large for that bound to settle (the trace
@@ -52,15 +62,18 @@ notes).  The monitors read as little as they must:
 - a spin-1/2's smallest eigenvalue is closed-form in its coordinates;
   a d = 3 density's is eigvalsh's, but a certified screen hands eigvalsh
   only the few densities that can decide the batch's minimum
-  (``_screened_minima``): a floating-point LDL^H of rho - (s + sigma) I
+  (``_screened_values``): a floating-point LDL^H of rho - (s + sigma) I
   with positive pivots proves that eigvalsh reads more than s, where the
   allowance sigma = 2^-40 (||rho||_F + |s|) is over 30 times the error
-  bound it must cover (``_ldl_positive``);
+  bound it must cover (``_ldl_positive``); the pending records are
+  screened together up to the first whose closed-form bound falls below
+  -tol, so that a drop discards no screen;
 - a larger particle takes eigvalsh over its group;
 - the positivity test reads those minima: only when one is below -tol
   does each active trajectory get a verdict, a d = 3 density by the same
-  certificate at s = -tol and eigvalsh where it cannot clear it
-  (``_verdicts``).
+  certificate at s = -tol and eigvalsh where it cannot clear it and the
+  screen has not solved it (``_verdicts``); after the drop, a minimum is
+  screened again only where the values already solved cannot settle it.
 
 A density handed to eigvalsh is rebuilt as a matrix, exactly Hermitian
 (the lower triangle the conjugate of the upper), by term-by-term
@@ -168,6 +181,11 @@ COLUMN_ALIGN = 8
 
 #: Steps between divergence checks in the batched driver.
 CHECK_STRIDE = 25
+
+#: Records the batched driver processes together: it snapshots each
+#: record's coordinates and runs the record-time monitors and on_record
+#: over this many at a time (see the module notes).
+RECORD_BATCH = 8
 
 #: A one-body density with entries beyond this magnitude counts as diverged
 #: (physical states have entries of order 1).
@@ -405,14 +423,15 @@ class _DimGroup:
         return _assemble(_rebuild(c, self.maps[0]), self.maps)
 
     def lowest(self, c: np.ndarray) -> np.ndarray:
-        """(K, B) each density's smallest eigenvalue from coordinates
-        (K, d^2, B): a spin-1/2's in closed form, eigvalsh's otherwise."""
+        """(..., B) each density's smallest eigenvalue from coordinates
+        (..., d^2, B): a spin-1/2's in closed form, eigvalsh's otherwise."""
         if self.dim > 2:
             return _min_eigvalsh(self.densities(c))
         # rho = (c_0 + c . sigma) / sqrt(2): eigenvalues
         # (c_0 +- |(c_1, c_2, c_3)|) / sqrt(2)
-        norm = np.sqrt(c[:, 1] ** 2 + c[:, 2] ** 2 + c[:, 3] ** 2)
-        return (c[:, 0] - norm) / np.sqrt(2.0)
+        norm = np.sqrt(c[..., 1, :] ** 2 + c[..., 2, :] ** 2
+                       + c[..., 3, :] ** 2)
+        return (c[..., 0, :] - norm) / np.sqrt(2.0)
 
 
 def coordinate_rows(dims) -> list:
@@ -566,7 +585,7 @@ def _trig_min_estimate(e: np.ndarray) -> np.ndarray:
     """Closed-form smallest eigenvalue of each Hermitian 3 x 3 given by its
     upper-entry planes e (12, M), elementwise: the trigonometric root of
     the characteristic cubic.  It loses about sqrt(eps) ||rho|| at a
-    degenerate pair, so it only steers ``_screened_minima``, whose result
+    degenerate pair, so it only steers ``_screened_values``, whose result
     does not depend on it."""
     z1, z2, y1, y2, x1, x2 = e[:6]          # a12, a13, a23
     q = (e[6] + e[8] + e[10]) / 3.0
@@ -625,41 +644,78 @@ def _allowance(norms, shift):
     return CERTIFICATE_ALLOWANCE * (norms + np.abs(shift))
 
 
-def _verdicts(e: np.ndarray, norms: np.ndarray, tol: float,
-              matrices) -> np.ndarray:
+def _verdicts(e: np.ndarray, norms: np.ndarray, tol, matrices,
+              known: np.ndarray = None) -> np.ndarray:
     """Each 3 x 3 density's smallest eigvalsh eigenvalue, or +inf where a
-    certificate proves it above -tol, from their planes e (12, M) and
-    Frobenius norms: an LDL^H of rho + (tol - sigma) I that passes.  Only
-    the rest reach eigvalsh; ``matrices(index)`` gives the matrices it
-    reads.  So a value is below -tol exactly where eigvalsh's is, and a
-    cleared one is never the least (+inf, not NaN, which argmin picks)."""
-    out = np.full(len(norms), np.inf)
-    index = np.flatnonzero(~_ldl_positive(e, _allowance(norms, tol) - tol))
+    certificate proves it above -tol, from their planes e (12, ..., M) and
+    Frobenius norms (..., M), with ``tol`` a number or an array that
+    broadcasts to them: an LDL^H of rho + (tol - sigma) I that passes.
+    Only the rest reach eigvalsh; ``matrices(index)`` gives the matrices it
+    reads, for flat indices into (..., M).  A density with a finite
+    ``known`` value, eigvalsh's own from before, takes that value instead.
+    So a value is below -tol exactly where eigvalsh's is, and a cleared
+    one is never the least (+inf, not NaN, which argmin picks)."""
+    out = np.full(norms.shape, np.inf)
+    unsure = ~_ldl_positive(e, _allowance(norms, tol) - tol)
+    if known is not None:
+        solved = np.isfinite(known)
+        out[solved] = known[solved]
+        unsure &= ~solved
+    index = np.flatnonzero(unsure)
     if len(index):
-        out[index] = _min_eigvalsh(matrices(index))
+        out.reshape(-1)[index] = _min_eigvalsh(matrices(index))
     return out
 
 
-def _screened_minima(e: np.ndarray, norms: np.ndarray, matrices) -> float:
-    """The smallest eigvalsh eigenvalue of 3 x 3 densities, bit for bit,
-    from their planes e (12, M) and Frobenius norms, with eigvalsh run on
-    few of them (``matrices``, see ``_verdicts``); inf when M = 0.
+def _screened_values(e: np.ndarray, norms: np.ndarray, estimates: np.ndarray,
+                     matrices) -> tuple:
+    """(values, ceiling) for the 3 x 3 densities given by their planes e
+    (12, ..., M), Frobenius norms and ``_trig_min_estimate`` values (...,
+    M), one batch per leading index, M > 0.  A value is eigvalsh's own
+    where the density is solved and +inf where it is ruled out, so a
+    batch's least value is, bit for bit, its smallest eigvalsh eigenvalue
+    and the argmin holds it.  Every density ruled out has an eigvalsh value
+    above the batch's ceiling, (...,), which is +inf when none is.  So the
+    least value over any subset is exact when it is at most the ceiling.
+    eigvalsh runs on few densities (``matrices``, see ``_verdicts``).
 
-    The bound m is the least closed-form estimate plus a margin.  A
-    density whose LDL^H of rho - (m + sigma) I passes has an eigvalsh
-    value > m and is ruled out (``_verdicts`` at tol = -m); the rest are
-    solved.  If their least value mu is at most m, every ruled-out value
-    is above it and mu is the minimum; otherwise every density is solved.
+    A batch's bound m is its least estimate plus a margin.  A density
+    whose LDL^H of rho - (m + sigma) I passes has an eigvalsh value > m and
+    is ruled out (``_verdicts`` at tol = -m); the rest are solved.  If
+    their least value mu is at most m, every ruled-out value is above it
+    and mu is the minimum; otherwise every density of the batch is solved.
     So the estimate's accuracy sets only how many are solved.
     """
-    if not len(norms):
-        return np.inf
-    low = _trig_min_estimate(e).min()
-    bound = low + ESTIMATE_MARGIN * (1.0 + abs(low))
-    least = _verdicts(e, norms, -bound, matrices).min()
-    if least > bound:
-        least = _min_eigvalsh(matrices(np.arange(len(norms)))).min()
-    return least
+    bound = _screen_bound(estimates.min(axis=-1, keepdims=True))
+    out = _verdicts(e, norms, -bound, matrices)
+    rows = out.reshape(-1, out.shape[-1])
+    bound = bound.reshape(-1)
+    unsettled = np.flatnonzero(rows.min(axis=1) > bound)
+    if len(unsettled):
+        m = rows.shape[1]
+        index = (unsettled[:, None] * m + np.arange(m)).reshape(-1)
+        rows[unsettled] = _min_eigvalsh(matrices(index)).reshape(-1, m)
+    ceiling = np.where(np.isinf(rows).any(axis=1), bound, np.inf)
+    return out, ceiling.reshape(out.shape[:-1])
+
+
+def _screen_bound(low):
+    """The d = 3 screen's bound m on a batch whose least closed-form
+    estimate is ``low``."""
+    return low + ESTIMATE_MARGIN * (1.0 + np.abs(low))
+
+
+def _densities_at(group, c, records, members, on):
+    """The ``matrices`` of a screen over (records, members, on): the
+    group's densities at flat indices into that grid, from its live
+    coordinates c (R, K, d^2, count)."""
+    records, members = np.asarray(records), np.asarray(members)
+
+    def build(flat):
+        i, rest = np.divmod(flat, len(members) * len(on))
+        k, m = np.divmod(rest, len(on))
+        return group.densities(c[records[i], members[k], :, on[m]].T)
+    return build
 
 
 def _selection(on: np.ndarray, count: int):
@@ -682,28 +738,41 @@ def _draw_noise_chunk(rngs, n_steps, p, r, dt):
     return out
 
 
+def padded_width(start: int, count: int) -> int:
+    """W, the columns of the coordinates C that ``propagate_block`` steps
+    for trajectories [start, start + count): trajectory start + j sits in
+    column start % COLUMN_ALIGN + j, and W is the next multiple of
+    COLUMN_ALIGN."""
+    return -(-(start % COLUMN_ALIGN + count) // COLUMN_ALIGN) * COLUMN_ALIGN
+
+
 def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                     t_final: float, dt: float, record_stride: int,
                     on_record, *, positivity_tol: float = None,
                     policy: str = "abort") -> BlockStats:
     """Propagate trajectories [start, start + count) in lockstep.
 
-    ``on_record(record_index, t, coords, active, min_eigs)`` is called at
-    every time t of ``TimeGrid(t_final, dt, record_stride).times`` with
-    the live coordinates C, (sum_k d_k^2, W): particle k's rows are
-    ``coordinate_rows(spec.dims)[k]`` and trajectory start + j is column
-    start % COLUMN_ALIGN + j (the other columns are padding).  C is the
-    propagator's own array, valid during the call only.  ``active`` is
-    the mask of trajectories still active after this record's checks and
-    ``min_eigs`` (N,) each particle's smallest eigenvalue over those
-    trajectories, inf when there are none.  A minimum is exact, so the
-    minima of any split of the trajectories, merged with ``np.minimum``,
-    are the batch's.
+    ``on_record(record_index, t, coords, active, min_eigs)`` is called once
+    for every time t of ``TimeGrid(t_final, dt, record_stride).times``, in
+    order, with the coordinates C at t, (sum_k d_k^2, W): particle k's
+    rows are ``coordinate_rows(spec.dims)[k]`` and trajectory start + j is
+    column start % COLUMN_ALIGN + j (the other columns are padding).  C is
+    a snapshot in a buffer of the propagator's, valid during the call
+    only.  ``active`` is the mask of trajectories still active after this
+    record's checks and ``min_eigs`` (N,) each particle's smallest
+    eigenvalue over those trajectories, inf when there are none.  A
+    minimum is exact, so the minima of any split of the trajectories,
+    merged with ``np.minimum``, are the batch's.
+
+    The records are processed ``RECORD_BATCH`` at a time (see the module
+    notes), which changes no step, no decision and no bit of what
+    on_record is handed: the steps never read the mask, and every abort
+    and skip happens in time order.
 
     A spin-1/2 reads its smallest eigenvalue in closed form from its
     coordinates; a larger particle reads ``eigvalsh`` of its rebuilt
     density, bit for bit, although a d = 3 particle solves only the few
-    matrices a certified screen cannot rule out (``_screened_minima``).
+    matrices a certified screen cannot rule out (``_screened_values``).
     The positivity test reads the minima over the active trajectories;
     only when one is below -positivity_tol does it take each active
     trajectory's verdict, to name the violators (``_verdicts``).  Each
@@ -735,7 +804,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
 
     # trajectory j in column j - COLUMN_ALIGN * (start // COLUMN_ALIGN)
     live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
-    width = -(-live.stop // COLUMN_ALIGN) * COLUMN_ALIGN
+    width = padded_width(start, count)
     groups, coords, mean_field = _dim_groups(spec, width, dt)
     noise_factor = _noise_factor(sqrt_noise_factors(spec.terms),
                                  [k for g in groups for k in g.members])
@@ -755,86 +824,215 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     active = np.ones(count, dtype=bool)
     blowups, pos_skips = [], []
 
-    def check(t):
-        """The divergence check; returns each group's density norms
-        (K, count).
+    # the snapshots of the records not yet processed, (R, sum K d^2, W),
+    # and each group's rows of them, (R, K, d^2, W)
+    depth = min(RECORD_BATCH, len(times))
+    snaps = np.empty((depth,) + coords.shape)
+    snap_groups, lo = [], 0
+    for g in groups:
+        n_k, n_c, _ = g.coords.shape
+        snap_groups.append(snaps[:, lo:lo + n_k * n_c].reshape(
+            depth, n_k, n_c, width))
+        lo += n_k * n_c
+    pending = []        # (record index, t) of each snapshot, in order
 
-        A column whose coordinates have a 2-norm, which is
-        ||rho_k||_F >= max |rho_ij|, within ``NORM_SCREEN`` is healthy; any
-        other active column, NaN included, is rebuilt and deactivated or
-        aborts when an entry is NaN/Inf or beyond NORM_CAP, which only an
-        unstable path can reach (NaN <= NORM_CAP is false).
+    def squares(cs):
+        """Per group each density's squared coordinate norm, which is
+        ||rho_k||_F^2, (..., K, count), from its coordinates (..., K, d^2,
+        W)."""
+        return [(c[..., live] * c[..., live]).sum(axis=-2) for c in cs]
+
+    def diverged(cs, sq):
+        """The active columns that diverged at one time, from the groups'
+        coordinates (K, d^2, W) and ``squares``.
+
+        A column whose coordinates have a 2-norm, which is ||rho_k||_F >=
+        max |rho_ij|, within ``NORM_SCREEN`` is healthy; any other active
+        column, NaN included, is rebuilt and diverged when an entry is
+        NaN/Inf or beyond NORM_CAP, which only an unstable path can reach
+        (NaN <= NORM_CAP is false).
         """
         healthy = np.ones(count, dtype=bool)
-        norms = []
-        for g in groups:
-            c = g.coords[:, :, live]
-            sq = (c * c).sum(axis=1)
-            doubt = active & ~(sq <= NORM_SCREEN ** 2).all(axis=0)
+        for g, c, s in zip(groups, cs, sq):
+            doubt = active & ~(s <= NORM_SCREEN ** 2).all(axis=0)
             if doubt.any():
                 cols = np.flatnonzero(doubt)
-                rho = coordinate_densities(c[:, :, cols], g.dim)
+                rho = coordinate_densities(c[:, :, live][:, :, cols], g.dim)
                 healthy[cols] &= (np.abs(rho).reshape(
                     len(g.members), len(cols), -1).max(axis=2)
                     <= NORM_CAP).all(axis=0)
-            norms.append(np.sqrt(sq))
-        bad = active & ~healthy
+        return active & ~healthy
+
+    def drop_diverged(bad, t):
+        if policy == "abort":
+            raise TrajectoryBlowupError(t=t,
+                                        trajectory=start + int(np.argmax(bad)))
+        blowups.extend((start + int(b)) for b in np.flatnonzero(bad))
+        active[bad] = False
+
+    def check(t):
+        """The divergence check between records: a diverged column waits
+        for the pending records, which come first and may drop it."""
+        cs = [g.coords for g in groups]
+        bad = diverged(cs, squares(cs))
         if bad.any():
-            first = int(np.nonzero(bad)[0][0])
-            if policy == "abort":
-                raise TrajectoryBlowupError(t=t, trajectory=start + first)
-            blowups.extend((start + int(b)) for b in np.nonzero(bad)[0])
-            active[bad] = False
-        return norms
+            flush()
+            bad &= active
+            if bad.any():
+                drop_diverged(bad, t)
 
-    def record(r_index, t):
-        norms = check(t)
-        on = np.flatnonzero(active)
-        # each active trajectory's smallest eigenvalue per particle, +inf
-        # off them; a d = 3 particle's only once a minimum is below -tol
-        eig = np.full((n, count), np.inf)
-        trios = []      # per d = 3 particle: index, planes, norms, coords, group
-        for g, nm in zip(groups, norms):
-            c = g.coords[:, :, live]
-            if g.dim == 3:
-                trios += zip(g.members, np.matmul(g.screen, c), nm, c,
-                             [g] * len(c))
+    def emit(q, least):
+        r_index, t = pending[q]
+        on_record(r_index, t, snaps[q], active.copy(), least)
+
+    def positivity(cs, sq, a, b):
+        """The pending records a .. b - 1, past their divergence checks,
+        through the positivity test to on_record, from the groups'
+        snapshots cs (R, K, d^2, W) and ``squares`` sq.
+
+        What the test reads per trajectory is formed once, over the
+        trajectories active now, of which every later mask is a subset:
+        the closed-form (and d > 3 eigvalsh) minima, and for d = 3 the
+        planes, norms and estimates.  The d = 3 screens then run together
+        up to the first record whose bounds or minima fall below -tol, so
+        that a drop wastes none of them.  At a record that drops
+        trajectories, a minimum is taken again only where the values
+        already solved cannot settle it (``_screened_values``).
+        """
+        on0 = np.flatnonzero(active)
+        sel0 = _selection(on0, count)
+        parts = []  # per group: group, minima or estimates (R, K, M0), screen
+        for g, c, s in zip(groups, cs, sq):
+            c = c[a:b][..., live]
+            if g.dim != 3:
+                parts.append((g, g.lowest(c[..., sel0]), None))
                 continue
-            sel = _selection(on, count)
-            for k, vals in zip(g.members, g.lowest(c[:, :, sel])):
-                eig[k, sel] = vals
+            e = np.moveaxis(np.matmul(g.screen, c), 2, 0)[..., sel0]
+            parts.append((g, _trig_min_estimate(e),
+                          (e, np.sqrt(s[a:b])[..., sel0], c)))
 
-        def screen(method, on, *tol):
-            """``method`` (``_screened_minima`` or ``_verdicts``) of each
-            d = 3 particle over the trajectories ``on``."""
-            sel = _selection(on, count)
-            for k, e, nm, c, g in trios:
-                yield k, method(e[:, sel], nm[sel], *tol,
-                                lambda index: g.densities(c[:, on[index]]))
-
-        def minima():
-            out = np.where(active, eig, np.inf).min(axis=1)
-            for k, least in screen(_screened_minima, np.flatnonzero(active)):
-                out[k] = least
-            return out
-
-        min_eigs = minima()
-        if not (min_eigs >= -positivity_tol).all():
-            for k, verdicts in screen(_verdicts, on, positivity_tol):
-                eig[k, on] = verdicts
+        def drop(qa, on, cols, screens):
+            """Record a + qa, whose minima over the trajectories ``on``
+            fall below -tol: each one's verdict, then an abort, or the
+            violators dropped and the record's minima over the rest."""
+            eig = np.full((n, count), np.inf)
+            verdicts = {}
+            for i, (g, vals, scr) in enumerate(parts):
+                if scr is not None:
+                    e, nm, c = scr
+                    vals = verdicts[i] = _verdicts(
+                        e[:, qa][..., cols], nm[qa][..., cols],
+                        positivity_tol,
+                        _densities_at(g, c, [qa], range(len(g.members)), on),
+                        known=screens[i][0])
+                else:
+                    vals = vals[qa][..., cols]
+                eig[np.ix_(g.members, on)] = vals
             viol = active & ~(eig >= -positivity_tol).all(axis=0)
             if policy == "abort":
                 first = int(np.argmax(viol))
                 pk = int(np.argmin(eig[:, first]))
                 raise PositivityViolationError(
-                    t=t, particle=pk, min_eig=float(eig[pk, first]),
-                    tol=positivity_tol, trajectory=start + first)
-            pos_skips.extend((start + int(b)) for b in np.flatnonzero(viol))
+                    t=pending[a + qa][1], particle=pk,
+                    min_eig=float(eig[pk, first]), tol=positivity_tol,
+                    trajectory=start + first)
+            pos_skips.extend((start + int(x)) for x in np.flatnonzero(viol))
             active[viol] = False
-            min_eigs = minima()
-        on_record(r_index, t, coords, active.copy(), min_eigs)
+            kept = ~viol[on]
+            now, cols_now = on[kept], np.flatnonzero(active[on0])
+            least = np.empty(n)
+            for i, (g, vals, scr) in enumerate(parts):
+                if scr is None:
+                    least[g.members] = np.min(vals[qa][..., cols][..., kept],
+                                              axis=-1, initial=np.inf)
+                    continue
+                values, ceiling = screens[i]
+                solved = np.where(np.isfinite(values), values, verdicts[i])
+                sub = np.min(solved[:, kept], axis=-1, initial=np.inf)
+                redo = np.flatnonzero(~(sub <= ceiling))
+                if len(redo) and len(now):
+                    e, nm, c = scr
+                    sub[redo] = _screened_values(
+                        e[:, qa, redo][..., cols_now],
+                        nm[qa, redo][..., cols_now],
+                        vals[qa, redo][..., cols_now],
+                        _densities_at(g, c, [qa], redo, now))[0].min(axis=-1)
+                least[g.members] = sub
+            return least
 
-    record(0, times[0])
+        r = a
+        while r < b and active.any():
+            on = np.flatnonzero(active)
+            cols = _selection(np.flatnonzero(active[on0]), len(on0))
+            # each record's least closed-form minimum or d = 3 bound: the
+            # screens run up to the first one below -tol
+            lows = np.empty((b - r, n))
+            for g, vals, scr in parts:
+                low = vals[r - a:][..., cols].min(axis=-1)
+                lows[:, g.members] = low if scr is None else _screen_bound(low)
+            ahead = np.flatnonzero(~(lows >= -positivity_tol).all(axis=1))
+            stop = r + int(ahead[0]) + 1 if len(ahead) else b
+            least, screens = np.empty((stop - r, n)), {}
+            for i, (g, vals, scr) in enumerate(parts):
+                vals = vals[r - a:stop - a][..., cols]
+                if scr is not None:
+                    e, nm, c = scr
+                    screens[i] = _screened_values(
+                        e[:, r - a:stop - a][..., cols],
+                        nm[r - a:stop - a][..., cols], vals,
+                        _densities_at(g, c, range(r - a, stop - a),
+                                      range(len(g.members)), on))
+                    vals = screens[i][0]
+                least[:, g.members] = vals.min(axis=-1)
+            for j, q in enumerate(range(r, stop)):
+                if not (least[j] >= -positivity_tol).all():
+                    emit(q, drop(q - a, on, cols, {
+                        i: (values[j], ceiling[j])
+                        for i, (values, ceiling) in screens.items()}))
+                    r = q + 1
+                    break
+                emit(q, least[j].copy())
+            else:
+                r = stop
+        for q in range(r, b):   # no trajectory is left active
+            emit(q, np.full(n, np.inf))
+
+    def flush():
+        """Process the pending records in time order, each as it would be
+        alone: the divergence check, then positivity, then on_record.
+        Each stage runs once over the records that share an active mask;
+        a drop splits them, and the same code handles the rest."""
+        n_rec = len(pending)
+        cs = [v[:n_rec] for v in snap_groups]
+        sq = squares(cs)
+        # (R, count): every density of the column within the norm screen
+        clear = np.logical_and.reduce(
+            [(s <= NORM_SCREEN ** 2).all(axis=1) for s in sq])
+        i = unchecked = 0
+        while i < n_rec:
+            stop, bad = n_rec, None
+            for r in unchecked + np.flatnonzero(
+                    (active & ~clear[unchecked:]).any(axis=1)):
+                bad = diverged([c[r] for c in cs], [s[r] for s in sq])
+                if bad.any():
+                    stop = int(r)
+                    break
+            if i < stop:
+                positivity(cs, sq, i, stop)
+            if stop < n_rec:
+                bad &= active
+                if bad.any():
+                    drop_diverged(bad, pending[stop][1])
+            i, unchecked = stop, stop + 1
+        pending.clear()
+
+    def record(r_index):
+        np.copyto(snaps[len(pending)], coords)
+        pending.append((r_index, times[r_index]))
+        if len(pending) == depth:
+            flush()
+
+    record(0)
     step = 0
     r_index = 0
     # diverging trajectories are caught by the norm/NaN guards; their
@@ -863,10 +1061,12 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 step += 1
                 if step % record_stride == 0:
                     r_index += 1
-                    record(r_index, times[r_index])
+                    record(r_index)
                 elif step % CHECK_STRIDE == 0:
                     check(step * dt)
             del dal  # the next chunk is drawn without this one alive
+        if pending:
+            flush()
 
     return BlockStats(blowups=tuple(blowups),
                       positivity_skips=tuple(pos_skips))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import snbd.ensemble
+import snbd.propagator
 
 from snbd.ensemble import (
     EnsembleParams,
@@ -282,6 +283,38 @@ class TestRecordSums:
         assert acc.positivity_skips == tuple(np.flatnonzero(~before))
 
 
+    def test_records_summed_in_bulk_are_summed_one_at_a_time(
+            self, monkeypatch):
+        # the run above, whose skips fall mid-batch, at the default
+        # RECORD_BATCH and at one record at a time in the propagator and in
+        # on_record: every sum of the accumulator is the same, bit for bit
+        spec = interleaved_system()
+        rng = np.random.default_rng(5)
+        refs = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                     for d in spec.dims)
+        obs = (ObservableSpec("sz0", (SZ, None, None)),
+               ObservableSpec("mixed", (SX, random_hermitian(rng, 3), SZ)))
+
+        def run():
+            return run_ensemble(spec, TimeGrid(0.6, 1e-3, 20),
+                                EnsembleParams(m=23, master_seed=4,
+                                               n_blocks=4, full_density=True,
+                                               blowup_policy="skip",
+                                               positivity_tol=0.03),
+                                observables=obs, refs=refs)
+
+        bulk = run()
+        monkeypatch.setattr(snbd.propagator, "RECORD_BATCH", 1)
+        monkeypatch.setattr(snbd.ensemble, "RECORD_BATCH", 1)
+        single = run()
+        assert len(set(bulk.active_counts.tolist())) > 2    # drops in steps
+        for name in ("counts", "obs_sum", "obs_m2", "rho_sum", "vec_sum",
+                     "min_eig"):
+            assert getattr(bulk, name).tobytes() == \
+                getattr(single, name).tobytes(), name
+        assert bulk.positivity_skips == single.positivity_skips
+
+
 class TestStandardError:
     def test_standard_error_is_the_two_pass_spread(self, monkeypatch):
         # dims (3, 2, 2) from pure product states, with trajectories
@@ -388,10 +421,14 @@ class TestRunEnsemble:
         # block's record sums take 2 * (128 + 8) B = 272 B (density
         # coordinates, count) and the minimum eigenvalues 2 * 2 * 8 B =
         # 32 B, so the accumulator takes 4 * 272 + 32 = 1120 B, and each
-        # run in flight its 272 B row, its 32 B of minima and its real Y
-        # factor, 2 * 4 * 8 B: 1488 B at one worker, 1856 B at two
+        # run in flight its 272 B row, its 32 B of minima, its two
+        # snapshot buffers of both records (RECORD_BATCH is 8), 2 * 2 *
+        # 8 rows * 8 columns * 8 B = 2048 B, and its real Y factor for both
+        # records, 2 * 2 * 4 * 8 B = 128 B: 2480 B per run, 3600 B at one
+        # worker, 6080 B at two
+        assert snbd.ensemble.RECORD_BATCH == 8
         monkeypatch.setattr(snbd.ensemble, "LOCKSTEP_WIDTH", 2)
-        monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 1800)
+        monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 4800)
         grid = TimeGrid(0.1, 1e-3, 100)
         acc = run_ensemble(benchmark_system, grid,
                            loose(m=8, n_blocks=4, full_density=True))
@@ -409,9 +446,12 @@ class TestRunEnsemble:
             self, benchmark_system, monkeypatch):
         # 4 blocks of 2 in one run, 11 records: without reference vectors
         # the accumulator and the run each take 4 * 11 * 8 B = 352 B of
-        # counts and 11 * 2 * 8 B = 176 B of minimum eigenvalues, 1056 B in
-        # all; vec_sum alone takes 4 * 11 * 4 * 16 B = 2816 B
-        monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 2800)
+        # counts and 11 * 2 * 8 B = 176 B of minimum eigenvalues, and the
+        # run its two snapshot buffers of 8 records (RECORD_BATCH), 2 * 8 *
+        # 8 rows * 8 columns * 8 B = 8192 B, 9248 B in all; vec_sum takes
+        # 4 * 11 * 4 * 16 B = 2816 B in each, 14880 B in all
+        assert snbd.ensemble.RECORD_BATCH == 8
+        monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 12000)
         grid = TimeGrid(0.01, 1e-3, 1)
         assert run_ensemble(benchmark_system, grid,
                             loose(m=8, n_blocks=4)).count == 8

@@ -30,3 +30,6 @@ def test_traced_benchmark_run_passes_its_gate(workload, records):
     assert last["correct"] is True
     assert last["failed"] == 0 and last["attempted"] == 2
     assert last["metrics"]["propagator.records"]["value"] == records
+    # perfbench reads the active fraction from the mask on_record is
+    # handed at the last record; no trajectory of these runs is skipped
+    assert last["metrics"]["ensemble.active_frac"]["value"] == 1.0

@@ -20,6 +20,7 @@ from snbd.errors import (
 from snbd.propagator import (
     COLUMN_ALIGN,
     BlockStats,
+    TimeGrid,
     _draw_noise_chunk,
     _noise_factor,
     _rank_factor,
@@ -935,6 +936,100 @@ class TestBatchedDriver:
         assert active.all()
 
 
+def record_stream(spec, seed, start, count, grid, **kw):
+    """Everything propagate_block hands on_record, per record (r, t, the
+    live coordinates' bytes, active, min_eigs), then its BlockStats or the
+    message of the error it raised."""
+    stream = []
+    live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
+
+    def on_record(r, t, coords, active, mins):
+        stream.append((r, t, coords[:, live].tobytes(), active.tobytes(),
+                       mins.tobytes()))
+
+    try:
+        end = propagate_block(spec, seed, start, count, *grid, on_record,
+                              **kw)
+    except (TrajectoryBlowupError, PositivityViolationError) as exc:
+        end = str(exc)
+    return stream, end
+
+
+class TestRecordBatch:
+    """propagate_block processes its records RECORD_BATCH at a time."""
+
+    MIXED = (0.5, 5e-4, 2)
+    # the blow-up run of test_blowup_message_says_what_the_check_found over
+    # 240 steps, a multiple of both strides; at stride 30 the divergence
+    # check between records finds the diverged trajectory while records
+    # are pending, and the abort still names the record that found it
+    BLOWUP = (2.4, 1e-2)
+
+    @pytest.mark.parametrize("make, seed, start, count, grid, kw, end", [
+        (spin1_pair_system, 1, 3, 400, MIXED,
+         dict(positivity_tol=0.03, policy="skip"), None),
+        (spin1_pair_system, 1, 3, 400, MIXED,
+         dict(positivity_tol=0.3, policy="abort"),
+         "trajectory 129, t=0.24, particle 0: min eigenvalue -3.009e-01 "
+         "below -3.000e-01"),
+        (two_spin_system, 1, 0, 64, BLOWUP + (1,),
+         dict(positivity_tol=np.inf, policy="abort"),
+         "trajectory 55, t=0.79: diverged: a density entry is NaN, inf or "
+         "beyond NORM_CAP (1e4)"),
+        (two_spin_system, 1, 0, 64, BLOWUP + (30,),
+         dict(positivity_tol=np.inf, policy="abort"),
+         "trajectory 55, t=0.9: diverged: a density entry is NaN, inf or "
+         "beyond NORM_CAP (1e4)"),
+        (two_spin_system, 1, 0, 64, BLOWUP + (1,),
+         dict(positivity_tol=np.inf, policy="skip"), None),
+        (two_spin_system, 1, 0, 64, BLOWUP + (30,),
+         dict(positivity_tol=np.inf, policy="skip"), None)],
+        ids=["(3,2,2) skip", "(3,2,2) abort", "blow-up abort 1",
+             "blow-up abort 30", "blow-up skip 1", "blow-up skip 30"])
+    def test_bulk_equals_one_at_a_time(self, make, seed, start, count, grid,
+                                       kw, end, monkeypatch):
+        # the same on_record stream, bit for bit, and the same stats or
+        # error at the default batch and at one record at a time; the skip
+        # runs drop trajectories mid-batch
+        spec = make()
+        assert propagator.RECORD_BATCH == 8
+        bulk = record_stream(spec, seed, start, count, grid, **kw)
+        monkeypatch.setattr(propagator, "RECORD_BATCH", 1)
+        single = record_stream(spec, seed, start, count, grid, **kw)
+        assert bulk == single
+        stream, stats = bulk
+        assert [x[0] for x in stream] == list(range(len(stream)))
+        if end is not None:
+            assert stats == end
+        else:
+            assert len(stream) == len(TimeGrid(*grid).times)
+            assert stats.blowups or stats.positivity_skips
+            assert len({x[3] for x in stream}) > 2     # masks shrink in steps
+
+    def test_screen_solves_each_matrix_once(self, monkeypatch):
+        # the matrices handed to eigvalsh in one block of the mixed_compare
+        # system: 900 with no drop; at tol 0.3, where 120 trajectories are
+        # dropped, a record's minimum is screened again only where the
+        # values already solved cannot settle it, and a verdict reuses a
+        # density the screen solved
+        solved = []
+        lowest = propagator._min_eigvalsh
+
+        def counting(rho):
+            solved.append(len(rho))
+            return lowest(rho)
+
+        monkeypatch.setattr(propagator, "_min_eigvalsh", counting)
+        spec = spin1_pair_system()
+        for tol, most in ((10.0, 900), (0.3, 1016)):
+            solved.clear()
+            stats = propagate_block(spec, 1, 3, 400, *self.MIXED,
+                                    lambda *args: None, positivity_tol=tol,
+                                    policy="skip")
+            assert sum(solved) <= most
+            assert len(stats.positivity_skips) == (120 if tol < 1 else 0)
+
+
 # ---------------------------------------------------------------------------
 # the d = 3 minimum-eigenvalue screen against eigvalsh over every matrix
 # ---------------------------------------------------------------------------
@@ -1017,9 +1112,16 @@ class TestMinimumScreen:
                     propagator, "ESTIMATE_MARGIN", 0.0))
             for a, w in zip(seg, widths):
                 batch = slice(a, a + w)
-                assert propagator._screened_minima(
+                values, ceiling = propagator._screened_values(
                     e[:, batch], norms[batch],
-                    rho[batch].__getitem__) == exact[batch].min()
+                    propagator._trig_min_estimate(e[:, batch]),
+                    rho[batch].__getitem__)
+                assert values.min() == exact[batch].min()
+                # a value is eigvalsh's own, or +inf for a density whose
+                # eigvalsh value is above the ceiling
+                solved = np.isfinite(values)
+                assert np.array_equal(values[solved], exact[batch][solved])
+                assert (exact[batch][~solved] > ceiling).all()
         # thresholds at a matrix's own value, one ulp either side of it,
         # or 1e-13 of the scale away: a verdict is eigvalsh's own value,
         # or +inf where the certificate clears it above -tol
@@ -1044,7 +1146,8 @@ class TestMinimumScreen:
             solved.append(len(index))
             return rho[index]
 
-        propagator._screened_minima(e, norms, matrices)
+        propagator._screened_values(e, norms, propagator._trig_min_estimate(e),
+                                    matrices)
         assert sum(solved) <= 2
         solved.clear()
         assert np.isposinf(propagator._verdicts(e, norms, 10.0,
