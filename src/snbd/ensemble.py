@@ -33,9 +33,9 @@ together, which the memory gate counts with the record sums.
 on_record copies each record it is handed and sums ``RECORD_BATCH`` of
 them at a time, the last ones when the final record arrives.  Every sum
 keeps its per-record shape along a leading record axis: the products are
-stacked matmuls, one GEMM per record as before, and every reduction runs
-along the same axis in the same order, so the sums are bitwise those of
-one record at a time.
+stacked matmuls, one GEMM per record, and every reduction runs along the
+same axis in the same order, so the sums are bitwise those of one record
+at a time.
 """
 
 from dataclasses import dataclass
