@@ -182,7 +182,7 @@ COLUMN_ALIGN = 8
 #: Steps between divergence checks in the batched driver.
 CHECK_STRIDE = 25
 
-#: Records the batched driver processes together: it snapshots each
+#: Records propagate_block processes together: it snapshots each
 #: record's coordinates and runs the record-time monitors and on_record
 #: over this many at a time (see the module notes).
 RECORD_BATCH = 8
