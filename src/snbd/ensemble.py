@@ -38,6 +38,8 @@ same axis in the same order, so the sums are bitwise those of one record
 at a time.
 """
 
+import os
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from itertools import groupby, islice
 
@@ -54,6 +56,7 @@ from .linalg import frozen_cmatrix, require_hermitian
 from .propagator import (
     COLUMN_ALIGN,
     RECORD_BATCH,
+    NoiseHelper,
     TimeGrid,
     coordinate_rows,
     padded_width,
@@ -317,9 +320,10 @@ def _record_factor(spec, obs_stacks, refs):
     return np.concatenate(blocks)
 
 
-def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
+def _block_task(spec, time, ensemble, edges, obs_stacks, refs, noise=None):
     """Propagate the trajectories of a run of consecutive blocks, whose
-    boundaries are ``edges``, as one batch (worker-safe).
+    boundaries are ``edges``, as one batch (worker-safe), reading the
+    noise from ``noise`` when one is given (``propagate_block``).
 
     Returns the run's rows of the accumulator's per-block arrays by name,
     block axis first (None for a sum the run does not keep), the run's
@@ -442,7 +446,8 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     stats = propagate_block(
         spec, ensemble.master_seed, start, count, time.t_final, time.dt,
         time.record_stride, on_record,
-        positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy)
+        positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy,
+        noise=noise)
     sums = dict(counts=counts, obs_sum=obs_sum,
                 obs_m2=obs_m2, rho_sum=rho_sum, vec_sum=vec_sum)
     return sums, min_eig, stats.blowups, stats.positivity_skips
@@ -453,8 +458,17 @@ def _take(pending: dict, future) -> tuple:
     return pending.pop(future), future.result()
 
 
-def _run_results(tasks, worker_count):
-    """(index, _block_task result) for every task.  On a pool, a task is
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_results(tasks, worker_count, draw_ahead):
+    """(index, _block_task result) for every task.  Serial runs draw
+    their noise in a ``NoiseHelper`` process when ``draw_ahead``, ended
+    when the generator ends or is closed.  On a pool, a task is
     submitted when a worker is free and a finished one's result has been
     taken, so at most ``worker_count`` results exist at a time, finished
     or not, the one the caller holds included (no reference to a taken
@@ -462,8 +476,12 @@ def _run_results(tasks, worker_count):
     complete.  A worker that dies (killed, or out of memory) breaks the
     pool: that raises WorkerLostError."""
     if worker_count <= 1:
-        for i, task in enumerate(tasks):
-            yield i, _block_task(*task)
+        plan = [(int(edges[0]), int(edges[-1] - edges[0]))
+                for _, _, _, edges, _, _ in tasks]
+        with (NoiseHelper(tasks[0][2].master_seed, plan) if draw_ahead
+              else nullcontext()) as noise:
+            for i, task in enumerate(tasks):
+                yield i, _block_task(*task, noise=noise)
         return
     # imported here, so that a serial run and ``snbd validate`` skip it
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -553,24 +571,30 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
 
     tasks = [(spec, time, ensemble, edges[first:stop + 1], obs_stacks, refs)
              for first, stop in runs]
+    # one run at a time leaves a CPU to draw the next chunk's noise on
+    draw_ahead = (in_flight == 1 and hasattr(os, "fork")
+                  and _usable_cpus() >= 2)
     sums, blowups, positivity_skips = None, (), ()
     min_eig = np.full((len(times), spec.n_particles), np.inf)
-    for i, (run_sums, run_min, blown, skipped) in _run_results(
-            tasks, ensemble.worker_count):
-        # the runs tile the blocks, so every row is written by one run, in
-        # whatever order the runs arrive
-        first, stop = runs[i]
-        if sums is None:
-            sums = {name: None if value is None else np.empty(
-                        (n_blocks,) + value.shape[1:], dtype=value.dtype)
-                    for name, value in run_sums.items()}
-        for name in sums:
-            if run_sums[name] is not None:
-                sums[name][first:stop] = run_sums[name]
-        np.minimum(min_eig, run_min, out=min_eig)
-        blowups += blown
-        positivity_skips += skipped
-        del run_sums, run_min  # free before the next run: the gate counts one
+    # closed on every exit, so no helper or worker outlives the call
+    with closing(_run_results(tasks, ensemble.worker_count,
+                              draw_ahead)) as results:
+        for i, (run_sums, run_min, blown, skipped) in results:
+            # the runs tile the blocks, so every row is written by one run,
+            # in whatever order the runs arrive
+            first, stop = runs[i]
+            if sums is None:
+                sums = {name: None if value is None else np.empty(
+                            (n_blocks,) + value.shape[1:], dtype=value.dtype)
+                        for name, value in run_sums.items()}
+            for name in sums:
+                if run_sums[name] is not None:
+                    sums[name][first:stop] = run_sums[name]
+            np.minimum(min_eig, run_min, out=min_eig)
+            blowups += blown
+            positivity_skips += skipped
+            # free before the next run: the gate counts one
+            del run_sums, run_min
 
     return EnsembleAccumulator(
         times=times,

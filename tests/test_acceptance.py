@@ -71,7 +71,6 @@ from snbd.propagator import (
     carried_trace_deviation,
     positivity_tolerance,
     propagate_block,
-    propagate_trajectory,
     trajectory_rng,
 )
 from snbd.recovery import (
@@ -89,6 +88,7 @@ from snbd.system import (
 
 from conftest import SZ, two_spin_system
 from pair_map import moment_deviation, pair_noise_factor
+from single_trajectory import propagate_trajectory
 
 # benchmark 1: pinned parameters
 T_FINAL = 10.0

@@ -32,7 +32,6 @@ from snbd.propagator import (
     TimeGrid,
     coordinate_densities,
     coordinate_rows,
-    propagate_trajectory,
 )
 
 from conftest import (
@@ -45,6 +44,7 @@ from conftest import (
     random_hermitian,
     two_spin_system,
 )
+from single_trajectory import propagate_trajectory
 
 def loose(**kw):
     return EnsembleParams(**{"positivity_tol": 1e9, **kw})

@@ -12,10 +12,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload, records", [
-    ("two_spin_ship", 11), ("spins8", 22), ("mixed_compare", 501)],
+@pytest.mark.parametrize("workload, records, traj_steps", [
+    ("two_spin_ship", 11, 40_000), ("spins8", 22, 8_000),
+    ("mixed_compare", 501, 40_000)],
     ids=["two_spin_ship", "spins8", "mixed_compare"])
-def test_traced_benchmark_run_passes_its_gate(workload, records):
+def test_traced_benchmark_run_passes_its_gate(workload, records, traj_steps):
     # perfbench/run.py exits nonzero when a workload misses one of its
     # expected spans, when a span other than on_record or the noise draw
     # sits inside propagate_block, or when its spans do not add up; the
@@ -30,6 +31,10 @@ def test_traced_benchmark_run_passes_its_gate(workload, records):
     assert last["correct"] is True
     assert last["failed"] == 0 and last["attempted"] == 2
     assert last["metrics"]["propagator.records"]["value"] == records
+    # the tiny M x 1000 steps, counted at the draw: in the process that
+    # draws, a pool worker or a serial run's noise helper, whose spans file
+    # is written when it exits
+    assert last["metrics"]["propagator.traj_steps"]["value"] == traj_steps
     # perfbench reads the active fraction from the mask on_record is
     # handed at the last record; no trajectory of these runs is skipped
     assert last["metrics"]["ensemble.active_frac"]["value"] == 1.0

@@ -28,7 +28,6 @@ from snbd.propagator import (
     coordinate_rows,
     positivity_tolerance,
     propagate_block,
-    propagate_trajectory,
     sqrt_noise_factors,
     trajectory_rng,
 )
@@ -64,6 +63,7 @@ from pair_map import (
     pair_noise_factor,
     sample_increments,
 )
+from single_trajectory import propagate_trajectory
 
 
 # ---------------------------------------------------------------------------
