@@ -4,7 +4,7 @@
 Runs the shipped two-spin exchange system over a horizon where the
 unraveling's statistics are healthy, prints a per-time comparison table,
 and writes the full output set (CSV + binary + manifest) through the CLI
-machinery.
+(``snbd compare``), whose errors and exit codes it passes on.
 
     python scripts/two_spin_benchmark.py [--m 2000] [--t-final 0.5] [--out DIR]
 """
@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from snbd.cli import execute
-from snbd.config import parse_config, parse_config_dict, serialize_config
+from snbd.cli import main as snbd_main
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "two_spin_heisenberg.json"
 
@@ -30,15 +29,13 @@ def main(argv=None):
     parser.add_argument("--out", default="out/two_spin_benchmark")
     args = parser.parse_args(argv)
 
-    data = serialize_config(parse_config(CONFIG))
-    data["ensemble"]["M"] = args.m
-    data["ensemble"]["master_seed"] = args.seed
-    data["ensemble"]["worker_count"] = args.workers
-    data["time"]["t_final"] = args.t_final
-    data["output"]["directory"] = args.out
-    cfg = parse_config_dict(data)
-
-    status = execute(cfg, "compare", verbosity=1)
+    status = snbd_main([
+        "compare", "--config", str(CONFIG), "--seed", str(args.seed),
+        "--workers", str(args.workers), "--out", args.out,
+        f"--ensemble.M={args.m}", f"--time.t_final={args.t_final!r}",
+        "--verbose"])
+    if status != 0:
+        return status
     table = np.genfromtxt(Path(args.out) / "compare.csv", delimiter=",",
                           names=True)
     print(f"\n{'t':>6} {'trace_dist':>11} {'5*SE':>9} {'fidelity':>9}")

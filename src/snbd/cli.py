@@ -108,6 +108,11 @@ def _recovery_refs(cfg):
 
 
 def _run_ensemble_from_config(cfg, reporter):
+    # recovery differentiates the phase over the records, before any is run
+    if cfg.recovery.enabled and len(cfg.time.times) < 3:
+        raise ConfigError(
+            f"recovery needs at least 3 recorded times, got "
+            f"{len(cfg.time.times)}", path="recovery.enabled")
     reporter.detail(
         f"running M={cfg.ensemble.m} trajectories, "
         f"{cfg.ensemble.worker_count} worker(s)")

@@ -7,8 +7,8 @@ reference-vector contractions used for wavefunction recovery.
 
 Trajectories are grouped into fixed blocks, the resampling unit of the
 jackknife error bars; block boundaries depend only on (M, n_blocks).
-Consecutive blocks are propagated together, as one lockstep batch of up
-to ``LOCKSTEP_WIDTH`` trajectories, and each block's sums are reduced
+Consecutive blocks of one width are propagated together, as one batch of
+up to ``LOCKSTEP_WIDTH`` trajectories, and each block's sums are reduced
 from its own slice of the batch, so results are bitwise independent of
 that grouping and of the worker count.  Each run's minimum eigenvalues
 are merged with ``np.minimum``, which no split of the runs can change.
@@ -41,7 +41,7 @@ at a time.
 import os
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import islice
 
 import numpy as np
 
@@ -147,17 +147,21 @@ def block_edges(m: int, n_blocks: int) -> np.ndarray:
 
 def block_runs(edges, worker_count: int) -> list:
     """Runs of consecutive blocks propagated as one batch: (first, stop)
-    block ranges of equal length, the last one shorter.
+    block ranges, each of blocks of one width.
 
     A run holds as many blocks as fit in ``LOCKSTEP_WIDTH`` trajectories,
     at least one, and there are at least min(worker_count, n_blocks) runs
-    so that every worker gets one.
+    so that every worker gets one.  The wider blocks come first
+    (``block_edges``), and the runs are cut where the width changes, the
+    last run of each width shorter.
     """
-    n_blocks = len(edges) - 1
-    widest = int(np.diff(edges).max())
+    widths = np.diff(edges)
+    n_blocks, widest = len(widths), int(widths.max())
     per_run = max(1, min(LOCKSTEP_WIDTH // widest, n_blocks // worker_count))
-    return [(b, min(b + per_run, n_blocks))
-            for b in range(0, n_blocks, per_run)]
+    cut = int((widths == widest).sum())
+    return [(b, min(b + per_run, stop))
+            for lo, stop in ((0, cut), (cut, n_blocks))
+            for b in range(lo, stop, per_run)]
 
 
 @dataclass
@@ -333,30 +337,16 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs, noise=None):
     n_obs = obs_stacks[0].shape[0] if obs_stacks else 0
     n_times = len(time.times)
     start, count = int(edges[0]), int(edges[-1] - edges[0])
-    widths = np.diff(edges)
-    firsts = edges[:-1] - start
-    rows = len(widths)
+    rows, width = len(edges) - 1, int(edges[1] - edges[0])
     live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
     particle_rows = coordinate_rows(spec.dims)
     factor = _record_factor(spec, obs_stacks, refs)
     n_prod = n * n_obs        # the factor's observable rows
-    # runs of consecutive blocks of one width, at most two (block_edges):
-    # (first row, blocks, width)
-    same_width, lo = [], 0
-    for w, run in groupby(widths.tolist()):
-        k = len(list(run))
-        same_width.append((lo, k, w))
-        lo += k * w
 
     def by_block(x):
-        """x's trajectory rows, axis 1, as (R, blocks, width, ...) views,
-        one per run of equal widths, so each block reduces its own rows."""
-        return [x[:, lo:lo + k * w].reshape((len(x), k, w) + x.shape[2:])
-                for lo, k, w in same_width]
-
-    def per_block(parts):
-        """Per-block results of the runs of equal widths, (R, blocks, ...)."""
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        """x's trajectory rows, axis 1, as an (R, blocks, width, ...) view:
+        a run's blocks are of one width (block_runs)."""
+        return x.reshape((len(x), rows, width) + x.shape[2:])
 
     counts = np.zeros((rows, n_times), dtype=np.int64)
     obs_sum = np.zeros((rows, n_obs, n_times))
@@ -368,11 +358,9 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs, noise=None):
     min_eig = np.empty((n_times, n))
 
     def xty(factors):
-        """Each record's and block's X^T @ Y, (R, rows, a * b), one stacked
-        product per run of equal widths."""
-        x, y = factors
-        return per_block([(xb.swapaxes(-1, -2) @ yb).reshape(
-            xb.shape[:2] + (-1,)) for xb, yb in zip(by_block(x), by_block(y))])
+        """Each record's and block's X^T @ Y, (R, rows, a * b)."""
+        x, y = map(by_block, factors)
+        return (x.swapaxes(-1, -2) @ y).reshape(x.shape[:2] + (-1,))
 
     # the records on_record has copied and not yet summed
     depth = min(RECORD_BATCH, n_times)
@@ -393,8 +381,7 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs, noise=None):
     def add_records(times, k):
         """Sum the k held records, at ``times``, into each block's rows."""
         coords, active = held_coords[:k], held_active[:k]
-        counts[:, times] = np.add.reduceat(active, firsts, axis=1,
-                                           dtype=np.int64).T
+        counts[:, times] = by_block(active).sum(axis=2, dtype=np.int64).T
         filled = counts[:, times].T > 0         # (R, blocks)
         if not filled.any():
             return
@@ -428,13 +415,14 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs, noise=None):
                     vals = vals * v[:, j]
                 vals = vals.swapaxes(1, 2)
                 on = active[..., None]
-                sums = per_block([b.sum(axis=2) for b in
-                                  by_block(np.where(on, vals, -0.0))])
+                sums = by_block(np.where(on, vals, -0.0)).sum(axis=2)
                 put(obs_sum, sums)
                 mean = sums / np.maximum(counts[:, times].T, 1)[..., None]
-                dev = np.where(on, vals - np.repeat(mean, widths, axis=1), 0.0)
-                put(obs_m2, per_block([(b * b).sum(axis=2)
-                                       for b in by_block(dev)]))
+                # formed on the run's rows, then viewed by block: the sum's
+                # order follows dev's memory order
+                dev = by_block(np.where(
+                    on, vals - np.repeat(mean, width, axis=1), 0.0))
+                put(obs_m2, (dev * dev).sum(axis=2))
             if rho_sum is not None:
                 c = _live_rows(coords[..., live], active)
                 put(rho_sum.swapaxes(1, 2), xty(_batched_kron(

@@ -424,6 +424,21 @@ class TestCli:
         p = self._write(tmp_path, data)
         assert main(["compare", "--config", str(p), "--quiet"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("subcommand", ["run", "compare", "spectrum"])
+    def test_recovery_requires_three_records(self, tmp_path, capsys,
+                                             subcommand, monkeypatch):
+        # two recorded times: refused before any trajectory is stepped
+        out = tmp_path / "out"
+        p = self._write(tmp_path, tiny_config(out, t_final=0.02))
+        monkeypatch.setattr(snbd.cli, "run_ensemble", None)
+        assert main([subcommand, "--config", str(p), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "error: recovery.enabled: recovery needs at least 3 recorded "
+            "times, got 2"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert manifest["files"] == {}
+
     def test_oracle_subcommand(self, tmp_path):
         out = tmp_path / "out"
         p = self._write(tmp_path, tiny_config(out))

@@ -81,11 +81,19 @@ class TestLockstep:
         assert block_runs(block_edges(3, 3), 8) == [(0, 1), (1, 2), (2, 3)]
         # a block wider than LOCKSTEP_WIDTH runs alone
         assert block_runs(block_edges(5000, 2), 1) == [(0, 1), (1, 2)]
+        # the wider blocks come first, and no run holds two widths
+        assert block_runs(block_edges(23, 4), 1) == [(0, 3), (3, 4)]
+        edges = block_edges(2003, 40)
+        for workers in (1, 2):
+            runs = block_runs(edges, workers)
+            assert [b for run in runs for b in range(*run)] == list(range(40))
+            assert all(len(set(np.diff(edges[first:stop + 1]))) == 1
+                       for first, stop in runs)
 
     def _run(self, workers):
         return run_ensemble(
             two_spin_system(), TimeGrid(1.0, 1e-3, 100),
-            EnsembleParams(m=48, master_seed=3, n_blocks=12,
+            EnsembleParams(m=46, master_seed=3, n_blocks=12,
                            worker_count=workers, full_density=True,
                            blowup_policy="skip", positivity_tol=1.0),
             (ObservableSpec("sz0", (SZ, None)),
@@ -94,9 +102,12 @@ class TestLockstep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_runs_match_one_block_per_run(self, workers, monkeypatch):
+        # ten blocks of 4 and two of 3, one more run than workers for the
+        # change of width
         lockstep = self._run(workers)
+        assert list(np.diff(lockstep.edges)) == [4] * 10 + [3] * 2
         runs = block_runs(lockstep.edges, workers)
-        assert len(runs) == workers
+        assert len(runs) == workers + 1
         # the skips fall in blocks inside a run, neither first nor last
         interior = {b for first, stop in runs for b in range(first + 1, stop - 1)}
         owners = np.searchsorted(lockstep.edges, lockstep.positivity_skips,
@@ -119,18 +130,29 @@ class TestLockstep:
 
 
 def recorded_records(monkeypatch):
-    """Keep the (live coordinate columns, active mask, batch minima) of
-    every record the ensemble's propagate_block hands on_record, in order,
-    in the list returned (one run, starting at trajectory 0)."""
-    seen = []
+    """Keep the (live coordinate columns, active mask, minima) of every
+    record the ensemble's propagate_block calls hand on_record, in the
+    list returned, one entry per record: the runs' live columns stitched
+    in the order of their first trajectory, their minima merged with
+    np.minimum."""
+    parts, seen = [], []
     propagate = snbd.ensemble.propagate_block
 
     def recording(*args, **options):
-        on_record = args[7]
-        live = slice(0, args[3])
+        on_record, start, count = args[7], args[2], args[3]
+        offset = start % snbd.propagator.COLUMN_ALIGN
+        live = slice(offset, offset + count)
 
         def record(r, t, coords, active, mins):
-            seen.append((coords[:, live].copy(), active.copy(), mins.copy()))
+            if r == len(parts):
+                parts.append({})
+                seen.append(None)
+            parts[r][start] = (coords[:, live].copy(), active.copy(),
+                               mins.copy())
+            runs = [parts[r][s] for s in sorted(parts[r])]
+            seen[r] = (np.concatenate([c for c, _, _ in runs], axis=1),
+                       np.concatenate([a for _, a, _ in runs]),
+                       np.minimum.reduce([m for _, _, m in runs]))
             on_record(r, t, coords, active, mins)
 
         return propagate(*args[:7], record, **options)
