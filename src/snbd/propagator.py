@@ -71,9 +71,11 @@ monitors read as little as they must:
 - a larger particle takes eigvalsh over its group;
 - the positivity test reads those minima: only when one is below -tol
   does each active trajectory get a verdict, a d = 3 density by the same
-  certificate at s = -tol and eigvalsh where it cannot clear it and the
-  screen has not solved it (``_verdicts``); after the drop, a minimum is
-  screened again only where the values already solved cannot settle it.
+  certificate at s = -tol and eigvalsh where it cannot clear it
+  (``_verdicts``); the drop then starts the test again at that record,
+  over the survivors.  Each d = 3 group keeps one memo of the eigvalsh
+  minima solved in a batch, so the screen, the verdicts and the screen
+  again after a drop solve each density at most once.
 
 A density handed to eigvalsh is rebuilt as a matrix, exactly Hermitian
 (the lower triangle the conjugate of the upper), by term-by-term
@@ -620,40 +622,30 @@ def _allowance(norms, shift):
     return CERTIFICATE_ALLOWANCE * (norms + np.abs(shift))
 
 
-def _verdicts(e: np.ndarray, norms: np.ndarray, tol, matrices,
-              known: np.ndarray = None) -> np.ndarray:
+def _verdicts(e: np.ndarray, norms: np.ndarray, tol, solve) -> np.ndarray:
     """Each 3 x 3 density's smallest eigvalsh eigenvalue, or +inf where a
     certificate proves it above -tol, from their planes e (12, ..., M) and
     Frobenius norms (..., M), with ``tol`` a number or an array that
     broadcasts to them: an LDL^H of rho + (tol - sigma) I that passes.
-    Only the rest reach eigvalsh; ``matrices(index)`` gives the matrices it
-    reads, for flat indices into (..., M).  A density with a finite
-    ``known`` value, eigvalsh's own from before, takes that value instead.
-    So a value is below -tol exactly where eigvalsh's is, and a cleared
-    one is never the least (+inf, not NaN, which argmin picks)."""
+    Only the rest are solved: ``solve(index)`` gives eigvalsh's minima of
+    the densities at flat indices into (..., M).  So a value is below -tol
+    exactly where eigvalsh's is, and a cleared one is never the least
+    (+inf, not NaN, which argmin picks)."""
     out = np.full(norms.shape, np.inf)
-    unsure = ~_ldl_positive(e, _allowance(norms, tol) - tol)
-    if known is not None:
-        solved = np.isfinite(known)
-        out[solved] = known[solved]
-        unsure &= ~solved
-    index = np.flatnonzero(unsure)
+    index = np.flatnonzero(~_ldl_positive(e, _allowance(norms, tol) - tol))
     if len(index):
-        out.reshape(-1)[index] = _min_eigvalsh(matrices(index))
+        out.reshape(-1)[index] = solve(index)
     return out
 
 
 def _screened_values(e: np.ndarray, norms: np.ndarray, estimates: np.ndarray,
-                     matrices) -> tuple:
-    """(values, ceiling) for the 3 x 3 densities given by their planes e
-    (12, ..., M), Frobenius norms and ``_trig_min_estimate`` values (...,
-    M), one batch per leading index, M > 0.  A value is eigvalsh's own
-    where the density is solved and +inf where it is ruled out, so a
-    batch's least value is, bit for bit, its smallest eigvalsh eigenvalue
-    and the argmin holds it.  Every density ruled out has an eigvalsh value
-    above the batch's ceiling, (...,), which is +inf when none is.  So the
-    least value over any subset is exact when it is at most the ceiling.
-    eigvalsh runs on few densities (``matrices``, see ``_verdicts``).
+                     solve) -> np.ndarray:
+    """Values for the 3 x 3 densities given by their planes e (12, ..., M),
+    Frobenius norms and ``_trig_min_estimate`` values (..., M), one batch
+    per leading index, M > 0.  A value is eigvalsh's own where the density
+    is solved and +inf where it is ruled out, so a batch's least value is,
+    bit for bit, its smallest eigvalsh eigenvalue and the argmin holds it.
+    eigvalsh runs on few densities (``solve``, see ``_verdicts``).
 
     A batch's bound m is its least estimate plus a margin.  A density
     whose LDL^H of rho - (m + sigma) I passes has an eigvalsh value > m and
@@ -663,35 +655,20 @@ def _screened_values(e: np.ndarray, norms: np.ndarray, estimates: np.ndarray,
     So the estimate's accuracy sets only how many are solved.
     """
     bound = _screen_bound(estimates.min(axis=-1, keepdims=True))
-    out = _verdicts(e, norms, -bound, matrices)
+    out = _verdicts(e, norms, -bound, solve)
     rows = out.reshape(-1, out.shape[-1])
-    bound = bound.reshape(-1)
-    unsettled = np.flatnonzero(rows.min(axis=1) > bound)
+    unsettled = np.flatnonzero(rows.min(axis=1) > bound.reshape(-1))
     if len(unsettled):
         m = rows.shape[1]
         index = (unsettled[:, None] * m + np.arange(m)).reshape(-1)
-        rows[unsettled] = _min_eigvalsh(matrices(index)).reshape(-1, m)
-    ceiling = np.where(np.isinf(rows).any(axis=1), bound, np.inf)
-    return out, ceiling.reshape(out.shape[:-1])
+        rows[unsettled] = solve(index).reshape(-1, m)
+    return out
 
 
 def _screen_bound(low):
     """The d = 3 screen's bound m on a batch whose least closed-form
     estimate is ``low``."""
     return low + ESTIMATE_MARGIN * (1.0 + np.abs(low))
-
-
-def _densities_at(group, c, records, members, on):
-    """The ``matrices`` of a screen over (records, members, on): the
-    group's densities at flat indices into that grid, from its live
-    coordinates c (R, K, d^2, count)."""
-    records, members = np.asarray(records), np.asarray(members)
-
-    def build(flat):
-        i, rest = np.divmod(flat, len(members) * len(on))
-        k, m = np.divmod(rest, len(on))
-        return group.densities(c[records[i], members[k], :, on[m]].T)
-    return build
 
 
 def _selection(on: np.ndarray, count: int):
@@ -1020,14 +997,39 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         What the test reads per trajectory is formed once, over the
         trajectories active now, of which every later mask is a subset:
         the closed-form (and d > 3 eigvalsh) minima, and for d = 3 the
-        planes, norms and estimates.  The d = 3 screens then run together
-        up to the first record whose bounds or minima fall below -tol, so
-        that a drop wastes none of them.  At a record that drops
-        trajectories, a minimum is taken again only where the values
-        already solved cannot settle it (``_screened_values``).
+        planes, norms and estimates, with one memo of eigvalsh minima
+        (``screen``).  The d = 3 screens then run together up to the first
+        record whose bounds or minima fall below -tol, so that a drop
+        wastes none of them.  A drop takes that record's verdicts and
+        drops the violators; the loop then starts again at the same
+        record, whose screen over the survivors reads the memo.
         """
         on0 = np.flatnonzero(active)
         sel0 = _selection(on0, count)
+
+        def screen(g, c, e, norms):
+            """A d = 3 group's planes, norms and ``solve`` at (rows, cols),
+            records and positions in on0.  The memo, NaN until solved, holds
+            the eigvalsh minima over (records, members, on0), so each
+            density is solved at most once, whichever pass asks for it."""
+            memo = np.full(norms.shape, np.nan)
+            flat = memo.reshape(-1)
+            ids = np.arange(memo.size).reshape(memo.shape)
+
+            def at(rows, cols):
+                pos = ids[rows][..., cols].reshape(-1)
+
+                def solve(index):
+                    want = pos[index]
+                    new = want[np.isnan(flat[want])]
+                    if len(new):
+                        i, k, m = np.unravel_index(new, memo.shape)
+                        flat[new] = _min_eigvalsh(
+                            g.densities(c[i, k, :, on0[m]].T))
+                    return flat[want]
+                return e[:, rows][..., cols], norms[rows][..., cols], solve
+            return at
+
         parts = []  # per group: group, minima or estimates (R, K, M0), screen
         for g, c, s in zip(groups, cs, sq):
             c = c[a:b][..., live]
@@ -1036,56 +1038,35 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 continue
             e = np.moveaxis(np.matmul(g.screen, c), 2, 0)[..., sel0]
             parts.append((g, _trig_min_estimate(e),
-                          (e, np.sqrt(s[a:b])[..., sel0], c)))
+                          screen(g, c, e, np.sqrt(s[a:b])[..., sel0])))
 
-        def drop(qa, on, cols, screens):
+        def drop(qa, on, cols):
             """Record a + qa, whose minima over the trajectories ``on``
-            fall below -tol: each one's verdict, then an abort, or the
-            violators dropped and the record's minima over the rest."""
+            fall below -tol: each one's verdict, then an abort or the
+            violators dropped.  A drop with no violator is an error: the
+            screen and the verdicts disagree, and the restart would loop."""
             eig = np.full((n, count), np.inf)
-            verdicts = {}
-            for i, (g, vals, scr) in enumerate(parts):
-                if scr is not None:
-                    e, nm, c = scr
-                    vals = verdicts[i] = _verdicts(
-                        e[:, qa][..., cols], nm[qa][..., cols],
-                        positivity_tol,
-                        _densities_at(g, c, [qa], range(len(g.members)), on),
-                        known=screens[i][0])
-                else:
+            for g, vals, scr in parts:
+                if scr is None:
                     vals = vals[qa][..., cols]
+                else:
+                    e, norms, solve = scr(qa, cols)
+                    vals = _verdicts(e, norms, positivity_tol, solve)
                 eig[np.ix_(g.members, on)] = vals
             viol = active & ~(eig >= -positivity_tol).all(axis=0)
+            t = pending[a + qa][1]
+            if not viol.any():
+                raise ContractViolationError(
+                    f"t={t:.6g}: the screen reads a minimum below "
+                    f"-{positivity_tol:.3e}, but no trajectory's verdict does")
             if policy == "abort":
                 first = int(np.argmax(viol))
                 pk = int(np.argmin(eig[:, first]))
                 raise PositivityViolationError(
-                    t=pending[a + qa][1], particle=pk,
-                    min_eig=float(eig[pk, first]), tol=positivity_tol,
-                    trajectory=start + first)
+                    t=t, particle=pk, min_eig=float(eig[pk, first]),
+                    tol=positivity_tol, trajectory=start + first)
             pos_skips.extend((start + int(x)) for x in np.flatnonzero(viol))
             active[viol] = False
-            kept = ~viol[on]
-            now, cols_now = on[kept], np.flatnonzero(active[on0])
-            least = np.empty(n)
-            for i, (g, vals, scr) in enumerate(parts):
-                if scr is None:
-                    least[g.members] = np.min(vals[qa][..., cols][..., kept],
-                                              axis=-1, initial=np.inf)
-                    continue
-                values, ceiling = screens[i]
-                solved = np.where(np.isfinite(values), values, verdicts[i])
-                sub = np.min(solved[:, kept], axis=-1, initial=np.inf)
-                redo = np.flatnonzero(~(sub <= ceiling))
-                if len(redo) and len(now):
-                    e, nm, c = scr
-                    sub[redo] = _screened_values(
-                        e[:, qa, redo][..., cols_now],
-                        nm[qa, redo][..., cols_now],
-                        vals[qa, redo][..., cols_now],
-                        _densities_at(g, c, [qa], redo, now))[0].min(axis=-1)
-                least[g.members] = sub
-            return least
 
         r = a
         while r < b and active.any():
@@ -1099,24 +1080,17 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 lows[:, g.members] = low if scr is None else _screen_bound(low)
             ahead = np.flatnonzero(~(lows >= -positivity_tol).all(axis=1))
             stop = r + int(ahead[0]) + 1 if len(ahead) else b
-            least, screens = np.empty((stop - r, n)), {}
-            for i, (g, vals, scr) in enumerate(parts):
+            least = np.empty((stop - r, n))
+            for g, vals, scr in parts:
                 vals = vals[r - a:stop - a][..., cols]
                 if scr is not None:
-                    e, nm, c = scr
-                    screens[i] = _screened_values(
-                        e[:, r - a:stop - a][..., cols],
-                        nm[r - a:stop - a][..., cols], vals,
-                        _densities_at(g, c, range(r - a, stop - a),
-                                      range(len(g.members)), on))
-                    vals = screens[i][0]
+                    e, norms, solve = scr(slice(r - a, stop - a), cols)
+                    vals = _screened_values(e, norms, vals, solve)
                 least[:, g.members] = vals.min(axis=-1)
             for j, q in enumerate(range(r, stop)):
                 if not (least[j] >= -positivity_tol).all():
-                    emit(q, drop(q - a, on, cols, {
-                        i: (values[j], ceiling[j])
-                        for i, (values, ceiling) in screens.items()}))
-                    r = q + 1
+                    drop(q - a, on, cols)
+                    r = q
                     break
                 emit(q, least[j].copy())
             else:

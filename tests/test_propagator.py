@@ -969,6 +969,8 @@ class TestRecordBatch:
         (spin1_pair_system, 1, 3, 400, MIXED,
          dict(positivity_tol=0.03, policy="skip"), None),
         (spin1_pair_system, 1, 3, 400, MIXED,
+         dict(positivity_tol=0.3, policy="skip"), None),
+        (spin1_pair_system, 1, 3, 400, MIXED,
          dict(positivity_tol=0.3, policy="abort"),
          "trajectory 129, t=0.24, particle 0: min eigenvalue -3.009e-01 "
          "below -3.000e-01"),
@@ -984,7 +986,8 @@ class TestRecordBatch:
          dict(positivity_tol=np.inf, policy="skip"), None),
         (two_spin_system, 1, 0, 64, BLOWUP + (30,),
          dict(positivity_tol=np.inf, policy="skip"), None)],
-        ids=["(3,2,2) skip", "(3,2,2) abort", "blow-up abort 1",
+        ids=["(3,2,2) skip", "(3,2,2) skip tol 0.3", "(3,2,2) abort",
+             "blow-up abort 1",
              "blow-up abort 30", "blow-up skip 1", "blow-up skip 30"])
     def test_bulk_equals_one_at_a_time(self, make, seed, start, count, grid,
                                        kw, end, monkeypatch):
@@ -1009,9 +1012,9 @@ class TestRecordBatch:
     def test_screen_solves_each_matrix_once(self, monkeypatch):
         # the matrices handed to eigvalsh in one block of the mixed_compare
         # system: 900 with no drop; at tol 0.3, where 120 trajectories are
-        # dropped, a record's minimum is screened again only where the
-        # values already solved cannot settle it, and a verdict reuses a
-        # density the screen solved
+        # dropped, and at 0.1 and 0.03, where all 400 are, a density is
+        # solved at most once per record batch, whether the screen, a
+        # verdict or the screen over a drop's survivors asks for it
         solved = []
         lowest = propagator._min_eigvalsh
 
@@ -1021,13 +1024,29 @@ class TestRecordBatch:
 
         monkeypatch.setattr(propagator, "_min_eigvalsh", counting)
         spec = spin1_pair_system()
-        for tol, most in ((10.0, 900), (0.3, 1016)):
+        for tol, most, skips in ((10.0, 900, 0), (0.3, 1016, 120),
+                                 (0.1, 1278, 400), (0.03, 932, 400)):
             solved.clear()
             stats = propagate_block(spec, 1, 3, 400, *self.MIXED,
                                     lambda *args: None, positivity_tol=tol,
                                     policy="skip")
             assert sum(solved) <= most
-            assert len(stats.positivity_skips) == (120 if tol < 1 else 0)
+            assert len(stats.positivity_skips) == skips
+
+    def test_drop_without_violator_raises(self, monkeypatch):
+        # verdicts that clear every density disagree with the screen: the
+        # drop at the first record whose minimum is below -tol finds no
+        # violator, and raises where a restart at that record would loop
+        monkeypatch.setattr(
+            propagator, "_verdicts",
+            lambda e, norms, *args, **kw: np.full(norms.shape, np.inf))
+        with pytest.raises(ContractViolationError) as caught:
+            propagate_block(spin1_pair_system(), 1, 3, 400, *self.MIXED,
+                            lambda *args: None, positivity_tol=0.3,
+                            policy="skip")
+        assert str(caught.value) == (
+            "t=0.24: the screen reads a minimum below -3.000e-01, but no "
+            "trajectory's verdict does")
 
 
 # ---------------------------------------------------------------------------
@@ -1112,23 +1131,26 @@ class TestMinimumScreen:
                     propagator, "ESTIMATE_MARGIN", 0.0))
             for a, w in zip(seg, widths):
                 batch = slice(a, a + w)
-                values, ceiling = propagator._screened_values(
-                    e[:, batch], norms[batch],
-                    propagator._trig_min_estimate(e[:, batch]),
-                    rho[batch].__getitem__)
+                estimates = propagator._trig_min_estimate(e[:, batch])
+                values = propagator._screened_values(
+                    e[:, batch], norms[batch], estimates,
+                    lambda i: propagator._min_eigvalsh(rho[batch][i]))
                 assert values.min() == exact[batch].min()
                 # a value is eigvalsh's own, or +inf for a density whose
-                # eigvalsh value is above the ceiling
+                # eigvalsh value is above the bound the screen ruled it
+                # out at
                 solved = np.isfinite(values)
                 assert np.array_equal(values[solved], exact[batch][solved])
-                assert (exact[batch][~solved] > ceiling).all()
+                assert (exact[batch][~solved] > propagator._screen_bound(
+                    estimates.min())).all()
         # thresholds at a matrix's own value, one ulp either side of it,
         # or 1e-13 of the scale away: a verdict is eigvalsh's own value,
         # or +inf where the certificate clears it above -tol
         value = exact[pick % n]
         tol = -(np.nextafter(value, np.inf * nudge) if nudge in (1, -1)
                 else value + nudge * scale)
-        verdicts = propagator._verdicts(e, norms, tol, rho.__getitem__)
+        verdicts = propagator._verdicts(
+            e, norms, tol, lambda i: propagator._min_eigvalsh(rho[i]))
         assert np.array_equal(~(verdicts >= -tol), ~(exact >= -tol))
         solved = np.isfinite(verdicts)
         assert np.array_equal(verdicts[solved], exact[solved])
@@ -1142,14 +1164,13 @@ class TestMinimumScreen:
         norms = np.sqrt((np.abs(rho) ** 2).sum(axis=(1, 2)))
         solved = []
 
-        def matrices(index):
+        def solve(index):
             solved.append(len(index))
-            return rho[index]
+            return propagator._min_eigvalsh(rho[index])
 
         propagator._screened_values(e, norms, propagator._trig_min_estimate(e),
-                                    matrices)
+                                    solve)
         assert sum(solved) <= 2
         solved.clear()
-        assert np.isposinf(propagator._verdicts(e, norms, 10.0,
-                                                matrices)).all()
+        assert np.isposinf(propagator._verdicts(e, norms, 10.0, solve)).all()
         assert solved == []
