@@ -998,7 +998,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         trajectories active now, of which every later mask is a subset:
         the closed-form (and d > 3 eigvalsh) minima, and for d = 3 the
         planes, norms and estimates, with one memo of eigvalsh minima
-        (``screen``).  The d = 3 screens then run together up to the first
+        (``memoized``).  The d = 3 screens then run together up to the first
         record whose bounds or minima fall below -tol, so that a drop
         wastes none of them.  A drop takes that record's verdicts and
         drops the violators; the loop then starts again at the same
@@ -1007,7 +1007,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
         on0 = np.flatnonzero(active)
         sel0 = _selection(on0, count)
 
-        def screen(g, c, e, norms):
+        def memoized(g, c, e, norms):
             """A d = 3 group's planes, norms and ``solve`` at (rows, cols),
             records and positions in on0.  The memo, NaN until solved, holds
             the eigvalsh minima over (records, members, on0), so each
@@ -1038,7 +1038,7 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 continue
             e = np.moveaxis(np.matmul(g.screen, c), 2, 0)[..., sel0]
             parts.append((g, _trig_min_estimate(e),
-                          screen(g, c, e, np.sqrt(s[a:b])[..., sel0])))
+                          memoized(g, c, e, np.sqrt(s[a:b])[..., sel0])))
 
         def drop(qa, on, cols):
             """Record a + qa, whose minima over the trajectories ``on``
