@@ -72,18 +72,20 @@ def cases(work: Path) -> dict:
     return argv
 
 
+def run(argv, target: Path) -> dict:
+    """Run one case's arguments with ``--out target``: its exit code and,
+    per output file, the sha256 of its bytes."""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        code = snbd_main(argv + ["--out", str(target), "--quiet"])
+    return {"exit": code, "files": {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(target.iterdir())}}
+
+
 def digests(work: Path) -> dict:
-    """Run every case under ``work``: its exit code and, per output file,
-    the sha256 of its bytes."""
-    out = {}
-    for name, argv in cases(work).items():
-        target = work / name.replace(" ", "_")
-        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
-            code = snbd_main(argv + ["--out", str(target), "--quiet"])
-        out[name] = {"exit": code, "files": {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(target.iterdir())}}
-    return out
+    """Run every case under ``work`` (``run``)."""
+    return {name: run(argv, work / name.replace(" ", "_"))
+            for name, argv in cases(work).items()}
 
 
 def main(argv=None) -> int:

@@ -28,3 +28,16 @@ def test_outputs_match_committed_digests(tmp_path):
     if key not in table:
         pytest.skip(f"no committed output digests for {key!r}")
     assert golden.digests(tmp_path) == table[key]
+
+
+def test_two_workers_write_the_one_worker_bytes(tmp_path):
+    # the M = 407 case on a pool of two workers, whose runs split the
+    # batch at other widths, against the committed digests of one worker
+    golden = load_golden()
+    key = golden.environment()
+    table = json.loads(golden.DIGESTS.read_text())
+    if key not in table:
+        pytest.skip(f"no committed output digests for {key!r}")
+    name = "two_spin_heisenberg compare M 407"
+    argv = golden.cases(tmp_path)[name] + ["--workers", "2"]
+    assert golden.run(argv, tmp_path / "workers2") == table[key][name]

@@ -197,6 +197,25 @@ def spin1_pair_system():
         initial=(np.diag([1.0, 0.0, 0.0]).astype(complex), DOWN, UP))
 
 
+def qudit_spin_system():
+    """A d = 4 particle and a spin-1/2, dims (4, 2), in random fields and
+    coupled by two terms of omega 2.0 and -1.5 with random factors of
+    scale 1.5, from |0><0| each: strong enough that every trajectory
+    diverges within t = 3 at dt 1e-2."""
+    rng = np.random.default_rng(0)
+    dims = (4, 2)
+    particles = tuple(ParticleSpec(dim=d, h=random_hermitian(rng, d))
+                      for d in dims)
+    terms = tuple(
+        InteractionTerm(omega=omega, ops=tuple(random_hermitian(rng, d, 1.5)
+                                               for d in dims))
+        for omega in (2.0, -1.5))
+    return SystemSpec(
+        particles=particles, terms=terms,
+        initial=tuple(np.diag([1.0] + [0.0] * (d - 1)).astype(complex)
+                      for d in dims))
+
+
 def with_initial(spec, rhos):
     return dataclasses.replace(spec, initial=tuple(rhos))
 
@@ -964,6 +983,7 @@ class TestRecordBatch:
     # check between records finds the diverged trajectory while records
     # are pending, and the abort still names the record that found it
     BLOWUP = (2.4, 1e-2)
+    QUDIT = (3.0, 1e-2, 3)
 
     @pytest.mark.parametrize("make, seed, start, count, grid, kw, end", [
         (spin1_pair_system, 1, 3, 400, MIXED,
@@ -985,15 +1005,33 @@ class TestRecordBatch:
         (two_spin_system, 1, 0, 64, BLOWUP + (1,),
          dict(positivity_tol=np.inf, policy="skip"), None),
         (two_spin_system, 1, 0, 64, BLOWUP + (30,),
-         dict(positivity_tol=np.inf, policy="skip"), None)],
+         dict(positivity_tol=np.inf, policy="skip"), None),
+        # both kinds of drop in one run
+        (two_spin_system, 1, 0, 64, BLOWUP + (30,),
+         dict(positivity_tol=3.0, policy="skip"), (4, 4)),
+        (two_spin_system, 1, 0, 64, BLOWUP + (30,),
+         dict(positivity_tol=3.0, policy="abort"),
+         "trajectory 55, t=0.9: diverged: a density entry is NaN, inf or "
+         "beyond NORM_CAP (1e4)"),
+        # a d = 4 particle: a diverged trajectory's densities are NaN in
+        # the records after its drop
+        (qudit_spin_system, 1, 0, 64, QUDIT,
+         dict(positivity_tol=np.inf, policy="skip"), (64, 0)),
+        (qudit_spin_system, 1, 0, 64, QUDIT,
+         dict(positivity_tol=np.inf, policy="abort"),
+         "trajectory 6, t=0.06: diverged: a density entry is NaN, inf or "
+         "beyond NORM_CAP (1e4)")],
         ids=["(3,2,2) skip", "(3,2,2) skip tol 0.3", "(3,2,2) abort",
              "blow-up abort 1",
-             "blow-up abort 30", "blow-up skip 1", "blow-up skip 30"])
+             "blow-up abort 30", "blow-up skip 1", "blow-up skip 30",
+             "blow-up skip 30 tol 3", "blow-up abort 30 tol 3",
+             "(4,2) blow-up skip", "(4,2) blow-up abort"])
     def test_bulk_equals_one_at_a_time(self, make, seed, start, count, grid,
                                        kw, end, monkeypatch):
         # the same on_record stream, bit for bit, and the same stats or
         # error at the default batch and at one record at a time; the skip
-        # runs drop trajectories mid-batch
+        # runs drop trajectories mid-batch, and ``end`` is None or their
+        # numbers of (diverged, non-positive) drops
         spec = make()
         assert propagator.RECORD_BATCH == 8
         bulk = record_stream(spec, seed, start, count, grid, **kw)
@@ -1002,16 +1040,20 @@ class TestRecordBatch:
         assert bulk == single
         stream, stats = bulk
         assert [x[0] for x in stream] == list(range(len(stream)))
-        if end is not None:
+        if isinstance(end, str):
             assert stats == end
         else:
             assert len(stream) == len(TimeGrid(*grid).times)
             assert stats.blowups or stats.positivity_skips
             assert len({x[3] for x in stream}) > 2     # masks shrink in steps
+            if end is not None:
+                assert (len(stats.blowups),
+                        len(stats.positivity_skips)) == end
 
     def test_screen_solves_each_matrix_once(self, monkeypatch):
         # the matrices handed to eigvalsh in one block of the mixed_compare
-        # system: 900 with no drop; at tol 0.3, where 120 trajectories are
+        # system: 900 with no drop, positivity off (tol inf) or not; at
+        # tol 0.3, where 120 trajectories are
         # dropped, and at 0.1 and 0.03, where all 400 are, a density is
         # solved at most once per record batch, whether the screen, a
         # verdict or the screen over a drop's survivors asks for it
@@ -1024,7 +1066,8 @@ class TestRecordBatch:
 
         monkeypatch.setattr(propagator, "_min_eigvalsh", counting)
         spec = spin1_pair_system()
-        for tol, most, skips in ((10.0, 900, 0), (0.3, 1016, 120),
+        for tol, most, skips in ((np.inf, 900, 0), (10.0, 900, 0),
+                                 (0.3, 1016, 120),
                                  (0.1, 1278, 400), (0.03, 932, 400)):
             solved.clear()
             stats = propagate_block(spec, 1, 3, 400, *self.MIXED,
