@@ -42,40 +42,38 @@ Obar_k^s = o_k^s . c_k.  Every coordinate vector is a Hermitian matrix,
 and coordinate 0 is never written after t = 0, so Hermiticity and the
 trace hold by construction, not to roundoff.
 
-The record path stays on the coordinates, and runs ``RECORD_BATCH`` = 8
-records at a time.  At each record the step loop copies C into a
-snapshot buffer; the pending snapshots are processed together when the
-buffer is full, when a divergence check between records finds a diverged
-column (the pending records first, so every abort and skip happens in
-time order) and after the last step.  Each monitor then runs once over
-every pending record that shares an active mask, and a drop splits them;
-``on_record`` is called once per record, in order, with its snapshot,
-and everything the ensemble sums is linear in it (ensemble notes).  The
-steps never read the mask, so deferring the monitors changes no step,
-and every product keeps its per-record shape (stacked matmuls, the
-reductions along the same axes), so it changes no bit either.  The
-monitors read as little as they must:
+The record path stays on the coordinates, in one object (``_Records``),
+and runs ``RECORD_BATCH`` = 8 records at a time.  At each record the step
+loop copies C into a snapshot buffer; the pending snapshots are processed
+together when the buffer is full, when a divergence check between records
+finds a diverged column (the pending records first, so every abort and
+skip happens in time order) and after the last step.  A batch is read
+once, over the trajectories active at its start, in three passes that each
+move forward: every drop is decided, then each record's minima are read
+over its final mask, then in time order each record's drops are applied
+and ``on_record`` is called with its snapshot.  Everything the ensemble
+sums is linear in it (ensemble notes).  The steps never read the mask, so
+deferring the monitors changes no step, and every product keeps its
+per-record shape (stacked matmuls, the reductions along the same axes),
+so it changes no bit either.  The monitors read as little as they must:
 
 - the divergence check reads ||c_k||_2 = ||rho_k||_F >= max |rho_ij|, and
   rebuilds only a column too large for that bound to settle (the trace
   and Hermiticity need no reading, see above and ``_upper_map``);
 - a spin-1/2's smallest eigenvalue is closed-form in its coordinates;
   a d = 3 density's is eigvalsh's, but a certified screen hands eigvalsh
-  only the few densities that can decide the batch's minimum
+  only the few densities that can decide a record's minimum
   (``_screened_values``): a floating-point LDL^H of rho - (s + sigma) I
   with positive pivots proves that eigvalsh reads more than s, where the
   allowance sigma = 2^-40 (||rho||_F + |s|) is over 30 times the error
-  bound it must cover (``_ldl_positive``); the pending records are
-  screened together up to the first whose closed-form bound falls below
-  -tol, so that a drop discards no screen;
+  bound it must cover (``_ldl_positive``);
 - a larger particle takes eigvalsh over its group;
-- the positivity test reads those minima: only when one is below -tol
-  does each active trajectory get a verdict, a d = 3 density by the same
-  certificate at s = -tol and eigvalsh where it cannot clear it
-  (``_verdicts``); the drop then starts the test again at that record,
-  over the survivors.  Each d = 3 group keeps one memo of the eigvalsh
-  minima solved in a batch, so the screen, the verdicts and the screen
-  again after a drop solve each density at most once.
+- the positivity test takes a verdict only where a minimum is below -tol,
+  or a d = 3 density fails the same certificate at s = -tol, which needs
+  ||rho||_F >= tol; eigvalsh decides what the certificate cannot clear
+  (``_verdicts``).  Each d = 3 group keeps one memo of the eigvalsh
+  minima solved in a batch, so the verdicts and the screen solve each
+  density at most once.
 
 A density handed to eigvalsh is rebuilt as a matrix, exactly Hermitian
 (the lower triangle the conjugate of the upper), by term-by-term
@@ -402,9 +400,14 @@ class _DimGroup:
 
     def lowest(self, c: np.ndarray) -> np.ndarray:
         """(..., B) each density's smallest eigenvalue from coordinates
-        (..., d^2, B): a spin-1/2's in closed form, eigvalsh's otherwise."""
+        (..., d^2, B): a spin-1/2's in closed form, eigvalsh's otherwise
+        (NaN for a density with an entry NaN or inf)."""
         if self.dim > 2:
-            return _min_eigvalsh(self.densities(c))
+            rho = self.densities(c)
+            finite = np.isfinite(rho).all(axis=(-2, -1))
+            out = np.full(finite.shape, np.nan)
+            out[finite] = _min_eigvalsh(rho[finite])
+            return out
         # rho = (c_0 + c . sigma) / sqrt(2): eigenvalues
         # (c_0 +- |(c_1, c_2, c_3)|) / sqrt(2)
         norm = np.sqrt(c[..., 1, :] ** 2 + c[..., 2, :] ** 2
@@ -671,12 +674,6 @@ def _screen_bound(low):
     return low + ESTIMATE_MARGIN * (1.0 + np.abs(low))
 
 
-def _selection(on: np.ndarray, count: int):
-    """An index for the trajectories ``on`` of a batch of ``count``: a
-    slice, which selects without a copy, when that is all of them."""
-    return slice(None) if len(on) == count else on
-
-
 def _draw_noise_chunk(rngs, n_steps, p, r, dt):
     """``n_steps`` steps of r normals per term for each trajectory, times
     sqrt(dt/2), (B, n_steps, p, r).
@@ -836,6 +833,219 @@ def _draw_ahead(master_seed, runs, grid, slots, free, ready, parent_ends):
         pass
 
 
+class _Minima:
+    """What the positivity test reads of one group over a record batch,
+    formed once over the trajectories ``on`` (``sel``: a slice when that
+    is all) of its live columns ``c``, (R, K, d^2, count).  A d != 3 group
+    holds its minima (R, K, M); a d = 3 group its planes e (12, R, K, M),
+    norms and estimates, and a memo of eigvalsh minima, NaN until solved
+    and +inf once a drop takes the density out."""
+
+    def __init__(self, group, c, squares, on, sel):
+        self.group, self.c, self.on = group, c, on
+        self.values = None if group.dim == 3 else group.lowest(c[..., sel])
+        if group.dim == 3:
+            self.e = np.moveaxis(np.matmul(group.screen, c), 2, 0)[..., sel]
+            self.norms = np.sqrt(squares[..., sel])
+            self.estimates = _trig_min_estimate(self.e)
+            self.memo = np.full(self.norms.shape, np.nan)
+
+    def solve(self, want):
+        """The eigvalsh minima at flat positions ``want`` of the memo, each
+        density solved once per batch, whichever pass asks for it."""
+        flat = self.memo.reshape(-1)
+        new = want[np.isnan(flat[want])]
+        if len(new):
+            i, k, m = np.unravel_index(new, self.memo.shape)
+            flat[new] = _min_eigvalsh(
+                self.group.densities(self.c[i, k, :, self.on[m]].T))
+        return flat[want]
+
+    def suspects(self, tol):
+        """(R, K, M) the densities whose minimum, or for d = 3 whose
+        certificate, does not clear -tol.  A d = 3 density takes the test
+        only where its norm reaches tol, as |lambda_min| <= ||rho||_F (the
+        sum is never inf - inf)."""
+        if self.values is not None:
+            return ~(self.values >= -tol)
+        out = self.norms + _allowance(self.norms, 0.0) >= tol
+        if out.any():
+            norms = self.norms[out]
+            out[out] = ~_ldl_positive(self.e[:, out],
+                                      _allowance(norms, tol) - tol)
+        return out
+
+    def verdicts(self, q, cols, tol):
+        """(K, len(cols)) record q's minima at positions ``cols`` of ``on``,
+        for d = 3 their ``_verdicts``."""
+        if self.values is not None:
+            return self.values[q][:, cols]
+        pos = np.arange(self.memo.size).reshape(self.memo.shape)[q][:, cols]
+        return _verdicts(self.e[:, q][..., cols], self.norms[q][..., cols],
+                         tol, lambda index: self.solve(pos.reshape(-1)[index]))
+
+    def least(self, cut, mask):
+        """(cut, K, M) the first ``cut`` records' values, +inf where
+        ``mask`` (cut, M) drops, for d = 3 by ``_screened_values``: each
+        batch's least is its minimum over what ``mask`` (or None) keeps."""
+        if self.values is not None:
+            return self.values[:cut] if mask is None else np.where(
+                mask[:, None], self.values[:cut], np.inf)
+        estimates = self.estimates[:cut]
+        if mask is not None:
+            mask = np.broadcast_to(mask[:, None], estimates.shape)
+            estimates = np.where(mask, estimates, np.inf)
+            self.memo[:cut][~mask] = np.inf
+        return _screened_values(self.e[:, :cut], self.norms[:cut], estimates,
+                                self.solve)
+
+
+class _Records:
+    """The record path of one ``propagate_block`` call (module notes):
+    ``record`` snapshots C, ``check`` is the divergence check between
+    records, ``flush`` processes the pending records; it holds the active
+    mask and the two skip lists."""
+
+    def __init__(self, groups, coords, times, start, count, on_record, tol,
+                 policy):
+        self.groups, self.coords, self.times = groups, coords, times
+        self.start, self.count, self.tol = start, count, tol
+        self.live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
+        self.on_record, self.abort = on_record, policy == "abort"
+        self.n = sum(len(g.members) for g in groups)
+        self.active = np.ones(count, dtype=bool)
+        self.blowups, self.positivity_skips = [], []
+        # the snapshots of the records not yet processed, (R, sum K d^2, W),
+        # and each group's rows of them, (R, K, d^2, W)
+        depth = min(RECORD_BATCH, len(times))
+        self.snaps = np.empty((depth,) + coords.shape)
+        cuts = np.cumsum([g.coords[:, :, 0].size for g in groups])[:-1]
+        self.snap_groups = [v.reshape((depth,) + g.coords.shape) for g, v in
+                            zip(groups, np.split(self.snaps, cuts, axis=1))]
+        self.pending = []       # the record index of each snapshot, in order
+
+    def record(self, r_index):
+        np.copyto(self.snaps[len(self.pending)], self.coords)
+        self.pending.append(r_index)
+        if len(self.pending) == len(self.snaps):
+            self.flush()
+
+    def check(self, t):
+        """The divergence check between records: a diverged column waits
+        for the pending records, which come first and may drop it."""
+        cs = [g.coords for g in self.groups]
+        bad = self._diverged(cs, self._squares(cs), self.active)
+        if bad.any():
+            self.flush()
+            bad &= self.active
+            if bad.any():
+                if self.abort:
+                    raise TrajectoryBlowupError(
+                        t=t, trajectory=self.start + int(np.argmax(bad)))
+                self.blowups += (self.start + np.flatnonzero(bad)).tolist()
+                self.active[bad] = False
+
+    def _squares(self, cs):
+        """Per group each density's squared coordinate norm ||rho_k||_F^2,
+        (..., K, count), from its coordinates (..., K, d^2, W)."""
+        return [(c[..., self.live] * c[..., self.live]).sum(axis=-2)
+                for c in cs]
+
+    def _diverged(self, cs, sq, on):
+        """The columns of ``on`` that diverged at one time, from the groups'
+        coordinates (K, d^2, W) and ``_squares``.
+
+        A column whose coordinates have a 2-norm, which is ||rho_k||_F >=
+        max |rho_ij|, within ``NORM_SCREEN`` is healthy; any other column,
+        NaN included, is rebuilt and diverged when an entry is NaN/Inf or
+        beyond NORM_CAP, which only an unstable path can reach (NaN <=
+        NORM_CAP is false).
+        """
+        healthy = np.ones(self.count, dtype=bool)
+        for g, c, s in zip(self.groups, cs, sq):
+            doubt = on & ~(s <= NORM_SCREEN ** 2).all(axis=0)
+            if doubt.any():
+                cols = np.flatnonzero(doubt)
+                rho = coordinate_densities(c[:, :, self.live][:, :, cols],
+                                           g.dim)
+                healthy[cols] &= (np.abs(rho).reshape(
+                    len(g.members), len(cols), -1).max(axis=2)
+                    <= NORM_CAP).all(axis=0)
+        return on & ~healthy
+
+    def flush(self):
+        """Process the pending records in three passes, each forward once:
+        1. every drop of the batch: only a (record, trajectory) pair whose
+           column is outside the norm screen, or whose minimum or
+           certificate does not clear -tol (``_Minima.suspects``), is
+           looked at; at each record that holds one, the divergence check,
+           then the survivors' verdicts.  An abort stops at its first drop;
+        2. each record's minima, once, over its final mask;
+        3. in time order, each record's drops (an abort raises there), then
+           on_record."""
+        tol, n_rec = self.tol, len(self.pending)
+        cs = [v[:n_rec] for v in self.snap_groups]
+        sq = self._squares(cs)
+        on = np.flatnonzero(self.active)
+        sel = slice(None) if len(on) == self.count else on
+        parts = [_Minima(g, c[..., self.live], s, on, sel)
+                 for g, c, s in zip(self.groups, cs, sq)]
+        # (R, M): columns outside the norm screen; densities below -tol
+        doubt = ~np.logical_and.reduce(
+            [(s[..., sel] <= NORM_SCREEN ** 2).all(axis=1) for s in sq])
+        low = np.logical_or.reduce([x.suspects(tol).any(axis=1) for x in parts])
+
+        alive, drops, none = self.active.copy(), {}, np.zeros(0, dtype=int)
+        gone = np.full(self.count, n_rec)      # the record of each drop
+        for q in np.flatnonzero((doubt | low).any(axis=1)):
+            bad = np.flatnonzero(self._diverged(
+                [c[q] for c in cs], [s[q] for s in sq], alive))
+            alive[bad] = False
+            out, eig = none, None
+            if not (len(bad) and self.abort):
+                cols = np.flatnonzero(low[q] & alive[on])
+                eig = np.full((self.n, len(cols)), np.inf)
+                for x in parts:
+                    eig[x.group.members] = x.verdicts(q, cols, tol)
+                viol = ~(eig >= -tol).all(axis=0)
+                out, eig = on[cols[viol]], eig[:, viol]
+                alive[out] = False
+            if len(bad) or len(out):
+                drops[q] = (bad, out, eig)
+                gone[bad] = gone[out] = q
+                if self.abort:
+                    break
+
+        cut = min(drops) if self.abort and drops else n_rec
+        mask = np.arange(cut)[:, None] < gone[on] if drops else None
+        least = np.full((cut, self.n), np.inf)
+        if len(on):
+            for x in parts:
+                least[:, x.group.members] = x.least(cut, mask).min(axis=-1)
+
+        for q, r_index in enumerate(self.pending):
+            t = self.times[r_index]
+            bad, out, eig = drops.get(q, (none, none, None))
+            if self.abort and len(bad):
+                raise TrajectoryBlowupError(
+                    t=t, trajectory=self.start + int(bad[0]))
+            if self.abort and len(out):
+                pk = int(np.argmin(eig[:, 0]))
+                raise PositivityViolationError(
+                    t=t, particle=pk, min_eig=float(eig[pk, 0]), tol=tol,
+                    trajectory=self.start + int(out[0]))
+            self.blowups += (self.start + bad).tolist()
+            self.positivity_skips += (self.start + out).tolist()
+            self.active[bad] = self.active[out] = False
+            if not (least[q] >= -tol).all():
+                raise ContractViolationError(
+                    f"t={t:.6g}: the screen reads a minimum below "
+                    f"-{tol:.3e}, but no trajectory's verdict does")
+            self.on_record(r_index, t, self.snaps[q], self.active.copy(),
+                           least[q].copy())
+        self.pending.clear()
+
+
 def padded_width(start: int, count: int) -> int:
     """W, the columns of the coordinates C that ``propagate_block`` steps
     for trajectories [start, start + count): trajectory start + j sits in
@@ -862,21 +1072,16 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     minimum is exact, so the minima of any split of the trajectories,
     merged with ``np.minimum``, are the batch's.
 
-    The records are processed ``RECORD_BATCH`` at a time (see the module
-    notes), which changes no step, no decision and no bit of what
-    on_record is handed: the steps never read the mask, and every abort
-    and skip happens in time order.
+    The records are processed ``RECORD_BATCH`` at a time by ``_Records``
+    (see the module notes), which changes no step, no decision and no bit
+    of what on_record is handed: the steps never read the mask, and every
+    abort and skip happens in time order.  A minimum is eigvalsh's, bit
+    for bit, or a spin-1/2's closed form, although a d = 3 particle solves
+    only the few matrices a certified screen cannot rule out.
 
-    A spin-1/2 reads its smallest eigenvalue in closed form from its
-    coordinates; a larger particle reads ``eigvalsh`` of its rebuilt
-    density, bit for bit, although a d = 3 particle solves only the few
-    matrices a certified screen cannot rule out (``_screened_values``).
-    The positivity test reads the minima over the active trajectories;
-    only when one is below -positivity_tol does it take each active
-    trajectory's verdict, to name the violators (``_verdicts``).  Each
-    trajectory consumes its own Philox stream, so results are independent
-    of how trajectories are grouped into blocks or distributed over
-    workers.  The noise is drawn here in chunks of at most
+    Each trajectory consumes its own Philox stream, so results are
+    independent of how trajectories are grouped into blocks or distributed
+    over workers.  The noise is drawn here in chunks of at most
     ``NOISE_CHUNK_BYTES`` (one step when a single step of the batch is
     larger), or read from ``noise``, a ``NoiseHelper`` whose plan has this
     block as its next run: a helper process draws the same chunks, at half
@@ -888,10 +1093,9 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     (deactivate the offending trajectories and keep going; skipped
     indices are reported in the returned stats).
 
-    The particles of each dimension form one group; every (N, ..., W)
-    array of a step (mean fields, the rows u) holds the groups side by
-    side, and the groups couple only through the noise and mean-field
-    factors Z and L (see the module notes).
+    The particles of each dimension form one group, side by side in every
+    (N, ..., W) array of a step; the groups couple only through the noise
+    and mean-field factors Z and L (see the module notes).
     """
     if policy not in BLOWUP_POLICIES:
         raise ConfigError(f"unknown blowup policy {policy!r}")
@@ -925,215 +1129,9 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
             n_steps, p, rank, dt, NOISE_CHUNK_BYTES)
     else:
         chunks = noise.chunks(start, count, n_steps, p, rank, dt)
-    active = np.ones(count, dtype=bool)
-    blowups, pos_skips = [], []
-
-    # the snapshots of the records not yet processed, (R, sum K d^2, W),
-    # and each group's rows of them, (R, K, d^2, W)
-    depth = min(RECORD_BATCH, len(times))
-    snaps = np.empty((depth,) + coords.shape)
-    snap_groups, lo = [], 0
-    for g in groups:
-        n_k, n_c, _ = g.coords.shape
-        snap_groups.append(snaps[:, lo:lo + n_k * n_c].reshape(
-            depth, n_k, n_c, width))
-        lo += n_k * n_c
-    pending = []        # (record index, t) of each snapshot, in order
-
-    def squares(cs):
-        """Per group each density's squared coordinate norm, which is
-        ||rho_k||_F^2, (..., K, count), from its coordinates (..., K, d^2,
-        W)."""
-        return [(c[..., live] * c[..., live]).sum(axis=-2) for c in cs]
-
-    def diverged(cs, sq):
-        """The active columns that diverged at one time, from the groups'
-        coordinates (K, d^2, W) and ``squares``.
-
-        A column whose coordinates have a 2-norm, which is ||rho_k||_F >=
-        max |rho_ij|, within ``NORM_SCREEN`` is healthy; any other active
-        column, NaN included, is rebuilt and diverged when an entry is
-        NaN/Inf or beyond NORM_CAP, which only an unstable path can reach
-        (NaN <= NORM_CAP is false).
-        """
-        healthy = np.ones(count, dtype=bool)
-        for g, c, s in zip(groups, cs, sq):
-            doubt = active & ~(s <= NORM_SCREEN ** 2).all(axis=0)
-            if doubt.any():
-                cols = np.flatnonzero(doubt)
-                rho = coordinate_densities(c[:, :, live][:, :, cols], g.dim)
-                healthy[cols] &= (np.abs(rho).reshape(
-                    len(g.members), len(cols), -1).max(axis=2)
-                    <= NORM_CAP).all(axis=0)
-        return active & ~healthy
-
-    def drop_diverged(bad, t):
-        if policy == "abort":
-            raise TrajectoryBlowupError(t=t,
-                                        trajectory=start + int(np.argmax(bad)))
-        blowups.extend((start + int(b)) for b in np.flatnonzero(bad))
-        active[bad] = False
-
-    def check(t):
-        """The divergence check between records: a diverged column waits
-        for the pending records, which come first and may drop it."""
-        cs = [g.coords for g in groups]
-        bad = diverged(cs, squares(cs))
-        if bad.any():
-            flush()
-            bad &= active
-            if bad.any():
-                drop_diverged(bad, t)
-
-    def emit(q, least):
-        r_index, t = pending[q]
-        on_record(r_index, t, snaps[q], active.copy(), least)
-
-    def positivity(cs, sq, a, b):
-        """The pending records a .. b - 1, past their divergence checks,
-        through the positivity test to on_record, from the groups'
-        snapshots cs (R, K, d^2, W) and ``squares`` sq.
-
-        What the test reads per trajectory is formed once, over the
-        trajectories active now, of which every later mask is a subset:
-        the closed-form (and d > 3 eigvalsh) minima, and for d = 3 the
-        planes, norms and estimates, with one memo of eigvalsh minima
-        (``memoized``).  The d = 3 screens then run together up to the first
-        record whose bounds or minima fall below -tol, so that a drop
-        wastes none of them.  A drop takes that record's verdicts and
-        drops the violators; the loop then starts again at the same
-        record, whose screen over the survivors reads the memo.
-        """
-        on0 = np.flatnonzero(active)
-        sel0 = _selection(on0, count)
-
-        def memoized(g, c, e, norms):
-            """A d = 3 group's planes, norms and ``solve`` at (rows, cols),
-            records and positions in on0.  The memo, NaN until solved, holds
-            the eigvalsh minima over (records, members, on0), so each
-            density is solved at most once, whichever pass asks for it."""
-            memo = np.full(norms.shape, np.nan)
-            flat = memo.reshape(-1)
-            ids = np.arange(memo.size).reshape(memo.shape)
-
-            def at(rows, cols):
-                pos = ids[rows][..., cols].reshape(-1)
-
-                def solve(index):
-                    want = pos[index]
-                    new = want[np.isnan(flat[want])]
-                    if len(new):
-                        i, k, m = np.unravel_index(new, memo.shape)
-                        flat[new] = _min_eigvalsh(
-                            g.densities(c[i, k, :, on0[m]].T))
-                    return flat[want]
-                return e[:, rows][..., cols], norms[rows][..., cols], solve
-            return at
-
-        parts = []  # per group: group, minima or estimates (R, K, M0), screen
-        for g, c, s in zip(groups, cs, sq):
-            c = c[a:b][..., live]
-            if g.dim != 3:
-                parts.append((g, g.lowest(c[..., sel0]), None))
-                continue
-            e = np.moveaxis(np.matmul(g.screen, c), 2, 0)[..., sel0]
-            parts.append((g, _trig_min_estimate(e),
-                          memoized(g, c, e, np.sqrt(s[a:b])[..., sel0])))
-
-        def drop(qa, on, cols):
-            """Record a + qa, whose minima over the trajectories ``on``
-            fall below -tol: each one's verdict, then an abort or the
-            violators dropped.  A drop with no violator is an error: the
-            screen and the verdicts disagree, and the restart would loop."""
-            eig = np.full((n, count), np.inf)
-            for g, vals, scr in parts:
-                if scr is None:
-                    vals = vals[qa][..., cols]
-                else:
-                    e, norms, solve = scr(qa, cols)
-                    vals = _verdicts(e, norms, positivity_tol, solve)
-                eig[np.ix_(g.members, on)] = vals
-            viol = active & ~(eig >= -positivity_tol).all(axis=0)
-            t = pending[a + qa][1]
-            if not viol.any():
-                raise ContractViolationError(
-                    f"t={t:.6g}: the screen reads a minimum below "
-                    f"-{positivity_tol:.3e}, but no trajectory's verdict does")
-            if policy == "abort":
-                first = int(np.argmax(viol))
-                pk = int(np.argmin(eig[:, first]))
-                raise PositivityViolationError(
-                    t=t, particle=pk, min_eig=float(eig[pk, first]),
-                    tol=positivity_tol, trajectory=start + first)
-            pos_skips.extend((start + int(x)) for x in np.flatnonzero(viol))
-            active[viol] = False
-
-        r = a
-        while r < b and active.any():
-            on = np.flatnonzero(active)
-            cols = _selection(np.flatnonzero(active[on0]), len(on0))
-            # each record's least closed-form minimum or d = 3 bound: the
-            # screens run up to the first one below -tol
-            lows = np.empty((b - r, n))
-            for g, vals, scr in parts:
-                low = vals[r - a:][..., cols].min(axis=-1)
-                lows[:, g.members] = low if scr is None else _screen_bound(low)
-            ahead = np.flatnonzero(~(lows >= -positivity_tol).all(axis=1))
-            stop = r + int(ahead[0]) + 1 if len(ahead) else b
-            least = np.empty((stop - r, n))
-            for g, vals, scr in parts:
-                vals = vals[r - a:stop - a][..., cols]
-                if scr is not None:
-                    e, norms, solve = scr(slice(r - a, stop - a), cols)
-                    vals = _screened_values(e, norms, vals, solve)
-                least[:, g.members] = vals.min(axis=-1)
-            for j, q in enumerate(range(r, stop)):
-                if not (least[j] >= -positivity_tol).all():
-                    drop(q - a, on, cols)
-                    r = q
-                    break
-                emit(q, least[j].copy())
-            else:
-                r = stop
-        for q in range(r, b):   # no trajectory is left active
-            emit(q, np.full(n, np.inf))
-
-    def flush():
-        """Process the pending records in time order, each as it would be
-        alone: the divergence check, then positivity, then on_record.
-        Each stage runs once over the records that share an active mask;
-        a drop splits them, and the same code handles the rest."""
-        n_rec = len(pending)
-        cs = [v[:n_rec] for v in snap_groups]
-        sq = squares(cs)
-        # (R, count): every density of the column within the norm screen
-        clear = np.logical_and.reduce(
-            [(s <= NORM_SCREEN ** 2).all(axis=1) for s in sq])
-        i = unchecked = 0
-        while i < n_rec:
-            stop, bad = n_rec, None
-            for r in unchecked + np.flatnonzero(
-                    (active & ~clear[unchecked:]).any(axis=1)):
-                bad = diverged([c[r] for c in cs], [s[r] for s in sq])
-                if bad.any():
-                    stop = int(r)
-                    break
-            if i < stop:
-                positivity(cs, sq, i, stop)
-            if stop < n_rec:
-                bad &= active
-                if bad.any():
-                    drop_diverged(bad, pending[stop][1])
-            i, unchecked = stop, stop + 1
-        pending.clear()
-
-    def record(r_index):
-        np.copyto(snaps[len(pending)], coords)
-        pending.append((r_index, times[r_index]))
-        if len(pending) == depth:
-            flush()
-
-    record(0)
+    records = _Records(groups, coords, times, start, count, on_record,
+                       positivity_tol, policy)
+    records.record(0)
     step = 0
     r_index = 0
     # diverging trajectories are caught by the norm/NaN guards; their
@@ -1160,12 +1158,12 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                 step += 1
                 if step % record_stride == 0:
                     r_index += 1
-                    record(r_index)
+                    records.record(r_index)
                 elif step % CHECK_STRIDE == 0:
-                    check(step * dt)
+                    records.check(step * dt)
             del dal  # the next chunk is drawn without this one alive
-        if pending:
-            flush()
+        if records.pending:
+            records.flush()
 
-    return BlockStats(blowups=tuple(blowups),
-                      positivity_skips=tuple(pos_skips))
+    return BlockStats(blowups=tuple(records.blowups),
+                      positivity_skips=tuple(records.positivity_skips))
