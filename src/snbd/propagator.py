@@ -862,10 +862,9 @@ class _Minima:
         return flat[want]
 
     def suspects(self, tol):
-        """(R, K, M) the densities whose minimum, or for d = 3 whose
-        certificate, does not clear -tol.  A d = 3 density takes the test
-        only where its norm reaches tol, as |lambda_min| <= ||rho||_F (the
-        sum is never inf - inf)."""
+        """(R, K, M) the densities whose minimum, or certificate for d = 3,
+        does not clear -tol; the certificate only where ||rho||_F reaches
+        tol, as |lambda_min| <= ||rho||_F (the sum is never inf - inf)."""
         if self.values is not None:
             return ~(self.values >= -tol)
         out = self.norms + _allowance(self.norms, 0.0) >= tol
@@ -901,10 +900,8 @@ class _Minima:
 
 
 class _Records:
-    """The record path of one ``propagate_block`` call (module notes):
-    ``record`` snapshots C, ``check`` is the divergence check between
-    records, ``flush`` processes the pending records; it holds the active
-    mask and the two skip lists."""
+    """The record path of one ``propagate_block`` call (module notes): the
+    snapshots, the checks, the active mask and the two skip lists."""
 
     def __init__(self, groups, coords, times, start, count, on_record, tol,
                  policy):
@@ -993,9 +990,11 @@ class _Records:
         # (R, M): columns outside the norm screen; densities below -tol
         doubt = ~np.logical_and.reduce(
             [(s[..., sel] <= NORM_SCREEN ** 2).all(axis=1) for s in sq])
-        low = np.logical_or.reduce([x.suspects(tol).any(axis=1) for x in parts])
+        low = np.logical_or.reduce([x.suspects(tol).any(axis=1)
+                                    for x in parts])
 
-        alive, drops, none = self.active.copy(), {}, np.zeros(0, dtype=int)
+        alive, drops = self.active.copy(), {}
+        none = np.zeros(0, dtype=int)           # no trajectory
         gone = np.full(self.count, n_rec)      # the record of each drop
         for q in np.flatnonzero((doubt | low).any(axis=1)):
             bad = np.flatnonzero(self._diverged(
