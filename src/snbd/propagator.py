@@ -48,11 +48,11 @@ loop copies C into a snapshot buffer; the pending snapshots are processed
 together when the buffer is full, when a divergence check between records
 finds a diverged column (the pending records first, so every abort and
 skip happens in time order) and after the last step.  A batch is read
-once, over the trajectories active at its start, in three passes that each
-move forward: every drop is decided, then each record's minima are read
-over its final mask, then in time order each record's drops are applied
-and ``on_record`` is called with its snapshot.  Everything the ensemble
-sums is linear in it (ensemble notes).  The steps never read the mask, so
+once, over the trajectories active at its start, in passes that each move
+forward: the columns' first divergences, every drop, each record's minima
+over its final mask, and in time order each record's drops and the call
+to ``on_record`` with its snapshot.  Everything the ensemble sums is
+linear in it (ensemble notes).  The steps never read the mask, so
 deferring the monitors changes no step, and every product keeps its
 per-record shape (stacked matmuls, the reductions along the same axes),
 so it changes no bit either.  The monitors read as little as they must:
@@ -67,7 +67,7 @@ so it changes no bit either.  The monitors read as little as they must:
   with positive pivots proves that eigvalsh reads more than s, where the
   allowance sigma = 2^-40 (||rho||_F + |s|) is over 30 times the error
   bound it must cover (``_ldl_positive``);
-- a larger particle takes eigvalsh over its group;
+- a larger particle takes eigvalsh over its group, before a divergence;
 - the positivity test takes a verdict only where a minimum is below -tol,
   or a d = 3 density fails the same certificate at s = -tol, which needs
   ||rho||_F >= tol; eigvalsh decides what the certificate cannot clear
@@ -400,14 +400,9 @@ class _DimGroup:
 
     def lowest(self, c: np.ndarray) -> np.ndarray:
         """(..., B) each density's smallest eigenvalue from coordinates
-        (..., d^2, B): a spin-1/2's in closed form, eigvalsh's otherwise
-        (NaN for a density with an entry NaN or inf)."""
+        (..., d^2, B): a spin-1/2's in closed form, eigvalsh's otherwise."""
         if self.dim > 2:
-            rho = self.densities(c)
-            finite = np.isfinite(rho).all(axis=(-2, -1))
-            out = np.full(finite.shape, np.nan)
-            out[finite] = _min_eigvalsh(rho[finite])
-            return out
+            return _min_eigvalsh(self.densities(c))
         # rho = (c_0 + c . sigma) / sqrt(2): eigenvalues
         # (c_0 +- |(c_1, c_2, c_3)|) / sqrt(2)
         norm = np.sqrt(c[..., 1, :] ** 2 + c[..., 2, :] ** 2
@@ -837,14 +832,20 @@ class _Minima:
     """What the positivity test reads of one group over a record batch,
     formed once over the trajectories ``on`` (``sel``: a slice when that
     is all) of its live columns ``c``, (R, K, d^2, count).  A d != 3 group
-    holds its minima (R, K, M); a d = 3 group its planes e (12, R, K, M),
-    norms and estimates, and a memo of eigvalsh minima, NaN until solved
-    and +inf once a drop takes the density out."""
+    holds its minima (R, K, M), for d > 3 only where ``need`` (R, M) holds
+    and +inf elsewhere; a d = 3 group its planes e (12, R, K, M), norms
+    and estimates, and a memo of eigvalsh minima, NaN until solved and
+    +inf once a drop takes the density out."""
 
-    def __init__(self, group, c, squares, on, sel):
+    def __init__(self, group, c, squares, on, sel, need):
         self.group, self.c, self.on = group, c, on
-        self.values = None if group.dim == 3 else group.lowest(c[..., sel])
-        if group.dim == 3:
+        self.values = group.lowest(c[..., sel]) if group.dim == 2 else None
+        if group.dim > 3:
+            self.values = np.full(c.shape[:2] + (len(on),), np.inf)
+            q, m = np.nonzero(need)
+            self.values[q, :, m] = group.lowest(
+                np.moveaxis(c[q, :, :, on[m]], 0, -1)).T
+        elif group.dim == 3:
             self.e = np.moveaxis(np.matmul(group.screen, c), 2, 0)[..., sel]
             self.norms = np.sqrt(squares[..., sel])
             self.estimates = _trig_min_estimate(self.e)
@@ -886,30 +887,23 @@ class _Minima:
     def least(self, cut, mask):
         """(cut, K, M) the first ``cut`` records' values, +inf where
         ``mask`` (cut, M) drops, for d = 3 by ``_screened_values``: each
-        batch's least is its minimum over what ``mask`` (or None) keeps."""
+        batch's least is its minimum over what ``mask`` keeps."""
         if self.values is not None:
-            return self.values[:cut] if mask is None else np.where(
-                mask[:, None], self.values[:cut], np.inf)
-        estimates = self.estimates[:cut]
-        if mask is not None:
-            mask = np.broadcast_to(mask[:, None], estimates.shape)
-            estimates = np.where(mask, estimates, np.inf)
-            self.memo[:cut][~mask] = np.inf
-        return _screened_values(self.e[:, :cut], self.norms[:cut], estimates,
-                                self.solve)
+            return np.where(mask[:, None], self.values[:cut], np.inf)
+        np.copyto(self.memo[:cut], np.inf, where=~mask[:, None])
+        return _screened_values(self.e[:, :cut], self.norms[:cut], np.where(
+            mask[:, None], self.estimates[:cut], np.inf), self.solve)
 
 
 class _Records:
     """The record path of one ``propagate_block`` call (module notes): the
     snapshots, the checks, the active mask and the two skip lists."""
 
-    def __init__(self, groups, coords, times, start, count, on_record, tol,
-                 policy):
+    def __init__(self, groups, coords, times, start, count, live, n,
+                 on_record, tol, abort):
         self.groups, self.coords, self.times = groups, coords, times
-        self.start, self.count, self.tol = start, count, tol
-        self.live = slice(start % COLUMN_ALIGN, start % COLUMN_ALIGN + count)
-        self.on_record, self.abort = on_record, policy == "abort"
-        self.n = sum(len(g.members) for g in groups)
+        self.start, self.count, self.live, self.n = start, count, live, n
+        self.on_record, self.tol, self.abort = on_record, tol, abort
         self.active = np.ones(count, dtype=bool)
         self.blowups, self.positivity_skips = [], []
         # the snapshots of the records not yet processed, (R, sum K d^2, W),
@@ -971,34 +965,40 @@ class _Records:
         return on & ~healthy
 
     def flush(self):
-        """Process the pending records in three passes, each forward once:
-        1. every drop of the batch: only a (record, trajectory) pair whose
-           column is outside the norm screen, or whose minimum or
-           certificate does not clear -tol (``_Minima.suspects``), is
-           looked at; at each record that holds one, the divergence check,
-           then the survivors' verdicts.  An abort stops at its first drop;
-        2. each record's minima, once, over its final mask;
-        3. in time order, each record's drops (an abort raises there), then
+        """Process the pending records in four passes, each forward once:
+        1. each column's first divergence, where it leaves the norm screen;
+        2. every drop: at each record with a divergence, or a minimum or
+           certificate below -tol (``_Minima.suspects``), the divergences,
+           then the survivors' verdicts; an abort stops at its first drop;
+        3. each record's minima, once, over its final mask;
+        4. in time order, each record's drops (an abort raises there), then
            on_record."""
         tol, n_rec = self.tol, len(self.pending)
         cs = [v[:n_rec] for v in self.snap_groups]
         sq = self._squares(cs)
         on = np.flatnonzero(self.active)
         sel = slice(None) if len(on) == self.count else on
-        parts = [_Minima(g, c[..., self.live], s, on, sel)
-                 for g, c, s in zip(self.groups, cs, sq)]
-        # (R, M): columns outside the norm screen; densities below -tol
         doubt = ~np.logical_and.reduce(
-            [(s[..., sel] <= NORM_SCREEN ** 2).all(axis=1) for s in sq])
+            [(s <= NORM_SCREEN ** 2).all(axis=1) for s in sq])
+        first = np.full(self.count, n_rec)      # each column's divergence
+        for q in np.flatnonzero((doubt & self.active).any(axis=1)):
+            first[self._diverged([c[q] for c in cs], [s[q] for s in sq],
+                                 self.active & (first == n_rec))] = q
+        # d > 3 minima only before a column's divergence (abort: the first)
+        ends = np.minimum(first, first.min()) if self.abort else first
+        need = np.arange(n_rec)[:, None] < ends[on]
+        parts = [_Minima(g, c[..., self.live], s, on, sel, need)
+                 for g, c, s in zip(self.groups, cs, sq)]
         low = np.logical_or.reduce([x.suspects(tol).any(axis=1)
                                     for x in parts])
 
         alive, drops = self.active.copy(), {}
         none = np.zeros(0, dtype=int)           # no trajectory
         gone = np.full(self.count, n_rec)      # the record of each drop
-        for q in np.flatnonzero((doubt | low).any(axis=1)):
-            bad = np.flatnonzero(self._diverged(
-                [c[q] for c in cs], [s[q] for s in sq], alive))
+        visit = low.any(axis=1)
+        visit[first[first < n_rec]] = True
+        for q in np.flatnonzero(visit):
+            bad = np.flatnonzero(alive & (first == q))
             alive[bad] = False
             out, eig = none, None
             if not (len(bad) and self.abort):
@@ -1016,7 +1016,7 @@ class _Records:
                     break
 
         cut = min(drops) if self.abort and drops else n_rec
-        mask = np.arange(cut)[:, None] < gone[on] if drops else None
+        mask = np.arange(cut)[:, None] < gone[on]
         least = np.full((cut, self.n), np.inf)
         if len(on):
             for x in parts:
@@ -1128,8 +1128,8 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
             n_steps, p, rank, dt, NOISE_CHUNK_BYTES)
     else:
         chunks = noise.chunks(start, count, n_steps, p, rank, dt)
-    records = _Records(groups, coords, times, start, count, on_record,
-                       positivity_tol, policy)
+    records = _Records(groups, coords, times, start, count, live, n,
+                       on_record, positivity_tol, policy == "abort")
     records.record(0)
     step = 0
     r_index = 0

@@ -1076,6 +1076,26 @@ class TestRecordBatch:
             assert sum(solved) <= most
             assert len(stats.positivity_skips) == skips
 
+    def test_larger_particle_solves_live_densities(self, monkeypatch):
+        # the 4 x 4 densities handed to eigvalsh in the (4,2) blow-up:
+        # each trajectory's only before it diverges, and under abort only
+        # those of the records before the first divergence
+        solved = []
+        lowest = propagator._min_eigvalsh
+
+        def counting(rho):
+            solved.append(rho.size // 16)
+            return lowest(rho)
+
+        monkeypatch.setattr(propagator, "_min_eigvalsh", counting)
+        for policy, most in (("skip", 259), ("abort", 128)):
+            solved.clear()
+            with contextlib.suppress(TrajectoryBlowupError):
+                propagate_block(qudit_spin_system(), 1, 0, 64, *self.QUDIT,
+                                lambda *args: None, positivity_tol=np.inf,
+                                policy=policy)
+            assert sum(solved) <= most
+
     def test_drop_without_violator_raises(self, monkeypatch):
         # verdicts that clear every density disagree with the screen: the
         # drop at the first record whose minimum is below -tol finds no
