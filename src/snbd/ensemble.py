@@ -39,7 +39,8 @@ at a time.
 """
 
 import os
-from contextlib import closing, nullcontext
+import signal
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 
@@ -49,14 +50,16 @@ from .errors import (
     ConfigError,
     DimensionLimitError,
     MissingDataError,
+    PositivityViolationError,
     ShapeError,
+    SnbdError,
+    TrajectoryBlowupError,
     WorkerLostError,
 )
 from .linalg import frozen_cmatrix, require_hermitian
 from .propagator import (
     COLUMN_ALIGN,
     RECORD_BATCH,
-    NoiseHelper,
     TimeGrid,
     coordinate_rows,
     padded_width,
@@ -324,10 +327,9 @@ def _record_factor(spec, obs_stacks, refs):
     return np.concatenate(blocks)
 
 
-def _block_task(spec, time, ensemble, edges, obs_stacks, refs, noise=None):
+def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     """Propagate the trajectories of a run of consecutive blocks, whose
-    boundaries are ``edges``, as one batch (worker-safe), reading the
-    noise from ``noise`` when one is given (``propagate_block``).
+    boundaries are ``edges``, as one batch (worker-safe).
 
     Returns the run's rows of the accumulator's per-block arrays by name,
     block axis first (None for a sum the run does not keep), the run's
@@ -434,8 +436,7 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs, noise=None):
     stats = propagate_block(
         spec, ensemble.master_seed, start, count, time.t_final, time.dt,
         time.record_stride, on_record,
-        positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy,
-        noise=noise)
+        positivity_tol=ensemble.positivity_tol, policy=ensemble.blowup_policy)
     sums = dict(counts=counts, obs_sum=obs_sum,
                 obs_m2=obs_m2, rho_sum=rho_sum, vec_sum=vec_sum)
     return sums, min_eig, stats.blowups, stats.positivity_skips
@@ -453,23 +454,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_results(tasks, worker_count, draw_ahead):
-    """(index, _block_task result) for every task.  Serial runs draw
-    their noise in a ``NoiseHelper`` process when ``draw_ahead``, ended
-    when the generator ends or is closed.  On a pool, a task is
-    submitted when a worker is free and a finished one's result has been
-    taken, so at most ``worker_count`` results exist at a time, finished
-    or not, the one the caller holds included (no reference to a taken
-    future or result stays here); they arrive in the order they
-    complete.  A worker that dies (killed, or out of memory) breaks the
-    pool: that raises WorkerLostError."""
+def _run_results(tasks, worker_count, paired, split):
+    """(index, _block_task result) for every task.  Serial runs are
+    stepped here, two at a time with a forked sibling when ``paired``
+    (``_paired_results``; ``split``: the two tasks are the halves of one
+    run).  On a pool, a task is submitted when a worker is free and a
+    finished one's result has been taken, so at most ``worker_count``
+    results exist at a time, finished or not, the one the caller holds
+    included (no reference to a taken future or result stays here); they
+    arrive in the order they complete.  A worker that dies (killed, or
+    out of memory) breaks the pool: that raises WorkerLostError."""
     if worker_count <= 1:
-        plan = [(int(edges[0]), int(edges[-1] - edges[0]))
-                for _, _, _, edges, _, _ in tasks]
-        with (NoiseHelper(tasks[0][2].master_seed, plan) if draw_ahead
-              else nullcontext()) as noise:
+        if paired:
+            yield from _paired_results(tasks, split)
+        else:
             for i, task in enumerate(tasks):
-                yield i, _block_task(*task, noise=noise)
+                yield i, _block_task(*task)
         return
     # imported here, so that a serial run and ``snbd validate`` skip it
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -491,6 +491,136 @@ def _run_results(tasks, worker_count, draw_ahead):
             f"a worker process ended before its run finished ({exc})") from exc
 
 
+def _paired_results(tasks, split):
+    """(index, _block_task result) for every task of a serial plan of two
+    or more, stepped two at a time: this process steps tasks 0, 2, ... and
+    a forked sibling (``_sibling``) 1, 3, ..., whose results are taken
+    between this process's runs, as they are ready.  An error is raised as
+    one process would raise it (``_first_error``), after the sibling's
+    tasks before the failing one, all of them when ``split``, have been
+    read.  The sibling ends by itself after its last result and is killed
+    on every other exit; its end before its last result raises
+    WorkerLostError."""
+    # SIGINT and SIGTERM wait while multiprocessing is imported and the
+    # sibling forked: an interrupt there would escape the kill below, and
+    # one inside an exec'd string leaves CPython 3.11 to end by SIGINT
+    # after the CLI has handled it.  The sibling keeps them blocked.
+    held = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                  {signal.SIGINT, signal.SIGTERM})
+    import multiprocessing
+
+    taken, sent = multiprocessing.Pipe(duplex=False)
+    watch, alive = os.pipe()
+    sibling = multiprocessing.get_context("fork").Process(
+        target=_sibling, args=(tasks, sent, watch, (taken, alive)),
+        daemon=True)
+    try:
+        sibling.start()
+    except BaseException:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        raise
+    finally:
+        sent.close()
+        os.close(watch)
+    waiting = list(range(1, len(tasks), 2))
+    errors = {}
+
+    def receive(before):
+        """The sibling's results that are ready, and, waited for, every
+        one before task ``before``."""
+        while waiting and (waiting[0] < before or taken.poll()):
+            try:
+                i, out = taken.recv()
+            except EOFError:
+                raise WorkerLostError(
+                    "the sibling process ended before its runs "
+                    "finished") from None
+            waiting.remove(i)
+            if isinstance(out, BaseException):
+                errors[i] = out
+                waiting.clear()     # the sibling stops at its first error
+            else:
+                yield i, out
+
+    try:
+        # a pending interrupt is raised here, in reach of the kill
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        for k in range(0, len(tasks), 2):
+            if errors and min(errors) < k:
+                break
+            try:
+                out = _block_task(*tasks[k])
+            except SnbdError as exc:
+                errors[k] = exc
+                break
+            yield k, out
+            del out         # the caller has copied it; free it before the next
+            yield from receive(0)
+        yield from receive(len(tasks) if split or not errors else min(errors))
+        if errors:
+            raise _first_error(errors, split)
+        sibling.join()      # its exit handlers run (perfbench writes spans)
+    finally:
+        sibling.kill()
+        sibling.join()
+        taken.close()
+        os.close(alive)
+
+
+def _first_error(errors, split):
+    """Of a serial plan's errors by task index, the one a single process
+    raises: the first in plan order or, of the two halves of one run, the
+    earlier abort, where the whole run meets it: by t, a blow-up before a
+    positivity violation, then by trajectory."""
+    aborts = (TrajectoryBlowupError, PositivityViolationError)
+    if split and all(isinstance(e, aborts) for e in errors.values()):
+        return min(errors.values(), key=lambda e: (
+            e.t, isinstance(e, PositivityViolationError), e.trajectory))
+    return errors[min(errors)]
+
+
+def _sibling(tasks, sent, watch, ends):
+    """The sibling process of ``_paired_results``: steps tasks 1, 3, ...
+    in order, sends each one's (index, _block_task result) or its first
+    error, and returns, so that multiprocessing's exit handlers run.  A
+    thread sends, so that no run waits for the caller to take a result.
+    It writes nothing to stdout or stderr, and leaves SIGINT and SIGTERM,
+    blocked since the fork, to the caller.  A second thread ends it at
+    EOF on ``watch``, whose write end only the caller holds, so it does
+    not outlive the caller; ``ends`` are the caller's ends of both pipes,
+    closed here."""
+    import threading
+    from queue import SimpleQueue
+
+    taken, alive = ends
+    taken.close()
+    os.close(alive)
+    ready = SimpleQueue()
+
+    def watchdog():
+        os.read(watch, 1)       # nothing is written to it: this is EOF
+        os._exit(0)
+
+    def send():
+        try:
+            for item in iter(ready.get, None):
+                sent.send(item)
+        except OSError:         # the caller has ended
+            os._exit(0)
+
+    threading.Thread(target=watchdog, daemon=True).start()
+    sender = threading.Thread(target=send)
+    sender.start()
+    for i in range(1, len(tasks), 2):
+        try:
+            ready.put((i, _block_task(*tasks[i])))
+        except BaseException as exc:
+            ready.put((i, exc))
+            break
+    ready.put(None)
+    sender.join()
+
+
 def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
                  observables=(), refs=None) -> EnsembleAccumulator:
     """Run the ensemble's M trajectories and return the filled accumulator.
@@ -509,21 +639,30 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     edges = block_edges(ensemble.m, ensemble.n_blocks)
     n_blocks = len(edges) - 1
     runs = block_runs(edges, ensemble.worker_count)
+    # a serial run on two usable CPUs steps every other run in a forked
+    # sibling (``_paired_results``), a one-run plan split at its middle block
+    paired = (ensemble.worker_count <= 1 and n_blocks >= 2
+              and hasattr(os, "fork") and _usable_cpus() >= 2)
+    split = paired and len(runs) == 1
+    if split:
+        (first, stop), = runs
+        runs = [(first, (first + stop) // 2), ((first + stop) // 2, stop)]
     # the accumulator's record sums and minima, plus, for each run in
-    # flight (one per worker), the rows it fills, its own minima, the two
-    # snapshot buffers of its records (the propagator's and on_record's,
-    # RECORD_BATCH records of its padded width each) and, for the full
-    # density, the Y factor it forms over the run's width for as many
-    # records.  A block's row per record: its count, each observable's sum
-    # and spread, and the density's coordinate sums and the complex
-    # reference-vector sums when kept; the minima, (T, N), are per run
+    # flight (one per worker, or the sibling's too), the rows it fills,
+    # its own minima, the two snapshot buffers of its records (the
+    # propagator's and on_record's, RECORD_BATCH records of its padded
+    # width each) and, for the full density, the Y factor it forms over
+    # the run's width for as many records.  A block's row per record: its
+    # count, each observable's sum and spread, and the density's
+    # coordinate sums and the complex reference-vector sums when kept;
+    # the minima, (T, N), are per run
     d = spec.full_dim
     per_row = len(times) * (
         8 + 16 * len(observables)
         + (8 * d * d if ensemble.full_density else 0)
         + (16 * d if refs is not None else 0))
     minima = len(times) * 8 * spec.n_particles
-    in_flight = min(ensemble.worker_count, len(runs))
+    in_flight = min(2 if paired else ensemble.worker_count, len(runs))
     rows = max(stop - first for first, stop in runs)
     width = max(int(edges[stop] - edges[first]) for first, stop in runs)
     depth = min(RECORD_BATCH, len(times))
@@ -559,14 +698,11 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
 
     tasks = [(spec, time, ensemble, edges[first:stop + 1], obs_stacks, refs)
              for first, stop in runs]
-    # one run at a time leaves a CPU to draw the next chunk's noise on
-    draw_ahead = (in_flight == 1 and hasattr(os, "fork")
-                  and _usable_cpus() >= 2)
     sums, blowups, positivity_skips = None, (), ()
     min_eig = np.full((len(times), spec.n_particles), np.inf)
-    # closed on every exit, so no helper or worker outlives the call
-    with closing(_run_results(tasks, ensemble.worker_count,
-                              draw_ahead)) as results:
+    # closed on every exit, so no sibling or worker outlives the call
+    with closing(_run_results(tasks, ensemble.worker_count, paired,
+                              split)) as results:
         for i, (run_sums, run_min, blown, skipped) in results:
             # the runs tile the blocks, so every row is written by one run,
             # in whatever order the runs arrive

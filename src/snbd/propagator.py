@@ -127,16 +127,11 @@ dimension) and 16 x 15 blocks (8 spins).
 Per-trajectory randomness comes from counter-based Philox streams keyed
 by (master seed, trajectory index), so any trajectory can be reproduced
 in isolation and ensembles are independent of worker scheduling.
-The normals are therefore the same bits whichever process draws them.
-A serial ensemble on two or more usable CPUs draws them in a second
-process (``NoiseHelper``): forked at the first chunk of its first block,
-it draws every run's chunks in plan order, one chunk ahead, into two
-shared slots of NOISE_CHUNK_BYTES / 2, and one pipe byte per chunk each
-way says "ready" and "free".  A thread would need the interpreter lock
-back for every trajectory's draw, against a step loop of short numpy
-calls; the process needs it for nothing.  It ignores SIGINT and SIGTERM,
-exits at EOF on its "free" pipe (also when the parent is killed), and
-the parent reads its end as WorkerLostError.
+The normals are therefore the same bits whichever process draws them,
+and every process draws its own batch's in place (``_noise_chunks``):
+a second CPU is spent stepping other trajectories, which need no
+communication, in a pool worker or a serial run's forked sibling
+(``ensemble._paired_results``).
 
 A note on positivity: the update conserves trace and Hermiticity, but
 individual trajectory densities are genuine quasi-densities.  From a pure
@@ -158,7 +153,6 @@ below that onset when the estimate must match the exact dynamics.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +162,6 @@ from .errors import (
     ContractViolationError,
     PositivityViolationError,
     TrajectoryBlowupError,
-    WorkerLostError,
 )
 from .system import (
     SystemSpec,
@@ -186,10 +179,6 @@ POSITIVITY_FLOOR = 1e-12
 #: Bytes of noise pre-drawn at a time by the batched driver: the chunk
 #: holds as many steps of every trajectory of the batch as fit (at least one).
 NOISE_CHUNK_BYTES = 2 * 1024 * 1024
-
-#: Seconds ``NoiseHelper.close`` waits for its helper process to exit
-#: before it kills it.
-HELPER_JOIN_S = 1.0
 
 #: The batch is padded to a multiple of this many columns, and trajectory
 #: j sits at column position j mod COLUMN_ALIGN (see the module notes).
@@ -683,149 +672,13 @@ def _draw_noise_chunk(rngs, n_steps, p, r, dt):
     return out
 
 
-def _chunk_steps(budget, count, p, r) -> int:
-    """Steps of ``count`` trajectories' noise that fit in ``budget`` bytes,
-    at least one."""
-    return max(1, budget // max(1, 8 * count * p * r))
-
-
-def _noise_chunks(rngs, n_steps, p, r, dt, budget):
+def _noise_chunks(rngs, n_steps, p, r, dt):
     """The noise of n_steps steps, ``_draw_noise_chunk`` by chunks of at
-    most ``budget`` bytes (one step when a single step is larger), each
-    drawn when the next one is asked for."""
-    size = _chunk_steps(budget, len(rngs), p, r)
+    most ``NOISE_CHUNK_BYTES`` (one step when a single step is larger),
+    each drawn when the next one is asked for."""
+    size = max(1, NOISE_CHUNK_BYTES // max(1, 8 * len(rngs) * p * r))
     for at in range(0, n_steps, size):
         yield _draw_noise_chunk(rngs, min(size, n_steps - at), p, r, dt)
-
-
-class NoiseHelper:
-    """The noise of a serial ensemble's runs, drawn one chunk ahead in a
-    forked helper process while the caller steps.
-
-    ``runs`` is the plan: (start, count) of each run, in the order its
-    ``propagate_block`` calls come.  The first chunk asked for sets the
-    grid (n_steps, p, r, dt) and starts the helper, from inside the first
-    block.  The helper draws every run's streams and chunks in plan order,
-    chunks of at most NOISE_CHUNK_BYTES / 2, and hands them over through
-    two shared slots of that size: one byte on the "ready" pipe per chunk
-    drawn, one on the "free" pipe per chunk read.  So the chunks are the
-    ones ``_noise_chunks`` draws at that budget, bit for bit, and chunking
-    changes no bit.  ``close`` ends the helper.
-    """
-
-    def __init__(self, master_seed: int, runs):
-        self.master_seed, self.runs = master_seed, list(runs)
-        self.next_run = 0       # None while a run's chunks are being read
-        self.grid = None
-        self.process = None
-        self.pipes = ()         # the parent's ends: write "free", read "ready"
-
-    def chunks(self, start, count, n_steps, p, r, dt):
-        """The noise of trajectories [start, start + count), the plan's
-        next run, as (count, steps, p, r) views of a slot, each valid until
-        the next one is asked for.  Raises ContractViolationError for any
-        other block and WorkerLostError when the helper has ended."""
-        i, grid = self.next_run, (n_steps, p, r, dt)
-        self.grid = self.grid or grid
-        if (i is None or i == len(self.runs) or self.runs[i] != (start, count)
-                or self.grid != grid):
-            raise ContractViolationError(
-                f"trajectories [{start}, {start + count}) with grid {grid} "
-                f"are not the next run of the noise plan")
-        self.next_run = None
-        if self.process is None:
-            self._start()
-        free, ready = self.pipes
-        size = _chunk_steps(NOISE_CHUNK_BYTES // 2, count, p, r)
-        for at in range(0, n_steps, size):
-            steps = min(size, n_steps - at)
-            if not os.read(ready, 1):
-                raise WorkerLostError(
-                    "the noise helper process ended before its run finished")
-            yield self.slots[self.taken % 2, :count * steps * p * r].reshape(
-                count, steps, p, r)
-            self.taken += 1
-            try:
-                os.write(free, b"\0")
-            except BrokenPipeError:
-                pass            # the helper has ended: the next read says so
-        self.next_run = i + 1
-
-    def _start(self):
-        import mmap
-        import multiprocessing
-
-        _, p, r, _ = self.grid
-        # floats: a chunk is at most half the budget, or one step of a run
-        # (pages no chunk reaches are never touched)
-        slot = max(NOISE_CHUNK_BYTES // 16,
-                   p * r * max(count for _, count in self.runs))
-        self.slots = np.frombuffer(mmap.mmap(-1, 16 * slot)).reshape(2, slot)
-        self.taken = 0
-        free_r, free_w = os.pipe()
-        ready_r, ready_w = os.pipe()
-        self.pipes = (free_w, ready_r)
-        process = multiprocessing.get_context("fork").Process(
-            target=_draw_ahead, daemon=True,
-            args=(self.master_seed, self.runs, self.grid, self.slots,
-                  free_r, ready_w, self.pipes))
-        try:
-            process.start()
-        finally:
-            os.close(free_r)
-            os.close(ready_w)
-        self.process = process
-
-    def close(self):
-        """Close both pipes and join the helper, killing it if a short join
-        does not see it exit.  Safe to call more than once."""
-        for fd in self.pipes:
-            os.close(fd)
-        self.pipes = ()
-        if self.process is not None:
-            self.process.join(HELPER_JOIN_S)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join()
-        self.process = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-def _draw_ahead(master_seed, runs, grid, slots, free, ready, parent_ends):
-    """The helper process of ``NoiseHelper``: each run's chunks in plan
-    order, a chunk into a slot once the parent has freed it, then it waits
-    for EOF on ``free``.  It exits at EOF or a broken pipe, whichever it
-    meets first; it leaves SIGINT and SIGTERM to the parent and writes
-    nothing to stdout or stderr.  It draws through ``_draw_noise_chunk``,
-    looked up by its module name."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    for fd in parent_ends:
-        os.close(fd)
-    n_steps, p, r, dt = grid
-    taken = 0
-    try:
-        for start, count in runs:
-            rngs = [trajectory_rng(master_seed, start + b)
-                    for b in range(count)]
-            for chunk in _noise_chunks(rngs, n_steps, p, r, dt,
-                                       NOISE_CHUNK_BYTES // 2):
-                if taken >= 2 and not os.read(free, 1):
-                    return
-                slots[taken % 2, :chunk.size] = chunk.reshape(-1)
-                os.write(ready, b"\0")
-                taken += 1
-        while os.read(free, 1):
-            pass
-    except BrokenPipeError:
-        pass
 
 
 class _Minima:
@@ -1056,7 +909,7 @@ def padded_width(start: int, count: int) -> int:
 def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
                     t_final: float, dt: float, record_stride: int,
                     on_record, *, positivity_tol: float = None,
-                    policy: str = "abort", noise=None) -> BlockStats:
+                    policy: str = "abort") -> BlockStats:
     """Propagate trajectories [start, start + count) in lockstep.
 
     ``on_record(record_index, t, coords, active, min_eigs)`` is called once
@@ -1080,11 +933,9 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
 
     Each trajectory consumes its own Philox stream, so results are
     independent of how trajectories are grouped into blocks or distributed
-    over workers.  The noise is drawn here in chunks of at most
+    over workers.  The noise is drawn here, in chunks of at most
     ``NOISE_CHUNK_BYTES`` (one step when a single step of the batch is
-    larger), or read from ``noise``, a ``NoiseHelper`` whose plan has this
-    block as its next run: a helper process draws the same chunks, at half
-    that budget, one chunk ahead.  The bits are the same either way.
+    larger), each drawn when the steps reach it; chunking changes no bit.
 
     ``policy`` is "abort" (raise on the first divergence, an entry NaN,
     inf or beyond ``NORM_CAP``, or positivity violation, at the check or
@@ -1122,12 +973,9 @@ def propagate_block(spec: SystemSpec, master_seed: int, start: int, count: int,
     u[:, 2 * p] = 1.0
     re, im, g0 = u[:, :p], u[:, p:2 * p], u[:, 2 * p + 1]
 
-    if noise is None:
-        chunks = _noise_chunks(
-            [trajectory_rng(master_seed, start + b) for b in range(count)],
-            n_steps, p, rank, dt, NOISE_CHUNK_BYTES)
-    else:
-        chunks = noise.chunks(start, count, n_steps, p, rank, dt)
+    chunks = _noise_chunks(
+        [trajectory_rng(master_seed, start + b) for b in range(count)],
+        n_steps, p, rank, dt)
     records = _Records(groups, coords, times, start, count, live, n,
                        on_record, positivity_tol, policy == "abort")
     records.record(0)

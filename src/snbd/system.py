@@ -360,12 +360,15 @@ def assemble_full_hamiltonian(spec: SystemSpec) -> np.ndarray:
 def apply_full_hamiltonian(spec: SystemSpec, vecs) -> np.ndarray:
     """H |psi> for the product vector psi = kron_k vecs[k], with H as
     ``assemble_full_hamiltonian`` builds it, (H + H^dag)/2, applied term by
-    term to the factors, so no (D, D) matrix is formed."""
+    term to the factors, so no (D, D) matrix is formed.  Each term's
+    product is an outer product per factor, each entry one product, as
+    np.kron forms it, without np.kron's per-call overhead."""
     out = np.zeros(spec.full_dim, dtype=complex)
     for weight, ops in _hamiltonian_terms(spec):
         for side in (ops, {k: op.conj().T for k, op in ops.items()}):
-            out += (0.5 * weight) * reduce(np.kron, [
-                side[k] @ v if k in side else v for k, v in enumerate(vecs)])
+            out += (0.5 * weight) * reduce(
+                lambda a, b: np.multiply.outer(a, b).reshape(-1),
+                [side[k] @ v if k in side else v for k, v in enumerate(vecs)])
     return out
 
 

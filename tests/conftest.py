@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import snbd.ensemble
 from snbd.system import (
     InteractionTerm,
     ParticleSpec,
@@ -19,6 +20,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+def usable_cpus(monkeypatch, n):
+    """Let run_ensemble see ``n`` usable CPUs: at one, a serial run steps
+    every trajectory in this process; at two, half of them in a forked
+    sibling."""
+    monkeypatch.setattr(snbd.ensemble, "_usable_cpus", lambda: n)
+
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

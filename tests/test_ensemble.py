@@ -43,6 +43,7 @@ from conftest import (
     interleaved_system,
     random_hermitian,
     two_spin_system,
+    usable_cpus,
 )
 from single_trajectory import propagate_trajectory
 
@@ -134,7 +135,9 @@ def recorded_records(monkeypatch):
     record the ensemble's propagate_block calls hand on_record, in the
     list returned, one entry per record: the runs' live columns stitched
     in the order of their first trajectory, their minima merged with
-    np.minimum."""
+    np.minimum.  The runs are observed in this process, so a serial run
+    sees one usable CPU and forks no sibling."""
+    usable_cpus(monkeypatch, 1)
     parts, seen = [], []
     propagate = snbd.ensemble.propagate_block
 
@@ -447,10 +450,12 @@ class TestRunEnsemble:
         # snapshot buffers of both records (RECORD_BATCH is 8), 2 * 2 *
         # 8 rows * 8 columns * 8 B = 2048 B, and its real Y factor for both
         # records, 2 * 2 * 4 * 8 B = 128 B: 2480 B per run, 3600 B at one
-        # worker, 6080 B at two
+        # worker on one usable CPU, 6080 B at two workers or at one worker
+        # and its sibling
         assert snbd.ensemble.RECORD_BATCH == 8
         monkeypatch.setattr(snbd.ensemble, "LOCKSTEP_WIDTH", 2)
         monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 4800)
+        usable_cpus(monkeypatch, 1)
         grid = TimeGrid(0.1, 1e-3, 100)
         acc = run_ensemble(benchmark_system, grid,
                            loose(m=8, n_blocks=4, full_density=True))
@@ -462,6 +467,10 @@ class TestRunEnsemble:
             run_ensemble(benchmark_system, grid,
                          loose(m=8, n_blocks=4, worker_count=2,
                                full_density=True))
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(DimensionLimitError):
+            run_ensemble(benchmark_system, grid,
+                         loose(m=8, n_blocks=4, full_density=True))
         assert started == []
 
     def test_memory_gate_counts_the_reference_vector_sums(
@@ -471,9 +480,11 @@ class TestRunEnsemble:
         # counts and 11 * 2 * 8 B = 176 B of minimum eigenvalues, and the
         # run its two snapshot buffers of 8 records (RECORD_BATCH), 2 * 8 *
         # 8 rows * 8 columns * 8 B = 8192 B, 9248 B in all; vec_sum takes
-        # 4 * 11 * 4 * 16 B = 2816 B in each, 14880 B in all
+        # 4 * 11 * 4 * 16 B = 2816 B in each, 14880 B in all (one usable
+        # CPU: no sibling's run in flight)
         assert snbd.ensemble.RECORD_BATCH == 8
         monkeypatch.setattr(snbd.ensemble, "DEFAULT_MEMORY_LIMIT", 12000)
+        usable_cpus(monkeypatch, 1)
         grid = TimeGrid(0.01, 1e-3, 1)
         assert run_ensemble(benchmark_system, grid,
                             loose(m=8, n_blocks=4)).count == 8

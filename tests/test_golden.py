@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import usable_cpus
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -39,3 +41,14 @@ def test_two_workers_write_the_one_worker_bytes(golden, tmp_path):
     name = "two_spin_heisenberg compare M 407"
     argv = golden.cases(tmp_path)[name] + ["--workers", "2"]
     assert golden.run(argv, tmp_path / "workers2") == golden.committed[name]
+
+
+def test_one_usable_cpu_writes_the_same_bytes(golden, tmp_path,
+                                              monkeypatch):
+    # on two usable CPUs the one-worker cases step half of each run in a
+    # forked sibling; pinned to one, the positivity-drop case steps it all
+    # in this process, against the same committed digests
+    usable_cpus(monkeypatch, 1)
+    name = "mixed_compare tiny seed 1 tol 0.3"
+    argv = golden.cases(tmp_path)[name]
+    assert golden.run(argv, tmp_path / "one_cpu") == golden.committed[name]

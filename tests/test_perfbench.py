@@ -3,18 +3,25 @@ needs from the package keeps working, and every workload passes its
 correctness gate."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from snbd.ensemble import _usable_cpus
+
 ROOT = Path(__file__).resolve().parent.parent
+
+# each serial tiny config is one run of 4 blocks, whose halves two usable
+# CPUs step in two processes, each counting every record
+HALVES = 2 if hasattr(os, "fork") and _usable_cpus() >= 2 else 1
 
 
 @pytest.mark.parametrize("workload, records, traj_steps", [
-    ("two_spin_ship", 11, 40_000), ("spins8", 22, 8_000),
-    ("mixed_compare", 501, 40_000)],
+    ("two_spin_ship", 11 * HALVES, 40_000), ("spins8", 22, 8_000),
+    ("mixed_compare", 501 * HALVES, 40_000)],
     ids=["two_spin_ship", "spins8", "mixed_compare"])
 def test_traced_benchmark_run_passes_its_gate(workload, records, traj_steps):
     # perfbench/run.py exits nonzero when a workload misses one of its
@@ -31,9 +38,9 @@ def test_traced_benchmark_run_passes_its_gate(workload, records, traj_steps):
     assert last["correct"] is True
     assert last["failed"] == 0 and last["attempted"] == 2
     assert last["metrics"]["propagator.records"]["value"] == records
-    # the tiny M x 1000 steps, counted at the draw: in the process that
-    # draws, a pool worker or a serial run's noise helper, whose spans file
-    # is written when it exits
+    # the tiny M x 1000 steps, counted at the draw in every process that
+    # steps: a pool worker or a serial run's sibling writes its spans file
+    # when it exits
     assert last["metrics"]["propagator.traj_steps"]["value"] == traj_steps
     # perfbench reads the active fraction from the mask on_record is
     # handed at the last record; no trajectory of these runs is skipped

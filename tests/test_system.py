@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from snbd.system import (
     InteractionTerm,
     ParticleSpec,
     SystemSpec,
+    _hamiltonian_terms,
     apply_full_hamiltonian,
     assemble_full_hamiltonian,
     build_hermitian_basis,
@@ -37,6 +40,16 @@ from conftest import (
     random_hermitian,
     two_spin_system,
 )
+
+
+def spins8_system():
+    """The spins8 benchmark's system: 8 spin-1/2, one Heisenberg V on
+    every pair."""
+    particles = (ParticleSpec(dim=2, h=0.5 * SZ),) * 8
+    pairs = decompose_pair_interaction(heisenberg_pair_matrix(0.0125), 2)
+    return SystemSpec(particles=particles,
+                      terms=shared_interaction_terms(pairs, particles),
+                      initial=(UP, DOWN) * 4)
 
 
 def random_swap_symmetric(rng, m):
@@ -187,6 +200,24 @@ class TestAssembly:
         expected = assemble_full_hamiltonian(spec) @ psi
         got = apply_full_hamiltonian(spec, vecs)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("make", [spins8_system, interleaved_system],
+                             ids=["8 spins", "(2,3,2)"])
+    def test_applied_terms_are_the_kron_products_bit_for_bit(self, make):
+        # each term's product vector, summed in the same order, against
+        # the np.kron form of the same products
+        spec = make()
+        rng = np.random.default_rng(12)
+        vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                for d in spec.dims]
+        expected = np.zeros(spec.full_dim, dtype=complex)
+        for weight, ops in _hamiltonian_terms(spec):
+            for side in (ops, {k: op.conj().T for k, op in ops.items()}):
+                expected += (0.5 * weight) * reduce(np.kron, [
+                    side[k] @ v if k in side else v
+                    for k, v in enumerate(vecs)])
+        got = apply_full_hamiltonian(spec, vecs)
+        assert got.tobytes() == expected.tobytes()
 
     def test_applied_dimension_limit(self, monkeypatch):
         monkeypatch.setenv("SNBD_MAX_DIM", "2")
