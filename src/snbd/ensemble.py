@@ -42,7 +42,6 @@ import os
 import signal
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -148,19 +147,19 @@ def block_edges(m: int, n_blocks: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)])
 
 
-def block_runs(edges, worker_count: int) -> list:
+def block_runs(edges, processes: int) -> list:
     """Runs of consecutive blocks propagated as one batch: (first, stop)
     block ranges, each of blocks of one width.
 
     A run holds as many blocks as fit in ``LOCKSTEP_WIDTH`` trajectories,
-    at least one, and there are at least min(worker_count, n_blocks) runs
-    so that every worker gets one.  The wider blocks come first
-    (``block_edges``), and the runs are cut where the width changes, the
-    last run of each width shorter.
+    at least one, and there are at least min(processes, n_blocks) runs so
+    that every process that steps runs gets one.  The wider blocks come
+    first (``block_edges``), and the runs are cut where the width changes,
+    the last run of each width shorter.
     """
     widths = np.diff(edges)
     n_blocks, widest = len(widths), int(widths.max())
-    per_run = max(1, min(LOCKSTEP_WIDTH // widest, n_blocks // worker_count))
+    per_run = max(1, min(LOCKSTEP_WIDTH // widest, n_blocks // processes))
     cut = int((widths == widest).sum())
     return [(b, min(b + per_run, stop))
             for lo, stop in ((0, cut), (cut, n_blocks))
@@ -329,7 +328,7 @@ def _record_factor(spec, obs_stacks, refs):
 
 def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     """Propagate the trajectories of a run of consecutive blocks, whose
-    boundaries are ``edges``, as one batch (worker-safe).
+    boundaries are ``edges``, as one batch, in whichever process steps it.
 
     Returns the run's rows of the accumulator's per-block arrays by name,
     block axis first (None for a sum the run does not keep), the run's
@@ -442,11 +441,6 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
     return sums, min_eig, stats.blowups, stats.positivity_skips
 
 
-def _take(pending: dict, future) -> tuple:
-    """(index, result) of a finished future, dropped from ``pending``."""
-    return pending.pop(future), future.result()
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -454,146 +448,132 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_results(tasks, worker_count, paired, split):
-    """(index, _block_task result) for every task.  Serial runs are
-    stepped here, two at a time with a forked sibling when ``paired``
-    (``_paired_results``; ``split``: the two tasks are the halves of one
-    run).  On a pool, a task is submitted when a worker is free and a
-    finished one's result has been taken, so at most ``worker_count``
-    results exist at a time, finished or not, the one the caller holds
-    included (no reference to a taken future or result stays here); they
-    arrive in the order they complete.  A worker that dies (killed, or
-    out of memory) breaks the pool: that raises WorkerLostError."""
-    if worker_count <= 1:
-        if paired:
-            yield from _paired_results(tasks, split)
-        else:
-            for i, task in enumerate(tasks):
-                yield i, _block_task(*task)
-        return
-    # imported here, so that a serial run and ``snbd validate`` skip it
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-    todo = enumerate(tasks)
+def _run_results(tasks, k):
+    """(index, _block_task result) for every task, stepped by k processes:
+    this one steps tasks 0, k, 2k, ... and forked sibling j (``_sibling``)
+    tasks j, j + k, ...  The siblings' results are taken between this
+    process's runs, as they are ready, and after its last, one at a time,
+    so at most one result is held here (none stays referenced once the
+    caller has moved on).  Every task steps to its end or to its first
+    error, and the error raised is the first of them all
+    (``_first_error``), whichever process met it, so no k changes it.  A
+    sibling ends by itself after its last result and is killed on every
+    other exit; its end before its last result raises WorkerLostError."""
+    siblings, waiting, errors, alive = [], {}, {}, None
+    if k > 1:
+        # SIGINT and SIGTERM wait while multiprocessing is imported and the
+        # siblings forked: an interrupt there would escape the kill below,
+        # and one inside an exec'd string leaves CPython 3.11 to end by
+        # SIGINT after the CLI has handled it.  The siblings keep them
+        # blocked.
+        held = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                      {signal.SIGINT, signal.SIGTERM})
     try:
-        with ProcessPoolExecutor(max_workers=min(worker_count,
-                                                 len(tasks))) as pool:
-            pending = {pool.submit(_block_task, *task): i
-                       for i, task in islice(todo, worker_count)}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                while done:
-                    yield _take(pending, done.pop())
-                    for i, task in islice(todo, 1):
-                        pending[pool.submit(_block_task, *task)] = i
-    except BrokenProcessPool as exc:
-        raise WorkerLostError(
-            f"a worker process ended before its run finished ({exc})") from exc
+        if k > 1:
+            import multiprocessing
+            from multiprocessing.connection import wait
 
-
-def _paired_results(tasks, split):
-    """(index, _block_task result) for every task of a serial plan of two
-    or more, stepped two at a time: this process steps tasks 0, 2, ... and
-    a forked sibling (``_sibling``) 1, 3, ..., whose results are taken
-    between this process's runs, as they are ready.  An error is raised as
-    one process would raise it (``_first_error``), after the sibling's
-    tasks before the failing one, all of them when ``split``, have been
-    read.  The sibling ends by itself after its last result and is killed
-    on every other exit; its end before its last result raises
-    WorkerLostError."""
-    # SIGINT and SIGTERM wait while multiprocessing is imported and the
-    # sibling forked: an interrupt there would escape the kill below, and
-    # one inside an exec'd string leaves CPython 3.11 to end by SIGINT
-    # after the CLI has handled it.  The sibling keeps them blocked.
-    held = signal.pthread_sigmask(signal.SIG_BLOCK,
-                                  {signal.SIGINT, signal.SIGTERM})
-    import multiprocessing
-
-    taken, sent = multiprocessing.Pipe(duplex=False)
-    watch, alive = os.pipe()
-    sibling = multiprocessing.get_context("fork").Process(
-        target=_sibling, args=(tasks, sent, watch, (taken, alive)),
-        daemon=True)
-    try:
-        sibling.start()
-    except BaseException:
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        raise
-    finally:
-        sent.close()
-        os.close(watch)
-    waiting = list(range(1, len(tasks), 2))
-    errors = {}
-
-    def receive(before):
-        """The sibling's results that are ready, and, waited for, every
-        one before task ``before``."""
-        while waiting and (waiting[0] < before or taken.poll()):
+            watch, alive = os.pipe()
             try:
-                i, out = taken.recv()
-            except EOFError:
-                raise WorkerLostError(
-                    "the sibling process ended before its runs "
-                    "finished") from None
-            waiting.remove(i)
-            if isinstance(out, BaseException):
-                errors[i] = out
-                waiting.clear()     # the sibling stops at its first error
+                for j in range(1, k):
+                    taken, sent = multiprocessing.Pipe(duplex=False)
+                    # the caller's pipe ends the sibling inherits
+                    ends = (*waiting, taken, alive)
+                    waiting[taken] = list(range(j, len(tasks), k))
+                    sibling = multiprocessing.get_context("fork").Process(
+                        target=_sibling, daemon=True,
+                        args=(tasks, waiting[taken][:], sent, watch, ends))
+                    try:
+                        sibling.start()
+                    finally:
+                        sent.close()
+                    siblings.append(sibling)
+            finally:
+                os.close(watch)
+            # a pending interrupt is raised here, in reach of the kill
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+        def receive(block):
+            """The siblings' results that are ready and, when ``block``,
+            every one still to come."""
+            while any(waiting.values()):
+                ready = wait([c for c, runs in waiting.items() if runs],
+                             None if block else 0)
+                if not ready:
+                    return
+                for conn in ready:
+                    try:
+                        i, out = conn.recv()
+                    except EOFError:
+                        raise WorkerLostError(
+                            "a sibling process ended before its runs "
+                            "finished") from None
+                    waiting[conn].remove(i)
+                    if isinstance(out, SnbdError):
+                        errors[i] = out
+                    elif isinstance(out, BaseException):
+                        raise out
+                    else:
+                        yield i, out
+                        del out     # copied by the caller: free it here
+
+        for i in range(0, len(tasks), k):
+            try:
+                out = _block_task(*tasks[i])
+            except SnbdError as exc:
+                errors[i] = exc
             else:
                 yield i, out
-
-    try:
-        # a pending interrupt is raised here, in reach of the kill
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        for k in range(0, len(tasks), 2):
-            if errors and min(errors) < k:
-                break
-            try:
-                out = _block_task(*tasks[k])
-            except SnbdError as exc:
-                errors[k] = exc
-                break
-            yield k, out
-            del out         # the caller has copied it; free it before the next
-            yield from receive(0)
-        yield from receive(len(tasks) if split or not errors else min(errors))
+                del out             # copied by the caller: free it here
+            yield from receive(False)
+        yield from receive(True)
         if errors:
-            raise _first_error(errors, split)
-        sibling.join()      # its exit handlers run (perfbench writes spans)
+            raise _first_error(errors)
+        for sibling in siblings:
+            sibling.join()      # its exit handlers run (perfbench writes spans)
     finally:
-        sibling.kill()
-        sibling.join()
-        taken.close()
-        os.close(alive)
+        for sibling in siblings:
+            sibling.kill()
+        for sibling in siblings:
+            sibling.join()
+        for conn in waiting:
+            conn.close()
+        if k > 1:
+            if alive is not None:
+                os.close(alive)
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
-def _first_error(errors, split):
-    """Of a serial plan's errors by task index, the one a single process
-    raises: the first in plan order or, of the two halves of one run, the
-    earlier abort, where the whole run meets it: by t, a blow-up before a
+def _first_error(errors):
+    """Of the runs' errors by task index, the one raised: the first other
+    error in task order, or else the earliest abort, as one process
+    stepping every trajectory meets it: by t, a blow-up before a
     positivity violation, then by trajectory."""
-    aborts = (TrajectoryBlowupError, PositivityViolationError)
-    if split and all(isinstance(e, aborts) for e in errors.values()):
-        return min(errors.values(), key=lambda e: (
-            e.t, isinstance(e, PositivityViolationError), e.trajectory))
-    return errors[min(errors)]
+    def rank(item):
+        i, e = item
+        if isinstance(e, (TrajectoryBlowupError, PositivityViolationError)):
+            return 1, e.t, isinstance(e, PositivityViolationError), e.trajectory
+        return 0, i
+    return min(errors.items(), key=rank)[1]
 
 
-def _sibling(tasks, sent, watch, ends):
-    """The sibling process of ``_paired_results``: steps tasks 1, 3, ...
-    in order, sends each one's (index, _block_task result) or its first
-    error, and returns, so that multiprocessing's exit handlers run.  A
-    thread sends, so that no run waits for the caller to take a result.
-    It writes nothing to stdout or stderr, and leaves SIGINT and SIGTERM,
-    blocked since the fork, to the caller.  A second thread ends it at
-    EOF on ``watch``, whose write end only the caller holds, so it does
-    not outlive the caller; ``ends`` are the caller's ends of both pipes,
-    closed here."""
+def _sibling(tasks, runs, sent, watch, ends):
+    """A sibling process of ``_run_results``: steps the tasks ``runs``
+    in order, each to its end or to its first SnbdError, sends each one's
+    (index, _block_task result or error) and returns, so that
+    multiprocessing's exit handlers run; any other exception is sent and
+    ends the runs.  A thread sends, so that no run waits for the caller to
+    take a result.  It writes nothing to stdout or stderr, and leaves
+    SIGINT and SIGTERM, blocked since the fork, to the caller.  A second
+    thread ends it at EOF on ``watch``, whose write end only the caller
+    holds, so it does not outlive the caller; ``ends`` are the caller's
+    pipe ends it inherited, closed here."""
     import threading
     from queue import SimpleQueue
 
-    taken, alive = ends
-    taken.close()
+    *taken, alive = ends
+    for conn in taken:
+        conn.close()
     os.close(alive)
     ready = SimpleQueue()
 
@@ -611,12 +591,13 @@ def _sibling(tasks, sent, watch, ends):
     threading.Thread(target=watchdog, daemon=True).start()
     sender = threading.Thread(target=send)
     sender.start()
-    for i in range(1, len(tasks), 2):
+    for i in runs:
         try:
             ready.put((i, _block_task(*tasks[i])))
         except BaseException as exc:
             ready.put((i, exc))
-            break
+            if not isinstance(exc, SnbdError):
+                break
     ready.put(None)
     sender.join()
 
@@ -638,31 +619,27 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
 
     edges = block_edges(ensemble.m, ensemble.n_blocks)
     n_blocks = len(edges) - 1
-    runs = block_runs(edges, ensemble.worker_count)
-    # a serial run on two usable CPUs steps every other run in a forked
-    # sibling (``_paired_results``), a one-run plan split at its middle block
-    paired = (ensemble.worker_count <= 1 and n_blocks >= 2
-              and hasattr(os, "fork") and _usable_cpus() >= 2)
-    split = paired and len(runs) == 1
-    if split:
-        (first, stop), = runs
-        runs = [(first, (first + stop) // 2), ((first + stop) // 2, stop)]
+    # the processes that step the runs (``_run_results``): worker_count,
+    # or two for a serial run on two usable CPUs, never more than the
+    # blocks, and one where os.fork is missing
+    wanted = (ensemble.worker_count if ensemble.worker_count > 1
+              else min(2, _usable_cpus()))
+    processes = min(wanted, n_blocks) if hasattr(os, "fork") else 1
+    runs = block_runs(edges, processes)
     # the accumulator's record sums and minima, plus, for each run in
-    # flight (one per worker, or the sibling's too), the rows it fills,
-    # its own minima, the two snapshot buffers of its records (the
-    # propagator's and on_record's, RECORD_BATCH records of its padded
-    # width each) and, for the full density, the Y factor it forms over
-    # the run's width for as many records.  A block's row per record: its
-    # count, each observable's sum and spread, and the density's
-    # coordinate sums and the complex reference-vector sums when kept;
-    # the minima, (T, N), are per run
+    # flight (one per process), the rows it fills, its own minima, the two
+    # snapshot buffers of its records (the propagator's and on_record's,
+    # RECORD_BATCH records of its padded width each) and, for the full
+    # density, the Y factor it forms over the run's width for as many
+    # records.  A block's row per record: its count, each observable's sum
+    # and spread, and the density's coordinate sums and the complex
+    # reference-vector sums when kept; the minima, (T, N), are per run
     d = spec.full_dim
     per_row = len(times) * (
         8 + 16 * len(observables)
         + (8 * d * d if ensemble.full_density else 0)
         + (16 * d if refs is not None else 0))
     minima = len(times) * 8 * spec.n_particles
-    in_flight = min(2 if paired else ensemble.worker_count, len(runs))
     rows = max(stop - first for first, stop in runs)
     width = max(int(edges[stop] - edges[first]) for first, stop in runs)
     depth = min(RECORD_BATCH, len(times))
@@ -672,7 +649,7 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
     y = (depth * width * 8 * d * d // spec.dims[0] ** 2
          if ensemble.full_density else 0)
     total = (per_row * n_blocks + minima
-             + in_flight * (per_row * rows + minima + snapshots + y))
+             + processes * (per_row * rows + minima + snapshots + y))
     if total > DEFAULT_MEMORY_LIMIT:
         raise DimensionLimitError(
             f"the record sums need ~{total // (1 << 20)} MiB, "
@@ -700,9 +677,8 @@ def run_ensemble(spec: SystemSpec, time: TimeGrid, ensemble: EnsembleParams,
              for first, stop in runs]
     sums, blowups, positivity_skips = None, (), ()
     min_eig = np.full((len(times), spec.n_particles), np.inf)
-    # closed on every exit, so no sibling or worker outlives the call
-    with closing(_run_results(tasks, ensemble.worker_count, paired,
-                              split)) as results:
+    # closed on every exit, so no sibling outlives the call
+    with closing(_run_results(tasks, processes)) as results:
         for i, (run_sums, run_min, blown, skipped) in results:
             # the runs tile the blocks, so every row is written by one run,
             # in whatever order the runs arrive

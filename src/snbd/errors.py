@@ -5,7 +5,7 @@ class SnbdError(Exception):
     """Base class for every error raised by this package.
 
     Pickled by its state, not by its constructor's arguments, so that an
-    error raised in a pool worker reaches the caller as itself.
+    error raised in a forked sibling reaches the caller as itself.
     """
 
     def __reduce__(self):
@@ -83,7 +83,7 @@ class MissingDataError(SnbdError):
 
 
 class WorkerLostError(SnbdError):
-    """A pool worker process ended before its run finished."""
+    """A forked sibling process ended before its runs finished."""
 
 
 class DegenerateReferenceError(SnbdError):

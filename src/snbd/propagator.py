@@ -130,8 +130,7 @@ in isolation and ensembles are independent of worker scheduling.
 The normals are therefore the same bits whichever process draws them,
 and every process draws its own batch's in place (``_noise_chunks``):
 a second CPU is spent stepping other trajectories, which need no
-communication, in a pool worker or a serial run's forked sibling
-(``ensemble._paired_results``).
+communication, in a forked sibling (``ensemble._run_results``).
 
 A note on positivity: the update conserves trace and Hermiticity, but
 individual trajectory densities are genuine quasi-densities.  From a pure

@@ -1,3 +1,7 @@
+import os
+import time
+from multiprocessing.context import ForkProcess
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,37 @@ def usable_cpus(monkeypatch, n):
     every trajectory in this process; at two, half of them in a forked
     sibling."""
     monkeypatch.setattr(snbd.ensemble, "_usable_cpus", lambda: n)
+
+
+def sibling_starts(monkeypatch, limit=3):
+    """The sibling processes run_ensemble starts, one entry each, in the
+    list returned.  A start past ``limit`` fails instead of forking, so
+    that a wrong count cannot start many processes."""
+    started = []
+    start = ForkProcess.start
+
+    def counted(process):
+        assert len(started) < limit, f"more than {limit} siblings started"
+        started.append(process.name)
+        start(process)
+
+    monkeypatch.setattr(ForkProcess, "start", counted)
+    return started
+
+
+def slow_sibling(monkeypatch):
+    """propagate_block, as a sibling inherits it, starts its runs 0.2 s
+    late, so that each of a sibling's results arrives after this process's
+    own result or error."""
+    caller = os.getpid()
+    propagate = snbd.ensemble.propagate_block
+
+    def sleep_in_sibling(*args, **options):
+        if os.getpid() != caller:
+            time.sleep(0.2)
+        return propagate(*args, **options)
+
+    monkeypatch.setattr(snbd.ensemble, "propagate_block", sleep_in_sibling)
 
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,10 +1,8 @@
-import concurrent.futures
 import json
 import os
 import signal
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +18,6 @@ from snbd.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_TRAJECTORY,
-    EXIT_WORKER_LOST,
     execute,
     main,
 )
@@ -520,6 +517,11 @@ class TestCli:
          "observables[0].factors[0][0][0]: expected a finite entry"),
         (lambda d: d["recovery"].update(reference_vectors=[[1e400, 0], [0, 1]]),
          "recovery.reference_vectors[0][0]: expected a finite entry"),
+        # one reference vector per particle, of the particle's dimension
+        (lambda d: d["recovery"].update(reference_vectors=[[1, 0]]),
+         "recovery.reference_vectors: 1 vectors for 2 particles"),
+        (lambda d: d["recovery"].update(reference_vectors=[[1, 0, 0], [0, 1]]),
+         "recovery.reference_vectors[0]: length 3 != particle dim 2"),
         # an integer too large for a float
         (lambda d: d["system"]["particles"][0]["h"][0].__setitem__(
             0, 10 ** 400),
@@ -535,7 +537,8 @@ class TestCli:
          "system.interaction.pair_matrix: pair matrix: not Hermitian"),
     ], ids=["step-overflow", "not-swap-symmetric", "fermion", "boson",
             "nan-h", "inf-h", "inf-initial", "inf-observable",
-            "inf-reference", "int-overflow", "overflow-h",
+            "inf-reference", "reference-count", "reference-dim",
+            "int-overflow", "overflow-h",
             "overflow-pair-matrix"])
     def test_config_contracts_exit2_with_path(self, tmp_path, capsys, edit,
                                               message):
@@ -632,38 +635,6 @@ class TestCli:
         assert manifest["status"] == "incomplete"
         assert sorted(q.name for q in out.iterdir()) == [
             "manifest.json", "notes.txt"]
-
-    def test_lost_worker_exit8_incomplete(self, tmp_path, capsys,
-                                          monkeypatch):
-        # a stand-in pool that starts no process and whose every future
-        # raises BrokenProcessPool, as a killed worker's does: one error
-        # line, no traceback, an incomplete manifest
-        class LostWorkerPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_exception(BrokenProcessPool("worker killed"))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            LostWorkerPool)
-        out = tmp_path / "out"
-        p = self._write(tmp_path, tiny_config(out, workers=2))
-        assert main(["run", "--config", str(p), "--quiet"]) == EXIT_WORKER_LOST
-        err = capsys.readouterr().err
-        assert err.startswith("error: a worker process ended")
-        assert err.count("\n") == 1 and "Traceback" not in err
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "incomplete"
-        assert manifest["files"] == {}
 
     def test_sigterm_exit130_incomplete(self, tmp_path):
         # a real child on a run of about 4e7 trajectory-steps, sent SIGTERM

@@ -1,6 +1,7 @@
-import concurrent.futures
 import dataclasses
+import multiprocessing
 import weakref
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from conftest import (
     free_two_spin_system,
     interleaved_system,
     random_hermitian,
+    sibling_starts,
+    slow_sibling,
     two_spin_system,
     usable_cpus,
 )
@@ -497,98 +500,89 @@ class TestRunEnsemble:
                                np.array([0, 1], complex)))
         assert started == []
 
-    def test_pool_is_no_wider_than_the_runs(self, benchmark_system,
-                                             monkeypatch):
-        # a stand-in executor that runs serially: no process is started
-        widths = []
-
-        class SerialPool(StandInPool):
-            def __init__(self, max_workers):
-                super().__init__(max_workers)
-                widths.append(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SerialPool)
+    def test_no_more_processes_than_blocks(self, benchmark_system,
+                                           monkeypatch):
+        # 64 workers on 4 blocks: four processes, one run each, so exactly
+        # three siblings start, and the bits are one process's
+        started = sibling_starts(monkeypatch)
         grid = TimeGrid(0.01, 1e-3, 5)
-        pooled = run_ensemble(benchmark_system, grid,
-                              loose(m=8, n_blocks=4, worker_count=64))
-        assert widths == [4]
+        wide = run_ensemble(benchmark_system, grid,
+                            loose(m=8, n_blocks=4, worker_count=64))
+        assert len(started) == 3
+        assert multiprocessing.active_children() == []
+        usable_cpus(monkeypatch, 1)
         serial = run_ensemble(benchmark_system, grid, loose(m=8, n_blocks=4))
-        assert np.array_equal(pooled.counts, serial.counts)
-        assert np.array_equal(pooled.min_eig, serial.min_eig)
+        assert len(started) == 3
+        assert np.array_equal(wide.counts, serial.counts)
+        assert np.array_equal(wide.min_eig, serial.min_eig)
 
-    def test_at_most_one_result_per_worker_is_held(self, benchmark_system,
+    def test_the_caller_holds_one_result_at_a_time(self, benchmark_system,
                                                    monkeypatch):
-        # six runs on two workers through a stand-in executor that starts
-        # no process: the first run is held back until every other has
-        # been submitted, so it completes last.  At every submission at
-        # most two results are still alive anywhere, the new one included
-        # (a result run_ensemble has copied is freed), and the
-        # accumulator is the serial run's, bit for bit
-        held = []
+        # six runs in three processes, the siblings slowed so that the
+        # caller's own results come first.  Through a weak reference to
+        # each result's counts: when a result is handed on it is the only
+        # one alive here, and none is alive when the next is received (a
+        # result run_ensemble has copied is freed); the accumulator is one
+        # process's, bit for bit
+        refs, at_yield, at_recv = [], [], []
 
-        class SlowFirstPool(StandInPool):
-            def submit(self, fn, *args):
-                future = super().submit(fn, *args)
-                held.append(self.alive())
-                if len(self.results) == 1:
-                    self.first = (future, future._result)
-                    future._state = "PENDING"
-                elif len(self.results) == 6:
-                    first, result = self.first
-                    del self.first
-                    first._state = "PENDING"
-                    first.set_result(result)
-                return future
+        def alive():
+            return sum(ref() is not None for ref in refs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SlowFirstPool)
+        run_results = snbd.ensemble._run_results
+
+        def watched(tasks, k):
+            for i, out in run_results(tasks, k):
+                refs.append(weakref.ref(out[0]["counts"]))
+                at_yield.append(alive())
+                yield i, out
+                del out
+
+        recv = Connection.recv
+
+        def counted_recv(conn):
+            at_recv.append(alive())
+            return recv(conn)
+
+        monkeypatch.setattr(snbd.ensemble, "_run_results", watched)
+        monkeypatch.setattr(Connection, "recv", counted_recv)
         monkeypatch.setattr(snbd.ensemble, "LOCKSTEP_WIDTH", 2)
+        slow_sibling(monkeypatch)
+        started = sibling_starts(monkeypatch)
         grid = TimeGrid(0.01, 1e-3, 5)
-        params = loose(m=12, n_blocks=6, worker_count=2, full_density=True,
+        params = loose(m=12, n_blocks=6, worker_count=3, full_density=True,
                        blowup_policy="skip", positivity_tol=0.01)
-        assert len(block_runs(block_edges(12, 6), 2)) == 6
-        pooled = run_ensemble(benchmark_system, grid, params)
-        assert len(held) == 6 and max(held) <= 2
+        assert len(block_runs(block_edges(12, 6), 3)) == 6
+        wide = run_ensemble(benchmark_system, grid, params)
+        assert len(started) == 2
+        assert at_yield == [1] * 6 and at_recv == [0] * 4
+        usable_cpus(monkeypatch, 1)
         serial = run_ensemble(benchmark_system, grid,
                               dataclasses.replace(params, worker_count=1))
         for f in dataclasses.fields(serial):
-            a, b = getattr(pooled, f.name), getattr(serial, f.name)
+            a, b = getattr(wide, f.name), getattr(serial, f.name)
             if isinstance(a, np.ndarray):
                 assert np.array_equal(a, b), f.name
             else:
                 assert a == b, f.name
+
+    @pytest.mark.parametrize("refs, message", [
+        ((np.array([1, 0]),), "1 reference vectors for 2 particles"),
+        ((np.array([1, 0]), np.array([0, 1, 0])),
+         r"reference vector 1 has shape \(3,\), expected \(2,\)"),
+    ], ids=["count", "shape"])
+    def test_reference_vectors_are_checked(self, benchmark_system, refs,
+                                           message):
+        # a library caller's references, refused before any run starts
+        with pytest.raises(ConfigError, match=message):
+            run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
+                         loose(m=4), refs=refs)
 
     def test_duplicate_observables_rejected(self, benchmark_system):
         obs = (ObservableSpec("a", (SZ, None)), ObservableSpec("a", (None, SZ)))
         with pytest.raises(ConfigError):
             run_ensemble(benchmark_system, TimeGrid(0.01, 1e-3, 10),
                          loose(m=4), obs)
-
-
-class StandInPool:
-    """A stand-in for the process pool that starts no process: each
-    submitted task runs at once in this process.  It keeps only a weak
-    reference to each result's count array, so ``alive`` counts the
-    results that something still holds."""
-
-    def __init__(self, max_workers):
-        self.results = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        self.results.append(weakref.ref(future.result()[0]["counts"]))
-        return future
-
-    def alive(self) -> int:
-        return sum(ref() is not None for ref in self.results)
 
 
 class TestObservables:

@@ -36,19 +36,26 @@ def test_outputs_match_committed_digests(golden, tmp_path):
 
 
 def test_two_workers_write_the_one_worker_bytes(golden, tmp_path):
-    # the M = 407 case on a pool of two workers, whose runs split the
+    # the M = 407 case in two and in three processes, whose runs split the
     # batch at other widths, against the committed digests of one worker
     name = "two_spin_heisenberg compare M 407"
-    argv = golden.cases(tmp_path)[name] + ["--workers", "2"]
-    assert golden.run(argv, tmp_path / "workers2") == golden.committed[name]
+    for workers in ("2", "3"):
+        argv = golden.cases(tmp_path)[name] + ["--workers", workers]
+        assert golden.run(argv, tmp_path / f"workers{workers}") == \
+            golden.committed[name], workers
 
 
 def test_one_usable_cpu_writes_the_same_bytes(golden, tmp_path,
                                               monkeypatch):
-    # on two usable CPUs the one-worker cases step half of each run in a
-    # forked sibling; pinned to one, the positivity-drop case steps it all
-    # in this process, against the same committed digests
+    # on two usable CPUs the one-worker cases step their runs in two
+    # processes; pinned to one, the positivity-drop case and the M = 407
+    # case, whose two block widths make a layout of two runs at one
+    # process and of three at two, step them all in this process, against
+    # the same committed digests
     usable_cpus(monkeypatch, 1)
-    name = "mixed_compare tiny seed 1 tol 0.3"
-    argv = golden.cases(tmp_path)[name]
-    assert golden.run(argv, tmp_path / "one_cpu") == golden.committed[name]
+    names = ("mixed_compare tiny seed 1 tol 0.3",
+             "two_spin_heisenberg compare M 407")
+    for i, name in enumerate(names):
+        argv = golden.cases(tmp_path)[name]
+        assert golden.run(argv, tmp_path / f"one_cpu{i}") == \
+            golden.committed[name], name

@@ -27,16 +27,17 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    # the pool is imported where a run with more than one worker starts it,
-    # so a serial run and ``snbd validate`` do not pay for it
+def test_cli_import_leaves_multiprocessing_out():
+    # multiprocessing is imported where a run forks its siblings, so a run
+    # in one process and ``snbd validate`` do not pay for it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, snbd.cli; print('concurrent.futures' in sys.modules)"],
+         "import sys, snbd.cli; print(sorted({'multiprocessing', "
+         "'concurrent.futures'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_error_class_has_a_raiser():

@@ -908,6 +908,11 @@ class TestBatchedDriver:
             collect(benchmark_system, 5, 0, 4, 1.0, 1e-3, 100,
                     positivity_tol=tol, policy="abort")
 
+    def test_unknown_policy_is_refused(self, benchmark_system):
+        # a library caller's policy, refused before a step is taken
+        with pytest.raises(ConfigError, match="unknown blowup policy 'drop'"):
+            collect(benchmark_system, 5, 0, 4, 0.01, 1e-3, 10, policy="drop")
+
     def test_hermiticity_check_sees_an_imaginary_diagonal(
             self, benchmark_system, monkeypatch):
         # a basis whose rebuild would put a traceless imaginary part on the
