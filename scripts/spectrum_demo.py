@@ -50,8 +50,7 @@ def main(argv=None):
 
     spec = two_spin_system()
     t = np.arange(0, args.t_max + 1e-9, args.dt)
-    states = propagate_exact(spec, t, pure=True)
-    psi = np.stack([s.psiN for s in states])
+    psi = propagate_exact(spec, t, pure=True).psiN
     e_grid, intensity = autocorrelation_spectrum(
         psi, t, window=not args.no_window, e_max=2.0)
     peaks = spectrum_peaks(e_grid, intensity)

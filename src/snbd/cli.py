@@ -120,16 +120,19 @@ def _run_ensemble_from_config(cfg, reporter):
                         _recovery_refs(cfg))
 
 
-def _write_observables(writer, cfg, acc, name="observables.csv"):
+def _write_observables(writer, cfg, acc, estimates=None):
+    """observables.csv, from the caller's ``estimates`` when it has them."""
     if "csv" not in cfg.output.formats or not cfg.observables:
         return
+    if estimates is None:
+        estimates = [estimate_product_observable(acc, obs.name)
+                     for obs in cfg.observables]
     header = ["t"]
     columns = [acc.times]
-    for obs in cfg.observables:
-        est = estimate_product_observable(acc, obs.name)
+    for obs, est in zip(cfg.observables, estimates):
         header += [obs.name, f"{obs.name}_stderr"]
         columns += [est.mean, est.stderr]
-    writer.write_csv(name, header, columns)
+    writer.write_csv("observables.csv", header, columns)
 
 
 def _write_positivity(writer, cfg, acc):
@@ -176,26 +179,20 @@ def cmd_run(cfg, writer, reporter):
     return acc
 
 
-def _oracle_states(cfg, pure=False):
-    times = cfg.time.times
-    return times, propagate_exact(cfg.system, times, pure=pure)
-
-
 def cmd_oracle(cfg, writer, reporter):
-    times, states = _oracle_states(cfg)
+    exact = propagate_exact(cfg.system, cfg.time.times)
     if "csv" in cfg.output.formats and cfg.observables:
         header = ["t"]
-        columns = [times]
+        columns = [exact.times]
         for obs in cfg.observables:
             header.append(obs.name)
-            columns.append(exact_observable(states, obs, cfg.system.dims))
+            columns.append(exact_observable(exact, obs, cfg.system.dims))
         writer.write_csv("oracle_observables.csv", header, columns)
     if "bin" in cfg.output.formats:
-        writer.write_density_bin(
-            "oracle_density.bin", np.stack([s.rhoN for s in states]))
-    reporter.info(f"oracle complete: {len(times)} times, "
+        writer.write_density_bin("oracle_density.bin", exact.rhoN)
+    reporter.info(f"oracle complete: {len(exact.times)} times, "
                   f"dimension {cfg.system.full_dim}")
-    return states
+    return exact
 
 
 def cmd_compare(cfg, writer, reporter):
@@ -205,29 +202,27 @@ def cmd_compare(cfg, writer, reporter):
             "metric", path="ensemble.full_density")
     acc = _run_ensemble_from_config(cfg, reporter)
     _run_diagnostics(writer, cfg, acc)
-    _write_observables(writer, cfg, acc)
+    estimates = [estimate_product_observable(acc, obs.name)
+                 for obs in cfg.observables]
+    _write_observables(writer, cfg, acc, estimates)
     _write_positivity(writer, cfg, acc)
-    pure = cfg.recovery.enabled
-    times, states = _oracle_states(cfg, pure=pure)
-    oracle = np.stack([s.rhoN for s in states])
+    exact = propagate_exact(cfg.system, cfg.time.times,
+                            pure=cfg.recovery.enabled)
     if "bin" in cfg.output.formats:
         writer.write_density_bin("density.bin", estimate_density(acc))
-        writer.write_density_bin("oracle_density.bin", oracle)
+        writer.write_density_bin("oracle_density.bin", exact.rhoN)
 
     header = ["t", "trace_distance", "trace_distance_se"]
     td, td_se = jackknife_density_scalar(
-        acc, lambda rhos: trace_distances(rhos, oracle))
+        acc, lambda rhos: trace_distances(rhos, exact.rhoN))
     columns = [acc.times, td, td_se]
-    for obs in cfg.observables:
-        est = estimate_product_observable(acc, obs.name)
-        exact = exact_observable(states, obs, cfg.system.dims)
+    for obs, est in zip(cfg.observables, estimates):
+        value = exact_observable(exact, obs, cfg.system.dims)
         header += [f"{obs.name}_abs_err", f"{obs.name}_stderr"]
-        columns += [np.abs(est.mean - exact), est.stderr]
+        columns += [np.abs(est.mean - value), est.stderr]
     if cfg.recovery.enabled:
-        oracle_psi = np.stack([s.psiN for s in states])
-
         def fidelity(record):
-            return np.abs(np.sum(oracle_psi.conj() * record.psi, axis=1))
+            return np.abs(np.sum(exact.psiN.conj() * record.psi, axis=1))
 
         record = recover(acc, cfg.system)
         fid, fid_se = jackknife_recovery(acc, cfg.system, fidelity, record)
@@ -244,8 +239,8 @@ def cmd_compare(cfg, writer, reporter):
 
 def cmd_spectrum(cfg, writer, reporter):
     if cfg.recovery.spectrum_source == "oracle":
-        times, states = _oracle_states(cfg, pure=True)
-        psi = np.stack([s.psiN for s in states])
+        times = cfg.time.times
+        psi = propagate_exact(cfg.system, times, pure=True).psiN
     else:
         if not cfg.recovery.enabled:
             raise ConfigError(

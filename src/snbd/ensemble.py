@@ -21,9 +21,11 @@ reference vector rho_k |i_k> is linear in c_k too, so all of a record's
 observable factors and reference vectors are one real GEMM over the
 batch's columns (``_record_factor``).  A block's
 sum of tensor products, sum_b kron_k rho_k^b, is kept as the real
-coordinate sum X^T @ Y: X holds particle 1's coordinates per trajectory
-and Y the per-trajectory Kronecker product of the others', and a
-trajectory no longer active enters both as zero.  ``coordinate_density``
+coordinate sum X @ Y^T over the block's own columns: X holds particle
+1's coordinate rows and Y the per-trajectory Kronecker product of the
+others', formed along the coordinate axis from the columns the
+propagator hands over, with the trajectories contiguous; a trajectory
+no longer active enters both as zero.  ``coordinate_density``
 turns such sums into (D, D) matrices, one particle mode at a time, where
 ``estimate_density`` and the jackknife read them.  No per-trajectory
 (D, D) product is formed; the largest record-time array is Y,
@@ -251,53 +253,43 @@ def coordinate_density(sums: np.ndarray, dims) -> np.ndarray:
     return out.reshape(lead + (full, full))
 
 
-def _first_and_rest(rows):
-    """(X, Y) from per-particle rows (..., B, n_k): X is particle 1's rows
-    and Y the per-trajectory Kronecker product of the others', (..., B,
-    prod n_k), so that the sum over any set of trajectories b of
-    kron_k rows_k[b] is (X_set^T @ Y_set) flattened.  Y is a column of ones for one particle.
-    Each entry of Y is a product formed elementwise in a fixed order, so
-    its bits do not depend on the batch."""
-    first = rows[0]
-    lead = first.shape[:-1]
-    rest = rows[1] if len(rows) > 1 else np.ones(lead + (1,), first.dtype)
-    for nxt in rows[2:]:
-        rest = (rest[..., :, None] * nxt[..., None, :]).reshape(lead + (-1,))
+def _first_and_rest(cols):
+    """(X, Y) from per-particle columns (..., n_k, B): X is particle 1's
+    and Y the per-trajectory Kronecker product of the others', (..., prod
+    n_k, B), so that the sum over any set of trajectories b of
+    kron_k cols_k[:, b] is (X_set @ Y_set^T) flattened.  Y is a row of
+    ones for one particle.  Each entry of Y is a product formed
+    elementwise in a fixed order, so its bits do not depend on the batch."""
+    first = cols[0]
+    lead, count = first.shape[:-2], first.shape[-1]
+    rest = cols[1] if len(cols) > 1 else np.ones(lead + (1, count), first.dtype)
+    for nxt in cols[2:]:
+        rest = (rest[..., :, None, :] * nxt[..., None, :, :]).reshape(
+            lead + (-1, count))
     return first, rest
 
 
-def _live_rows(columns, active):
-    """(..., B, n) rows, trajectory-major, from (..., n, B) columns, an
-    inactive trajectory's row as zeros (``active`` (..., B))."""
-    rows = np.swapaxes(columns, -1, -2)
-    out = np.zeros(rows.shape)
-    np.copyto(out, rows, where=active[..., None])
-    return out
-
-
-def _batched_kron(coord_rows):
-    """The (X, Y) factors of the records' density sums from each particle's
-    coordinate rows (R, B, d_k^2): X is particle 1's and Y the
-    per-trajectory Kronecker product of the others', (R, B, prod_{k>=2}
-    d_k^2).  The sum over a set of trajectories of kron_k c_k, the
-    coordinates of sum kron_k rho_k, is X_set^T @ Y_set flattened, per
-    record."""
-    return _first_and_rest(coord_rows)
+def _batched_kron(coord_cols):
+    """The (X, Y) factors of the records' density sums, ``_first_and_rest``
+    of each particle's coordinate columns (R, d_k^2, B)."""
+    return _first_and_rest(coord_cols)
 
 
 def _batched_refvec(rows, dims, active):
     """The (X, Y) factors of the records' reference-vector sums, from the
-    per-trajectory v_k = rho_k |i_k>: X is v_1, (R, B, d_1), and Y the
+    per-trajectory v_k = rho_k |i_k>: X is v_1, (R, d_1, B), and Y the
     per-trajectory Kronecker product of v_2 ... v_N; the sum over a set of
-    trajectories of kron_k v_k is X_set^T @ Y_set flattened, per record.
+    trajectories of kron_k v_k is X_set @ Y_set^T flattened, per record.
 
     ``rows`` (R, sum_k 2 d_k, B) holds each particle's v_k with Re and Im
     interleaved, as its rows of the record factor (``_record_factor``)
     give them; an inactive trajectory (``active`` (R, B)) enters as
     zero."""
-    v = _live_rows(rows, active).view(complex)
+    v = np.zeros(rows[..., ::2, :].shape, complex)
+    np.copyto(v.real, rows[..., ::2, :], where=active[..., None, :])
+    np.copyto(v.imag, rows[..., 1::2, :], where=active[..., None, :])
     edges = np.cumsum((0,) + tuple(dims))
-    return _first_and_rest([v[..., a:b] for a, b in zip(edges, edges[1:])])
+    return _first_and_rest([v[..., a:b, :] for a, b in zip(edges, edges[1:])])
 
 
 def _record_factor(spec, obs_stacks, refs):
@@ -358,10 +350,16 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
                if refs is not None else None)
     min_eig = np.empty((n_times, n))
 
-    def xty(factors):
-        """Each record's and block's X^T @ Y, (R, rows, a * b)."""
-        x, y = map(by_block, factors)
-        return (x.swapaxes(-1, -2) @ y).reshape(x.shape[:2] + (-1,))
+    def block_sums(factors):
+        """Each record's and block's X @ Y^T over the block's own columns,
+        (R, rows, a * b), from X (R, a, B) and Y (R, b, B).  X goes to the
+        GEMM trajectory-major: with both factors contiguous along the
+        trajectories, OpenBLAS takes a small-matrix kernel from 32 columns
+        on that sums in another order (ulps in the density sums)."""
+        x, y = factors
+        x = by_block(np.ascontiguousarray(x.swapaxes(1, 2))).swapaxes(-1, -2)
+        y = y.reshape(y.shape[:2] + (rows, width)).swapaxes(1, 2)
+        return (x @ y.swapaxes(-1, -2)).reshape(x.shape[:2] + (-1,))
 
     # the records on_record has copied and not yet summed
     depth = min(RECORD_BATCH, n_times)
@@ -398,7 +396,7 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
         # entries may overflow but never reach a sum.  Each block reduces
         # its own rows, as it would alone, with an inactive row entering as
         # an exact identity: -0.0 in the observable sums, zero coordinates
-        # in the tensor products X^T @ Y (see _first_and_rest; no (B, D, D)
+        # in the tensor products X @ Y^T (see _first_and_rest; no (B, D, D)
         # array is formed).  A block with no active row keeps its zeros.
         # The spread is summed about the block's own mean, an inactive row
         # entering as +0.0, so it does not cancel (estimate_product_observable).
@@ -425,11 +423,11 @@ def _block_task(spec, time, ensemble, edges, obs_stacks, refs):
                     on, vals - np.repeat(mean, width, axis=1), 0.0))
                 put(obs_m2, (dev * dev).sum(axis=2))
             if rho_sum is not None:
-                c = _live_rows(coords[..., live], active)
-                put(rho_sum.swapaxes(1, 2), xty(_batched_kron(
-                    [c[..., rs] for rs in particle_rows])))
+                c = np.where(active[:, None], coords[..., live], 0.0)
+                put(rho_sum.swapaxes(1, 2), block_sums(_batched_kron(
+                    [c[:, rs] for rs in particle_rows])))
             if vec_sum is not None:
-                put(vec_sum.swapaxes(1, 2), xty(_batched_refvec(
+                put(vec_sum.swapaxes(1, 2), block_sums(_batched_refvec(
                     prods[:, n_prod:], spec.dims, active)))
 
     stats = propagate_block(

@@ -18,12 +18,12 @@ from .system import SystemSpec, assemble_full_hamiltonian, product_density
 
 
 @dataclass
-class FullState:
-    """Exact N-body state at one time (density and/or pure vector)."""
+class ExactSeries:
+    """Exact N-body states on a time grid, stacked along time."""
 
-    t: float
-    rhoN: np.ndarray = None
-    psiN: np.ndarray = None
+    times: np.ndarray           # (T,)
+    rhoN: np.ndarray            # (T, D, D) densities
+    psiN: np.ndarray = None     # (T, D) pure vectors, with pure=True
 
 
 def initial_pure_factors(spec: SystemSpec) -> list:
@@ -47,8 +47,9 @@ def initial_pure_vector(spec: SystemSpec) -> np.ndarray:
     return reduce(np.kron, initial_pure_factors(spec))
 
 
-def propagate_exact(spec: SystemSpec, t_grid, pure: bool = False) -> list:
-    """Exact states on ``t_grid`` via U(t) = V exp(-i w t) V^dag.
+def propagate_exact(spec: SystemSpec, t_grid, pure: bool = False) -> ExactSeries:
+    """Exact states on ``t_grid`` via U(t) = V exp(-i w t) V^dag, filled
+    one time at a time.
 
     With ``pure=True`` the initial state must be a product of pure
     one-body densities and the pure vector is propagated alongside the
@@ -58,30 +59,29 @@ def propagate_exact(spec: SystemSpec, t_grid, pure: bool = False) -> list:
     w, v = herm_eig(h)
     rho0 = product_density(spec)
     rho0_eig = v.conj().T @ rho0 @ v
-    psi0_eig = None
     if pure:
         psi0_eig = v.conj().T @ initial_pure_vector(spec)
-    states = []
-    for t in np.asarray(t_grid, dtype=float):
+    times = np.array(t_grid, dtype=float)
+    out = ExactSeries(times, np.empty((len(times),) + h.shape, complex),
+                      np.empty((len(times), len(h)), complex) if pure else None)
+    for i, t in enumerate(times):
         phase = np.exp(-1j * w * t)
         rho = v @ (phase[:, None] * rho0_eig * phase.conj()[None, :]) @ v.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        psi = v @ (phase * psi0_eig) if pure else None
-        states.append(FullState(t=float(t), rhoN=rho, psiN=psi))
-    return states
+        out.rhoN[i] = 0.5 * (rho + rho.conj().T)
+        if pure:
+            out.psiN[i] = v @ (phase * psi0_eig)
+    return out
 
 
-def exact_observable(states, obs, dims) -> np.ndarray:
-    """Tr{(x)_k A_k rho(t)} on every state; the result is real."""
+def exact_observable(series: ExactSeries, obs, dims) -> np.ndarray:
+    """Tr{(x)_k A_k rho(t)} at every time of the series; the result is real."""
     a = obs.full_matrix(dims)
-    out = np.empty(len(states))
-    for i, st in enumerate(states):
-        if st.rhoN is None:
-            raise ShapeError("exact_observable needs density-mode states")
-        if st.rhoN.shape != a.shape:
-            raise ShapeError(
-                f"observable dim {a.shape[0]} != state dim {st.rhoN.shape[0]}")
-        val = complex(np.trace(a @ st.rhoN))
+    if series.rhoN.shape[1:] != a.shape:
+        raise ShapeError(
+            f"observable dim {a.shape[0]} != state dim {series.rhoN.shape[1]}")
+    out = np.empty(len(series.rhoN))
+    for i, rho in enumerate(series.rhoN):
+        val = complex(np.trace(a @ rho))
         if not abs(val.imag) <= 1e-10:
             raise ContractViolationError(
                 f"observable develops imaginary part {val.imag:.3e}")

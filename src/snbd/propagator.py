@@ -259,7 +259,7 @@ def _noise_factor(z, order) -> np.ndarray:
                            b * rows[0] + a * rows[1]], axis=1)
 
 
-def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
+def trajectory_rng(master_seed: int, index: int) -> "np.random.Generator":
     """Counter-based per-trajectory stream keyed by (master seed, index)."""
     if master_seed < 0 or index < 0:
         raise ConfigError("master seed and trajectory index must be >= 0")

@@ -21,7 +21,6 @@ per-trajectory tensor-product vectors accumulated during the run.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .ensemble import EnsembleAccumulator, jackknife_blocks
 from .linalg import herm_eig
-from .oracle import initial_pure_factors
+from .oracle import initial_pure_factors, initial_pure_vector
 from .system import SystemSpec, apply_full_hamiltonian
 
 #: Below this overlap the phase quotient is statistically meaningless.
@@ -181,7 +180,7 @@ def recover(acc: EnsembleAccumulator, spec: SystemSpec) -> RecoveryRecord:
     factors = initial_pure_factors(spec)
     phi_tilde = recover_raw_vector(acc)
     return _recover(acc.times, phi_tilde, apply_full_hamiltonian(spec, factors),
-                    reduce(np.kron, factors))
+                    initial_pure_vector(spec))
 
 
 def jackknife_recovery(acc: EnsembleAccumulator, spec: SystemSpec, fn,

@@ -133,8 +133,7 @@ def flagship():
                        worker_count=2, full_density=True,
                        blowup_policy="skip", positivity_tol=np.inf),
         obs, default_reference_vectors(spec))
-    states = propagate_exact(spec, acc.times, pure=True)
-    return spec, acc, states
+    return spec, acc, propagate_exact(spec, acc.times, pure=True)
 
 
 def _window(acc):
@@ -148,8 +147,8 @@ def _window(acc):
 
 
 def test_criterion_01_exactness_benchmark(flagship):
-    spec, acc, states = flagship
-    oracle = np.stack([s.rhoN for s in states])
+    spec, acc, exact = flagship
+    oracle = exact.rhoN
     td_full, se_full = jackknife_density_scalar(
         acc, lambda rhos: trace_distances(rhos, oracle))
     n = len(_window(acc).times)
@@ -325,7 +324,7 @@ def test_criterion_07_noise_constraints():
 
 
 def test_criterion_08_state_recovery(flagship):
-    spec, acc, states = flagship
+    spec, acc, exact = flagship
     # unnormalized t=0 recovery equals |psi0><psi0| applied to the reference
     psi0 = initial_pure_vector(spec)
     refs = acc.recovery_refs
@@ -334,7 +333,7 @@ def test_criterion_08_state_recovery(flagship):
     t0_dev = float(np.abs(phi_tilde0 - psi0 * np.vdot(psi0, ref_full)).max())
 
     win = _window(acc)
-    oracle_psi = np.stack([s.psiN for s in states[:len(win.times)]])
+    oracle_psi = exact.psiN[:len(win.times)]
 
     def fidelity(record):
         return np.abs(np.sum(oracle_psi.conj() * record.psi, axis=1))
@@ -352,8 +351,7 @@ def test_criterion_09_spectrum():
     spec = two_spin_system()
     t_max = 200.0
     t = np.arange(0, t_max + 1e-9, 0.05)
-    states = propagate_exact(spec, t, pure=True)
-    psi = np.stack([s.psiN for s in states])
+    psi = propagate_exact(spec, t, pure=True).psiN
     e_grid, intensity = autocorrelation_spectrum(psi, t, window=True,
                                                  e_max=2.0)
     peaks = spectrum_peaks(e_grid, intensity)

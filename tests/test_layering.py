@@ -29,13 +29,14 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_cli_import_leaves_multiprocessing_out():
     # multiprocessing is imported where a run forks its siblings, so a run
-    # in one process and ``snbd validate`` do not pay for it
+    # in one process and ``snbd validate`` do not pay for it; numpy.random
+    # likewise waits for a run's first draw
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, snbd.cli; print(sorted({'multiprocessing', "
-         "'concurrent.futures'} & set(sys.modules)))"],
+         "'concurrent.futures', 'numpy.random'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

@@ -96,8 +96,7 @@ class TestPhase:
     def test_integrand_is_real_for_exact_input(self, benchmark_system):
         h = assemble_full_hamiltonian(benchmark_system)
         times = np.linspace(0, 1, 21)
-        states = propagate_exact(benchmark_system, times, pure=True)
-        psi = np.stack([s.psiN for s in states])
+        psi = propagate_exact(benchmark_system, times, pure=True).psiN
         psi0 = psi[0]
         integrand = phase_integrand(times, psi, h @ psi0, psi0)
         # derivative truncation error only: O(dt^2 * ||H||^3)
@@ -145,8 +144,8 @@ class TestWavefunction:
         assert np.abs(np.linalg.norm(record.psi, axis=1) - 1.0).max() <= 1e-12
         assert record.theta[0] == 0.0
         assert abs(record.autocorr[0] - 1.0) <= 1e-12
-        states = propagate_exact(benchmark_system, acc.times, pure=True)
-        oracle_psi = np.stack([s.psiN for s in states])
+        oracle_psi = propagate_exact(benchmark_system, acc.times,
+                                     pure=True).psiN
         overlap = np.sum(oracle_psi.conj() * record.psi, axis=1)
         # short horizon, M=600: recovered state tracks the oracle incl. phase
         assert np.abs(overlap - 1.0).max() <= 0.05
@@ -154,8 +153,8 @@ class TestWavefunction:
     def test_jackknife_bands(self, benchmark_system):
         acc = run_with_recovery(benchmark_system, 200, 0.2, 1e-3, 50, seed=4,
                                 n_blocks=10)
-        states = propagate_exact(benchmark_system, acc.times, pure=True)
-        oracle_psi = np.stack([s.psiN for s in states])
+        oracle_psi = propagate_exact(benchmark_system, acc.times,
+                                     pure=True).psiN
 
         def fidelity(record):
             return np.abs(np.sum(oracle_psi.conj() * record.psi, axis=1))
@@ -201,8 +200,8 @@ class TestWavefunction:
 
         acc = run_with_recovery(spec, 400, 0.3, 1e-3, 100, seed=6,
                                 n_blocks=20)
-        states = propagate_exact(spec, acc.times, pure=True)
-        oracle_anti = np.stack([antisymmetrize(s.psiN) for s in states])
+        oracle_anti = [antisymmetrize(v) for v in
+                       propagate_exact(spec, acc.times, pure=True).psiN]
 
         def anti_fidelity(record):
             return np.array([
@@ -233,8 +232,7 @@ class TestSpectrum:
         plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
         spec = free_two_spin_system(initial=(plus, plus))
         t = np.arange(0, 200.0001, 0.05)
-        states = propagate_exact(spec, t, pure=True)
-        psi = np.stack([s.psiN for s in states])
+        psi = propagate_exact(spec, t, pure=True).psiN
         e_grid, intensity = autocorrelation_spectrum(psi, t, window=True,
                                                      e_max=3.0)
         peaks = spectrum_peaks(e_grid, intensity)
@@ -246,8 +244,7 @@ class TestSpectrum:
 
     def test_window_preserves_peak_positions(self, benchmark_system):
         t = np.arange(0, 100.0001, 0.05)
-        states = propagate_exact(benchmark_system, t, pure=True)
-        psi = np.stack([s.psiN for s in states])
+        psi = propagate_exact(benchmark_system, t, pure=True).psiN
         e_grid, bare = autocorrelation_spectrum(psi, t, window=False, e_max=2.0)
         _, windowed = autocorrelation_spectrum(psi, t, window=True, e_max=2.0)
         # compare the two dominant maxima of each spectrum
@@ -266,8 +263,7 @@ class TestSpectrum:
 
         def worst_error(t_max):
             t = np.arange(0, t_max + 1e-9, 0.05)
-            states = propagate_exact(benchmark_system, t, pure=True)
-            psi = np.stack([s.psiN for s in states])
+            psi = propagate_exact(benchmark_system, t, pure=True).psiN
             e_grid, intensity = autocorrelation_spectrum(
                 psi, t, window=True, e_max=2.0, oversample=32)
             peaks = spectrum_peaks(e_grid, intensity)
